@@ -38,7 +38,7 @@ struct Options {
   unsigned Jobs = 1;
   /// Self-test size: a fraction of every population, one set-up.
   bool Small = false;
-  /// Scratch directory inside the checkout (corpus caches, registries).
+  /// Scratch directory inside the checkout (corpus caches).
   std::string TmpDir;
   /// Where the traced run writes its spans (Chrome trace-event JSON).
   std::string TraceOut;
@@ -80,7 +80,7 @@ public:
 
   /// Opens a span closed at the end of the returned scope.  A zero
   /// \p Request inherits the enclosing span's request id, so every span of
-  /// one compiled method, retrain or fold shares an identifier.
+  /// one compiled method or fold shares an identifier.
   [[nodiscard]] Scope span(const char *Name, uint64_t Request = 0) {
     return Scope(On ? this : nullptr, Name, Request);
   }

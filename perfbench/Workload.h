@@ -1,4 +1,4 @@
-//===- perfbench/Workload.h - The four benchmark workloads --------*- C++ -*-===//
+//===- perfbench/Workload.h - The benchmark workloads -----------*- C++ -*-===//
 ///
 /// \file
 /// A workload is one set of seed-derived inputs and the calls the benchmark

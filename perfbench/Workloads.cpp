@@ -1,8 +1,7 @@
-//===- perfbench/Workloads.cpp - The four benchmark workloads ---------------===//
+//===- perfbench/Workloads.cpp - The three benchmark workloads --------------===//
 //
 // compile_batch  batch-compiles a five-family population under LS and L/N
 // serve_mix      serves an interleaved five-family stream, static filter
-// serve_online   serves a SPECjvm98 stream with online retraining
 // report_sweep   the sf-report path: cold trace, warm reload, 11-threshold
 //                LOOCV sweep
 //
@@ -15,7 +14,6 @@
 #include "Workload.h"
 
 #include "harness/ParallelExperiments.h"
-#include "io/FilterRegistry.h"
 #include "runtime/MethodCompiler.h"
 #include "runtime/MultiAppService.h"
 #include "support/Statistics.h"
@@ -124,14 +122,8 @@ std::vector<BenchmarkRun> traceSuite(Env &E, ExperimentEngine &Engine,
 /// The paper's factory filter: RIPPER over stock SPECjvm98 traced at
 /// t = 0.  It does not depend on the seed, so a self-trained filter's
 /// seed-to-seed swings in size and cost stay out of the compile timings.
-/// \p Records, when given, receives the stock trace.
-RuleSet factoryFilter(Env &E, ExperimentEngine &Engine,
-                      std::vector<BlockRecord> *Records = nullptr) {
-  std::vector<BenchmarkRun> Stock = traceSuite(E, Engine, specjvm98Suite());
-  if (Records)
-    for (const BenchmarkRun &Run : Stock)
-      Records->insert(Records->end(), Run.Records.begin(), Run.Records.end());
-  return trainOnRuns(E, Engine, Stock, 0.0);
+RuleSet factoryFilter(Env &E, ExperimentEngine &Engine) {
+  return trainOnRuns(E, Engine, traceSuite(E, Engine, specjvm98Suite()), 0.0);
 }
 
 /// Deterministic fields of a report (the wall-clock one excluded).
@@ -310,48 +302,31 @@ private:
 };
 
 // ---------------------------------------------------------------------------
-// serve_mix and serve_online
+// serve_mix
 // ---------------------------------------------------------------------------
 
-/// The adaptive JIT: MultiAppService replays one invocation stream under
-/// an LS optimizing tier and under an L/N one (the sf-serve comparison),
-/// closed loop on the virtual clock, with the factory filter installed.
-/// serve_mix interleaves all five families under that static filter;
-/// serve_online serves SPECjvm98 and retrains the filter while it serves,
-/// persisting every version into a fresh FilterRegistry each round.
-class Serve final : public Workload {
+/// The adaptive JIT: MultiAppService replays one invocation stream that
+/// interleaves all five families under an LS optimizing tier and under an
+/// L/N one (the sf-serve comparison), closed loop on the virtual clock,
+/// with the static factory filter installed.
+class ServeMix final : public Workload {
 public:
-  Serve(Env &E, bool Online) : E(E), Online(Online), Engine(E.Opt.Jobs) {}
+  explicit ServeMix(Env &E) : E(E), Engine(E.Opt.Jobs) {}
 
   void setup() override {
-    // serve_online serves four draws of SPECjvm98 (28 apps), so one seed's
-    // stream adapts about as much as another's.
-    std::vector<std::string> Families =
-        Online ? std::vector<std::string>{"specjvm98"} : allFamilies();
-    for (unsigned Copy = 0; Copy != (Online ? 4u : 1u); ++Copy)
-      for (const std::string &F : Families) {
-        std::vector<BenchmarkSpec> Suite = seededSuite(F, E.Opt, Copy);
-        double Per = 1.0 / static_cast<double>(Suite.size());
-        for (BenchmarkSpec &S : Suite) {
-          Specs.push_back(S);
-          Apps.push_back({std::move(S), Per});
-        }
+    for (const std::string &F : allFamilies()) {
+      std::vector<BenchmarkSpec> Suite = seededSuite(F, E.Opt);
+      double Per = 1.0 / static_cast<double>(Suite.size());
+      for (BenchmarkSpec &S : Suite) {
+        Specs.push_back(S);
+        Apps.push_back({std::move(S), Per});
       }
+    }
     Fingerprints = fingerprintsOf(Specs);
     Cfg.StreamSeed = workloadMixSeed(Apps);
-    // serve_online stretches the retrain interval with the stream, so the
-    // LS run is long enough to time and the L/N run still retrains ~12x.
-    Cfg.Invocations = Online ? 400000 : 2000000;
-    if (E.Opt.Small)
-      Cfg.Invocations /= 10;
-    Cfg.Online = Online;
-    if (Online)
-      Cfg.RetrainEvery = Cfg.Invocations / 12;
+    Cfg.Invocations = E.Opt.Small ? 200000 : 2000000;
 
-    // serve_online adapts the factory filter to the seeded apps; the stock
-    // records seed its corpus, so every retrain learns from the same base
-    // plus what this seed served.
-    Rules = factoryFilter(E, Engine, Online ? &SeedRecords : nullptr);
+    Rules = factoryFilter(E, Engine);
     Programs = generateMixPrograms(Apps);
     for (size_t A = 0; A != Programs.size(); ++A)
       Offsets.push_back(A ? Offsets[A - 1] + Programs[A - 1].size() : 0);
@@ -360,7 +335,6 @@ public:
 
     ServiceConfig LSCfg = Cfg;
     LSCfg.OptimizingPolicy = SchedulingPolicy::Always;
-    LSCfg.Online = false;
     timed(E.T, "runtime.baseline_cost", 0, [&] {
       Always = std::make_unique<MultiAppService>(Apps, Programs, E.Model, LSCfg,
                                                  nullptr, Engine.pool());
@@ -368,24 +342,13 @@ public:
     Filtered = std::make_unique<MultiAppService>(
         Apps, Programs, E.Model, Cfg, &Rules, Engine.pool(),
         &Always->baselineCosts());
-    if (Online)
-      Filtered->setSeedCorpus(SeedRecords);
   }
 
   RoundTimes round() override {
-    std::string PrevDir = RegistryDir;
-    if (Online) {
-      RegistryDir = freshDir("registry-" + std::to_string(++Rounds));
-      Registry = std::make_unique<FilterRegistry>(RegistryDir);
-      Filtered->setFilterRegistry(Registry.get(), "perfbench-online",
-                                  E.Model.getName());
-    }
     RoundTimes Out;
     MultiAppStats LSSt, LNSt;
     Out.LS = timed(E.T, "round.ls", 0, [&] { LSSt = Always->run(); });
     Out.LN = timed(E.T, "round.ln", 0, [&] { LNSt = Filtered->run(); });
-    if (!PrevDir.empty())
-      fs::remove_all(PrevDir);
     checkIdentities(LSSt);
     checkIdentities(LNSt);
     if (!First) {
@@ -401,12 +364,15 @@ public:
 
   void verify() override {
     const ServiceStats &Tot = LN.Total;
-    loadVersions();
+    timed(E.T, "filter.artifact", 0, [&] { Art = makeFilterArtifact(Rules); });
+    E.C.expect(std::all_of(Tot.Compiles.begin(), Tot.Compiles.end(),
+                           [](const ServiceStats::CompilePinStat &P) {
+                             return P.FilterVersion == 0;
+                           }),
+               "every compile pin names the static filter");
     Replayer R(E.Model, E.T, E.C);
-    for (size_t I = 0; I != Tot.Compiles.size(); ++I) {
-      const ServiceStats::CompilePinStat &P = Tot.Compiles[I];
-      R.compile(method(P.Method), *Versions[P.FilterVersion], I + 1);
-    }
+    for (size_t I = 0; I != Tot.Compiles.size(); ++I)
+      R.compile(method(Tot.Compiles[I].Method), *Art, I + 1);
     R.publish();
     const ReplayTotals &RT = R.totals();
     E.C.expect(RT.Scheduled == Tot.FilterLS && RT.Skipped == Tot.FilterNS &&
@@ -422,31 +388,30 @@ public:
     E.T.set("runtime.deferred", static_cast<double>(Tot.Deferred));
     E.T.set("runtime.max_queue_depth", static_cast<double>(Tot.MaxQueueDepth));
     E.T.set("runtime.mean_queue_depth", Tot.MeanQueueDepth);
-    E.T.set("runtime.retrains", static_cast<double>(Tot.Retrains));
-    E.T.set("runtime.swaps", static_cast<double>(Tot.Swaps.size()));
 
-    std::vector<BlockRecord> Corpus = SeedRecords;
-    double Inside = replayPins(Corpus);
+    double Inside = replayPins();
     if (!E.T.enabled())
       return;
     replayGeneration(E, Specs, pointersTo(Programs));
-    measureDispatch(Inside, Corpus);
+    measureDispatch(Inside);
   }
 
   /// The service compiles inside run(), so compile latency is timed from
-  /// outside: every method of the served population under the filter
-  /// version installed at stream end, on the pool as the service's compile
-  /// tasks run, repeated for a quarter of the run after one warm-up pass.
+  /// outside: the methods the L/N service compiled (its compile pins, in
+  /// install order) under the filter that compiled them, on the pool as the
+  /// service's compile tasks run, repeated for a quarter of the run after
+  /// one warm-up pass.
   void probe() override {
-    ChunkedCompiler Probe(E.Model, methodsOf(Programs));
+    std::vector<const Method *> Hot;
+    for (const ServiceStats::CompilePinStat &P : LN.Total.Compiles)
+      Hot.push_back(&method(P.Method));
+    ChunkedCompiler Probe(E.Model, std::move(Hot));
     std::vector<double> WarmUp;
-    Probe.pass(Engine.pool(), SchedulingPolicy::Filtered, Versions.back(),
-               WarmUp);
+    Probe.pass(Engine.pool(), SchedulingPolicy::Filtered, Art, WarmUp);
     Clock::time_point Start = Clock::now();
     double Budget = std::max(1.0, 0.25 * E.Opt.Seconds);
     do
-      Probe.pass(Engine.pool(), SchedulingPolicy::Filtered, Versions.back(),
-                 LatencyUs);
+      Probe.pass(Engine.pool(), SchedulingPolicy::Filtered, Art, LatencyUs);
     while (secondsBetween(Start, Clock::now()) < Budget);
   }
 
@@ -464,12 +429,6 @@ private:
                    Offsets.begin()) -
                1;
     return Programs[A][Global - Offsets[A]];
-  }
-
-  std::string freshDir(const std::string &Leaf) const {
-    std::string Dir = E.Opt.TmpDir + "/" + Leaf;
-    fs::remove_all(Dir);
-    return Dir;
   }
 
   void checkIdentities(const MultiAppStats &St) {
@@ -497,52 +456,10 @@ private:
     }
   }
 
-  /// The filter version behind every compile pin: the static filter, or
-  /// each online version loaded back from the last round's registry.
-  void loadVersions() {
-    Versions.clear();
-    if (!Online) {
-      timed(E.T, "filter.artifact", 0,
-            [&] { Versions.push_back(makeFilterArtifact(Rules)); });
-      return;
-    }
-    const std::vector<ServiceStats::FilterSwapStat> &Swaps = LN.Total.Swaps;
-    E.C.expect(Registry->listVersions().size() == Swaps.size(),
-               "the registry holds one entry per installed version");
-    E.C.expect(!Swaps.empty() && Swaps[0].RulesHash == rulesFingerprint(Rules),
-               "version 1 is the factory filter");
-    Versions.resize(Swaps.size() + 1);
-    uint64_t Bytes = 0;
-    for (const ServiceStats::FilterSwapStat &S : Swaps) {
-      ParseResult<RegistryEntry> Entry = Registry->load(S.Version);
-      bool Ok = Entry.has_value() && Entry->Meta.Version == S.Version &&
-                Entry->Meta.ParentVersion == S.ParentVersion &&
-                rulesFingerprint(Entry->Rules) == S.RulesHash &&
-                S.Version < Versions.size();
-      E.C.expect(Ok, "a registry version loads back with its swap's rules");
-      if (!Ok)
-        continue;
-      Bytes += fs::file_size(Registry->entryPath(S.Version));
-      timed(E.T, "filter.artifact", S.Version, [&] {
-        Versions[S.Version] =
-            makeFilterArtifact(std::move(Entry->Rules), S.Version);
-      });
-    }
-    for (const ServiceStats::CompilePinStat &P : LN.Total.Compiles)
-      E.C.expect(P.FilterVersion < Versions.size() && Versions[P.FilterVersion],
-                 "every compile pin names an installed version");
-    E.T.set("io.registry_versions", static_cast<double>(Swaps.size()));
-    E.T.set("io.registry_bytes", static_cast<double>(Bytes));
-    E.T.add("io.store_failures",
-            static_cast<double>(Registry->stats().StoreFailures));
-  }
-
   /// Reissues every compile request of the L/N run, in install order, as
   /// the service's pool tasks do, checking each costs the work units its
-  /// pin records; online, also re-traces each method into \p Corpus (after
-  /// the seed records), rebuilding the corpus the retrains learned from.
-  /// Returns the time spent in those calls.
-  double replayPins(std::vector<BlockRecord> &Corpus) {
+  /// pin records.  Returns the time spent in those calls.
+  double replayPins() {
     const std::vector<ServiceStats::CompilePinStat> &Pins = LN.Total.Compiles;
     double Inside = 0.0;
     for (size_t I = 0; I != Pins.size(); ++I) {
@@ -551,103 +468,40 @@ private:
       MethodCompiler MC(E.Model, Ctx);
       CompileReport Rep;
       Inside += timed(E.T, "runtime.compile", I + 1, [&] {
-        ScheduleFilter F(Versions[P.FilterVersion]);
+        ScheduleFilter F(Art);
         MC.compileMethod(method(P.Method), SchedulingPolicy::Filtered, &F, Rep);
       });
       E.C.expect(Rep.SchedulingWork == P.SchedulingWork,
                  "a reissued compile costs the work units its pin records");
-      if (Online)
-        Inside += timed(E.T, "runtime.trace_method", I + 1,
-                        [&] { MC.traceMethod(method(P.Method), Corpus); });
     }
     return Inside;
   }
 
-  /// runtime.tick_ns: the L/N run() at one job, minus the compiles,
-  /// traces, retrains and registry stores it made, replayed at one job
-  /// through their public calls; what is left is the dispatch loop.
-  void measureDispatch(double Inside, const std::vector<BlockRecord> &Corpus) {
+  /// runtime.tick_ns: the L/N run() at one job, minus the compiles it made,
+  /// replayed at one job through their public calls (\p Inside seconds);
+  /// what is left is the dispatch loop.
+  void measureDispatch(double Inside) {
     TaskPool One(1);
     MultiAppService Svc(Apps, Programs, E.Model, Cfg, &Rules, One,
                         &Always->baselineCosts());
-    std::unique_ptr<FilterRegistry> Reg;
-    if (Online) {
-      Svc.setSeedCorpus(SeedRecords);
-      Reg = std::make_unique<FilterRegistry>(freshDir("registry-one-job"));
-      Svc.setFilterRegistry(Reg.get(), "perfbench-online", E.Model.getName());
-    }
     MultiAppStats One1;
     double RunS = timed(E.T, "runtime.run", 0, [&] { One1 = Svc.run(); });
     E.C.expect(One1 == LN, "one job serves the identical stream");
-
-    if (Online)
-      Inside += replayRetrains(Corpus, One);
     E.T.note("runtime.tick_ns", (RunS - Inside) * 1e9 /
                                     static_cast<double>(LN.Total.Invocations));
   }
 
-  /// Re-induces every retrained version from the corpus prefix it trained
-  /// on, checks it hashes to the installed rules, and times the registry
-  /// store and load of each version.  Returns the time the service spent
-  /// on the same calls.
-  double replayRetrains(const std::vector<BlockRecord> &Corpus,
-                        TaskPool &One) {
-    const std::vector<ServiceStats::FilterSwapStat> &Swaps = LN.Total.Swaps;
-    FilterRegistry Reg(freshDir("registry-replay"));
-    double Inside = 0.0;
-    for (size_t I = 0; I != Swaps.size(); ++I) {
-      const ServiceStats::FilterSwapStat &S = Swaps[I];
-      RuleSet RS = Rules;
-      if (I) {
-        bool Fits = S.CorpusRecords <= Corpus.size();
-        E.C.expect(Fits, "a retrain's corpus is a prefix of the serve trace");
-        if (!Fits)
-          continue;
-        std::vector<BlockRecord> Prefix(
-            Corpus.begin(), Corpus.begin() + static_cast<long>(S.CorpusRecords));
-        Dataset D;
-        Inside += timed(E.T, "ml.label", I + 1, [&] {
-          D = buildDataset(Prefix, Cfg.RetrainThreshold, "online");
-        });
-        Inside += timed(E.T, "ml.train", I + 1,
-                        [&] { RS = Ripper().train(D, One); });
-        E.T.add("ml.trainings", 1);
-        E.T.add("ml.train_instances", static_cast<double>(D.size()));
-        E.T.add("ml.rules", static_cast<double>(RS.size()));
-        E.T.add("ml.conditions", static_cast<double>(RS.totalConditions()));
-        E.C.expect(rulesFingerprint(RS) == S.RulesHash,
-                   "a replayed retrain induces the installed rules");
-      }
-      FilterVersionMeta Meta{S.Version,       S.ParentVersion,
-                             S.TriggerTick,   Cfg.StreamSeed,
-                             S.CorpusRecords, Cfg.RetrainThreshold,
-                             E.Model.getName(), "perfbench-online"};
-      Inside += timed(E.T, "io.registry_store", I + 1,
-                      [&] { Reg.store(Meta, RS); });
-      timed(E.T, "io.registry_load", I + 1, [&] {
-        E.C.expect(Reg.load(S.Version).has_value(), "a stored version loads back");
-      });
-    }
-    E.T.add("io.store_failures", static_cast<double>(Reg.stats().StoreFailures));
-    return Inside;
-  }
-
   Env &E;
-  bool Online;
   ExperimentEngine Engine;
   std::vector<BenchmarkSpec> Specs;
   std::vector<AppSpec> Apps;
   std::vector<Program> Programs;
   std::vector<size_t> Offsets; ///< first global method id of each app
-  std::vector<BlockRecord> SeedRecords;
   RuleSet Rules{Label::NS};
   ServiceConfig Cfg;
   std::unique_ptr<MultiAppService> Always;
   std::unique_ptr<MultiAppService> Filtered;
-  std::unique_ptr<FilterRegistry> Registry;
-  std::string RegistryDir;
-  uint64_t Rounds = 0;
-  std::vector<FilterArtifactRef> Versions; ///< indexed by version number
+  FilterArtifactRef Art; ///< the installed filter, as verify() rebuilds it
   bool First = false;
   MultiAppStats LS, LN;
 };
@@ -937,7 +791,7 @@ private:
 
 const std::vector<std::string> &perfbench::workloadNames() {
   static const std::vector<std::string> Names = {
-      "compile_batch", "serve_mix", "serve_online", "report_sweep"};
+      "compile_batch", "serve_mix", "report_sweep"};
   return Names;
 }
 
@@ -946,9 +800,7 @@ std::unique_ptr<Workload> perfbench::makeWorkload(const std::string &Name,
   if (Name == "compile_batch")
     return std::make_unique<CompileBatch>(E);
   if (Name == "serve_mix")
-    return std::make_unique<Serve>(E, false);
-  if (Name == "serve_online")
-    return std::make_unique<Serve>(E, true);
+    return std::make_unique<ServeMix>(E);
   if (Name == "report_sweep")
     return std::make_unique<ReportSweep>(E);
   return nullptr;

@@ -141,7 +141,7 @@ bool parseOptions(int Argc, char **Argv, Options &Opt) {
 
 /// The per-layer metrics of a traced run, from its spans and counters.
 /// perfbench/BENCHMARK.json's per_layer list names the same metrics.
-std::vector<Metric> layerMetrics(const Tracer &T, double TraceOverheadS) {
+std::vector<Metric> layerMetrics(const Tracer &T, double SpanNs) {
   std::map<std::string, Tracer::Aggregate> A = T.aggregate();
   auto Total = [&](const char *Span) {
     auto It = A.find(Span);
@@ -181,10 +181,6 @@ std::vector<Metric> layerMetrics(const Tracer &T, double TraceOverheadS) {
       {"io.corpus_hits", C("io.corpus_hits"), "count"},
       {"io.corpus_misses", C("io.corpus_misses"), "count"},
       {"io.corpus_invalid", C("io.corpus_invalid"), "count"},
-      {"io.registry_store_s", Total("io.registry_store"), "s"},
-      {"io.registry_load_s", Total("io.registry_load"), "s"},
-      {"io.registry_bytes", C("io.registry_bytes"), "bytes"},
-      {"io.registry_versions", C("io.registry_versions"), "count"},
       {"io.store_failures", C("io.store_failures"), "count"},
       {"features.extract_ns_per_block",
        NsPer("features.extract", "features.blocks"), "ns"},
@@ -226,13 +222,32 @@ std::vector<Metric> layerMetrics(const Tracer &T, double TraceOverheadS) {
       {"runtime.deferred", C("runtime.deferred"), "count"},
       {"runtime.max_queue_depth", C("runtime.max_queue_depth"), "count"},
       {"runtime.mean_queue_depth", C("runtime.mean_queue_depth"), "count"},
-      {"runtime.retrains", C("runtime.retrains"), "count"},
-      {"runtime.swaps", C("runtime.swaps"), "count"},
       {"runtime.baseline_cost_s", Total("runtime.baseline_cost"), "s"},
-      {"trace.overhead_s", TraceOverheadS, "s"},
+      {"trace.span_ns", SpanNs, "ns"},
+      {"trace.overhead_s", SpanNs * 1e-9 * static_cast<double>(T.numSpans()),
+       "s"},
       {"trace.spans", static_cast<double>(T.numSpans()), "count"},
   };
   return M;
+}
+
+/// The cost of recording one span, in nanoseconds: the median of five
+/// batches of empty spans recorded into a scratch tracer.  A round records
+/// only a handful of spans, so comparing traced and untraced rounds would
+/// measure noise; the replay's spans are where tracing costs.
+double spanCostNs() {
+  constexpr int PerBatch = 100000;
+  std::vector<double> Batches;
+  for (int B = 0; B != 5; ++B) {
+    Tracer Scratch;
+    Scratch.enable(true);
+    Clock::time_point Start = Clock::now();
+    for (int I = 0; I != PerBatch; ++I) {
+      auto S = Scratch.span("trace.cost");
+    }
+    Batches.push_back(secondsBetween(Start, Clock::now()) * 1e9 / PerBatch);
+  }
+  return medianOf(Batches);
 }
 
 std::string metricsJson(const std::vector<Metric> &Ms) {
@@ -335,31 +350,23 @@ int main(int Argc, char **Argv) {
   while (secondsBetween(WarmStart, Clock::now()) < 2.0);
   W->dropLatencies();
 
-  // The timed phase.  A traced run spends its first half untraced and its
-  // second half traced; the difference of the two medians is the tracing
-  // overhead.
-  std::vector<double> Wall, LS, LN, TracedWall;
-  auto RunRounds = [&](double Budget, bool Traced) {
-    T.enable(Traced);
-    std::vector<double> &Into = Traced ? TracedWall : Wall;
-    Clock::time_point Start = Clock::now();
-    do {
-      Clock::time_point R0 = Clock::now();
-      RoundTimes RT;
-      {
-        auto S = T.span("round");
-        RT = W->round();
-      }
-      Into.push_back(secondsBetween(R0, Clock::now()));
-      if (!Traced) {
-        LS.push_back(RT.LS);
-        LN.push_back(RT.LN);
-      }
-    } while (secondsBetween(Start, Clock::now()) < Budget || Into.size() < 3);
-  };
-  RunRounds(Opt.Trace ? Opt.Seconds / 2 : Opt.Seconds, false);
-  if (Opt.Trace)
-    RunRounds(Opt.Seconds / 2, true);
+  // The timed phase: at least three rounds.  A traced run records their
+  // spans.
+  std::vector<double> Wall, LS, LN;
+  T.enable(Opt.Trace);
+  Clock::time_point TimedStart = Clock::now();
+  do {
+    Clock::time_point R0 = Clock::now();
+    RoundTimes RT;
+    {
+      auto S = T.span("round");
+      RT = W->round();
+    }
+    Wall.push_back(secondsBetween(R0, Clock::now()));
+    LS.push_back(RT.LS);
+    LN.push_back(RT.LN);
+  } while (secondsBetween(TimedStart, Clock::now()) < Opt.Seconds ||
+           Wall.size() < 3);
 
   T.enable(Opt.Trace);
   W->verify();
@@ -381,7 +388,7 @@ int main(int Argc, char **Argv) {
 
   std::vector<Metric> Out = E2E;
   if (Opt.Trace) {
-    Out = layerMetrics(T, medianOf(TracedWall) - medianOf(Wall));
+    Out = layerMetrics(T, spanCostNs());
     for (const auto &[Name, A] : T.aggregate())
       std::printf("span %-28s count %8llu total_s %.6f self_s %.6f\n",
                   Name.c_str(), static_cast<unsigned long long>(A.Count),
@@ -390,8 +397,7 @@ int main(int Argc, char **Argv) {
       C.expect(T.writeChromeTrace(Opt.TraceOut), "spans written out");
   }
 
-  printProvenance(Opt, T, SetupRuns, Wall.size() + TracedWall.size(),
-                  Lat.size());
+  printProvenance(Opt, T, SetupRuns, Wall.size(), Lat.size());
   printDeterministic(*W, T);
   for (const Metric &M : E2E)
     std::printf("metric %-18s %.6g %s\n", M.Name.c_str(), M.Value,

@@ -28,8 +28,13 @@ ROOT = os.path.dirname(HERE)
 BUILD_ROOT = os.path.join(ROOT, ".bench_build")
 BUILD = os.path.join(BUILD_ROOT, "perfbench")
 BINARY = os.path.join(BUILD, "perfbench")
-WORKLOADS = ["compile_batch", "serve_mix", "serve_online", "report_sweep"]
-RUN_TIMEOUT_S = 170
+WORKLOADS = ["compile_batch", "serve_mix", "report_sweep"]
+
+
+def run_timeout(seconds):
+    """A run spends three set-ups, a 2 s warm-up, the timed phase, verify and
+    a probe of a quarter of the timed phase; 170 s at --seconds 10."""
+    return 150 + 2 * seconds
 
 
 def log(msg):
@@ -95,10 +100,11 @@ def run_workload(workload, seed, seconds, trace, extra=(), echo=True):
     cmd += list(extra)
     try:
         r = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
-                           timeout=RUN_TIMEOUT_S)
+                           timeout=run_timeout(seconds))
         code, out = r.returncode, r.stdout
     except subprocess.TimeoutExpired as e:
-        log("error: %s did not finish within %d s" % (workload, RUN_TIMEOUT_S))
+        log("error: %s did not finish within %d s"
+            % (workload, run_timeout(seconds)))
         code = 124
         out = e.stdout.decode() if isinstance(e.stdout, bytes) else ""
     finally:
