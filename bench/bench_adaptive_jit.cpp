@@ -15,7 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "harness/ParallelExperiments.h"
-#include "runtime/CompileService.h"
+#include "runtime/MethodCompiler.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"

@@ -217,11 +217,10 @@ bool runSchedContextComparison(const std::string &JsonPath, bool Quick) {
 /// compiled-scalar vs compiled-batch evaluation of the SPECjvm98 t = 0
 /// filter over every block of the suite, bit-identity checked across all
 /// three paths before any timing is reported.  The interpreter side pays
-/// predict + predictionWork -- exactly what ScheduleFilter's Interpreted
-/// mode pays per decision -- while the compiled paths return both in one
-/// walk.
-bool runFilterEvalComparison(ExperimentEngine &Engine,
-                             const std::string &JsonPath, bool Quick) {
+/// predict + predictionWork per decision, while the compiled paths return
+/// both in one walk.
+bool runEvaluatorComparison(ExperimentEngine &Engine,
+                            const std::string &JsonPath, bool Quick) {
   std::cerr << "training the SPECjvm98 t = 0 filter (tracing on cache "
                "miss)...\n";
   std::vector<BenchmarkRun> Runs =
@@ -389,7 +388,7 @@ int main(int argc, char **argv) {
           benchOutPath(CL, "out-schedcontext", "BENCH_schedcontext.json"),
           Quick))
     return 1;
-  if (!runFilterEvalComparison(
+  if (!runEvaluatorComparison(
           **Handle, benchOutPath(CL, "out-filter-eval", "BENCH_filter_eval.json"),
           Quick))
     return 1;

@@ -1,19 +1,13 @@
-//===- bench/bench_serve_throughput.cpp - CompileService suite sweep --------===//
+//===- bench/bench_serve_throughput.cpp - Single-app serving suite sweep ----===//
 //
 // The runtime-regime counterpart of bench_adaptive_jit: every SPECjvm98
-// stand-in is replayed through the CompileService (sampling, bounded
-// queue, tiered promotion under a virtual clock) with its LOOCV t = 0
+// stand-in is replayed as the lone app of a MultiAppService (sampling,
+// bounded queue, tiered promotion under a virtual clock) with its LOOCV t = 0
 // filter in the optimizing tier, against the same service with LS in the
 // optimizing tier.  Reported per benchmark: promotion/queue dynamics,
 // tier residency, and the scheduling work the filter recoups once
 // compilation happens at run time -- the paper's §3.1 claim, measured in
 // the regime it was made about.
-//
-// The whole sweep runs twice, once per filter evaluator (compiled and
-// interpreter), asserting every ServiceStats field is identical between
-// the two -- the compiled evaluator's end-to-end effect is then a pure
-// wall-clock difference, reported to stderr.  --filter-eval picks which
-// mode the (identical) stdout table is attributed to.
 //
 // All table numbers are deterministic (bit-identical at any --jobs and
 // cache temperature); wall-clock throughput goes to stderr.
@@ -21,7 +15,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "harness/ParallelExperiments.h"
-#include "runtime/CompileService.h"
+#include "runtime/MultiAppService.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
@@ -29,7 +23,6 @@
 #include "support/Timer.h"
 
 #include "EngineOption.h"
-#include "FilterEvalOption.h"
 #include "WorkloadOption.h"
 
 #include <iostream>
@@ -38,8 +31,6 @@ using namespace schedfilter;
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
-  if (!parseFilterEvalOption(CL))
-    return 1;
   // --workload swaps in any family mix's benchmarks (each still served as
   // its own single-app stream here; sf-serve --workload interleaves them).
   // Weights are accepted for flag symmetry but don't affect this sweep.
@@ -59,58 +50,34 @@ int main(int argc, char **argv) {
   std::vector<LoocvFold> Folds =
       leaveOneOut(Labeled, ripperLearner(), Engine.pool());
 
-  // One full sweep per evaluator mode.  The stats must be bit-identical
-  // between the two (the compiled filter's equivalence contract), so the
-  // second sweep costs wall clock only -- which is exactly the number it
-  // exists to produce.
-  auto RunSweep = [&](FilterEval Mode, std::vector<ServeComparison> &Out) {
-    ScheduleFilter::setDefaultEval(Mode);
-    Out.clear();
-    AccumulatingTimer Wall;
-    Wall.start();
-    for (size_t B = 0; B != Suite.size(); ++B) {
-      ServiceConfig Cfg;
-      Cfg.StreamSeed = invocationStreamSeed(Specs[B].Seed);
-      Out.push_back(runServeComparison(Suite[B].Prog, Model, Cfg,
-                                       Folds[B].Filter, Engine.pool()));
-    }
-    Wall.stop();
-    return Wall.seconds();
-  };
+  // Each benchmark is the lone app of its own service.
+  std::vector<MultiAppComparison> Results;
+  AccumulatingTimer Wall;
+  Wall.start();
+  for (size_t B = 0; B != Suite.size(); ++B) {
+    ServiceConfig Cfg;
+    Cfg.StreamSeed = invocationStreamSeed(Specs[B].Seed);
+    std::vector<AppSpec> App{{Specs[B]}};
+    std::vector<Program> Prog{Suite[B].Prog};
+    Results.push_back(runMultiAppComparison(App, Prog, Model, Cfg,
+                                            Folds[B].Filter, Engine.pool()));
+  }
+  Wall.stop();
+  double Seconds = Wall.seconds();
 
-  FilterEval Primary = ScheduleFilter::defaultEval();
-  FilterEval Secondary = Primary == FilterEval::Compiled
-                             ? FilterEval::Interpreted
-                             : FilterEval::Compiled;
-  std::vector<ServeComparison> Results, Cross;
-  double PrimarySeconds = RunSweep(Primary, Results);
-  double SecondarySeconds = RunSweep(Secondary, Cross);
-  ScheduleFilter::setDefaultEval(Primary);
-
-  for (size_t B = 0; B != Suite.size(); ++B)
-    if (Results[B].Always != Cross[B].Always ||
-        Results[B].Filtered != Cross[B].Filtered) {
-      std::cerr << "error: " << getFilterEvalName(Primary) << " and "
-                << getFilterEvalName(Secondary)
-                << " evaluators diverged on " << Suite[B].Name
-                << " (run compiled_filter_test)\n";
-      return 1;
-    }
-
-  std::cout << "CompileService regime: invocation streams served under LS "
-               "vs L/N optimizing tiers\n("
+  std::cout << "Single-app serving regime: invocation streams served under "
+               "LS vs L/N optimizing tiers\n("
             << (Mix->empty() ? familyDisplayName("specjvm98")
                              : formatWorkloadMix(*Mix))
-            << "; t = 0 LOOCV filters; default service config; "
-            << getFilterEvalName(Primary) << " filter evaluator)\n\n";
+            << "; t = 0 LOOCV filters; default service config)\n\n";
   TablePrinter T({"Benchmark", "Promoted", "Deferred", "Max queue",
                   "Opt residency", "LS work", "L/N work", "Recouped"});
 
   std::vector<double> WorkRatio, Residency;
   uint64_t TotalInvocations = 0;
   for (size_t B = 0; B != Suite.size(); ++B) {
-    const ServiceStats &LS = Results[B].Always;
-    const ServiceStats &LN = Results[B].Filtered;
+    const ServiceStats &LS = Results[B].Always.Total;
+    const ServiceStats &LN = Results[B].Filtered.Total;
     double OptResidency =
         safeRatio(static_cast<double>(LN.OptimizedInvocations),
                   static_cast<double>(LN.Invocations));
@@ -137,27 +104,14 @@ int main(int argc, char **argv) {
             << "; mean optimized-tier residency: "
             << formatPercent(mean(Residency), 1) << '\n';
 
-  double CompiledSeconds =
-      Primary == FilterEval::Compiled ? PrimarySeconds : SecondarySeconds;
-  double InterpSeconds =
-      Primary == FilterEval::Compiled ? SecondarySeconds : PrimarySeconds;
   std::cerr << "throughput: " << TotalInvocations
-            << " invocations served in "
-            << formatDouble(PrimarySeconds * 1e3, 1) << " ms ("
-            << formatDouble(PrimarySeconds > 0.0
+            << " invocations served in " << formatDouble(Seconds * 1e3, 1)
+            << " ms ("
+            << formatDouble(Seconds > 0.0
                                 ? static_cast<double>(TotalInvocations) /
-                                      PrimarySeconds / 1e6
+                                      Seconds / 1e6
                                 : 0.0,
                             2)
-            << "M inv/s, " << getFilterEvalName(Primary) << ")\n";
-  std::cerr << "filter evaluators (identical stats): compiled "
-            << formatDouble(CompiledSeconds * 1e3, 1) << " ms vs interpreter "
-            << formatDouble(InterpSeconds * 1e3, 1)
-            << " ms; end-to-end speedup "
-            << formatDouble(
-                   CompiledSeconds > 0.0 ? InterpSeconds / CompiledSeconds
-                                         : 0.0,
-                   2)
-            << "x\n";
+            << "M inv/s)\n";
   return 0;
 }

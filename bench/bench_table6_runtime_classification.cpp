@@ -9,8 +9,9 @@
 // Paper reference: LS falls 6064 -> 160 while NS rises correspondingly;
 // total constant at 45453.
 //
-// A second section replays the same filters inside the CompileService
-// (src/runtime/): in the adaptive regime only promoted-hot methods ever
+// A second section replays the same filters inside the serving engine
+// (src/runtime/), one benchmark per service: in the adaptive regime only
+// promoted-hot methods ever
 // reach the optimizing tier, so the filter classifies a fraction of each
 // program's blocks online -- the difference between "classify the whole
 // program" (Table 6 proper) and "classify what a real adaptive system
@@ -27,7 +28,6 @@
 #include "harness/ParallelExperiments.h"
 #include "harness/TableRender.h"
 #include "ml/Ripper.h"
-#include "runtime/CompileService.h"
 #include "runtime/MultiAppService.h"
 #include "support/CommandLine.h"
 #include "support/StringUtils.h"
@@ -61,10 +61,10 @@ int main(int argc, char **argv) {
   renderTable6(Sweep, std::cout);
 
   // Runtime regime: the t = 0 filters of the sweep, installed in the
-  // CompileService's optimizing tier.  Only blocks of promoted methods
-  // are ever classified online.
+  // optimizing tier of a one-app service per benchmark.  Only blocks of
+  // promoted methods are ever classified online.
   const ThresholdResult &AtZero = Sweep.front();
-  std::cout << "\nCompileService replay (t = 0 filters, default service "
+  std::cout << "\nSingle-app service replay (t = 0 filters, default service "
                "config):\nblocks classified online when only promoted-hot "
                "methods reach the optimizing tier\n\n";
   TablePrinter T({"Benchmark", "Methods opt", "Blocks online", "LS", "NS",
@@ -73,9 +73,12 @@ int main(int argc, char **argv) {
   for (size_t B = 0; B != Suite.size(); ++B) {
     ServiceConfig Cfg;
     Cfg.StreamSeed = invocationStreamSeed(Specs[B].Seed);
-    CompileService Service(Suite[B].Prog, Model, Cfg, &AtZero.Filters[B],
-                           Engine.pool());
-    ServiceStats St = Service.run();
+    std::vector<AppSpec> App{{Specs[B]}};
+    std::vector<Program> Prog{Suite[B].Prog};
+    ServiceStats St = MultiAppService(App, Prog, Model, Cfg,
+                                      &AtZero.Filters[B], Engine.pool())
+                          .run()
+                          .Total;
     T.addRow({Suite[B].Name,
               std::to_string(St.MethodsOptimized) + "/" +
                   std::to_string(St.MethodsTotal),

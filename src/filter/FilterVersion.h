@@ -8,7 +8,7 @@
 /// on).  ScheduleFilter instances borrow an artifact through a
 /// shared_ptr, so
 ///   - compiling the rule set happens once per *version*, not once per
-///     per-task filter copy (CompileService used to recompile the same
+///     per-task filter copy (the service used to recompile the same
 ///     rules for every drained method);
 ///   - swapping the service's current artifact between epochs can never
 ///     mutate a filter some in-flight compile task already captured --

@@ -2,8 +2,8 @@
 
 #include "filter/Pipeline.h"
 
+#include "runtime/MethodCompiler.h"
 #include "sched/SchedContext.h"
-#include "support/Timer.h"
 
 #include <cassert>
 
@@ -36,74 +36,12 @@ CompileReport schedfilter::compileProgram(const Program &P,
                                           SchedContext &Ctx) {
   assert((Policy == SchedulingPolicy::Filtered) == (Filter != nullptr) &&
          "filter must be supplied exactly for the Filtered policy");
-
+  // The one per-block compile fold: the program's methods in order, each
+  // accumulated into the same report.
   CompileReport Report;
   Report.Policy = Policy;
-  ListScheduler Scheduler(Model);
-  BlockSimulator Sim(Model);
-  uint64_t FilterWorkBefore = Filter ? Filter->workUnits() : 0;
-
-  std::vector<const BasicBlock *> &Blocks = Ctx.blockList();
-  Blocks.clear();
-  P.forEachBlock([&](const BasicBlock &BB) { Blocks.push_back(&BB); });
-  Report.NumBlocks = Blocks.size();
-
-  // Per-block order slots.  The outer arena only grows, so each inner
-  // vector -- cleared per block -- keeps its heap allocation across blocks
-  // and across programs compiled with the same context.
-  std::vector<std::vector<int>> &Orders = Ctx.orderArena();
-  if (Orders.size() < Blocks.size())
-    Orders.resize(Blocks.size());
-  for (size_t B = 0; B != Blocks.size(); ++B)
-    Orders[B].clear();
-
-  // Phase 1 (timed): the scheduling phase proper -- filter decisions plus
-  // list scheduling of the chosen blocks.  One timer spans the whole
-  // phase, like the paper's per-phase compiler timers; the filter's cost
-  // is thereby charged to scheduling (§3.1).  Under the Filtered policy
-  // all decisions are made up front in one batch pass (SoA feature
-  // extraction + compiled predicate-matrix evaluation), which accumulates
-  // exactly the per-block counters and work units -- the scheduling loop
-  // then just reads the decision bytes in block order.
-  AccumulatingTimer SchedTimer;
-  SchedTimer.start();
-  std::vector<char> &Decisions = Ctx.batchDecisions();
-  if (Policy == SchedulingPolicy::Filtered)
-    Filter->shouldScheduleBatch(Blocks, Ctx, Decisions);
-  for (size_t B = 0; B != Blocks.size(); ++B) {
-    const BasicBlock &BB = *Blocks[B];
-    bool DoSchedule = false;
-    switch (Policy) {
-    case SchedulingPolicy::Never:
-      DoSchedule = false;
-      break;
-    case SchedulingPolicy::Always:
-      DoSchedule = true;
-      break;
-    case SchedulingPolicy::Filtered:
-      DoSchedule = Decisions[B] != 0;
-      break;
-    }
-    if (!DoSchedule)
-      continue;
-    Report.SchedulingWork += Scheduler.schedule(BB, Ctx, Orders[B]);
-    ++Report.NumScheduled;
-  }
-  SchedTimer.stop();
-  Report.SchedulingSeconds = SchedTimer.seconds();
-
-  // Phase 2 (untimed): the paper's SIM(P) application-time metric.
-  for (size_t B = 0; B != Blocks.size(); ++B) {
-    const BasicBlock &BB = *Blocks[B];
-    uint64_t Cycles = Orders[B].empty() ? Sim.simulate(BB, Ctx)
-                                        : Sim.simulate(BB, Orders[B], Ctx);
-    Report.SimulatedTime +=
-        static_cast<double>(BB.getExecCount()) * static_cast<double>(Cycles);
-  }
-
-  if (Filter) {
-    Report.FilterWork = Filter->workUnits() - FilterWorkBefore;
-    Report.SchedulingWork += Report.FilterWork;
-  }
+  MethodCompiler MC(Model, Ctx);
+  for (const Method &M : P)
+    MC.compileMethod(M, Policy, Filter, Report);
   return Report;
 }

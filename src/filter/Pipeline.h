@@ -56,8 +56,8 @@ struct CompileReport {
 };
 
 /// Compiles \p P under \p Policy on \p Model.  \p Filter must be non-null
-/// iff Policy == Filtered.  Every produced schedule is verified against
-/// the block's dependence graph (programmatic error if violated).
+/// iff Policy == Filtered.  The fold is MethodCompiler::compileMethod over
+/// the program's methods in order (runtime/MethodCompiler.h).
 CompileReport compileProgram(const Program &P, const MachineModel &Model,
                              SchedulingPolicy Policy,
                              ScheduleFilter *Filter = nullptr);
@@ -70,10 +70,8 @@ CompileReport compileProgram(const Program &P, const MachineModel &Model,
                              SchedulingPolicy Policy, ScheduleFilter *Filter,
                              SchedContext &Ctx);
 
-// The adaptive (hot-method-only) variant of §3.1 lives in the runtime
-// subsystem: runtime/CompileService.h declares compileProgramAdaptive on
-// top of the per-method MethodCompiler, bit-compatible with this
-// pipeline's accounting.
+// The adaptive (hot-method-only) variant of §3.1, compileProgramAdaptive,
+// is declared beside MethodCompiler in runtime/MethodCompiler.h.
 
 } // namespace schedfilter
 

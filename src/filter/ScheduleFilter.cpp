@@ -6,12 +6,6 @@
 
 using namespace schedfilter;
 
-std::atomic<FilterEval> ScheduleFilter::DefaultEval{FilterEval::Compiled};
-
-const char *schedfilter::getFilterEvalName(FilterEval E) {
-  return E == FilterEval::Compiled ? "compiled" : "interpreter";
-}
-
 bool ScheduleFilter::shouldSchedule(const BasicBlock &BB, SchedContext &Ctx) {
   (void)Ctx; // scalar decisions need no scratch; see the header
   return shouldSchedule(BB);
@@ -22,13 +16,6 @@ void ScheduleFilter::shouldScheduleBatch(
     std::vector<char> &Decisions) {
   const size_t N = Blocks.size();
   Decisions.assign(N, 0);
-
-  if (Eval != FilterEval::Compiled) {
-    // Reference path: the scalar loop, decision for decision.
-    for (size_t I = 0; I != N; ++I)
-      Decisions[I] = shouldSchedule(*Blocks[I]);
-    return;
-  }
 
   // Split gated blocks (one work unit, default class -- same as
   // decide()'s fast path) from blocks that need the feature pass.

@@ -9,18 +9,18 @@
 ///
 /// Every ScheduleFilter borrows an immutable FilterArtifact (rule set +
 /// CompiledFilter + fast-path constants; see filter/FilterVersion.h), so
-/// all callers (sf-apply, sf-serve, CompileService, the bench drivers)
-/// get the flat branchless evaluator for free, and a rule set is
+/// all callers (sf-apply, sf-serve, the serving engine, the bench
+/// drivers) get the flat branchless evaluator for free, and a rule set is
 /// compiled once per *version* rather than once per filter instance.
 /// Construction from a plain RuleSet wraps it in a fresh unversioned
 /// artifact; the online-serving loop instead shares one versioned
 /// artifact across every per-task filter and swaps the shared handle at
 /// epoch boundaries -- in-flight borrowers keep the version they
-/// captured, which is what makes the hot-swap safe.  The original
-/// interpreter is kept behind FilterEval::Interpreted purely as a
-/// cross-check: both paths are bit-exactly equivalent in predictions
-/// AND work units (tests/compiled_filter_test.cpp proves it), so stats
-/// and golden pins are byte-identical whichever one runs.
+/// captured, which is what makes the hot-swap safe.  The compiled
+/// evaluator is bit-exactly equivalent to the RuleSet::predict /
+/// predictionWork interpreter in predictions AND work units; the
+/// interpreter survives only as that oracle in
+/// tests/compiled_filter_test.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,41 +30,26 @@
 #include "features/Features.h"
 #include "filter/FilterVersion.h"
 
-#include <atomic>
 #include <vector>
 
 namespace schedfilter {
 
 class SchedContext;
 
-/// Which evaluator a ScheduleFilter runs.  Compiled is the default and
-/// strictly faster; Interpreted exists so tools and CI can force the
-/// reference path and byte-diff the two (sf-serve --filter-eval).
-enum class FilterEval { Compiled, Interpreted };
-
-/// "compiled" or "interpreter" (the sf-serve flag spelling).
-const char *getFilterEvalName(FilterEval E);
-
 /// Wraps an induced RuleSet as an online block filter.
 class ScheduleFilter {
 public:
-  /// Compiles \p RS into a fresh unversioned artifact and captures the
-  /// evaluator mode; by default the process-wide mode (see
-  /// setDefaultEval), so components that build filters internally honor
-  /// a tool-level --filter-eval switch without plumbing.
-  explicit ScheduleFilter(RuleSet RS, FilterEval Eval = defaultEval())
-      : ScheduleFilter(makeFilterArtifact(std::move(RS)), Eval) {}
+  /// Compiles \p RS into a fresh unversioned artifact.
+  explicit ScheduleFilter(RuleSet RS)
+      : ScheduleFilter(makeFilterArtifact(std::move(RS))) {}
 
   /// Borrows an existing (possibly shared) artifact: no recompilation,
   /// just a shared_ptr copy.  This is the per-version swap-safe path the
   /// runtime services use -- each parallel compile task constructs one of
   /// these from the service's current artifact, and a concurrent install
-  /// of a newer version cannot perturb it.  The evaluator mode is still
-  /// captured per instance (the process-wide default is a tool-level
-  /// setting, never part of an artifact).
-  explicit ScheduleFilter(FilterArtifactRef Artifact,
-                          FilterEval Eval = defaultEval())
-      : Art(std::move(Artifact)), Eval(Eval) {}
+  /// of a newer version cannot perturb it.
+  explicit ScheduleFilter(FilterArtifactRef Artifact)
+      : Art(std::move(Artifact)) {}
 
   /// True if the filter predicts the block benefits from scheduling.
   /// Accumulates decision counters and deterministic work units.
@@ -92,10 +77,9 @@ public:
 
   /// Batch decision pass: fills Decisions[i] with shouldSchedule(*Blocks[i])
   /// for all i, accumulating exactly the counters and work units the
-  /// per-block loop would.  In Compiled mode, non-gated blocks stream
-  /// through extractFeaturesBatch into \p Ctx's SoA feature matrix and
-  /// one evaluateBatch call; Interpreted mode falls back to the scalar
-  /// loop.  Decisions is sized to Blocks.size().
+  /// per-block loop would.  Non-gated blocks stream through
+  /// extractFeaturesBatch into \p Ctx's SoA feature matrix and one
+  /// evaluateBatch call.  Decisions is sized to Blocks.size().
   void shouldScheduleBatch(const std::vector<const BasicBlock *> &Blocks,
                            SchedContext &Ctx, std::vector<char> &Decisions);
 
@@ -104,17 +88,6 @@ public:
   const FilterArtifactRef &artifact() const { return Art; }
   /// The borrowed artifact's version (0 for plain rule-set filters).
   uint32_t version() const { return Art->Version; }
-  FilterEval evalMode() const { return Eval; }
-
-  /// Process-wide default evaluator for subsequently constructed filters
-  /// (existing instances keep the mode they captured).  Tools set this
-  /// once from --filter-eval before any filter exists.
-  static void setDefaultEval(FilterEval E) {
-    DefaultEval.store(E, std::memory_order_relaxed);
-  }
-  static FilterEval defaultEval() {
-    return DefaultEval.load(std::memory_order_relaxed);
-  }
 
   /// Decision counters (since construction or resetStats()).
   uint64_t numScheduleDecisions() const { return NumLS; }
@@ -133,15 +106,9 @@ private:
   CompiledFilter::Decision decide(const BasicBlock &BB) const {
     if (static_cast<double>(BB.size()) < Art->BBLenGate)
       return {Art->DefaultIsLS, 1};
-    FeatureVector X = extractFeatures(BB);
-    uint64_t ExtractWork = featureExtractionWork(BB);
-    if (Eval == FilterEval::Compiled) {
-      CompiledFilter::Decision D = Art->Compiled.evaluate(X);
-      D.Work += ExtractWork;
-      return D;
-    }
-    return {Art->Rules.predict(X) == Label::LS,
-            ExtractWork + Art->Rules.predictionWork(X)};
+    CompiledFilter::Decision D = Art->Compiled.evaluate(extractFeatures(BB));
+    D.Work += featureExtractionWork(BB);
+    return D;
   }
 
   void record(const CompiledFilter::Decision &D) {
@@ -152,10 +119,7 @@ private:
       ++NumNS;
   }
 
-  static std::atomic<FilterEval> DefaultEval;
-
   FilterArtifactRef Art; ///< never null; shared and immutable
-  FilterEval Eval;
   uint64_t NumLS = 0;
   uint64_t NumNS = 0;
   uint64_t Work = 0;

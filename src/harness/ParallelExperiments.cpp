@@ -3,6 +3,7 @@
 #include "harness/ParallelExperiments.h"
 
 #include "ml/Metrics.h"
+#include "runtime/MethodCompiler.h"
 #include "sched/SchedContext.h"
 #include "support/Statistics.h"
 #include "workloads/WorkloadFamily.h"
@@ -21,21 +22,11 @@ namespace {
 /// parallelism.
 void traceBenchmark(BenchmarkRun &Run, const MachineModel &Model,
                     SchedContext &Ctx) {
-  ListScheduler Scheduler(Model);
-  BlockSimulator Sim(Model);
-
   // For every block, record its features and its simulated cost with and
-  // without list scheduling.
-  std::vector<int> &Order = Ctx.orderBuffer();
-  Run.Prog.forEachBlock([&](const BasicBlock &BB) {
-    BlockRecord Rec;
-    Rec.X = extractFeatures(BB);
-    Rec.ExecCount = BB.getExecCount();
-    Rec.CostNoSched = Sim.simulate(BB, Ctx);
-    Scheduler.schedule(BB, Ctx, Order);
-    Rec.CostSched = Sim.simulate(BB, Order, Ctx);
-    Run.Records.push_back(Rec);
-  });
+  // without list scheduling: the one trace recipe, method by method.
+  MethodCompiler MC(Model, Ctx);
+  for (const Method &M : Run.Prog)
+    MC.traceMethod(M, Run.Records);
 
   Run.NeverReport =
       compileProgram(Run.Prog, Model, SchedulingPolicy::Never, nullptr, Ctx);

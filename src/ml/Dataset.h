@@ -26,7 +26,7 @@ const char *getLabelName(Label L);
 
 /// One labeled block.
 struct Instance {
-  FeatureVector X;
+  FeatureVector X{};
   Label Y;
 };
 

@@ -5,6 +5,7 @@
 #include "sched/SchedContext.h"
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace schedfilter;
@@ -20,55 +21,52 @@ void MethodCompiler::compileMethod(const Method &M, SchedulingPolicy Policy,
 
   Report.Policy = Policy;
   uint64_t FilterWorkBefore = Filter ? Filter->workUnits() : 0;
-  std::vector<int> &Order = Ctx.orderBuffer();
-
-  // The same per-block sequence as compileProgram, with the timer spanning
-  // the scheduling phase (filter decisions + list scheduling; §3.1 charges
-  // filter evaluation to scheduling) and simulation untimed.  Filter
-  // decisions for the whole method are made in one batch pass up front --
-  // identical counters and work units to the per-block loop -- and
-  // SimulatedTime accumulates directly into Report in block order,
-  // preserving the flat left-to-right fold the pipeline uses: the
-  // bit-identity contract in the header.
-  AccumulatingTimer SchedTimer;
+  if (Orders.size() < M.size())
+    Orders.resize(M.size());
   std::vector<char> &Decisions = Ctx.batchDecisions();
   if (Policy == SchedulingPolicy::Filtered) {
     BlockPtrs.clear();
     for (const BasicBlock &BB : M)
       BlockPtrs.push_back(&BB);
-    SchedTimer.start();
-    Filter->shouldScheduleBatch(BlockPtrs, Ctx, Decisions);
-    SchedTimer.stop();
   }
+
+  // Phase 1 (timed): the scheduling phase proper -- filter decisions plus
+  // list scheduling of the chosen blocks.  One timer spans the whole
+  // phase, like the paper's per-phase compiler timers; the filter's cost
+  // is thereby charged to scheduling (§3.1).  Under the Filtered policy
+  // all of the method's decisions are made up front in one batch pass,
+  // which accumulates exactly the per-block counters and work units.
+  AccumulatingTimer SchedTimer;
+  SchedTimer.start();
+  if (Policy == SchedulingPolicy::Filtered)
+    Filter->shouldScheduleBatch(BlockPtrs, Ctx, Decisions);
   size_t B = 0;
   for (const BasicBlock &BB : M) {
-    ++Report.NumBlocks;
-    SchedTimer.start();
-    bool DoSchedule = false;
-    switch (Policy) {
-    case SchedulingPolicy::Never:
-      break;
-    case SchedulingPolicy::Always:
-      DoSchedule = true;
-      break;
-    case SchedulingPolicy::Filtered:
-      DoSchedule = Decisions[B] != 0;
-      break;
-    }
+    std::vector<int> &Order = Orders[B];
+    Order.clear();
+    bool DoSchedule = Policy == SchedulingPolicy::Always ||
+                      (Policy == SchedulingPolicy::Filtered && Decisions[B]);
     ++B;
     if (DoSchedule) {
       Report.SchedulingWork += Scheduler.schedule(BB, Ctx, Order);
       ++Report.NumScheduled;
     }
-    SchedTimer.stop();
+  }
+  SchedTimer.stop();
+  Report.SchedulingSeconds += SchedTimer.seconds();
 
-    uint64_t Cycles = (DoSchedule && !Order.empty())
-                          ? Sim.simulate(BB, Order, Ctx)
-                          : Sim.simulate(BB, Ctx);
+  // Phase 2 (untimed): the paper's SIM(P) application-time metric,
+  // accumulated directly into Report in block order -- the flat
+  // left-to-right fold the bit-identity contract rests on.
+  B = 0;
+  for (const BasicBlock &BB : M) {
+    const std::vector<int> &Order = Orders[B++];
+    uint64_t Cycles = Order.empty() ? Sim.simulate(BB, Ctx)
+                                    : Sim.simulate(BB, Order, Ctx);
     Report.SimulatedTime +=
         static_cast<double>(BB.getExecCount()) * static_cast<double>(Cycles);
+    ++Report.NumBlocks;
   }
-  Report.SchedulingSeconds += SchedTimer.seconds();
 
   if (Filter) {
     uint64_t Delta = Filter->workUnits() - FilterWorkBefore;
@@ -79,10 +77,9 @@ void MethodCompiler::compileMethod(const Method &M, SchedulingPolicy Policy,
 
 void MethodCompiler::traceMethod(const Method &M,
                                  std::vector<BlockRecord> &Records) {
-  // Mirrors the experiment engine's traceBenchmark block recipe exactly:
-  // unscheduled cost first, then schedule and re-simulate -- so records
-  // produced here label identically to a whole-program trace of the same
-  // blocks.
+  // The one trace recipe (the experiment engine's traceBenchmark loops
+  // this over a program): unscheduled cost first, then schedule and
+  // re-simulate.
   std::vector<int> &Order = Ctx.orderBuffer();
   for (const BasicBlock &BB : M) {
     BlockRecord Rec;
@@ -93,4 +90,63 @@ void MethodCompiler::traceMethod(const Method &M,
     Rec.CostSched = Sim.simulate(BB, Order, Ctx);
     Records.push_back(Rec);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Profile-directed batch entry (the §3.1 hot-method-only regime).
+//===----------------------------------------------------------------------===//
+
+CompileReport schedfilter::compileProgramAdaptive(const Program &P,
+                                                  const MachineModel &Model,
+                                                  SchedulingPolicy Policy,
+                                                  ScheduleFilter *Filter,
+                                                  double HotMethodFraction) {
+  assert(HotMethodFraction >= 0.0 && HotMethodFraction <= 1.0 &&
+         "fraction must be in [0, 1]");
+
+  // Rank methods by total profile weight, ties toward earlier methods.
+  std::vector<std::pair<double, size_t>> Ranked;
+  for (size_t MI = 0; MI != P.size(); ++MI) {
+    double Weight = 0.0;
+    for (const BasicBlock &BB : P[MI])
+      Weight += static_cast<double>(BB.getExecCount());
+    Ranked.push_back({Weight, MI});
+  }
+  std::sort(Ranked.begin(), Ranked.end(), [](const auto &A, const auto &B) {
+    if (A.first != B.first)
+      return A.first > B.first;
+    return A.second < B.second;
+  });
+  size_t NumHot = static_cast<size_t>(
+      HotMethodFraction * static_cast<double>(P.size()) + 0.5);
+  std::vector<bool> IsHot(P.size(), false);
+  for (size_t I = 0; I != NumHot && I != Ranked.size(); ++I)
+    IsHot[Ranked[I].second] = true;
+
+  // Hot methods compile under the policy, cold methods baseline, each
+  // partition folded method by method in program order -- the exact block
+  // sequence (and therefore the exact SimulatedTime fold) of compiling the
+  // two partition programs, as this function historically did.
+  SchedContext Ctx;
+  MethodCompiler MC(Model, Ctx);
+  CompileReport HotReport;
+  HotReport.Policy = Policy;
+  for (size_t MI = 0; MI != P.size(); ++MI)
+    if (IsHot[MI])
+      MC.compileMethod(P[MI], Policy, Filter, HotReport);
+  CompileReport ColdReport;
+  for (size_t MI = 0; MI != P.size(); ++MI)
+    if (!IsHot[MI])
+      MC.compileMethod(P[MI], SchedulingPolicy::Never, nullptr, ColdReport);
+
+  CompileReport Merged;
+  Merged.Policy = Policy;
+  Merged.NumBlocks = HotReport.NumBlocks + ColdReport.NumBlocks;
+  Merged.NumScheduled = HotReport.NumScheduled;
+  Merged.SchedulingSeconds =
+      HotReport.SchedulingSeconds + ColdReport.SchedulingSeconds;
+  Merged.SchedulingWork = HotReport.SchedulingWork;
+  Merged.FilterWork = HotReport.FilterWork;
+  Merged.SimulatedTime = HotReport.SimulatedTime + ColdReport.SimulatedTime;
+  return Merged;
 }

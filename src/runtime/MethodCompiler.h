@@ -1,17 +1,13 @@
 //===- runtime/MethodCompiler.h - Per-method tiered compile -----*- C++ -*-===//
 ///
 /// \file
-/// The unit of work the CompileService's recompilation queue retires: one
-/// method, compiled under one scheduling policy.  The per-block loop is
-/// the same decision/schedule/simulate sequence as filter/Pipeline's
-/// compileProgram, and accumulation into the caller's CompileReport uses
-/// the identical flat per-block fold -- including the floating-point
-/// grouping of SimulatedTime -- so a program compiled method by method
-/// through a MethodCompiler produces bit-for-bit the report of a
-/// whole-program compileProgram over the same block sequence.  That
-/// equivalence is what lets compileProgramAdaptive (and therefore
-/// bench_adaptive_jit's table) move onto the runtime subsystem without
-/// perturbing a single pinned number; tests/adaptive_test.cpp locks it in.
+/// The one per-block compile fold: one method, compiled under one
+/// scheduling policy -- the unit of work the serving engine's
+/// recompilation queue retires.  filter/Pipeline's compileProgram is this
+/// fold looped over a program's methods, and the experiment engine's
+/// trace (harness/ParallelExperiments.cpp) is traceMethod looped the same
+/// way, so batch compilation, tracing and serving share one recipe.
+/// MethodCompiler depends only on filter/ and the layers below it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,11 +46,11 @@ public:
   /// The §2.2 instrumented-scheduler pass over one method: appends one
   /// BlockRecord per block (features, simulated cost unscheduled and
   /// list-scheduled, profile weight) to \p Records, in block order.  The
-  /// same per-block recipe as the experiment engine's whole-benchmark
-  /// trace, factored to method granularity so the online serving loop can
-  /// trace exactly the methods its optimizing tier compiles.  A pure
-  /// function of (method, model) -- safe at any parallelism when each
-  /// worker appends into its own index-owned vector.
+  /// experiment engine traces whole benchmarks with it, and the online
+  /// serving loop traces exactly the methods its optimizing tier
+  /// compiles.  A pure function of (method, model) -- safe at any
+  /// parallelism when each worker appends into its own index-owned
+  /// vector.
   void traceMethod(const Method &M, std::vector<BlockRecord> &Records);
 
 private:
@@ -64,7 +60,24 @@ private:
   /// Per-method block-pointer scratch for the batch filter pass
   /// (grow-only; the decision bytes live in the context's arena).
   std::vector<const BasicBlock *> BlockPtrs;
+  /// One order slot per block of the method being compiled, so the timed
+  /// scheduling phase runs before simulation.  The outer vector only
+  /// grows and each slot keeps its capacity across methods.
+  std::vector<std::vector<int>> Orders;
 };
+
+/// The profile-directed batch entry of the tiered-compilation subsystem,
+/// the §3.1 hot-method-only regime: methods are ranked by total profile
+/// weight, the top \p HotMethodFraction (by method count, ties toward
+/// hotter) compile under \p Policy, the rest compile baseline.  Hot and
+/// cold partitions each fold method by method in program order -- the
+/// exact report of compileProgram over the two partition programs
+/// (tests/adaptive_test.cpp pins the equivalence).
+CompileReport compileProgramAdaptive(const Program &P,
+                                     const MachineModel &Model,
+                                     SchedulingPolicy Policy,
+                                     ScheduleFilter *Filter,
+                                     double HotMethodFraction);
 
 } // namespace schedfilter
 

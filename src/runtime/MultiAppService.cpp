@@ -1,4 +1,4 @@
-//===- runtime/MultiAppService.cpp - Interleaved multi-app serving ----------===//
+//===- runtime/MultiAppService.cpp - Deterministic adaptive-JIT engine ------===//
 
 #include "runtime/MultiAppService.h"
 
@@ -7,11 +7,57 @@
 #include "runtime/MethodCompiler.h"
 #include "runtime/RecompileQueue.h"
 #include "sched/SchedContext.h"
+#include "support/Rng.h"
 
 #include <algorithm>
 #include <cassert>
 
 using namespace schedfilter;
+
+bool schedfilter::operator==(const ServiceStats::FilterSwapStat &A,
+                             const ServiceStats::FilterSwapStat &B) {
+  return A.Epoch == B.Epoch && A.Tick == B.Tick && A.Version == B.Version &&
+         A.ParentVersion == B.ParentVersion &&
+         A.TriggerTick == B.TriggerTick &&
+         A.CorpusRecords == B.CorpusRecords && A.RulesHash == B.RulesHash;
+}
+
+bool schedfilter::operator==(const ServiceStats::CompilePinStat &A,
+                             const ServiceStats::CompilePinStat &B) {
+  return A.Epoch == B.Epoch && A.Method == B.Method &&
+         A.FilterVersion == B.FilterVersion &&
+         A.SchedulingWork == B.SchedulingWork;
+}
+
+bool schedfilter::operator==(const ServiceStats &A, const ServiceStats &B) {
+  return A.Invocations == B.Invocations && A.Epochs == B.Epochs &&
+         A.SampledInvocations == B.SampledInvocations &&
+         A.Promotions == B.Promotions && A.Deferred == B.Deferred &&
+         A.CompiledMethods == B.CompiledMethods &&
+         A.MethodsOptimized == B.MethodsOptimized &&
+         A.MethodsTotal == B.MethodsTotal &&
+         A.MaxQueueDepth == B.MaxQueueDepth &&
+         A.MeanQueueDepth == B.MeanQueueDepth &&
+         A.FinalQueueDepth == B.FinalQueueDepth &&
+         A.BaselineInvocations == B.BaselineInvocations &&
+         A.OptimizedInvocations == B.OptimizedInvocations &&
+         A.SchedulingWork == B.SchedulingWork &&
+         A.FilterWork == B.FilterWork &&
+         A.BlocksCompiled == B.BlocksCompiled &&
+         A.BlocksScheduled == B.BlocksScheduled &&
+         A.FilterLS == B.FilterLS && A.FilterNS == B.FilterNS &&
+         A.AppTime == B.AppTime && A.BaselineAppTime == B.BaselineAppTime &&
+         A.Retrains == B.Retrains && A.CorpusRecords == B.CorpusRecords &&
+         A.FinalFilterVersion == B.FinalFilterVersion && A.Swaps == B.Swaps &&
+         A.Compiles == B.Compiles;
+}
+
+uint64_t schedfilter::invocationStreamSeed(uint64_t WorkloadSeed) {
+  // Forked, not derived by ad-hoc arithmetic: the stream must be
+  // statistically independent of the generator's own draws from the same
+  // seed, or invocation hotness would correlate with program shape.
+  return Rng(WorkloadSeed).fork(0x1457BEA7CA11ULL).next64();
+}
 
 bool schedfilter::operator==(const MultiAppStats &A, const MultiAppStats &B) {
   return A.Total == B.Total && A.AppNames == B.AppNames &&
@@ -78,13 +124,13 @@ MultiAppService::MultiAppService(const std::vector<AppSpec> &Apps,
   if (Rules)
     BaseArt = makeFilterArtifact(*Rules, Cfg.Online ? 1 : 0);
 
-  // App-interleave CDF and, per app, the method-draw CDF -- the same
-  // profile-weight distribution CompileService builds, one per tenant.
+  // App-interleave CDF and, per app, the method-draw CDF: methods are
+  // invoked proportionally to their total profile weight, the population
+  // the generator's hotness profile encodes.
   size_t NumMethods = 0;
   for (size_t A = 0; A != Apps.size(); ++A) {
     TotalAppWeight += Apps[A].Weight;
     AppCumWeight.push_back(TotalAppWeight);
-    Families.push_back(findWorkloadFamily(Apps[A].Spec.Family));
 
     std::vector<double> Cum;
     double Total = 0.0;
@@ -108,8 +154,10 @@ MultiAppService::MultiAppService(const std::vector<AppSpec> &Apps,
     BaselineCost = *SharedBaselineCost;
     return;
   }
-  // Baseline tier per global method id, chunk-parallel with index-owned
-  // results like CompileService's constructor.
+  // Baseline tier: per-invocation cost of every method compiled without
+  // scheduling, a pure function of (programs, model).  Chunked so each
+  // worker folds its contiguous range through one reused SchedContext;
+  // results stay index-owned per method, identical at any job count.
   BaselineCost.resize(NumMethods);
   size_t NumChunks = std::min<size_t>(NumMethods, Pool.jobs());
   if (NumChunks) {
@@ -157,11 +205,14 @@ MultiAppStats MultiAppService::run() {
   // The session's entropy: stream 0 decides *which app* owns each tick;
   // stream A+1 is app A's private method sequence.  Because the
   // substreams never interact, reweighting the mix reshuffles only the
-  // schedule, never any app's own draw sequence.
+  // schedule, never any app's own draw sequence.  A lone app owns every
+  // tick without a draw, and its method sequence is stream 0 itself.
+  const bool Interleaved = Apps.size() > 1;
   Rng Interleave = Rng(Cfg.StreamSeed).fork(0);
   std::vector<Rng> AppStream;
   for (size_t A = 0; A != Apps.size(); ++A)
-    AppStream.push_back(Rng(Cfg.StreamSeed).fork(A + 1));
+    AppStream.push_back(Interleaved ? Rng(Cfg.StreamSeed).fork(A + 1)
+                                    : Interleave);
 
   struct CompileOutcome {
     CompileReport Report;
@@ -173,10 +224,14 @@ MultiAppStats MultiAppService::run() {
   std::vector<CompileOutcome> Outcomes;
   double QueueDepthSum = 0.0;
 
-  // Online self-training state (see CompileService::run for the install
-  // ordering contract).  Swaps and compile pins fold into St.Total only:
-  // the filter lineage is a property of the shared service, not of any
-  // single tenant.
+  // Online self-training state.  Cur is the filter version the *next*
+  // drain compiles with; a retrain triggered at boundary E becomes
+  // PendingArt and installs at boundary E+1 -- the virtual clock's model
+  // of background training latency, mirroring compile latency.  All
+  // trainer calls happen on this serial path, so the swap sequence is a
+  // pure function of (seed, config) at any job count.  Swaps and compile
+  // pins fold into St.Total only: the filter lineage is a property of the
+  // shared service, not of any single tenant.
   FilterArtifactRef Cur = BaseArt;
   FilterArtifactRef PendingArt;
   OnlineTrainer Trainer(Pool, Cfg.RetrainThreshold,
@@ -218,28 +273,24 @@ MultiAppStats MultiAppService::run() {
     uint64_t EpochEnd = std::min(Tick + Cfg.EpochLen, Cfg.Invocations);
     for (; Tick != EpochEnd; ++Tick) {
       // Whose tick is it?  One uniform draw on the interleave CDF.
-      double U = Interleave.uniform() * EpochTotal;
-      size_t A = static_cast<size_t>(
-          std::upper_bound(EpochCum.begin(), EpochCum.end(), U) -
-          EpochCum.begin());
-      A = std::min(A, Apps.size() - 1);
+      size_t A = 0;
+      if (Interleaved) {
+        double U = Interleave.uniform() * EpochTotal;
+        A = static_cast<size_t>(
+            std::upper_bound(EpochCum.begin(), EpochCum.end(), U) -
+            EpochCum.begin());
+        A = std::min(A, Apps.size() - 1);
+      }
       if (TotalWeight[A] <= 0.0)
         continue; // degenerate app (empty program); tick still elapses
 
-      // The app's family draws the invoked method from the app's own
-      // substream.
-      size_t Local;
-      if (Families[A]) {
-        Local = Families[A]->nextMethod(A, AppStream[A], CumWeight[A],
-                                        TotalWeight[A]);
-      } else {
-        double V = AppStream[A].uniform() * TotalWeight[A];
-        Local = static_cast<size_t>(
-            std::upper_bound(CumWeight[A].begin(), CumWeight[A].end(), V) -
-            CumWeight[A].begin());
-        Local = std::min(Local, CumWeight[A].size() - 1);
-      }
-      size_t M = Offset[A] + Local;
+      // The invoked method: one profile-weighted CDF draw on the app's
+      // own substream.
+      const std::vector<double> &Cum = CumWeight[A];
+      double V = AppStream[A].uniform() * TotalWeight[A];
+      size_t Local = static_cast<size_t>(
+          std::upper_bound(Cum.begin(), Cum.end(), V) - Cum.begin());
+      size_t M = Offset[A] + std::min(Local, Cum.size() - 1);
 
       ServiceStats &App = St.PerApp[A];
       ++App.Invocations;
@@ -265,6 +316,8 @@ MultiAppStats MultiAppService::run() {
             ++St.Total.Promotions;
             ++App.Promotions;
           } else {
+            // Backpressure: shed the nomination; the method stays hot and
+            // is re-nominated at its next sample.
             ++St.Total.Deferred;
             ++App.Deferred;
           }
@@ -296,6 +349,11 @@ MultiAppStats MultiAppService::run() {
 
     Outcomes.assign(Drained.size(), CompileOutcome());
     Pool.parallelFor(Drained.size(), [&](size_t I) {
+      // Per-task context and per-task filter view of the shared current
+      // artifact: the filter's counters are not thread-safe, but the
+      // artifact is immutable, so borrowing it keeps each outcome a pure
+      // function of (method, model, version) without recompiling the
+      // rules per task.
       SchedContext Ctx;
       MethodCompiler MC(Model, Ctx);
       size_t A = appOf(Drained[I]);
@@ -313,8 +371,10 @@ MultiAppStats MultiAppService::run() {
         MC.traceMethod(Meth, Out.Records);
     });
 
-    // Install in drain order; each outcome folds into its app's stats
-    // and the aggregate.
+    // Install in drain order (never completion order): deterministic stat
+    // folds, and the new tier takes effect from the next epoch's first
+    // tick -- compile latency under the virtual clock.  Each outcome
+    // folds into its app's stats and the aggregate.
     for (size_t I = 0; I != Drained.size(); ++I) {
       uint32_t M = Drained[I];
       CompileOutcome &Out = Outcomes[I];

@@ -1,7 +1,7 @@
 //===- runtime/RecompileQueue.h - Bounded recompilation queue ---*- C++ -*-===//
 ///
 /// \file
-/// The CompileService's bounded FIFO of recompilation requests.  A real
+/// The serving engine's bounded FIFO of recompilation requests.  A real
 /// adaptive system (Jikes RVM's, the paper's host) feeds hot-method events
 /// into a fixed-capacity queue drained by compiler threads; when the queue
 /// is full the event is dropped and the method is re-nominated the next

@@ -56,12 +56,6 @@ public:
   /// at a time (e.g. the instrumented-scheduler pass).
   std::vector<int> &orderBuffer() { return OrderBuffer; }
 
-  /// Per-program arenas for the compile pipeline: the block-pointer list
-  /// and one order slot per block.  Outer vectors are resized per program;
-  /// inner order vectors keep their capacity across programs.
-  std::vector<const BasicBlock *> &blockList() { return BlockList; }
-  std::vector<std::vector<int>> &orderArena() { return OrderArena; }
-
   /// Scratch for ScheduleFilter::shouldScheduleBatch: the SoA feature
   /// matrix, the non-gated block list with its original-index map, the
   /// compiled filter's predicate bit matrix, per-row results, and the
@@ -82,8 +76,6 @@ private:
   SimScratch SimulatorScratch;
   SimTrace Trace;
   std::vector<int> OrderBuffer;
-  std::vector<const BasicBlock *> BlockList;
-  std::vector<std::vector<int>> OrderArena;
   FeatureMatrix Features;
   std::vector<const BasicBlock *> BatchBlocks;
   std::vector<uint32_t> BatchRowIndex;

@@ -4,26 +4,9 @@
 
 #include "workloads/ProgramGenerator.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace schedfilter;
-
-size_t WorkloadFamily::nextMethod(uint64_t /*AppId*/, Rng &Stream,
-                                  const std::vector<double> &CumWeight,
-                                  double TotalWeight) const {
-  // The profile-weighted CDF draw, bit-for-bit the draw CompileService
-  // makes for single-app streams: one uniform() per tick, upper_bound on
-  // the cumulative weights.  Families overriding this must still consume
-  // exactly the draws they need from Stream and nothing else -- the
-  // stream Rng is the app's whole entropy budget.
-  assert(!CumWeight.empty() && TotalWeight > 0.0 && "empty app profile");
-  double U = Stream.uniform() * TotalWeight;
-  size_t I = static_cast<size_t>(
-      std::upper_bound(CumWeight.begin(), CumWeight.end(), U) -
-      CumWeight.begin());
-  return std::min(I, CumWeight.size() - 1);
-}
 
 namespace {
 

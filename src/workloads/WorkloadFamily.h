@@ -6,8 +6,7 @@
 /// suite, and the non-JVM-shaped families that stress the filter
 /// differently -- is one WorkloadFamily registration.  A family owns its
 /// benchmark suite (parameter profiles), its program synthesis (load), a
-/// per-family generator version (its half of the corpus-cache key), and
-/// the method-draw hook the serve-stream samplers use.
+/// per-family generator version (its half of the corpus-cache key).
 ///
 /// Registration is one file per family plus one line in
 /// registerBuiltinFamilies(); everything downstream -- corpus-cache keys,
@@ -16,9 +15,9 @@
 /// registry and never names a generator directly.
 ///
 /// Determinism: load() must be a pure function of the spec (all
-/// randomness from Spec.Seed), and nextMethod() a pure function of its
-/// arguments -- the registry adds no state of its own, so any family mix
-/// stays bit-identical at any --jobs and any cache temperature.
+/// randomness from Spec.Seed) -- the registry adds no state of its own,
+/// so any family mix stays bit-identical at any --jobs and any cache
+/// temperature.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,19 +69,6 @@ public:
   /// derives from Params.Seed; calling twice returns identical
   /// programs).
   virtual Program load(const BenchmarkSpec &Params) const = 0;
-
-  /// Draws the invoked method for one tick of app \p AppId's invocation
-  /// stream: an index into the app's method list, given the app's
-  /// cumulative profile-weight distribution (\p CumWeight, with total
-  /// \p TotalWeight > 0) and the app's own stream \p Rng.  The default
-  /// is the profile-weighted CDF draw every family uses today -- the
-  /// same draw CompileService makes for single-app streams -- so
-  /// registering a family never perturbs stream replay; the hook exists
-  /// so a future family can model phase behavior without touching the
-  /// service.
-  virtual size_t nextMethod(uint64_t AppId, Rng &Stream,
-                            const std::vector<double> &CumWeight,
-                            double TotalWeight) const;
 };
 
 /// The process-wide family registry, in registration order.  Built-in

@@ -1,7 +1,8 @@
 //===- tests/TestHelpers.h - Shared fixtures for the test suite -*- C++ -*-===//
 ///
 /// \file
-/// Block builders and shrunken benchmark suites shared across test files.
+/// Block builders, shrunken benchmark suites and one-app serving shared
+/// across test files.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -9,6 +10,7 @@
 #define SCHEDFILTER_TESTS_TESTHELPERS_H
 
 #include "mir/BasicBlock.h"
+#include "runtime/MultiAppService.h"
 #include "workloads/BenchmarkSpec.h"
 
 #include <filesystem>
@@ -75,6 +77,36 @@ shrinkSuite(std::vector<BenchmarkSpec> Suite, int NumMethods = 10) {
   for (BenchmarkSpec &S : Suite)
     S.NumMethods = NumMethods;
   return Suite;
+}
+
+/// Single-app serving: \p P as the lone app of a MultiAppService (the
+/// service borrows its programs, so this keeps a copy for the run).
+/// \p Reg, when given, receives the lineage stamped as workload "test".
+inline MultiAppStats serveOneApp(const Program &P, const MachineModel &M,
+                                 const ServiceConfig &Cfg,
+                                 const RuleSet *Rules, TaskPool &Pool,
+                                 double Weight = 1.0,
+                                 FilterRegistry *Reg = nullptr) {
+  std::vector<AppSpec> Apps(1);
+  Apps[0].Spec.Name = P.getName();
+  Apps[0].Weight = Weight;
+  std::vector<Program> Programs{P};
+  MultiAppService Svc(Apps, Programs, M, Cfg, Rules, Pool);
+  if (Reg)
+    Svc.setFilterRegistry(Reg, "test", M.getName());
+  return Svc.run();
+}
+
+/// The LS-vs-L/N comparison of serveOneApp's single-app stream.
+inline MultiAppComparison compareOneApp(const Program &P,
+                                        const MachineModel &M,
+                                        const ServiceConfig &Cfg,
+                                        const RuleSet &Rules,
+                                        TaskPool &Pool) {
+  std::vector<AppSpec> Apps(1);
+  Apps[0].Spec.Name = P.getName();
+  std::vector<Program> Programs{P};
+  return runMultiAppComparison(Apps, Programs, M, Cfg, Rules, Pool);
 }
 
 } // namespace test

@@ -1,6 +1,6 @@
 //===- tests/adaptive_test.cpp - adaptive pipeline & ppc970 tests -------------===//
 
-#include "runtime/CompileService.h"
+#include "runtime/MethodCompiler.h"
 #include "target/MachineModel.h"
 
 #include "TestHelpers.h"

@@ -10,7 +10,9 @@
 // behaviorally distinct input.  Randomized rule sets and feature streams
 // cover the batch layouts (fast-path mask word vs. the > 64-cell general
 // path), and the Golden group pins the real trained filters and the
-// serve-path ServiceStats byte-for-byte across evaluators.
+// serve path's decision counters and work against the interpreter.  The
+// interpreter (RuleSet::predict / predictionWork) lives on here only, as
+// the oracle.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +22,7 @@
 #include "filter/ScheduleFilter.h"
 #include "harness/ParallelExperiments.h"
 #include "ml/Ripper.h"
-#include "runtime/CompileService.h"
+#include "runtime/MultiAppService.h"
 #include "sched/SchedContext.h"
 #include "support/Rng.h"
 #include "workloads/ProgramGenerator.h"
@@ -38,12 +40,17 @@ using namespace schedfilter::test;
 
 namespace {
 
-/// Restores the process-wide evaluator default on scope exit, so a test
-/// that flips it cannot leak the mode into later tests.
-struct EvalModeGuard {
-  FilterEval Saved = ScheduleFilter::defaultEval();
-  ~EvalModeGuard() { ScheduleFilter::setDefaultEval(Saved); }
-};
+/// The interpreter oracle for one ScheduleFilter decision: the same bbLen
+/// gate (one work unit, default class), otherwise RuleSet::predict on the
+/// extracted features, charged the feature pass plus predictionWork.
+CompiledFilter::Decision interpretDecision(const RuleSet &RS,
+                                           const BasicBlock &BB) {
+  if (static_cast<double>(BB.size()) < RS.minMatchableBBLen())
+    return {RS.getDefaultClass() == Label::LS, 1};
+  FeatureVector X = extractFeatures(BB);
+  return {RS.predict(X) == Label::LS,
+          featureExtractionWork(BB) + RS.predictionWork(X)};
+}
 
 /// Proves (exhaustively when the corner grid fits \p MaxPoints) that the
 /// compiled form of \p RS is prediction- and work-equivalent to the
@@ -348,16 +355,21 @@ TEST(ScheduleFilter, ConstOverloadSharesTheOneEvalPath) {
 }
 
 TEST(ScheduleFilter, EvaluatorModesAgreeBlockForBlock) {
+  // The compiled filter against the interpreter oracle, decision for
+  // decision, with the same counters and work units.
   Program P = ProgramGenerator(shrinkSuite(specjvm98Suite(), 6)[0]).generate();
   RuleSet Rules = basicFilter();
-  ScheduleFilter Compiled(Rules, FilterEval::Compiled);
-  ScheduleFilter Interp(Rules, FilterEval::Interpreted);
+  ScheduleFilter Compiled(Rules);
+  uint64_t OracleLS = 0, OracleNS = 0, OracleWork = 0;
   P.forEachBlock([&](const BasicBlock &BB) {
-    ASSERT_EQ(Compiled.shouldSchedule(BB), Interp.shouldSchedule(BB));
+    CompiledFilter::Decision D = interpretDecision(Rules, BB);
+    ASSERT_EQ(Compiled.shouldSchedule(BB), D.ScheduleLS);
+    ++(D.ScheduleLS ? OracleLS : OracleNS);
+    OracleWork += D.Work;
   });
-  EXPECT_EQ(Compiled.numScheduleDecisions(), Interp.numScheduleDecisions());
-  EXPECT_EQ(Compiled.numSkipDecisions(), Interp.numSkipDecisions());
-  EXPECT_EQ(Compiled.workUnits(), Interp.workUnits());
+  EXPECT_EQ(Compiled.numScheduleDecisions(), OracleLS);
+  EXPECT_EQ(Compiled.numSkipDecisions(), OracleNS);
+  EXPECT_EQ(Compiled.workUnits(), OracleWork);
   EXPECT_GT(Compiled.workUnits(), 0u);
 }
 
@@ -367,20 +379,18 @@ TEST(ScheduleFilter, BatchMatchesScalarLoopInBothModes) {
   P.forEachBlock([&](const BasicBlock &BB) { Blocks.push_back(&BB); });
   ASSERT_FALSE(Blocks.empty());
 
-  for (FilterEval Mode : {FilterEval::Compiled, FilterEval::Interpreted}) {
-    ScheduleFilter Batch(basicFilter(), Mode);
-    ScheduleFilter Scalar(basicFilter(), Mode);
-    SchedContext Ctx;
-    std::vector<char> Decisions;
-    Batch.shouldScheduleBatch(Blocks, Ctx, Decisions);
-    ASSERT_EQ(Decisions.size(), Blocks.size());
-    for (size_t I = 0; I != Blocks.size(); ++I)
-      ASSERT_EQ(Decisions[I] != 0, Scalar.shouldSchedule(*Blocks[I]))
-          << "block " << I;
-    EXPECT_EQ(Batch.numScheduleDecisions(), Scalar.numScheduleDecisions());
-    EXPECT_EQ(Batch.numSkipDecisions(), Scalar.numSkipDecisions());
-    EXPECT_EQ(Batch.workUnits(), Scalar.workUnits());
-  }
+  ScheduleFilter Batch(basicFilter());
+  ScheduleFilter Scalar(basicFilter());
+  SchedContext Ctx;
+  std::vector<char> Decisions;
+  Batch.shouldScheduleBatch(Blocks, Ctx, Decisions);
+  ASSERT_EQ(Decisions.size(), Blocks.size());
+  for (size_t I = 0; I != Blocks.size(); ++I)
+    ASSERT_EQ(Decisions[I] != 0, Scalar.shouldSchedule(*Blocks[I]))
+        << "block " << I;
+  EXPECT_EQ(Batch.numScheduleDecisions(), Scalar.numScheduleDecisions());
+  EXPECT_EQ(Batch.numSkipDecisions(), Scalar.numSkipDecisions());
+  EXPECT_EQ(Batch.workUnits(), Scalar.workUnits());
 }
 
 // --- Golden: the real trained filters and the serve path (skipped in the
@@ -417,9 +427,10 @@ TEST(Golden, CompiledFilterEquivalentForTrainedFilters) {
 }
 
 TEST(Golden, ServeStatsByteIdenticalAcrossEvaluators) {
-  // The serve-path pin: every deterministic ServiceStats field must be
-  // byte-identical whichever evaluator runs, at jobs 1 and jobs 4.
-  EvalModeGuard Guard;
+  // The serve-path pin: every deterministic stats field is byte-identical
+  // at jobs 1 and jobs 4, and the compiled filter inside the service made
+  // exactly the decisions, and charged exactly the work, that the
+  // interpreter oracle computes over the methods the service compiled.
   MachineModel Model = MachineModel::ppc7410();
   const BenchmarkSpec &Spec = *findBenchmarkSpec("db");
   std::vector<BenchmarkRun> Runs = generateSuiteData({Spec}, Model);
@@ -427,18 +438,24 @@ TEST(Golden, ServeStatsByteIdenticalAcrossEvaluators) {
   ServiceConfig Cfg;
   Cfg.StreamSeed = invocationStreamSeed(Spec.Seed);
 
-  std::vector<ServeComparison> PerMode;
-  for (FilterEval Mode : {FilterEval::Compiled, FilterEval::Interpreted}) {
-    ScheduleFilter::setDefaultEval(Mode);
-    for (int Jobs : {1, 4}) {
-      TaskPool Pool(static_cast<size_t>(Jobs));
-      PerMode.push_back(
-          runServeComparison(Runs[0].Prog, Model, Cfg, Rules, Pool));
+  std::vector<MultiAppComparison> PerJobs;
+  for (int Jobs : {1, 4}) {
+    TaskPool Pool(static_cast<size_t>(Jobs));
+    PerJobs.push_back(compareOneApp(Runs[0].Prog, Model, Cfg, Rules, Pool));
+  }
+  EXPECT_TRUE(PerJobs[1].Always == PerJobs[0].Always);
+  EXPECT_TRUE(PerJobs[1].Filtered == PerJobs[0].Filtered);
+
+  const ServiceStats &LN = PerJobs[0].Filtered.Total;
+  uint64_t OracleLS = 0, OracleNS = 0, OracleWork = 0;
+  for (const ServiceStats::CompilePinStat &C : LN.Compiles)
+    for (const BasicBlock &BB : Runs[0].Prog[C.Method]) {
+      CompiledFilter::Decision D = interpretDecision(Rules, BB);
+      ++(D.ScheduleLS ? OracleLS : OracleNS);
+      OracleWork += D.Work;
     }
-  }
-  ASSERT_EQ(PerMode.size(), 4u);
-  for (size_t I = 1; I != PerMode.size(); ++I) {
-    EXPECT_TRUE(PerMode[I].Always == PerMode[0].Always) << "run " << I;
-    EXPECT_TRUE(PerMode[I].Filtered == PerMode[0].Filtered) << "run " << I;
-  }
+  EXPECT_EQ(LN.FilterLS, OracleLS);
+  EXPECT_EQ(LN.FilterNS, OracleNS);
+  EXPECT_EQ(LN.FilterWork, OracleWork);
+  EXPECT_GT(OracleLS, 0u);
 }

@@ -10,7 +10,7 @@
 
 #include "filter/FilterVersion.h"
 #include "io/FilterRegistry.h"
-#include "runtime/CompileService.h"
+#include "runtime/MultiAppService.h"
 #include "workloads/ProgramGenerator.h"
 
 #include "TestHelpers.h"
@@ -63,10 +63,7 @@ ServiceStats runOnline(TaskPool &Pool, FilterRegistry *Reg = nullptr) {
   Program P = testProgram();
   MachineModel M = MachineModel::ppc7410();
   RuleSet RS = testRules();
-  CompileService Svc(P, M, onlineConfig(), &RS, Pool);
-  if (Reg)
-    Svc.setFilterRegistry(Reg, "test", M.getName());
-  return Svc.run();
+  return serveOneApp(P, M, onlineConfig(), &RS, Pool, 1.0, Reg).Total;
 }
 
 /// Reads a whole file as bytes; empty on open failure.
@@ -176,7 +173,7 @@ TEST(OnlineService, StaticRunHasNoLineage) {
   RuleSet RS = testRules();
   ServiceConfig Cfg = onlineConfig();
   Cfg.Online = false;
-  ServiceStats St = CompileService(P, M, Cfg, &RS, Pool).run();
+  ServiceStats St = serveOneApp(P, M, Cfg, &RS, Pool).Total;
   EXPECT_EQ(St.Retrains, 0u);
   EXPECT_EQ(St.CorpusRecords, 0u);
   EXPECT_TRUE(St.Swaps.empty());

@@ -1,22 +1,26 @@
-//===- tests/runtime_test.cpp - CompileService / queue / determinism --------===//
+//===- tests/runtime_test.cpp - Serving engine / queue / determinism --------===//
 //
 // The runtime subsystem's contracts: the bounded recompilation queue is
-// FIFO with load-shedding backpressure; the CompileService's virtual
-// clock, sampling and promotion dynamics are pure functions of
-// (program, config, rules); and every ServiceStats field -- doubles
-// included -- is bit-identical at any TaskPool job count.
+// FIFO with load-shedding backpressure; the service's virtual clock,
+// sampling and promotion dynamics are pure functions of (programs,
+// config, rules), whether it serves one app or an interleaved mix; and
+// every ServiceStats field -- doubles included -- is bit-identical at any
+// TaskPool job count.
 //
 //===----------------------------------------------------------------------===//
 
-#include "runtime/CompileService.h"
 #include "runtime/MultiAppService.h"
 #include "runtime/RecompileQueue.h"
 #include "target/MachineModel.h"
 #include "workloads/ProgramGenerator.h"
 
+#include "RuleSetIdentity.h"
+#include "TestHelpers.h"
+
 #include <gtest/gtest.h>
 
 using namespace schedfilter;
+using namespace schedfilter::test;
 
 namespace {
 
@@ -100,29 +104,27 @@ TEST(RecompileQueue, WrapsAroundRing) {
 }
 
 //===----------------------------------------------------------------------===//
-// CompileService
+// Single-app serving (a one-app MultiAppService)
 //===----------------------------------------------------------------------===//
 
-TEST(CompileService, RunIsDeterministic) {
+TEST(SingleAppService, RunIsDeterministic) {
   Program P = testProgram();
   MachineModel M = MachineModel::ppc7410();
   RuleSet RS = testRules();
   TaskPool Pool(1);
-  CompileService A(P, M, testConfig(), &RS, Pool);
-  CompileService B(P, M, testConfig(), &RS, Pool);
-  EXPECT_TRUE(A.run() == B.run());
+  EXPECT_TRUE(serveOneApp(P, M, testConfig(), &RS, Pool) ==
+              serveOneApp(P, M, testConfig(), &RS, Pool));
 }
 
-TEST(CompileService, BitIdenticalAtAnyJobCount) {
+TEST(SingleAppService, BitIdenticalAtAnyJobCount) {
   // The acceptance guarantee: every ServiceStats field -- the AppTime and
   // MeanQueueDepth doubles included -- is identical at jobs=1 and jobs=4.
   Program P = testProgram();
   MachineModel M = MachineModel::ppc7410();
   RuleSet RS = testRules();
   TaskPool Serial(1), Wide(4);
-  ServiceStats S1 =
-      CompileService(P, M, testConfig(), &RS, Serial).run();
-  ServiceStats S4 = CompileService(P, M, testConfig(), &RS, Wide).run();
+  ServiceStats S1 = serveOneApp(P, M, testConfig(), &RS, Serial).Total;
+  ServiceStats S4 = serveOneApp(P, M, testConfig(), &RS, Wide).Total;
   EXPECT_TRUE(S1 == S4);
   // And the run did real tiered work, so the comparison is not vacuous.
   EXPECT_GT(S1.Promotions, 0u);
@@ -131,13 +133,13 @@ TEST(CompileService, BitIdenticalAtAnyJobCount) {
   EXPECT_GT(S1.SchedulingWork, 0u);
 }
 
-TEST(CompileService, AccountingInvariantsHold) {
+TEST(SingleAppService, AccountingInvariantsHold) {
   Program P = testProgram();
   MachineModel M = MachineModel::ppc7410();
   RuleSet RS = testRules();
   TaskPool Pool(2);
   ServiceConfig Cfg = testConfig();
-  ServiceStats St = CompileService(P, M, Cfg, &RS, Pool).run();
+  ServiceStats St = serveOneApp(P, M, Cfg, &RS, Pool).Total;
 
   EXPECT_EQ(St.Invocations, Cfg.Invocations);
   EXPECT_EQ(St.BaselineInvocations + St.OptimizedInvocations,
@@ -155,7 +157,7 @@ TEST(CompileService, AccountingInvariantsHold) {
   EXPECT_LE(St.AppTime, St.BaselineAppTime);
 }
 
-TEST(CompileService, TinyQueueShedsLoadButCatchesUp) {
+TEST(SingleAppService, TinyQueueShedsLoadButCatchesUp) {
   Program P = testProgram();
   MachineModel M = MachineModel::ppc7410();
   RuleSet RS = testRules();
@@ -163,7 +165,7 @@ TEST(CompileService, TinyQueueShedsLoadButCatchesUp) {
   ServiceConfig Cfg = testConfig();
   Cfg.QueueCap = 1;
   Cfg.DrainPerEpoch = 1;
-  ServiceStats St = CompileService(P, M, Cfg, &RS, Pool).run();
+  ServiceStats St = serveOneApp(P, M, Cfg, &RS, Pool).Total;
   // With a one-slot queue the sampler nominates faster than the drain
   // retires: backpressure must shed load...
   EXPECT_GT(St.Deferred, 0u);
@@ -173,7 +175,7 @@ TEST(CompileService, TinyQueueShedsLoadButCatchesUp) {
   EXPECT_LE(St.MaxQueueDepth, 1u);
 }
 
-TEST(CompileService, HotterThresholdPromotesFewerMethods) {
+TEST(SingleAppService, HotterThresholdPromotesFewerMethods) {
   Program P = testProgram();
   MachineModel M = MachineModel::ppc7410();
   RuleSet RS = testRules();
@@ -182,20 +184,20 @@ TEST(CompileService, HotterThresholdPromotesFewerMethods) {
   Cold.HotThreshold = 64;
   ServiceConfig Hot = testConfig();
   Hot.HotThreshold = 2;
-  ServiceStats StCold = CompileService(P, M, Cold, &RS, Pool).run();
-  ServiceStats StHot = CompileService(P, M, Hot, &RS, Pool).run();
+  ServiceStats StCold = serveOneApp(P, M, Cold, &RS, Pool).Total;
+  ServiceStats StHot = serveOneApp(P, M, Hot, &RS, Pool).Total;
   EXPECT_LT(StCold.Promotions, StHot.Promotions);
   EXPECT_LT(StCold.OptimizedInvocations, StHot.OptimizedInvocations);
 }
 
-TEST(CompileService, UnreachableThresholdKeepsEverythingBaseline) {
+TEST(SingleAppService, UnreachableThresholdKeepsEverythingBaseline) {
   Program P = testProgram();
   MachineModel M = MachineModel::ppc7410();
   TaskPool Pool(1);
   ServiceConfig Cfg = testConfig();
   Cfg.HotThreshold = 1000000; // more samples than the stream contains
   Cfg.OptimizingPolicy = SchedulingPolicy::Always;
-  ServiceStats St = CompileService(P, M, Cfg, nullptr, Pool).run();
+  ServiceStats St = serveOneApp(P, M, Cfg, nullptr, Pool).Total;
   EXPECT_EQ(St.Promotions, 0u);
   EXPECT_EQ(St.MethodsOptimized, 0u);
   EXPECT_EQ(St.OptimizedInvocations, 0u);
@@ -203,7 +205,7 @@ TEST(CompileService, UnreachableThresholdKeepsEverythingBaseline) {
   EXPECT_EQ(St.AppTime, St.BaselineAppTime);
 }
 
-TEST(CompileService, VirtualClockDelaysInstalls) {
+TEST(SingleAppService, VirtualClockDelaysInstalls) {
   // A method is never optimized in the epoch that nominates it, so some
   // invocations always execute at baseline first -- even when every
   // method eventually promotes.
@@ -213,28 +215,64 @@ TEST(CompileService, VirtualClockDelaysInstalls) {
   ServiceConfig Cfg = testConfig();
   Cfg.HotThreshold = 1;
   Cfg.OptimizingPolicy = SchedulingPolicy::Always;
-  ServiceStats St = CompileService(P, M, Cfg, nullptr, Pool).run();
+  ServiceStats St = serveOneApp(P, M, Cfg, nullptr, Pool).Total;
   // (Not necessarily every method: a sufficiently cold one may never be
   // drawn at a sampled tick -- sampling is the paper's point.)
   EXPECT_GE(St.MethodsOptimized, P.size() - 1);
   EXPECT_GT(St.BaselineInvocations, 0u);
 }
 
-TEST(CompileService, ServeComparisonRecoupsWork) {
+TEST(SingleAppService, ServeComparisonRecoupsWork) {
   Program P = testProgram();
   MachineModel M = MachineModel::ppc7410();
   RuleSet RS = testRules();
   TaskPool Pool(2);
-  ServeComparison Cmp =
-      runServeComparison(P, M, testConfig(), RS, Pool);
+  MultiAppComparison Cmp = compareOneApp(P, M, testConfig(), RS, Pool);
   // Identical promotion dynamics by construction...
-  EXPECT_EQ(Cmp.Always.Promotions, Cmp.Filtered.Promotions);
-  EXPECT_EQ(Cmp.Always.CompiledMethods, Cmp.Filtered.CompiledMethods);
-  EXPECT_EQ(Cmp.Always.BaselineAppTime, Cmp.Filtered.BaselineAppTime);
+  EXPECT_EQ(Cmp.Always.Total.Promotions, Cmp.Filtered.Total.Promotions);
+  EXPECT_EQ(Cmp.Always.Total.CompiledMethods,
+            Cmp.Filtered.Total.CompiledMethods);
+  EXPECT_EQ(Cmp.Always.Total.BaselineAppTime,
+            Cmp.Filtered.Total.BaselineAppTime);
   // ...so the work delta is the filter's recouped scheduling time.
-  EXPECT_LT(Cmp.Filtered.SchedulingWork, Cmp.Always.SchedulingWork);
+  EXPECT_LT(Cmp.Filtered.Total.SchedulingWork,
+            Cmp.Always.Total.SchedulingWork);
   EXPECT_GT(Cmp.RecoupedWorkFraction, 0.0);
   EXPECT_LT(Cmp.RecoupedWorkFraction, 1.0);
+}
+
+TEST(SingleAppService, LoneAppIsTheWholeService) {
+  // With one app the per-app breakdown and the aggregate fold the same
+  // ticks in the same order: every per-app field equals the total, the
+  // AppTime doubles bit for bit.  The lone app owns every tick without an
+  // interleave draw, so its weight cannot change anything.
+  Program P = testProgram();
+  MachineModel M = MachineModel::ppc7410();
+  RuleSet RS = testRules();
+  TaskPool Pool(2);
+  MultiAppStats St = serveOneApp(P, M, testConfig(), &RS, Pool);
+  ASSERT_EQ(St.PerApp.size(), 1u);
+  const ServiceStats &App = St.PerApp[0];
+  const ServiceStats &Total = St.Total;
+  EXPECT_EQ(App.Invocations, Total.Invocations);
+  EXPECT_EQ(App.BaselineInvocations, Total.BaselineInvocations);
+  EXPECT_EQ(App.OptimizedInvocations, Total.OptimizedInvocations);
+  EXPECT_EQ(App.Promotions, Total.Promotions);
+  EXPECT_EQ(App.Deferred, Total.Deferred);
+  EXPECT_EQ(App.CompiledMethods, Total.CompiledMethods);
+  EXPECT_EQ(App.MethodsOptimized, Total.MethodsOptimized);
+  EXPECT_EQ(App.MethodsTotal, Total.MethodsTotal);
+  EXPECT_EQ(App.BlocksCompiled, Total.BlocksCompiled);
+  EXPECT_EQ(App.BlocksScheduled, Total.BlocksScheduled);
+  EXPECT_EQ(App.SchedulingWork, Total.SchedulingWork);
+  EXPECT_EQ(App.FilterWork, Total.FilterWork);
+  EXPECT_EQ(App.FilterLS, Total.FilterLS);
+  EXPECT_EQ(App.FilterNS, Total.FilterNS);
+  EXPECT_TRUE(sameBits(App.AppTime, Total.AppTime));
+  EXPECT_TRUE(sameBits(App.BaselineAppTime, Total.BaselineAppTime));
+  EXPECT_GT(Total.CompiledMethods, 0u); // non-vacuous
+
+  EXPECT_TRUE(serveOneApp(P, M, testConfig(), &RS, Pool, 7.5) == St);
 }
 
 //===----------------------------------------------------------------------===//
@@ -377,7 +415,7 @@ TEST(MultiAppService, ComparisonSharesPromotionDynamics) {
   EXPECT_LT(Cmp.RecoupedWorkFraction, 1.0);
 }
 
-TEST(CompileService, StreamSeedIsPartOfWorkloadIdentity) {
+TEST(SingleAppService, StreamSeedIsPartOfWorkloadIdentity) {
   Program P = testProgram();
   MachineModel M = MachineModel::ppc7410();
   RuleSet RS = testRules();
@@ -385,8 +423,8 @@ TEST(CompileService, StreamSeedIsPartOfWorkloadIdentity) {
   ServiceConfig A = testConfig();
   ServiceConfig B = testConfig();
   B.StreamSeed = invocationStreamSeed(43);
-  ServiceStats StA = CompileService(P, M, A, &RS, Pool).run();
-  ServiceStats StB = CompileService(P, M, B, &RS, Pool).run();
+  ServiceStats StA = serveOneApp(P, M, A, &RS, Pool).Total;
+  ServiceStats StB = serveOneApp(P, M, B, &RS, Pool).Total;
   // Different workload seed, different stream (app time is a sum over
   // 20k weighted draws; collision would be astronomically unlikely).
   EXPECT_NE(StA.AppTime, StB.AppTime);

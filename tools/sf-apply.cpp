@@ -13,7 +13,7 @@
 #include "analysis/RuleAnalysis.h"
 #include "harness/Experiments.h"
 #include "ml/Serialization.h"
-#include "runtime/CompileService.h"
+#include "runtime/MethodCompiler.h"
 #include "support/CommandLine.h"
 
 #include "ModelOption.h"

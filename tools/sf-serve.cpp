@@ -1,8 +1,9 @@
 //===- tools/sf-serve.cpp - Serve a method-invocation stream ----------------===//
 //
 // The runtime half of the reproduction: replay a benchmark's method
-// invocation stream through the CompileService (baseline tier, sampling
-// based hotness counters, bounded recompilation queue, optimizing tier)
+// invocation stream through the MultiAppService as its lone app (baseline
+// tier, sampling based hotness counters, bounded recompilation queue,
+// optimizing tier)
 // and report what the induced filter recoups once scheduling cost is paid
 // at run time -- the regime of the paper's host JIT (§3.1).
 //
@@ -21,7 +22,6 @@
 //            [--invocations N] [--hot-threshold N] [--queue-cap N]
 //            [--sample-every N] [--epoch-len N] [--drain N]
 //            [--online [--retrain-every N] [--registry DIR]]
-//            [--filter-eval compiled|interpreter]
 //            [--jobs N] [--corpus-dir DIR | --no-cache]
 //   sf-serve --workload FAMILY[:WEIGHT][,FAMILY[:WEIGHT]...] [...]
 //   sf-serve --list
@@ -41,11 +41,11 @@
 // bytes are identical at any --jobs and cache temperature.  --online is
 // incompatible with --rules (a fixed rules file cannot hot-swap).
 //
-// --workload serves the interleaved multi-app stream instead: every
-// benchmark of each named family becomes one app, the family weight is
-// its share of the interleave, and one shared service (one clock, one
-// hotness sampler, one bounded queue) serves them all -- the
-// multi-tenant regime of a server JIT.  Per-app tier residency and
+// --workload serves an interleaved multi-app stream through the same
+// engine: every benchmark of each named family becomes one app, the
+// family weight is its share of the interleave, and one shared service
+// (one clock, one hotness sampler, one bounded queue) serves them all --
+// the multi-tenant regime of a server JIT.  Per-app tier residency and
 // recouped work print alongside the aggregate; without --rules the
 // filter self-trains on the mix's own traces.  Output is bit-identical
 // at any --jobs and cache temperature, like the single-app mode.
@@ -56,7 +56,6 @@
 #include "harness/ParallelExperiments.h"
 #include "io/FilterRegistry.h"
 #include "ml/Serialization.h"
-#include "runtime/CompileService.h"
 #include "runtime/MultiAppService.h"
 #include "support/CommandLine.h"
 #include "support/StringUtils.h"
@@ -64,7 +63,6 @@
 #include "support/Timer.h"
 
 #include "EngineOption.h"
-#include "FilterEvalOption.h"
 #include "ModelOption.h"
 #include "RulesOption.h"
 #include "VersionOption.h"
@@ -84,7 +82,6 @@ void printUsage(std::ostream &OS) {
         " [--queue-cap N]\n"
         "                [--sample-every N] [--epoch-len N] [--drain N]\n"
         "                [--online [--retrain-every N] [--registry DIR]]\n"
-        "                [--filter-eval compiled|interpreter]\n"
         "                [--jobs N] [--corpus-dir DIR | --no-cache]\n"
         "       sf-serve --workload FAMILY[:WEIGHT][,...] [...]\n"
         "       sf-serve --list\n"
@@ -206,17 +203,16 @@ bool checkRegistryHealth(const FilterRegistry *Reg) {
   return true;
 }
 
-/// The --workload path: expand the mix into apps, resolve the filter
-/// (--rules or self-trained on the mix's own traces), replay the
-/// interleaved stream under both optimizing-tier policies, and report
-/// per-app and aggregate stats.  Everything on stdout is a pure function
-/// of (mix, model, config) -- same contract as the single-app mode.
-int serveMix(const CommandLine &CL, const WorkloadMix &Mix,
-             const MachineModel &Model, ExperimentEngine &Engine,
-             ServiceConfig Cfg, const std::string &RegistryDir) {
-  std::vector<AppSpec> Apps = expandWorkloadMix(Mix);
-  Cfg.StreamSeed = workloadMixSeed(Apps);
-
+/// Resolves the filter (--rules, or self-trained on the apps' own
+/// traces), replays the stream under both optimizing-tier policies, and
+/// reports.  \p Session names the workload -- the benchmark, or the mix
+/// spelling -- in the diagnostics, the registry metadata and the report;
+/// \p IsMix selects the per-app report shape.  Everything on stdout is a
+/// pure function of (apps, model, config).
+int serve(const CommandLine &CL, const std::vector<AppSpec> &Apps,
+          const std::string &Session, bool IsMix, const MachineModel &Model,
+          ExperimentEngine &Engine, ServiceConfig Cfg,
+          const std::string &RegistryDir) {
   RuleSet Rules(Label::NS);
   bool RulesFromFile = false;
   if (!loadRulesOption(CL, Rules, RulesFromFile))
@@ -227,9 +223,10 @@ int serveMix(const CommandLine &CL, const WorkloadMix &Mix,
   if (RulesFromFile) {
     Programs = generateMixPrograms(Apps);
   } else {
-    // Self-train on the whole mix: the factory filter for exactly the
-    // population this service is about to serve.  Reuse the synthesized
-    // programs instead of generating them a second time.
+    // Self-train on the apps' own traces (corpus-cache-served when warm):
+    // the factory filter for exactly the population this service is about
+    // to serve.  Reuse the synthesized programs instead of generating them
+    // a second time.
     double Threshold = 0.0;
     if (!parseThresholdFlag(CL, Threshold))
       return 1;
@@ -237,11 +234,11 @@ int serveMix(const CommandLine &CL, const WorkloadMix &Mix,
     Suite.reserve(Apps.size());
     for (const AppSpec &A : Apps)
       Suite.push_back(A.Spec);
-    std::cerr << "training filter on the mix's own traces (t = " << Threshold
-              << "; tracing on cache miss)...\n";
+    std::cerr << "training filter on " << Session << "'s own traces (t = "
+              << Threshold << "; tracing on cache miss)...\n";
     std::vector<BenchmarkRun> Runs = Engine.generateSuiteData(Suite, Model);
     std::vector<Dataset> Labeled = Engine.labelSuite(Runs, Threshold);
-    Dataset Train(formatWorkloadMix(Mix));
+    Dataset Train(Session);
     for (const Dataset &D : Labeled)
       Train.append(D);
     Rules = ripperLearner(Engine.pool())(Train);
@@ -266,39 +263,52 @@ int serveMix(const CommandLine &CL, const WorkloadMix &Mix,
   Wall.start();
   MultiAppComparison Cmp = runMultiAppComparison(
       Apps, Programs, Model, Cfg, Rules, Engine.pool(), nullptr,
-      std::move(SeedRecords), Registry ? &*Registry : nullptr,
-      formatWorkloadMix(Mix), Model.getName());
+      std::move(SeedRecords), Registry ? &*Registry : nullptr, Session,
+      Model.getName());
   Wall.stop();
 
   // --- Deterministic report (stdout). ---
   const ServiceStats &LS = Cmp.Always.Total;
   const ServiceStats &LN = Cmp.Filtered.Total;
-  std::cout << "workload mix " << formatWorkloadMix(Mix) << " on "
-            << Model.getName() << ": " << Apps.size() << " apps, "
-            << LS.Invocations << " invocations interleaved,\nsample every "
-            << Cfg.SampleEvery << ", hot threshold " << Cfg.HotThreshold
-            << ", queue cap " << Cfg.QueueCap << ", drain "
-            << Cfg.DrainPerEpoch << "/epoch, epoch " << Cfg.EpochLen << " ("
-            << LS.Epochs << " epochs)\n\n";
+  if (IsMix) {
+    std::cout << "workload mix " << Session << " on " << Model.getName()
+              << ": " << Apps.size() << " apps, " << LS.Invocations
+              << " invocations interleaved,\nsample every "
+              << Cfg.SampleEvery << ", hot threshold " << Cfg.HotThreshold
+              << ", queue cap " << Cfg.QueueCap << ", drain "
+              << Cfg.DrainPerEpoch << "/epoch, epoch " << Cfg.EpochLen
+              << " (" << LS.Epochs << " epochs)\n\n";
 
-  TablePrinter PerApp({"App", "Family", "Invocations", "Optimized inv",
-                       "Methods opt", "LS work", "L/N work", "Recouped"});
-  for (size_t A = 0; A != Apps.size(); ++A) {
-    const ServiceStats &ALS = Cmp.Always.PerApp[A];
-    const ServiceStats &ALN = Cmp.Filtered.PerApp[A];
-    PerApp.addRow({Cmp.Filtered.AppNames[A], Apps[A].Spec.Family,
-                   std::to_string(ALN.Invocations),
-                   std::to_string(ALN.OptimizedInvocations),
-                   std::to_string(ALN.MethodsOptimized) + "/" +
-                       std::to_string(ALN.MethodsTotal),
-                   std::to_string(ALS.SchedulingWork),
-                   std::to_string(ALN.SchedulingWork),
-                   formatPercent(Cmp.PerAppRecoup[A], 1)});
+    TablePrinter PerApp({"App", "Family", "Invocations", "Optimized inv",
+                         "Methods opt", "LS work", "L/N work", "Recouped"});
+    for (size_t A = 0; A != Apps.size(); ++A) {
+      const ServiceStats &ALS = Cmp.Always.PerApp[A];
+      const ServiceStats &ALN = Cmp.Filtered.PerApp[A];
+      PerApp.addRow({Cmp.Filtered.AppNames[A], Apps[A].Spec.Family,
+                     std::to_string(ALN.Invocations),
+                     std::to_string(ALN.OptimizedInvocations),
+                     std::to_string(ALN.MethodsOptimized) + "/" +
+                         std::to_string(ALN.MethodsTotal),
+                     std::to_string(ALS.SchedulingWork),
+                     std::to_string(ALN.SchedulingWork),
+                     formatPercent(Cmp.PerAppRecoup[A], 1)});
+    }
+    PerApp.print(std::cout);
+    std::cout << "\nrecompilation queue (L/N run, shared): ";
+  } else {
+    std::cout << Session << " on " << Model.getName() << ": "
+              << LS.Invocations << " invocations, sample every "
+              << Cfg.SampleEvery << ", hot threshold " << Cfg.HotThreshold
+              << ",\nqueue cap " << Cfg.QueueCap << ", drain "
+              << Cfg.DrainPerEpoch << "/epoch, epoch " << Cfg.EpochLen
+              << " (" << LS.Epochs << " epochs)\n\n";
+    std::cout << "tier residency (L/N run): " << LN.BaselineInvocations
+              << " baseline / " << LN.OptimizedInvocations
+              << " optimized invocations; " << LN.MethodsOptimized << "/"
+              << LN.MethodsTotal << " methods optimized\n";
+    std::cout << "recompilation queue: ";
   }
-  PerApp.print(std::cout);
-
-  std::cout << "\nrecompilation queue (L/N run, shared): max depth "
-            << LN.MaxQueueDepth << ", mean "
+  std::cout << "max depth " << LN.MaxQueueDepth << ", mean "
             << formatDouble(LN.MeanQueueDepth, 2) << ", " << LN.Deferred
             << " deferred (backpressure), " << LN.FinalQueueDepth
             << " still queued\n\n";
@@ -323,7 +333,8 @@ int serveMix(const CommandLine &CL, const WorkloadMix &Mix,
   if (Cfg.Online)
     printOnlineReport(LN);
 
-  // --- Wall-clock throughput (stderr). ---
+  // --- Wall-clock throughput (stderr: varies run to run, backs nothing
+  // deterministic). ---
   double Seconds = Wall.seconds();
   double Served = 2.0 * static_cast<double>(LS.Invocations);
   std::cerr << "throughput: " << Served << " invocations served in "
@@ -359,13 +370,8 @@ int main(int argc, char **argv) {
     printUsage(std::cerr);
     return 1;
   }
-  const BenchmarkSpec *Spec = Bench->Spec;
-  std::string Name = Bench->Present ? Spec->Name : std::string();
-
   std::optional<MachineModel> Model = parseModelOption(CL);
   if (!Model)
-    return 1;
-  if (!parseFilterEvalOption(CL))
     return 1;
   std::optional<EngineHandle> Handle = parseEngineOptions(CL);
   if (!Handle)
@@ -399,100 +405,19 @@ int main(int argc, char **argv) {
   if (!parseOnlineOptions(CL, Cfg, RegistryDir))
     return 1;
 
-  // The interleaved multi-app mode has its own report shape.
-  if (!Mix->empty())
-    return serveMix(CL, *Mix, *Model, Engine, Cfg, RegistryDir);
-
-  Cfg.StreamSeed = invocationStreamSeed(Spec->Seed);
-
-  // The optimizing-tier filter: deserialized from --rules, or self-trained
-  // on the benchmark's own trace (corpus-cache-served when warm).  The
-  // self-training path already synthesized the program; reuse it instead
-  // of generating it a second time.
-  RuleSet Rules(Label::NS);
-  bool RulesFromFile = false;
-  if (!loadRulesOption(CL, Rules, RulesFromFile))
-    return 1;
-  std::optional<Program> P;
-  std::vector<BlockRecord> SeedRecords;
-  if (!RulesFromFile) {
-    double Threshold = 0.0;
-    if (!parseThresholdFlag(CL, Threshold))
-      return 1;
-    std::cerr << "training filter on " << Name << "'s own trace (t = "
-              << Threshold << "; tracing on cache miss)...\n";
-    std::vector<BenchmarkRun> Runs =
-        Engine.generateSuiteData({*Spec}, *Model);
-    std::vector<Dataset> Labeled = Engine.labelSuite(Runs, Threshold);
-    Rules = ripperLearner(Engine.pool())(Labeled[0]);
-    RuleAnalysis Lint = analyzeRuleSet(Rules, &Labeled[0]);
-    if (!Lint.clean())
-      printFindings(Lint, std::cerr);
-    Cfg.RetrainThreshold = Threshold;
-    if (Cfg.Online)
-      SeedRecords = std::move(Runs[0].Records);
-    P = std::move(Runs[0].Prog);
+  // A benchmark is the one-app case of the same engine; its stream seed
+  // is the benchmark's own, a mix's is the hash of every app's identity.
+  std::vector<AppSpec> Apps;
+  std::string Session;
+  if (Mix->empty()) {
+    Apps = {{*Bench->Spec}};
+    Session = Bench->Spec->Name;
+    Cfg.StreamSeed = invocationStreamSeed(Bench->Spec->Seed);
+  } else {
+    Apps = expandWorkloadMix(*Mix);
+    Session = formatWorkloadMix(*Mix);
+    Cfg.StreamSeed = workloadMixSeed(Apps);
   }
-  if (!P)
-    P = generateWorkloadProgram(*Spec);
-
-  std::optional<FilterRegistry> Registry;
-  if (!RegistryDir.empty())
-    Registry.emplace(RegistryDir);
-
-  AccumulatingTimer Wall;
-  Wall.start();
-  ServeComparison Cmp = runServeComparison(
-      *P, *Model, Cfg, Rules, Engine.pool(), std::move(SeedRecords),
-      Registry ? &*Registry : nullptr, Name, Model->getName());
-  Wall.stop();
-
-  // --- Deterministic report (stdout). ---
-  const ServiceStats &LS = Cmp.Always;
-  const ServiceStats &LN = Cmp.Filtered;
-  std::cout << Name << " on " << Model->getName() << ": " << LS.Invocations
-            << " invocations, sample every " << Cfg.SampleEvery
-            << ", hot threshold " << Cfg.HotThreshold << ",\nqueue cap "
-            << Cfg.QueueCap << ", drain " << Cfg.DrainPerEpoch
-            << "/epoch, epoch " << Cfg.EpochLen << " (" << LS.Epochs
-            << " epochs)\n\n";
-
-  std::cout << "tier residency (L/N run): " << LN.BaselineInvocations
-            << " baseline / " << LN.OptimizedInvocations
-            << " optimized invocations; " << LN.MethodsOptimized << "/"
-            << LN.MethodsTotal << " methods optimized\n";
-  std::cout << "recompilation queue: max depth " << LN.MaxQueueDepth
-            << ", mean " << formatDouble(LN.MeanQueueDepth, 2) << ", "
-            << LN.Deferred << " deferred (backpressure), "
-            << LN.FinalQueueDepth << " still queued\n\n";
-
-  TablePrinter T({"Opt tier", "Compiled", "Blocks", "Scheduled",
-                  "Work units", "Filter work", "App time vs baseline"});
-  for (const ServiceStats *St : {&LS, &LN})
-    T.addRow({St == &LS ? "LS" : "L/N", std::to_string(St->CompiledMethods),
-              std::to_string(St->BlocksCompiled),
-              std::to_string(St->BlocksScheduled),
-              std::to_string(St->SchedulingWork),
-              std::to_string(St->FilterWork),
-              formatDouble(St->AppTime / St->BaselineAppTime, 4)});
-  T.print(std::cout);
-
-  std::cout << "\nonline filter decisions (optimizing tier): " << LN.FilterLS
-            << " LS, " << LN.FilterNS << " NS\n";
-  std::cout << "recouped scheduling work: "
-            << formatPercent(Cmp.RecoupedWorkFraction, 1) << " (LS "
-            << formatKiloUnits(LS.SchedulingWork) << " units -> L/N "
-            << formatKiloUnits(LN.SchedulingWork) << " units)\n";
-  if (Cfg.Online)
-    printOnlineReport(LN);
-
-  // --- Wall-clock throughput (stderr: varies run to run, backs nothing
-  // deterministic). ---
-  double Seconds = Wall.seconds();
-  double Served = 2.0 * static_cast<double>(LS.Invocations);
-  std::cerr << "throughput: " << Served << " invocations served in "
-            << formatDouble(Seconds * 1e3, 1) << " ms ("
-            << formatDouble(Seconds > 0.0 ? Served / Seconds / 1e6 : 0.0, 2)
-            << "M inv/s across both runs)\n";
-  return checkRegistryHealth(Registry ? &*Registry : nullptr) ? 0 : 1;
+  return serve(CL, Apps, Session, !Mix->empty(), *Model, Engine, Cfg,
+               RegistryDir);
 }
