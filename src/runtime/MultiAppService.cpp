@@ -64,6 +64,61 @@ bool schedfilter::operator==(const MultiAppStats &A, const MultiAppStats &B) {
          A.PerApp == B.PerApp;
 }
 
+namespace {
+
+/// The integer fields an app's ServiceStats shares with the aggregate,
+/// besides MethodsTotal: run() folds them per app and sums them into the
+/// aggregate at stream end.
+constexpr uint64_t ServiceStats::*PerAppFields[] = {
+    &ServiceStats::Promotions,          &ServiceStats::Deferred,
+    &ServiceStats::CompiledMethods,     &ServiceStats::MethodsOptimized,
+    &ServiceStats::BaselineInvocations, &ServiceStats::OptimizedInvocations,
+    &ServiceStats::SchedulingWork,      &ServiceStats::FilterWork,
+    &ServiceStats::BlocksCompiled,      &ServiceStats::BlocksScheduled,
+    &ServiceStats::FilterLS,            &ServiceStats::FilterNS};
+
+} // namespace
+
+std::optional<std::string>
+schedfilter::checkServiceStats(const MultiAppStats &St) {
+  const ServiceStats &Tot = St.Total;
+  // An app that executed nothing may own ticks that elapse without an
+  // invocation (an empty program); the aggregate still counts them.
+  bool IdleApp = false;
+  for (size_t A = 0; A != St.PerApp.size(); ++A) {
+    const ServiceStats &App = St.PerApp[A];
+    IdleApp |= App.Invocations == 0;
+    if (App.BaselineInvocations + App.OptimizedInvocations != App.Invocations)
+      return "Baseline + Optimized == Invocations (app " + std::to_string(A) +
+             ")";
+  }
+  uint64_t Executed = Tot.BaselineInvocations + Tot.OptimizedInvocations;
+  if (IdleApp ? Executed > Tot.Invocations : Executed != Tot.Invocations)
+    return "Baseline + Optimized == Invocations";
+  if (Tot.Promotions != Tot.CompiledMethods + Tot.FinalQueueDepth)
+    return "Promotions == CompiledMethods + FinalQueueDepth";
+  if (Tot.Compiles.size() != Tot.CompiledMethods)
+    return "Compiles.size() == CompiledMethods";
+
+  // Per-app Invocations need no check of their own: the per-app identity
+  // and the tier-residency sums imply they add up to the executed ones.
+  auto SumsToTotal = [&](uint64_t ServiceStats::*Field) {
+    uint64_t Sum = 0;
+    for (const ServiceStats &App : St.PerApp)
+      Sum += App.*Field;
+    return Sum == Tot.*Field;
+  };
+  if (!SumsToTotal(&ServiceStats::MethodsTotal) ||
+      !std::all_of(std::begin(PerAppFields), std::end(PerAppFields),
+                   SumsToTotal))
+    return "per-app integer fields sum to Total";
+
+  for (size_t I = 1; I < Tot.Compiles.size(); ++I)
+    if (Tot.Compiles[I].FilterVersion < Tot.Compiles[I - 1].FilterVersion)
+      return "compile-pin versions never decrease";
+  return std::nullopt;
+}
+
 std::vector<AppSpec> schedfilter::expandWorkloadMix(
     const std::vector<std::pair<std::string, double>> &Mix) {
   std::vector<AppSpec> Apps;
@@ -113,8 +168,7 @@ MultiAppService::MultiAppService(const std::vector<AppSpec> &Apps,
                                  const ServiceConfig &Cfg,
                                  const RuleSet *Rules, TaskPool &Pool,
                                  const std::vector<double> *SharedBaselineCost)
-    : Apps(Apps), Programs(Programs), Model(Model), Cfg(Cfg), Rules(Rules),
-      Pool(Pool) {
+    : Apps(Apps), Programs(Programs), Model(Model), Cfg(Cfg), Pool(Pool) {
   assert(Apps.size() == Programs.size() && "one program per app");
   assert((Cfg.OptimizingPolicy == SchedulingPolicy::Filtered) ==
              (Rules != nullptr) &&
@@ -126,11 +180,14 @@ MultiAppService::MultiAppService(const std::vector<AppSpec> &Apps,
 
   // App-interleave CDF and, per app, the method-draw CDF: methods are
   // invoked proportionally to their total profile weight, the population
-  // the generator's hotness profile encodes.
+  // the generator's hotness profile encodes.  An empty program gets an
+  // empty table (total 0): its ticks elapse without a method draw.
+  std::vector<double> AppCum;
+  double TotalAppWeight = 0.0;
   size_t NumMethods = 0;
   for (size_t A = 0; A != Apps.size(); ++A) {
     TotalAppWeight += Apps[A].Weight;
-    AppCumWeight.push_back(TotalAppWeight);
+    AppCum.push_back(TotalAppWeight);
 
     std::vector<double> Cum;
     double Total = 0.0;
@@ -141,12 +198,12 @@ MultiAppService::MultiAppService(const std::vector<AppSpec> &Apps,
       Total += W;
       Cum.push_back(Total);
     }
-    CumWeight.push_back(std::move(Cum));
-    TotalWeight.push_back(Total);
+    MethodDraw.emplace_back(Cum);
 
     Offset.push_back(NumMethods);
     NumMethods += Programs[A].size();
   }
+  AppDraw.rebuild(AppCum);
 
   if (SharedBaselineCost) {
     assert(SharedBaselineCost->size() == NumMethods &&
@@ -193,13 +250,15 @@ MultiAppStats MultiAppService::run() {
     St.Total.MethodsTotal += Programs[A].size();
   }
   const size_t NumMethods = BaselineCost.size();
-  if (NumMethods == 0 || TotalAppWeight <= 0.0)
+  if (NumMethods == 0 || AppDraw.total() <= 0.0)
     return St;
 
+  // Where each method is on its way through the tiers.  Queued methods
+  // still run baseline code; only a drain moves a method to Optimizing.
+  enum class MethodState : uint8_t { Baseline, Queued, Optimizing };
   std::vector<double> Cost = BaselineCost;
-  std::vector<Tier> Tiers(NumMethods, Tier::Baseline);
+  std::vector<MethodState> State(NumMethods, MethodState::Baseline);
   std::vector<uint32_t> Samples(NumMethods, 0);
-  std::vector<bool> Pending(NumMethods, false);
   RecompileQueue Queue(Cfg.QueueCap);
 
   // The session's entropy: stream 0 decides *which app* owns each tick;
@@ -214,14 +273,11 @@ MultiAppStats MultiAppService::run() {
     AppStream.push_back(Interleaved ? Rng(Cfg.StreamSeed).fork(A + 1)
                                     : Interleave);
 
-  struct CompileOutcome {
-    CompileReport Report;
-    uint64_t FilterLS = 0;
-    uint64_t FilterNS = 0;
-    std::vector<BlockRecord> Records; ///< serve trace (online mode only)
-  };
-  std::vector<uint32_t> Drained;
-  std::vector<CompileOutcome> Outcomes;
+  // Drains compile on this thread through one context reused all run: a
+  // drain is a few methods, less work than a fork/join over the pool.
+  SchedContext Ctx;
+  MethodCompiler MC(Model, Ctx);
+  std::vector<BlockRecord> Records; ///< serve trace (online mode only)
   double QueueDepthSum = 0.0;
 
   // Online self-training state.  Cur is the filter version the *next*
@@ -256,41 +312,35 @@ MultiAppStats MultiAppService::run() {
   // static mix; with drift it is rebuilt (serially, per epoch) from the
   // pure per-epoch factors, so the drifting stream replays identically
   // at any job count.
-  std::vector<double> EpochCum = AppCumWeight;
-  double EpochTotal = TotalAppWeight;
-  uint64_t EpochIndex = 0;
+  CdfTable EpochDraw = AppDraw;
+  std::vector<double> DriftCum(Apps.size());
+  // Ticks until the next sample: tick T is sampled iff T % SampleEvery
+  // == 0.  Every tick counts, a degenerate app's included.
+  uint32_t SampleIn = 0;
 
   for (uint64_t Tick = 0; Tick < Cfg.Invocations;) {
     if (MixDrift) {
-      EpochTotal = 0.0;
+      double EpochTotal = 0.0;
       for (size_t A = 0; A != Apps.size(); ++A) {
-        EpochTotal += Apps[A].Weight * MixDrift(EpochIndex, A);
-        EpochCum[A] = EpochTotal;
+        EpochTotal += Apps[A].Weight * MixDrift(St.Total.Epochs, A);
+        DriftCum[A] = EpochTotal;
       }
       assert(EpochTotal > 0.0 && "drift factors must stay positive");
+      EpochDraw.rebuild(DriftCum);
     }
-    ++EpochIndex;
     uint64_t EpochEnd = std::min(Tick + Cfg.EpochLen, Cfg.Invocations);
     for (; Tick != EpochEnd; ++Tick) {
       // Whose tick is it?  One uniform draw on the interleave CDF.
-      size_t A = 0;
-      if (Interleaved) {
-        double U = Interleave.uniform() * EpochTotal;
-        A = static_cast<size_t>(
-            std::upper_bound(EpochCum.begin(), EpochCum.end(), U) -
-            EpochCum.begin());
-        A = std::min(A, Apps.size() - 1);
-      }
-      if (TotalWeight[A] <= 0.0)
+      size_t A = Interleaved ? EpochDraw.index(Interleave.next53()) : 0;
+      const bool Sampled = SampleIn == 0;
+      SampleIn = Sampled ? Cfg.SampleEvery - 1 : SampleIn - 1;
+      const CdfTable &Methods = MethodDraw[A];
+      if (Methods.total() <= 0.0)
         continue; // degenerate app (empty program); tick still elapses
 
       // The invoked method: one profile-weighted CDF draw on the app's
       // own substream.
-      const std::vector<double> &Cum = CumWeight[A];
-      double V = AppStream[A].uniform() * TotalWeight[A];
-      size_t Local = static_cast<size_t>(
-          std::upper_bound(Cum.begin(), Cum.end(), V) - Cum.begin());
-      size_t M = Offset[A] + std::min(Local, Cum.size() - 1);
+      size_t M = Offset[A] + Methods.index(AppStream[A].next53());
 
       ServiceStats &App = St.PerApp[A];
       ++App.Invocations;
@@ -298,27 +348,20 @@ MultiAppStats MultiAppService::run() {
       St.Total.BaselineAppTime += BaselineCost[M];
       App.AppTime += Cost[M];
       App.BaselineAppTime += BaselineCost[M];
-      if (Tiers[M] == Tier::Baseline) {
-        ++St.Total.BaselineInvocations;
-        ++App.BaselineInvocations;
-      } else {
-        ++St.Total.OptimizedInvocations;
-        ++App.OptimizedInvocations;
-      }
+      ++(State[M] == MethodState::Optimizing ? App.OptimizedInvocations
+                                             : App.BaselineInvocations);
 
-      if (Tick % Cfg.SampleEvery == 0) {
+      if (Sampled) {
         ++St.Total.SampledInvocations;
         ++Samples[M];
-        if (Tiers[M] == Tier::Baseline && !Pending[M] &&
+        if (State[M] == MethodState::Baseline &&
             Samples[M] >= Cfg.HotThreshold) {
+          // Backpressure: a full queue sheds the nomination; the method
+          // stays hot and is re-nominated at its next sample.
           if (Queue.push(static_cast<uint32_t>(M))) {
-            Pending[M] = true;
-            ++St.Total.Promotions;
+            State[M] = MethodState::Queued;
             ++App.Promotions;
           } else {
-            // Backpressure: shed the nomination; the method stays hot and
-            // is re-nominated at its next sample.
-            ++St.Total.Deferred;
             ++App.Deferred;
           }
         }
@@ -339,64 +382,42 @@ MultiAppStats MultiAppService::run() {
       InstallSwap(Cur, St.Total.Epochs, Tick);
     }
 
-    Drained.clear();
-    for (uint32_t I = 0; I != Cfg.DrainPerEpoch; ++I) {
-      uint32_t M = 0;
-      if (!Queue.pop(M))
-        break;
-      Drained.push_back(M);
-    }
-
-    Outcomes.assign(Drained.size(), CompileOutcome());
-    Pool.parallelFor(Drained.size(), [&](size_t I) {
-      // Per-task context and per-task filter view of the shared current
-      // artifact: the filter's counters are not thread-safe, but the
-      // artifact is immutable, so borrowing it keeps each outcome a pure
-      // function of (method, model, version) without recompiling the
-      // rules per task.
-      SchedContext Ctx;
-      MethodCompiler MC(Model, Ctx);
-      size_t A = appOf(Drained[I]);
-      const Method &Meth = Programs[A][Drained[I] - Offset[A]];
-      CompileOutcome &Out = Outcomes[I];
+    // Retire requests in FIFO order, each folding into its app's stats as
+    // it compiles.  The new tier takes effect from the next epoch's first
+    // tick -- compile latency under the virtual clock.
+    uint32_t M = 0;
+    for (uint32_t I = 0; I != Cfg.DrainPerEpoch && Queue.pop(M); ++I) {
+      size_t A = appOf(M);
+      const Method &Meth = Programs[A][M - Offset[A]];
+      CompileReport Report;
+      uint64_t FilterLS = 0, FilterNS = 0;
       if (Cur && Cfg.OptimizingPolicy == SchedulingPolicy::Filtered) {
         ScheduleFilter F(Cur);
-        MC.compileMethod(Meth, Cfg.OptimizingPolicy, &F, Out.Report);
-        Out.FilterLS = F.numScheduleDecisions();
-        Out.FilterNS = F.numSkipDecisions();
+        MC.compileMethod(Meth, Cfg.OptimizingPolicy, &F, Report);
+        FilterLS = F.numScheduleDecisions();
+        FilterNS = F.numSkipDecisions();
       } else {
-        MC.compileMethod(Meth, Cfg.OptimizingPolicy, nullptr, Out.Report);
+        MC.compileMethod(Meth, Cfg.OptimizingPolicy, nullptr, Report);
       }
-      if (Cfg.Online)
-        MC.traceMethod(Meth, Out.Records);
-    });
-
-    // Install in drain order (never completion order): deterministic stat
-    // folds, and the new tier takes effect from the next epoch's first
-    // tick -- compile latency under the virtual clock.  Each outcome
-    // folds into its app's stats and the aggregate.
-    for (size_t I = 0; I != Drained.size(); ++I) {
-      uint32_t M = Drained[I];
-      CompileOutcome &Out = Outcomes[I];
-      ServiceStats &App = St.PerApp[appOf(M)];
-      Tiers[M] = Tier::Optimizing;
-      Pending[M] = false;
-      Cost[M] = Out.Report.SimulatedTime;
-      for (ServiceStats *Dst : {&St.Total, &App}) {
-        Dst->SchedulingWork += Out.Report.SchedulingWork;
-        Dst->FilterWork += Out.Report.FilterWork;
-        Dst->BlocksCompiled += Out.Report.NumBlocks;
-        Dst->BlocksScheduled += Out.Report.NumScheduled;
-        Dst->FilterLS += Out.FilterLS;
-        Dst->FilterNS += Out.FilterNS;
-        ++Dst->CompiledMethods;
-      }
+      State[M] = MethodState::Optimizing;
+      Cost[M] = Report.SimulatedTime;
+      ServiceStats &App = St.PerApp[A];
+      App.SchedulingWork += Report.SchedulingWork;
+      App.FilterWork += Report.FilterWork;
+      App.BlocksCompiled += Report.NumBlocks;
+      App.BlocksScheduled += Report.NumScheduled;
+      App.FilterLS += FilterLS;
+      App.FilterNS += FilterNS;
+      ++App.CompiledMethods;
+      ++App.MethodsOptimized; // a method is only ever compiled once
       St.Total.Compiles.push_back({St.Total.Epochs, M,
                                    Cur ? Cur->Version : 0,
-                                   Out.Report.SchedulingWork});
+                                   Report.SchedulingWork});
       if (Cfg.Online) {
-        St.Total.CorpusRecords += Out.Records.size();
-        Trainer.absorb(Out.Records);
+        Records.clear();
+        MC.traceMethod(Meth, Records);
+        St.Total.CorpusRecords += Records.size();
+        Trainer.absorb(Records);
       }
     }
 
@@ -408,17 +429,15 @@ MultiAppStats MultiAppService::run() {
   }
 
   St.Total.FinalFilterVersion = Cur ? Cur->Version : 0;
+  for (uint64_t ServiceStats::*Field : PerAppFields)
+    for (const ServiceStats &App : St.PerApp)
+      St.Total.*Field += App.*Field;
 
   St.Total.Invocations = Cfg.Invocations;
   St.Total.FinalQueueDepth = Queue.size();
   St.Total.MeanQueueDepth =
       St.Total.Epochs ? QueueDepthSum / static_cast<double>(St.Total.Epochs)
                       : 0.0;
-  for (size_t M = 0; M != NumMethods; ++M)
-    if (Tiers[M] == Tier::Optimizing) {
-      ++St.Total.MethodsOptimized;
-      ++St.PerApp[appOf(M)].MethodsOptimized;
-    }
   return St;
 }
 

@@ -36,11 +36,11 @@
 ///   - the bounded queue (runtime/RecompileQueue.h) is FIFO and its
 ///     backpressure rule (drop when full, re-nominate at the next hot
 ///     sample) depends only on arrival order;
-///   - drained requests compile in parallel on the TaskPool into
-///     index-owned slots (each task builds its results from its own
-///     SchedContext and its own ScheduleFilter view), and stats fold in
-///     drain order -- the same indexed-loop idiom as the experiment
-///     engine.
+///   - drained requests compile on the service's own thread, in drain
+///     order, through one SchedContext reused across epochs, and each
+///     folds into the stats as it retires.  A drain is a few methods, so a
+///     fork/join over the TaskPool would cost more than the compiles; the
+///     pool builds the baseline tier and trains online filter versions.
 /// tests/runtime_test.cpp pins jobs=1 vs jobs=4 stats equality field by
 /// field, doubles included.
 ///
@@ -51,22 +51,17 @@
 
 #include "filter/Pipeline.h"
 #include "ml/OnlineTrainer.h"
+#include "support/CdfTable.h"
 #include "support/TaskPool.h"
 #include "workloads/WorkloadFamily.h"
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 
 namespace schedfilter {
 
 class FilterRegistry;
-
-/// Compilation tiers a method moves through.
-enum class Tier {
-  Baseline,   ///< entry state: compiled without any scheduling (NS)
-  Optimizing, ///< recompiled by the service; the configured policy decides
-              ///< per block whether the list scheduler runs
-};
 
 /// Knobs of one service run.  Defaults are the sf-serve defaults; the
 /// golden headline (Golden.ServeRecoupedHeadline) is pinned against them.
@@ -127,8 +122,8 @@ struct ServiceStats {
   double MeanQueueDepth = 0.0;  ///< ditto, averaged over epochs
   uint64_t FinalQueueDepth = 0; ///< requests still queued at stream end
 
-  /// Tier residency: invocations executed while the target method was in
-  /// each tier.
+  /// Tier residency: invocations executed while the target method ran
+  /// baseline (queued or not) or optimizing-tier code.
   uint64_t BaselineInvocations = 0;
   uint64_t OptimizedInvocations = 0;
 
@@ -188,9 +183,6 @@ bool operator==(const ServiceStats::CompilePinStat &A,
 
 /// True when every deterministic field matches (all of them are).
 bool operator==(const ServiceStats &A, const ServiceStats &B);
-inline bool operator!=(const ServiceStats &A, const ServiceStats &B) {
-  return !(A == B);
-}
 
 /// The invocation-stream seed for a single benchmark: forked from the
 /// benchmark's own seed (BenchmarkSpec::Seed), so every driver replaying
@@ -232,7 +224,7 @@ std::vector<Program> generateMixPrograms(const std::vector<AppSpec> &Apps);
 /// service and are aggregate-only (zero per app).  The double AppTime
 /// folds accumulate in global tick order, so the aggregate is NOT
 /// necessarily the bitwise sum of the per-app values -- compare
-/// like-for-like (runtime_test cross-checks with the integer fields).
+/// like-for-like (checkServiceStats checks the integer fields).
 /// With a single app the two fold the same ticks in the same order, so
 /// PerApp[0] equals Total on every per-app field, AppTime included.
 struct MultiAppStats {
@@ -242,9 +234,14 @@ struct MultiAppStats {
 };
 
 bool operator==(const MultiAppStats &A, const MultiAppStats &B);
-inline bool operator!=(const MultiAppStats &A, const MultiAppStats &B) {
-  return !(A == B);
-}
+
+/// Checks the accounting identities of a run() result and returns the
+/// first one violated, or none: Baseline + Optimized == Invocations (per
+/// app, and in the aggregate unless an idle app -- an empty program --
+/// owned ticks that invoked nothing); Promotions == CompiledMethods +
+/// FinalQueueDepth; one compile pin per compiled method; per-app integer
+/// fields sum to Total; compile-pin versions never decrease.
+std::optional<std::string> checkServiceStats(const MultiAppStats &St);
 
 /// The adaptive-JIT engine.  Construct per (apps, programs, model,
 /// config) and call run(); the service is reusable (each run starts from
@@ -255,8 +252,9 @@ public:
   /// both are borrowed for the service's lifetime.  \p Cfg.StreamSeed
   /// should come from workloadMixSeed, or from invocationStreamSeed for a
   /// lone app.  \p Rules must be non-null iff Cfg.OptimizingPolicy ==
-  /// Filtered.  \p Pool is borrowed; drained batches compile on its
-  /// workers.  \p SharedBaselineCost, when given, must be another
+  /// Filtered.  \p Pool is borrowed; the baseline costs compile and
+  /// online retrains train on its workers (drains compile inline on the
+  /// calling thread).  \p SharedBaselineCost, when given, must be another
   /// service's baselineCosts() over the same apps/programs/model -- it is
   /// copied instead of recompiled (runMultiAppComparison uses this to pay
   /// the baseline compile once, not per policy run).
@@ -307,18 +305,15 @@ private:
   const std::vector<Program> &Programs;
   const MachineModel &Model;
   ServiceConfig Cfg;
-  const RuleSet *Rules;
   TaskPool &Pool;
 
   /// App-interleave CDF over AppSpec weights.
-  std::vector<double> AppCumWeight;
-  double TotalAppWeight = 0.0;
+  CdfTable AppDraw;
   /// Optional per-epoch reweighting of the interleave (see setMixDrift).
   std::function<double(uint64_t, size_t)> MixDrift;
   /// Per-app method-draw CDFs: methods are invoked proportionally to
-  /// their total profile weight.
-  std::vector<std::vector<double>> CumWeight;
-  std::vector<double> TotalWeight;
+  /// their total profile weight (an empty program's table is empty).
+  std::vector<CdfTable> MethodDraw;
   /// Global method ids are app-major: app A's method m is Offset[A] + m.
   std::vector<size_t> Offset;
   std::vector<double> BaselineCost; ///< per global method id

@@ -34,7 +34,6 @@ public:
     assert(Capacity >= 1 && "a queue that can hold nothing is a bug");
   }
 
-  size_t capacity() const { return Ring.size(); }
   size_t size() const { return Count; }
   bool empty() const { return Count == 0; }
   bool full() const { return Count == Ring.size(); }

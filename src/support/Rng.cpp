@@ -23,19 +23,6 @@ void Rng::reseed(uint64_t Seed) {
   (void)next32();
 }
 
-uint32_t Rng::next32() {
-  uint64_t Old = State;
-  State = Old * 6364136223846793005ULL + Inc;
-  uint32_t XorShifted = static_cast<uint32_t>(((Old >> 18u) ^ Old) >> 27u);
-  uint32_t Rot = static_cast<uint32_t>(Old >> 59u);
-  return (XorShifted >> Rot) | (XorShifted << ((32 - Rot) & 31));
-}
-
-uint64_t Rng::next64() {
-  uint64_t Hi = next32();
-  return (Hi << 32) | next32();
-}
-
 uint32_t Rng::below(uint32_t Bound) {
   assert(Bound != 0 && "below() requires a nonzero bound");
   // Rejection sampling to avoid modulo bias.
@@ -54,7 +41,7 @@ int Rng::range(int Lo, int Hi) {
 
 double Rng::uniform() {
   // 53 random bits mapped to [0, 1).
-  return static_cast<double>(next64() >> 11) * 0x1.0p-53;
+  return static_cast<double>(next53()) * 0x1.0p-53;
 }
 
 double Rng::uniform(double Lo, double Hi) { return Lo + (Hi - Lo) * uniform(); }

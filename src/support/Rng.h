@@ -38,10 +38,19 @@ public:
   void reseed(uint64_t Seed);
 
   /// Returns the next raw 32 bits of the stream.
-  uint32_t next32();
+  uint32_t next32() {
+    uint64_t Old = State;
+    State = Old * 6364136223846793005ULL + Inc;
+    uint32_t XorShifted = static_cast<uint32_t>(((Old >> 18u) ^ Old) >> 27u);
+    uint32_t Rot = static_cast<uint32_t>(Old >> 59u);
+    return (XorShifted >> Rot) | (XorShifted << ((32 - Rot) & 31));
+  }
 
   /// Returns the next raw 64 bits of the stream.
-  uint64_t next64();
+  uint64_t next64() {
+    uint64_t Hi = next32();
+    return (Hi << 32) | next32();
+  }
 
   /// Returns a uniformly distributed integer in [0, Bound).  \p Bound must
   /// be nonzero.  Uses rejection sampling, so the result is exactly uniform.
@@ -49,6 +58,12 @@ public:
 
   /// Returns a uniformly distributed integer in [Lo, Hi] inclusive.
   int range(int Lo, int Hi);
+
+  /// Returns the next 53 raw bits of the stream: the integer uniform()
+  /// scales, so uniform() == next53() * 0x1p-53 exactly.  Samplers that
+  /// index a table by the high bits of a draw (support/CdfTable.h) take
+  /// this and scale it themselves.
+  uint64_t next53() { return next64() >> 11; }
 
   /// Returns a uniform double in [0, 1).
   double uniform();

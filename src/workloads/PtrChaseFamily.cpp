@@ -90,7 +90,7 @@ BasicBlock chaseBlock(const BenchmarkSpec &Spec, Rng &R, int ChainLen) {
     Reg Cond = NextTemp++;
     BB.append(Instruction(
         Opcode::Cmp, {Cond},
-        {Addr, FirstIntLiveIn + static_cast<Reg>(R.below(NumIntLiveIns))}));
+        {Addr, static_cast<Reg>(FirstIntLiveIn + R.below(NumIntLiveIns))}));
     BB.append(Instruction(Opcode::BrCond, {}, {Cond}));
   } else {
     BB.append(Instruction(Opcode::Ret, {}, {}));

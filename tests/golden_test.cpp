@@ -14,6 +14,7 @@
 #include "runtime/MethodCompiler.h"
 #include "support/Statistics.h"
 
+#include "RuleSetIdentity.h"
 #include "TestHelpers.h"
 
 #include <gtest/gtest.h>
@@ -218,6 +219,61 @@ TEST(Golden, ServeRecoupedHeadline) {
   double AppLS = LS.AppTime / LS.BaselineAppTime;
   double AppLN = LN.AppTime / LN.BaselineAppTime;
   EXPECT_LT(AppLN - AppLS, 0.005);
+}
+
+TEST(Golden, MixedServeStreamPinned) {
+  // The interleaved path end to end: every family's suite in one stream
+  // (the perfbench serve_mix shape, at a tenth of its length), a sampler
+  // hot enough to fill the queue and shed load, and a hand-built filter
+  // (schedule blocks of >= 7 instructions) so no learner output moves the
+  // pins.  Integer fields are pinned exactly and the app-time folds bit
+  // for bit, at one job and at four.
+  std::vector<AppSpec> Apps =
+      expandWorkloadMix({{"specjvm98", 1.0}, {"serverloop", 1.0},
+                         {"fp", 1.0}, {"fpkernel", 1.0}, {"ptrchase", 1.0}});
+  ASSERT_EQ(Apps.size(), 22u);
+  std::vector<Program> Programs = generateMixPrograms(Apps);
+  MachineModel Model = MachineModel::ppc7410();
+  RuleSet Rules(Label::NS);
+  Rule R;
+  R.Conclusion = Label::LS;
+  R.Conditions.push_back({FeatBBLen, false, 7.0});
+  Rules.addRule(std::move(R));
+
+  ServiceConfig Cfg;
+  Cfg.StreamSeed = workloadMixSeed(Apps);
+  Cfg.SampleEvery = 4;
+  Cfg.HotThreshold = 8;
+  Cfg.QueueCap = 16;
+  for (unsigned Jobs : {1u, 4u}) {
+    SCOPED_TRACE(Jobs);
+    TaskPool Pool(Jobs);
+    MultiAppStats St =
+        MultiAppService(Apps, Programs, Model, Cfg, &Rules, Pool).run();
+    const ServiceStats &T = St.Total;
+    EXPECT_EQ(checkServiceStats(St), std::nullopt);
+    EXPECT_EQ(T.Invocations, 200000u);
+    EXPECT_EQ(T.Epochs, 196u);
+    EXPECT_EQ(T.SampledInvocations, 50000u);
+    EXPECT_EQ(T.Promotions, 776u);
+    EXPECT_EQ(T.Deferred, 14964u);
+    EXPECT_EQ(T.CompiledMethods, 764u);
+    EXPECT_EQ(T.MethodsOptimized, 764u);
+    EXPECT_EQ(T.MethodsTotal, 2690u);
+    EXPECT_EQ(T.MaxQueueDepth, 16u);
+    EXPECT_EQ(T.FinalQueueDepth, 12u);
+    EXPECT_EQ(T.BaselineInvocations, 121693u);
+    EXPECT_EQ(T.OptimizedInvocations, 78307u);
+    EXPECT_EQ(T.SchedulingWork, 1903518u);
+    EXPECT_EQ(T.FilterWork, 84322u);
+    EXPECT_EQ(T.BlocksCompiled, 7477u);
+    EXPECT_EQ(T.BlocksScheduled, 2911u);
+    EXPECT_EQ(T.FilterLS, 2911u);
+    EXPECT_EQ(T.FilterNS, 4566u);
+    EXPECT_TRUE(sameBits(T.MeanQueueDepth, 0x1.e97829cbc14e6p+3));
+    EXPECT_TRUE(sameBits(T.AppTime, 0x1.c4bbf57a7d200p+44));
+    EXPECT_TRUE(sameBits(T.BaselineAppTime, 0x1.157b492bd0c80p+45));
+  }
 }
 
 TEST(Golden, EffortCollapsesAtHighThreshold) {

@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 using namespace schedfilter;
 using namespace schedfilter::test;
 
@@ -139,14 +141,12 @@ TEST(SingleAppService, AccountingInvariantsHold) {
   RuleSet RS = testRules();
   TaskPool Pool(2);
   ServiceConfig Cfg = testConfig();
-  ServiceStats St = serveOneApp(P, M, Cfg, &RS, Pool).Total;
+  MultiAppStats Run = serveOneApp(P, M, Cfg, &RS, Pool);
+  const ServiceStats &St = Run.Total;
 
+  EXPECT_EQ(checkServiceStats(Run), std::nullopt);
   EXPECT_EQ(St.Invocations, Cfg.Invocations);
-  EXPECT_EQ(St.BaselineInvocations + St.OptimizedInvocations,
-            St.Invocations);
   EXPECT_EQ(St.MethodsTotal, P.size());
-  // Promotions either retired or still queued at stream end.
-  EXPECT_EQ(St.Promotions, St.CompiledMethods + St.FinalQueueDepth);
   EXPECT_EQ(St.CompiledMethods, St.MethodsOptimized);
   // Every optimizing-tier block got exactly one online filter decision.
   EXPECT_EQ(St.FilterLS + St.FilterNS, St.BlocksCompiled);
@@ -347,43 +347,79 @@ TEST(MultiAppService, AggregateIsSumOfPerAppIntegerFields) {
   TaskPool Pool(2);
   MultiAppStats St = MultiAppService(Apps, Programs, M, Cfg, &RS, Pool).run();
 
-  ServiceStats Sum;
-  for (const ServiceStats &App : St.PerApp) {
-    Sum.Invocations += App.Invocations;
-    Sum.BaselineInvocations += App.BaselineInvocations;
-    Sum.OptimizedInvocations += App.OptimizedInvocations;
-    Sum.Promotions += App.Promotions;
-    Sum.Deferred += App.Deferred;
-    Sum.CompiledMethods += App.CompiledMethods;
-    Sum.MethodsOptimized += App.MethodsOptimized;
-    Sum.MethodsTotal += App.MethodsTotal;
-    Sum.BlocksCompiled += App.BlocksCompiled;
-    Sum.BlocksScheduled += App.BlocksScheduled;
-    Sum.SchedulingWork += App.SchedulingWork;
-    Sum.FilterWork += App.FilterWork;
-    Sum.FilterLS += App.FilterLS;
-    Sum.FilterNS += App.FilterNS;
-  }
-  EXPECT_EQ(Sum.Invocations, St.Total.Invocations);
-  EXPECT_EQ(Sum.BaselineInvocations, St.Total.BaselineInvocations);
-  EXPECT_EQ(Sum.OptimizedInvocations, St.Total.OptimizedInvocations);
-  EXPECT_EQ(Sum.Promotions, St.Total.Promotions);
-  EXPECT_EQ(Sum.Deferred, St.Total.Deferred);
-  EXPECT_EQ(Sum.CompiledMethods, St.Total.CompiledMethods);
-  EXPECT_EQ(Sum.MethodsOptimized, St.Total.MethodsOptimized);
-  EXPECT_EQ(Sum.MethodsTotal, St.Total.MethodsTotal);
-  EXPECT_EQ(Sum.BlocksCompiled, St.Total.BlocksCompiled);
-  EXPECT_EQ(Sum.BlocksScheduled, St.Total.BlocksScheduled);
-  EXPECT_EQ(Sum.SchedulingWork, St.Total.SchedulingWork);
-  EXPECT_EQ(Sum.FilterWork, St.Total.FilterWork);
-  EXPECT_EQ(Sum.FilterLS, St.Total.FilterLS);
-  EXPECT_EQ(Sum.FilterNS, St.Total.FilterNS);
+  EXPECT_EQ(checkServiceStats(St), std::nullopt);
   // Queue/epoch fields describe the shared service and stay aggregate-only.
   for (const ServiceStats &App : St.PerApp) {
     EXPECT_EQ(App.Epochs, 0u);
     EXPECT_EQ(App.MaxQueueDepth, 0u);
     EXPECT_EQ(App.FinalQueueDepth, 0u);
   }
+}
+
+TEST(MultiAppService, AccountingCheckNamesTheBrokenIdentity) {
+  std::vector<AppSpec> Apps = testMix();
+  std::vector<Program> Programs = generateMixPrograms(Apps);
+  MachineModel M = MachineModel::ppc7410();
+  RuleSet RS = testRules();
+  ServiceConfig Cfg = testConfig();
+  Cfg.StreamSeed = workloadMixSeed(Apps);
+  TaskPool Pool(1);
+  const MultiAppStats Good =
+      MultiAppService(Apps, Programs, M, Cfg, &RS, Pool).run();
+  ASSERT_EQ(checkServiceStats(Good), std::nullopt);
+  ASSERT_GE(Good.Total.Compiles.size(), 2u);
+
+  auto Broken = [&](const std::function<void(MultiAppStats &)> &Break) {
+    MultiAppStats St = Good;
+    Break(St);
+    return checkServiceStats(St).value_or("");
+  };
+  EXPECT_EQ(Broken([](MultiAppStats &St) { ++St.Total.Invocations; }),
+            "Baseline + Optimized == Invocations");
+  EXPECT_EQ(Broken([](MultiAppStats &St) { ++St.PerApp[1].Invocations; }),
+            "Baseline + Optimized == Invocations (app 1)");
+  EXPECT_EQ(Broken([](MultiAppStats &St) { ++St.Total.FinalQueueDepth; }),
+            "Promotions == CompiledMethods + FinalQueueDepth");
+  EXPECT_EQ(Broken([](MultiAppStats &St) { St.Total.Compiles.pop_back(); }),
+            "Compiles.size() == CompiledMethods");
+  EXPECT_EQ(Broken([](MultiAppStats &St) { ++St.PerApp[0].FilterWork; }),
+            "per-app integer fields sum to Total");
+  EXPECT_EQ(Broken([](MultiAppStats &St) {
+              St.Total.Compiles.front().FilterVersion = 2;
+            }),
+            "compile-pin versions never decrease");
+}
+
+TEST(MultiAppService, EmptyProgramTicksAdvanceTheSampler) {
+  // An app with no methods owns ticks that elapse without an invocation
+  // or a method draw -- but they still count toward the sampling stride,
+  // so which ticks are sampled never depends on who owns them.  Pinned at
+  // values taken from the modulo sampler (tick % SampleEvery == 0).
+  std::vector<AppSpec> Apps = testMix();
+  std::vector<Program> Programs = generateMixPrograms(Apps);
+  AppSpec Empty;
+  Empty.Spec.Name = "empty";
+  Empty.Weight = 2.0;
+  Apps.insert(Apps.begin() + 2, Empty);
+  Programs.insert(Programs.begin() + 2, Program("empty"));
+  MachineModel M = MachineModel::ppc7410();
+  RuleSet RS = testRules();
+  ServiceConfig Cfg = testConfig();
+  Cfg.SampleEvery = 3;
+  Cfg.StreamSeed = workloadMixSeed(Apps);
+  TaskPool Pool(2);
+  MultiAppStats St = MultiAppService(Apps, Programs, M, Cfg, &RS, Pool).run();
+
+  EXPECT_EQ(St.PerApp[2].Invocations, 0u);
+  EXPECT_EQ(St.Total.Invocations, 20000u);
+  EXPECT_EQ(St.Total.BaselineInvocations + St.Total.OptimizedInvocations,
+            13352u);
+  EXPECT_EQ(St.Total.SampledInvocations, 4427u);
+  EXPECT_EQ(St.Total.Promotions, 154u);
+  EXPECT_TRUE(sameBits(St.Total.AppTime, 0x1.57a20a5f30000p+37));
+  EXPECT_TRUE(sameBits(St.Total.BaselineAppTime, 0x1.59d40c2120000p+37));
+  // The accounting check allows exactly those idle ticks.
+  EXPECT_EQ(checkServiceStats(St), std::nullopt);
 }
 
 TEST(MultiAppService, ComparisonSharesPromotionDynamics) {

@@ -1,5 +1,6 @@
 //===- tests/support_test.cpp - support/ unit tests -------------------------===//
 
+#include "support/CdfTable.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
@@ -8,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 using namespace schedfilter;
@@ -152,6 +154,144 @@ TEST(Rng, ForkDependsOnParentState) {
   Rng A(31), B(32);
   Rng FA = A.fork(5), FB = B.fork(5);
   EXPECT_NE(FA.next64(), FB.next64());
+}
+
+TEST(Rng, UniformScalesNext53) {
+  Rng A(99), B(99);
+  for (int I = 0; I < 1000; ++I) {
+    uint64_t Raw = B.next53();
+    EXPECT_LT(Raw, uint64_t(1) << 53);
+    EXPECT_EQ(A.uniform(), static_cast<double>(Raw) * 0x1p-53);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// CdfTable: the guide table returns std::upper_bound's index, clamped to
+// the last entry, for every draw.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::vector<double> runningSum(const std::vector<double> &Weights) {
+  std::vector<double> Cum;
+  double Total = 0.0;
+  for (double W : Weights)
+    Cum.push_back(Total += W);
+  return Cum;
+}
+
+/// The recipe the table replaces: upper_bound on uniform() * Total.
+size_t upperBoundIndex(const std::vector<double> &Cum, double U) {
+  size_t I = static_cast<size_t>(
+      std::upper_bound(Cum.begin(), Cum.end(), U) - Cum.begin());
+  return std::min(I, Cum.size() - 1);
+}
+
+/// Checks \p T (built over \p Cum) against upper_bound on a seeded stream
+/// -- uniform() on one copy, next53() on the other -- and on the draws
+/// nearest each bucket edge and each CDF step.
+void expectUpperBoundIndex(const CdfTable &T, const std::vector<double> &Cum,
+                           Rng &Draws) {
+  const double Total = Cum.back();
+  for (int I = 0; I < 4000; ++I) {
+    Rng Ref = Draws;
+    ASSERT_EQ(T.index(Draws.next53()),
+              upperBoundIndex(Cum, Ref.uniform() * Total));
+  }
+  const uint64_t Top = (uint64_t(1) << 53) - 1;
+  std::vector<uint64_t> Raws = {0, 1, Top - 1, Top};
+  for (unsigned K = 1; K <= 12; ++K)
+    for (uint64_t B = 1; B < (uint64_t(1) << K); ++B) {
+      Raws.push_back(B << (53 - K));
+      Raws.push_back((B << (53 - K)) - 1);
+    }
+  for (double C : Cum) {
+    double Edge = Total > 0.0 ? C / Total * 0x1p53 : 0.0;
+    uint64_t R = static_cast<uint64_t>(std::min(Edge, 0x1p53 - 1));
+    for (uint64_t Near = R > 2 ? R - 2 : 0; Near <= std::min(Top, R + 2);
+         ++Near)
+      Raws.push_back(Near);
+  }
+  for (uint64_t Raw : Raws)
+    ASSERT_EQ(T.index(Raw),
+              upperBoundIndex(Cum, static_cast<double>(Raw) * 0x1p-53 * Total))
+        << "raw draw " << Raw;
+}
+
+} // namespace
+
+TEST(CdfTable, ZeroWeightRunsGiveDuplicateSteps) {
+  std::vector<double> Cum =
+      runningSum({0, 0, 3, 0, 0, 0, 1, 0, 2, 0, 0, 5, 0, 0, 0, 0, 1, 0, 0});
+  Rng R(1);
+  expectUpperBoundIndex(CdfTable(Cum), Cum, R);
+}
+
+TEST(CdfTable, OneDominantWeight) {
+  for (const std::vector<double> &W :
+       {std::vector<double>{1e-9, 1e9, 1e-9, 1e-9},
+        std::vector<double>{1, 1, 1e12, 1, 1, 1, 1},
+        std::vector<double>{7e15, 1, 1, 1}}) {
+    std::vector<double> Cum = runningSum(W);
+    Rng R(2);
+    expectUpperBoundIndex(CdfTable(Cum), Cum, R);
+  }
+}
+
+TEST(CdfTable, SingleEntry) {
+  std::vector<double> Cum = {5.0};
+  CdfTable T(Cum);
+  Rng R(3);
+  expectUpperBoundIndex(T, Cum, R);
+  EXPECT_EQ(T.size(), 1u);
+  EXPECT_EQ(T.index((uint64_t(1) << 53) - 1), 0u);
+}
+
+TEST(CdfTable, DenormalWeightsAndDrawsThatRoundUpToTheTotal) {
+  // At denormal scale the product rounds onto the CDF steps themselves,
+  // and the largest draws round up to Cum.back(): upper_bound then
+  // returns n, which the table must clamp to n - 1 as the old recipe did.
+  const double D = 4.9406564584124654e-324; // smallest denormal
+  std::vector<double> Cum = runningSum({D, 2 * D, 0, D, 3 * D});
+  const uint64_t Top = (uint64_t(1) << 53) - 1;
+  ASSERT_EQ(static_cast<double>(Top) * 0x1p-53 * Cum.back(), Cum.back());
+  ASSERT_EQ(static_cast<size_t>(std::upper_bound(Cum.begin(), Cum.end(),
+                                                 Cum.back()) -
+                                Cum.begin()),
+            Cum.size());
+  CdfTable T(Cum);
+  EXPECT_EQ(T.index(Top), Cum.size() - 1);
+  Rng R(4);
+  expectUpperBoundIndex(T, Cum, R);
+}
+
+TEST(CdfTable, AllZeroWeightsAndEmptySums) {
+  std::vector<double> Cum = runningSum({0, 0, 0});
+  CdfTable T(Cum);
+  EXPECT_EQ(T.total(), 0.0);
+  Rng R(5);
+  expectUpperBoundIndex(T, Cum, R);
+  // An empty sum (an app without methods) is a table of total 0.
+  T.rebuild({});
+  EXPECT_EQ(T.size(), 0u);
+  EXPECT_EQ(T.total(), 0.0);
+}
+
+TEST(CdfTable, RebuiltMidStreamAsDriftDoes) {
+  // One table, rebuilt between stretches of a continuing stream (the
+  // per-epoch interleave under mix drift), growing and shrinking.
+  CdfTable T;
+  Rng Draws(6);
+  Rng Drift(7);
+  for (int Epoch = 0; Epoch < 40; ++Epoch) {
+    std::vector<double> W(1 + Drift.below(Epoch % 2 ? 40 : 5));
+    for (double &X : W)
+      X = Drift.chance(0.2) ? 0.0 : Drift.uniform(0.01, 3.0);
+    std::vector<double> Cum = runningSum(W);
+    T.rebuild(Cum);
+    EXPECT_EQ(T.size(), Cum.size());
+    expectUpperBoundIndex(T, Cum, Draws);
+  }
 }
 
 TEST(Statistics, MeanAndMedian) {

@@ -266,6 +266,12 @@ int serve(const CommandLine &CL, const std::vector<AppSpec> &Apps,
       std::move(SeedRecords), Registry ? &*Registry : nullptr, Session,
       Model.getName());
   Wall.stop();
+  for (const MultiAppStats *Run : {&Cmp.Always, &Cmp.Filtered})
+    if (std::optional<std::string> Broken = checkServiceStats(*Run)) {
+      std::cerr << "error: the " << (Run == &Cmp.Always ? "LS" : "L/N")
+                << " run broke an accounting identity: " << *Broken << "\n";
+      return 1;
+    }
 
   // --- Deterministic report (stdout). ---
   const ServiceStats &LS = Cmp.Always.Total;
