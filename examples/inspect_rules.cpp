@@ -12,7 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "harness/Experiments.h"
+#include "harness/ParallelExperiments.h"
 #include "ml/Ripper.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
@@ -52,11 +52,12 @@ int main() {
   std::vector<BenchmarkSpec> Suite = specjvm98Suite();
   for (BenchmarkSpec &S : Suite)
     S.NumMethods = 60;
-  std::vector<BenchmarkRun> Runs = generateSuiteData(Suite, Model);
+  ExperimentEngine Engine;
+  std::vector<BenchmarkRun> Runs = Engine.generateSuiteData(Suite, Model);
 
   std::map<std::string, size_t> FeatureUse;
   for (double T : {0.0, 20.0, 40.0}) {
-    std::vector<Dataset> Labeled = labelSuite(Runs, T);
+    std::vector<Dataset> Labeled = Engine.labelSuite(Runs, T);
     Dataset All("all");
     for (const Dataset &D : Labeled)
       All.append(D);

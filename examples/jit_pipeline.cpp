@@ -10,7 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "harness/Experiments.h"
+#include "harness/ParallelExperiments.h"
 #include "ml/Ripper.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
@@ -28,7 +28,8 @@ int main() {
   std::vector<BenchmarkSpec> Suite = specjvm98Suite();
   for (BenchmarkSpec &S : Suite)
     S.NumMethods = 60;
-  std::vector<BenchmarkRun> Runs = generateSuiteData(Suite, Model);
+  std::vector<BenchmarkRun> Runs =
+      ExperimentEngine().generateSuiteData(Suite, Model);
 
   Dataset Train("train");
   const BenchmarkRun *Target = nullptr;

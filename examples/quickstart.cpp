@@ -9,7 +9,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "filter/Pipeline.h"
-#include "harness/Experiments.h"
+#include "harness/ParallelExperiments.h"
 #include "ml/Ripper.h"
 #include "sched/ScheduleVerifier.h"
 
@@ -46,8 +46,9 @@ int main() {
   std::vector<BenchmarkSpec> Suite = specjvm98Suite();
   for (BenchmarkSpec &S : Suite)
     S.NumMethods = 12; // keep the quickstart fast
-  std::vector<BenchmarkRun> Runs = generateSuiteData(Suite, Model);
-  std::vector<Dataset> Labeled = labelSuite(Runs, /*ThresholdPct=*/0.0);
+  ExperimentEngine Engine;
+  std::vector<BenchmarkRun> Runs = Engine.generateSuiteData(Suite, Model);
+  std::vector<Dataset> Labeled = Engine.labelSuite(Runs, /*ThresholdPct=*/0.0);
 
   Dataset Train("all");
   for (const Dataset &D : Labeled)

@@ -14,7 +14,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "harness/Experiments.h"
+#include "harness/ParallelExperiments.h"
 #include "ml/Metrics.h"
 #include "ml/Ripper.h"
 #include "support/Statistics.h"
@@ -37,7 +37,8 @@ int main(int argc, char **argv) {
   std::vector<BenchmarkSpec> Suite = specjvm98Suite();
   for (BenchmarkSpec &S : Suite)
     S.NumMethods = 60; // reduced for example runtime
-  std::vector<BenchmarkRun> Runs = generateSuiteData(Suite, Model);
+  ExperimentEngine Engine;
+  std::vector<BenchmarkRun> Runs = Engine.generateSuiteData(Suite, Model);
   size_t Blocks = 0;
   for (const BenchmarkRun &R : Runs)
     Blocks += R.Records.size();
@@ -46,7 +47,7 @@ int main(int argc, char **argv) {
 
   // Step 2: threshold labeling.
   std::cout << "== Step 2: labeling at t = " << Threshold << "% ==\n";
-  std::vector<Dataset> Labeled = labelSuite(Runs, Threshold);
+  std::vector<Dataset> Labeled = Engine.labelSuite(Runs, Threshold);
   Dataset All("all");
   for (const Dataset &D : Labeled)
     All.append(D);

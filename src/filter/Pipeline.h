@@ -62,10 +62,10 @@ CompileReport compileProgram(const Program &P, const MachineModel &Model,
                              SchedulingPolicy Policy,
                              ScheduleFilter *Filter = nullptr);
 
-/// Context-reuse variant: identical report, but all per-block scratch
-/// (DAG adjacency, ready queues, scoreboards, order buffers) lives in
-/// \p Ctx, so compiling block after block -- and program after program
-/// with the same context -- performs zero steady-state allocations.
+/// Context-reuse variant: identical report, but the per-block scratch
+/// (DAG adjacency, ready queues, scoreboards) lives in \p Ctx, so
+/// compiling block after block -- and program after program with the
+/// same context -- performs zero steady-state allocations.
 CompileReport compileProgram(const Program &P, const MachineModel &Model,
                              SchedulingPolicy Policy, ScheduleFilter *Filter,
                              SchedContext &Ctx);

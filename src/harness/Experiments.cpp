@@ -1,42 +1,10 @@
-//===- harness/Experiments.cpp - Paper experiment drivers -------------------===//
-//
-// The serial entry points are thin wrappers over a one-job
-// ExperimentEngine (harness/ParallelExperiments.h): one implementation,
-// one set of numbers, at any --jobs value.
-//
-//===----------------------------------------------------------------------===//
+//===- harness/Experiments.cpp - Paper experiment data types ----------------===//
 
 #include "harness/Experiments.h"
 
-#include "harness/ParallelExperiments.h"
 #include "ml/Ripper.h"
 
 using namespace schedfilter;
-
-std::vector<BenchmarkRun>
-schedfilter::generateSuiteData(const std::vector<BenchmarkSpec> &Suite,
-                               const MachineModel &Model) {
-  return ExperimentEngine(1).generateSuiteData(Suite, Model);
-}
-
-std::vector<Dataset>
-schedfilter::labelSuite(const std::vector<BenchmarkRun> &Suite,
-                        double ThresholdPct) {
-  return ExperimentEngine(1).labelSuite(Suite, ThresholdPct);
-}
-
-ThresholdResult
-schedfilter::runThreshold(const std::vector<BenchmarkRun> &Suite,
-                          double ThresholdPct, const LearnerFn &Learner) {
-  return ExperimentEngine(1).runThreshold(Suite, ThresholdPct, Learner);
-}
-
-std::vector<ThresholdResult>
-schedfilter::runThresholdSweep(const std::vector<BenchmarkRun> &Suite,
-                               const std::vector<double> &Thresholds,
-                               const LearnerFn &Learner) {
-  return ExperimentEngine(1).runThresholdSweep(Suite, Thresholds, Learner);
-}
 
 std::vector<double> schedfilter::paperThresholds() {
   std::vector<double> T;

@@ -1,12 +1,13 @@
-//===- harness/Experiments.h - Paper experiment drivers ---------*- C++ -*-===//
+//===- harness/Experiments.h - Paper experiment data types ------*- C++ -*-===//
 ///
 /// \file
-/// Drivers that reproduce the paper's evaluation: generate the benchmark
-/// suites, collect per-block raw records (features + simulated cost with
-/// and without list scheduling + profile weight), run leave-one-out
-/// cross-validated training at each threshold t, and package everything
-/// Tables 3-6 and Figures 1-3 need.  The bench/ binaries are thin wrappers
-/// over these functions.
+/// The vocabulary of the paper's evaluation: a traced benchmark (its
+/// program, per-block raw records -- features + simulated cost with and
+/// without list scheduling + profile weight -- and its two fixed-policy
+/// compile reports), everything measured at one threshold t, the
+/// paper's threshold grid and the default learner.  ExperimentEngine
+/// (harness/ParallelExperiments.h) is the one entry that produces them;
+/// sf-report prints Tables 3-6 and Figures 1-4 from its results.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,9 +38,10 @@ constexpr uint32_t TracePipelineVersion = 1;
 /// reports.
 struct BenchmarkRun {
   std::string Name;
-  /// Name of the MachineModel the records and reports were generated
-  /// under (set by generateSuiteData); runThreshold recompiles under the
-  /// same target so cross-model experiments stay consistent.
+  /// Name of the MachineModel the fixed-policy reports were priced under
+  /// (set by ExperimentEngine::generateSuiteData, moved by a mistune noise
+  /// source); runThreshold recompiles each run under its own model so
+  /// cross-model experiments stay consistent.
   std::string ModelName;
   Program Prog;
   std::vector<BlockRecord> Records;
@@ -48,18 +50,6 @@ struct BenchmarkRun {
 
   BenchmarkRun() : Prog("") {}
 };
-
-/// Generates programs for \p Suite, simulates every block unscheduled and
-/// list-scheduled (the instrumented-scheduler step of §2.2), and compiles
-/// each program under the NS and LS fixed policies.
-std::vector<BenchmarkRun>
-generateSuiteData(const std::vector<BenchmarkSpec> &Suite,
-                  const MachineModel &Model);
-
-/// Labels every benchmark's records at threshold \p ThresholdPct (dropping
-/// the (0, t] noise band), one Dataset per benchmark, in suite order.
-std::vector<Dataset> labelSuite(const std::vector<BenchmarkRun> &Suite,
-                                double ThresholdPct);
 
 /// Everything measured at one threshold value, per benchmark (parallel
 /// arrays in suite order) plus suite-level aggregates.
@@ -91,19 +81,6 @@ struct ThresholdResult {
   /// the tests).
   std::vector<RuleSet> Filters;
 };
-
-/// Runs the full experiment at one threshold: label, LOOCV-train with
-/// \p Learner, evaluate, and compile each program under its held-out
-/// filter.
-ThresholdResult runThreshold(const std::vector<BenchmarkRun> &Suite,
-                             double ThresholdPct, const LearnerFn &Learner);
-
-/// Sweeps thresholds (the paper uses 0..50 step 5) and returns one
-/// ThresholdResult per value.
-std::vector<ThresholdResult>
-runThresholdSweep(const std::vector<BenchmarkRun> &Suite,
-                  const std::vector<double> &Thresholds,
-                  const LearnerFn &Learner);
 
 /// The paper's threshold grid: {0, 5, ..., 50}.
 std::vector<double> paperThresholds();

@@ -14,24 +14,28 @@ using namespace schedfilter;
 
 namespace {
 
-/// The §2.2 instrumented-scheduler pass plus the two fixed-policy compile
-/// reports for one benchmark; fills \p Run.Records and the reports from
-/// the already-generated Run.Prog.  All per-block work reuses \p Ctx, so
-/// this is the allocation-free steady state the SchedContext refactor
-/// bought; a pure function of (Run.Prog, Model) -- safe at any
-/// parallelism.
+/// The §2.2 instrumented-scheduler pass for one benchmark: fills
+/// \p Run.Records and both fixed-policy reports from the
+/// already-generated Run.Prog.  Each block is scheduled once and
+/// simulated twice: the LS report accumulates during the trace, and the
+/// NS report is the records' unscheduled costs folded in record order --
+/// the fold compileProgram runs under the Never policy, so both reports
+/// equal compileProgram's bit for bit (wall time aside).  All per-block
+/// work reuses \p Ctx; a pure function of (Run.Prog, Model) -- safe at
+/// any parallelism.
 void traceBenchmark(BenchmarkRun &Run, const MachineModel &Model,
                     SchedContext &Ctx) {
-  // For every block, record its features and its simulated cost with and
-  // without list scheduling: the one trace recipe, method by method.
   MethodCompiler MC(Model, Ctx);
+  Run.AlwaysReport.Policy = SchedulingPolicy::Always;
   for (const Method &M : Run.Prog)
-    MC.traceMethod(M, Run.Records);
+    MC.traceMethod(M, Run.Records, Run.AlwaysReport);
 
-  Run.NeverReport =
-      compileProgram(Run.Prog, Model, SchedulingPolicy::Never, nullptr, Ctx);
-  Run.AlwaysReport =
-      compileProgram(Run.Prog, Model, SchedulingPolicy::Always, nullptr, Ctx);
+  Run.NeverReport.Policy = SchedulingPolicy::Never;
+  for (const BlockRecord &Rec : Run.Records) {
+    Run.NeverReport.SimulatedTime += static_cast<double>(Rec.ExecCount) *
+                                     static_cast<double>(Rec.CostNoSched);
+    ++Run.NeverReport.NumBlocks;
+  }
 }
 
 /// Everything runThreshold measures for one held-out benchmark.
@@ -148,10 +152,17 @@ ExperimentEngine::labelSuite(const std::vector<BenchmarkRun> &Suite,
 ThresholdResult
 ExperimentEngine::runThreshold(const std::vector<BenchmarkRun> &Suite,
                                double ThresholdPct, const LearnerFn &Learner) {
+  return runThreshold(Suite, labelSuite(Suite, ThresholdPct), ThresholdPct,
+                      Learner);
+}
+
+ThresholdResult
+ExperimentEngine::runThreshold(const std::vector<BenchmarkRun> &Suite,
+                               const std::vector<Dataset> &Labeled,
+                               double ThresholdPct, const LearnerFn &Learner) {
+  assert(Labeled.size() == Suite.size() && "one dataset per benchmark");
   ThresholdResult Result;
   Result.ThresholdPct = ThresholdPct;
-
-  std::vector<Dataset> Labeled = labelSuite(Suite, ThresholdPct);
   for (const Dataset &D : Labeled) {
     Result.TrainLS += D.countLabel(Label::LS);
     Result.TrainNS += D.countLabel(Label::NS);
@@ -160,17 +171,15 @@ ExperimentEngine::runThreshold(const std::vector<BenchmarkRun> &Suite,
   std::vector<LoocvFold> Folds = leaveOneOut(Labeled, Learner, Pool);
   assert(Folds.size() == Suite.size() && "one fold per benchmark");
 
-  // Recompile under the same target the suite data was generated with
-  // (generateSuiteData records it); fall back to the paper's target for
-  // hand-assembled runs.
-  MachineModel Model = MachineModel::ppc7410();
-  if (!Suite.empty() && !Suite.front().ModelName.empty())
-    if (std::optional<MachineModel> M =
-            MachineModel::byName(Suite.front().ModelName))
-      Model = *M;
-
+  // Recompile each benchmark under the target its fixed-policy reports
+  // were priced on (generateSuiteData, or a mistune noise source, records
+  // it); fall back to the paper's target for hand-assembled runs.
   std::vector<PerBenchmarkEval> Evals(Suite.size());
   Pool.parallelFor(Suite.size(), [&](size_t B) {
+    MachineModel Model = MachineModel::ppc7410();
+    if (std::optional<MachineModel> M =
+            MachineModel::byName(Suite[B].ModelName))
+      Model = *M;
     SchedContext Ctx;
     Evals[B] = evaluateBenchmark(Suite[B], Folds[B].Filter, Labeled[B],
                                  Model, Ctx);

@@ -1,15 +1,15 @@
 //===- harness/ParallelExperiments.h - Deterministic parallel engine -*- C++ -*-===//
 ///
 /// \file
-/// The parallel experiment engine: fans suite data generation, threshold
-/// sweeps and LOOCV folds out across a fixed TaskPool, with per-task
-/// SchedContext arenas and (for stochastic tasks) per-task forked Rng
-/// streams.
+/// The experiment engine, the one harness entry: fans suite data
+/// generation, threshold sweeps and LOOCV folds out across a fixed
+/// TaskPool, with per-task SchedContext arenas and (for stochastic tasks)
+/// per-task forked Rng streams.  A one-job engine is the serial harness;
+/// sf-report, the bench binaries, the robustness frontier
+/// (noise/Robustness.h), the tests and the examples all run through it.
 ///
 /// The determinism contract: every method returns bit-for-bit the same
-/// result at any job count, equal to the serial functions in
-/// Experiments.h/CrossValidation.h (which are thin wrappers over a
-/// one-job engine).  Three properties deliver it:
+/// result at any job count.  Three properties deliver it:
 ///   1. every task is a pure function of its own inputs -- workloads are
 ///      generated from per-benchmark seeds, learners seed their own Rng,
 ///      and any task-level randomness comes from Rng::fork(taskIndex);
@@ -60,23 +60,38 @@ public:
   /// counter the cache tests pin this guarantee with.
   uint64_t tracedBlocks() const { return TracedBlocks.load(); }
 
-  /// Parallel-by-benchmark counterpart of schedfilter::generateSuiteData.
+  /// Traces every benchmark of \p Suite on \p Model, parallel by
+  /// benchmark: generates its program and runs the §2.2
+  /// instrumented-scheduler pass, which schedules each block once and
+  /// yields the records plus the NS and LS fixed-policy reports.
   std::vector<BenchmarkRun>
   generateSuiteData(const std::vector<BenchmarkSpec> &Suite,
                     const MachineModel &Model);
 
-  /// Parallel-by-benchmark counterpart of schedfilter::labelSuite.
+  /// Labels every benchmark's records at threshold \p ThresholdPct
+  /// (dropping the (0, t] noise band), one Dataset per benchmark, in
+  /// suite order; parallel by benchmark.
   std::vector<Dataset> labelSuite(const std::vector<BenchmarkRun> &Suite,
                                   double ThresholdPct);
 
-  /// Parallel counterpart of schedfilter::runThreshold: LOOCV folds and
-  /// the per-benchmark evaluation/recompilation both fan out.
+  /// Runs the full experiment at one threshold: label, LOOCV-train with
+  /// \p Learner, evaluate, and recompile each program under its held-out
+  /// filter and its own run's model.  LOOCV folds and the per-benchmark
+  /// evaluation both fan out.
   ThresholdResult runThreshold(const std::vector<BenchmarkRun> &Suite,
                                double ThresholdPct, const LearnerFn &Learner);
 
-  /// Parallel counterpart of schedfilter::runThresholdSweep: thresholds
-  /// fan out across the pool; each threshold's inner layers run inline on
-  /// the worker that owns it (TaskPool nesting).
+  /// runThreshold over datasets the caller already labeled (one per run,
+  /// in suite order) -- e.g. through a noise stack's label hooks.
+  /// \p ThresholdPct is reported, not re-applied.
+  ThresholdResult runThreshold(const std::vector<BenchmarkRun> &Suite,
+                               const std::vector<Dataset> &Labeled,
+                               double ThresholdPct, const LearnerFn &Learner);
+
+  /// Sweeps thresholds (the paper uses paperThresholds()) and returns one
+  /// ThresholdResult per value: thresholds fan out across the pool; each
+  /// threshold's inner layers run inline on the worker that owns it
+  /// (TaskPool nesting).
   std::vector<ThresholdResult>
   runThresholdSweep(const std::vector<BenchmarkRun> &Suite,
                     const std::vector<double> &Thresholds,

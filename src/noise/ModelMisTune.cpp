@@ -5,8 +5,8 @@
 /// keep the costs traced under the *training* model -- that is the
 /// mis-tuning -- while the run's ModelName and fixed-policy reports are
 /// recomputed under the serve model, so downstream evaluation
-/// (runThreshold recompiles under Suite.front().ModelName) prices every
-/// schedule on the machine the filter actually serves.  Train on
+/// (runThreshold recompiles each run under its own ModelName) prices
+/// every schedule on the machine the filter actually serves.  Train on
 /// ppc7410, serve on ppc970.  Draws no randomness.
 ///
 //===----------------------------------------------------------------------===//

@@ -3,7 +3,6 @@
 #include "noise/Robustness.h"
 
 #include "support/Statistics.h"
-#include "target/MachineModel.h"
 
 #include <cassert>
 
@@ -45,49 +44,23 @@ RobustnessPoint schedfilter::runRobustnessPoint(ExperimentEngine &Engine,
                                                 std::vector<BenchmarkRun> Suite,
                                                 const NoiseStack &Stack,
                                                 double ThresholdPct) {
-  TaskPool &Pool = Engine.pool();
-  Stack.perturbSuite(Suite, Pool);
-
-  std::vector<Dataset> Labeled = Stack.labelSuite(Suite, ThresholdPct, Pool);
-  std::vector<LoocvFold> Folds = leaveOneOut(Labeled, ripperLearner(), Pool);
+  Stack.perturbSuite(Suite, Engine.pool());
+  // runThreshold prices every held-out filter under the run's own model
+  // -- after a mistune source this is the serve model, matching the
+  // recomputed fixed-policy reports.
+  ThresholdResult R = Engine.runThreshold(
+      Suite, Stack.labelSuite(Suite, ThresholdPct, Engine.pool()),
+      ThresholdPct, ripperLearner());
 
   RobustnessPoint P;
   P.Stack = Stack.describe();
-  for (const Dataset &D : Labeled) {
-    P.TrainLS += D.countLabel(Label::LS);
-    P.TrainNS += D.countLabel(Label::NS);
-  }
-
-  // Price every held-out filter under the run's own model -- after a
-  // mistune source this is the serve model, matching the recomputed
-  // fixed-policy reports.
-  std::vector<double> Effort(Suite.size()), AppLN(Suite.size()),
-      AppLS(Suite.size());
-  std::vector<uint64_t> Scheduled(Suite.size()), Blocks(Suite.size());
-  Pool.parallelFor(Suite.size(), [&](size_t B) {
-    const BenchmarkRun &Run = Suite[B];
-    std::optional<MachineModel> Model = MachineModel::byName(Run.ModelName);
-    assert(Model && "BenchmarkRun carries a registered model name");
-    ScheduleFilter F(Folds[B].Filter);
-    CompileReport LN =
-        compileProgram(Run.Prog, *Model, SchedulingPolicy::Filtered, &F);
-    Effort[B] =
-        safeRatio(static_cast<double>(LN.SchedulingWork),
-                  static_cast<double>(Run.AlwaysReport.SchedulingWork));
-    AppLN[B] = LN.SimulatedTime / Run.NeverReport.SimulatedTime;
-    AppLS[B] =
-        Run.AlwaysReport.SimulatedTime / Run.NeverReport.SimulatedTime;
-    Scheduled[B] = LN.NumScheduled;
-    Blocks[B] = LN.NumBlocks;
-  });
-  for (size_t B = 0; B != Suite.size(); ++B) {
-    P.RuntimeLS += Scheduled[B];
-    P.RuntimeBlocks += Blocks[B];
-  }
-
-  P.EffortRatio = geometricMean(Effort);
-  P.AppTimeLN = geometricMean(AppLN);
-  P.AppTimeLS = geometricMean(AppLS);
+  P.TrainLS = R.TrainLS;
+  P.TrainNS = R.TrainNS;
+  P.RuntimeLS = R.RuntimeLS;
+  P.RuntimeBlocks = R.RuntimeLS + R.RuntimeNS;
+  P.EffortRatio = geometricMean(R.EffortRatioWork);
+  P.AppTimeLN = geometricMean(R.AppRatioLN);
+  P.AppTimeLS = geometricMean(R.AppRatioLS);
   P.Retention = safeRatio(1.0 - P.AppTimeLN, 1.0 - P.AppTimeLS);
   P.WinMargin = P.Retention - P.EffortRatio;
   return P;

@@ -58,11 +58,12 @@ NoiseStack robustnessStack(unsigned Level, uint64_t Seed);
 
 /// Evaluates one point: perturbs \p Suite through \p Stack (by value --
 /// the caller's clean suite is untouched), labels at \p ThresholdPct
-/// with the stack's label hooks, LOOCV-trains RIPPER, and prices every
+/// with the stack's label hooks, and hands the labeled suite to
+/// Engine.runThreshold with RIPPER, which LOOCV-trains and prices every
 /// held-out filter against the run's own fixed-policy reports under the
-/// run's (possibly mis-tuned) model.  Deterministic at any job count:
-/// perturbation, labeling, folds and evaluation all fan out over
-/// index-owned slots.
+/// run's (possibly mis-tuned) model.  The point is read off the
+/// ThresholdResult.  Deterministic at any job count: perturbation,
+/// labeling, folds and evaluation all fan out over index-owned slots.
 RobustnessPoint runRobustnessPoint(ExperimentEngine &Engine,
                                    std::vector<BenchmarkRun> Suite,
                                    const NoiseStack &Stack,

@@ -13,7 +13,7 @@ using namespace schedfilter;
 MethodCompiler::MethodCompiler(const MachineModel &Model, SchedContext &Ctx)
     : Scheduler(Model), Sim(Model), Ctx(Ctx) {}
 
-void MethodCompiler::compileMethod(const Method &M, SchedulingPolicy Policy,
+void MethodCompiler::schedulePhase(const Method &M, SchedulingPolicy Policy,
                                    ScheduleFilter *Filter,
                                    CompileReport &Report) {
   assert((Policy == SchedulingPolicy::Filtered) == (Filter != nullptr) &&
@@ -30,12 +30,12 @@ void MethodCompiler::compileMethod(const Method &M, SchedulingPolicy Policy,
       BlockPtrs.push_back(&BB);
   }
 
-  // Phase 1 (timed): the scheduling phase proper -- filter decisions plus
-  // list scheduling of the chosen blocks.  One timer spans the whole
-  // phase, like the paper's per-phase compiler timers; the filter's cost
-  // is thereby charged to scheduling (§3.1).  Under the Filtered policy
-  // all of the method's decisions are made up front in one batch pass,
-  // which accumulates exactly the per-block counters and work units.
+  // The scheduling phase proper -- filter decisions plus list scheduling
+  // of the chosen blocks.  One timer spans the whole phase, like the
+  // paper's per-phase compiler timers; the filter's cost is thereby
+  // charged to scheduling (§3.1).  Under the Filtered policy all of the
+  // method's decisions are made up front in one batch pass, which
+  // accumulates exactly the per-block counters and work units.
   AccumulatingTimer SchedTimer;
   SchedTimer.start();
   if (Policy == SchedulingPolicy::Filtered)
@@ -55,10 +55,22 @@ void MethodCompiler::compileMethod(const Method &M, SchedulingPolicy Policy,
   SchedTimer.stop();
   Report.SchedulingSeconds += SchedTimer.seconds();
 
-  // Phase 2 (untimed): the paper's SIM(P) application-time metric,
-  // accumulated directly into Report in block order -- the flat
-  // left-to-right fold the bit-identity contract rests on.
-  B = 0;
+  if (Filter) {
+    uint64_t Delta = Filter->workUnits() - FilterWorkBefore;
+    Report.FilterWork += Delta;
+    Report.SchedulingWork += Delta;
+  }
+}
+
+void MethodCompiler::compileMethod(const Method &M, SchedulingPolicy Policy,
+                                   ScheduleFilter *Filter,
+                                   CompileReport &Report) {
+  schedulePhase(M, Policy, Filter, Report);
+
+  // The untimed SIM(P) application-time metric, accumulated directly
+  // into Report in block order -- the flat left-to-right fold the
+  // bit-identity contract rests on.
+  size_t B = 0;
   for (const BasicBlock &BB : M) {
     const std::vector<int> &Order = Orders[B++];
     uint64_t Cycles = Order.empty() ? Sim.simulate(BB, Ctx)
@@ -67,27 +79,26 @@ void MethodCompiler::compileMethod(const Method &M, SchedulingPolicy Policy,
         static_cast<double>(BB.getExecCount()) * static_cast<double>(Cycles);
     ++Report.NumBlocks;
   }
-
-  if (Filter) {
-    uint64_t Delta = Filter->workUnits() - FilterWorkBefore;
-    Report.FilterWork += Delta;
-    Report.SchedulingWork += Delta;
-  }
 }
 
 void MethodCompiler::traceMethod(const Method &M,
-                                 std::vector<BlockRecord> &Records) {
-  // The one trace recipe (the experiment engine's traceBenchmark loops
-  // this over a program): unscheduled cost first, then schedule and
-  // re-simulate.
-  std::vector<int> &Order = Ctx.orderBuffer();
+                                 std::vector<BlockRecord> &Records,
+                                 CompileReport &LSReport) {
+  // The one trace recipe: the LS compile's timed phase, then per block
+  // its features and its cost unscheduled and under the LS order.  The
+  // scheduled cost folds into LSReport exactly as compileMethod folds it
+  // under the Always policy.
+  schedulePhase(M, SchedulingPolicy::Always, nullptr, LSReport);
+  size_t B = 0;
   for (const BasicBlock &BB : M) {
     BlockRecord Rec;
     Rec.X = extractFeatures(BB);
     Rec.ExecCount = BB.getExecCount();
     Rec.CostNoSched = Sim.simulate(BB, Ctx);
-    Scheduler.schedule(BB, Ctx, Order);
-    Rec.CostSched = Sim.simulate(BB, Order, Ctx);
+    Rec.CostSched = Sim.simulate(BB, Orders[B++], Ctx);
+    LSReport.SimulatedTime += static_cast<double>(Rec.ExecCount) *
+                              static_cast<double>(Rec.CostSched);
+    ++LSReport.NumBlocks;
     Records.push_back(Rec);
   }
 }

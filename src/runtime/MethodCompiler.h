@@ -6,8 +6,9 @@
 /// recompilation queue retires.  filter/Pipeline's compileProgram is this
 /// fold looped over a program's methods, and the experiment engine's
 /// trace (harness/ParallelExperiments.cpp) is traceMethod looped the same
-/// way, so batch compilation, tracing and serving share one recipe.
-/// MethodCompiler depends only on filter/ and the layers below it.
+/// way.  Both run the same timed scheduling phase, so batch compilation,
+/// tracing and serving share one recipe.  MethodCompiler depends only on
+/// filter/ and the layers below it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,12 +47,17 @@ public:
   /// The §2.2 instrumented-scheduler pass over one method: appends one
   /// BlockRecord per block (features, simulated cost unscheduled and
   /// list-scheduled, profile weight) to \p Records, in block order.  The
-  /// experiment engine traces whole benchmarks with it, and the online
-  /// serving loop traces exactly the methods its optimizing tier
-  /// compiles.  A pure function of (method, model) -- safe at any
-  /// parallelism when each worker appends into its own index-owned
-  /// vector.
-  void traceMethod(const Method &M, std::vector<BlockRecord> &Records);
+  /// pass is compileMethod under the Always policy plus one unscheduled
+  /// simulation per block: it accumulates into \p LSReport exactly what
+  /// compileMethod(M, Always, nullptr, LSReport) would (bit-for-bit
+  /// SimulatedTime included), so one trace yields both the records and
+  /// the LS fixed-policy report.  The experiment engine traces whole
+  /// benchmarks with it, and the online serving loop traces exactly the
+  /// methods its optimizing tier compiles.  A pure function of (method,
+  /// model) -- safe at any parallelism when each worker appends into its
+  /// own index-owned vector.
+  void traceMethod(const Method &M, std::vector<BlockRecord> &Records,
+                   CompileReport &LSReport);
 
 private:
   ListScheduler Scheduler;
@@ -64,6 +70,13 @@ private:
   /// scheduling phase runs before simulation.  The outer vector only
   /// grows and each slot keeps its capacity across methods.
   std::vector<std::vector<int>> Orders;
+
+  /// The timed scheduling phase shared by compileMethod and traceMethod:
+  /// runs the filter batch, fills one order slot per block of \p M
+  /// (empty for a block left unscheduled), and charges counts, work
+  /// units and wall time to \p Report.
+  void schedulePhase(const Method &M, SchedulingPolicy Policy,
+                     ScheduleFilter *Filter, CompileReport &Report);
 };
 
 /// The profile-directed batch entry of the tiered-compilation subsystem,

@@ -415,7 +415,8 @@ MultiAppStats MultiAppService::run() {
                                    Report.SchedulingWork});
       if (Cfg.Online) {
         Records.clear();
-        MC.traceMethod(Meth, Records);
+        CompileReport TracedLS; // the trace's LS report; serving uses Report
+        MC.traceMethod(Meth, Records, TracedLS);
         St.Total.CorpusRecords += Records.size();
         Trainer.absorb(Records);
       }

@@ -52,10 +52,6 @@ public:
   /// until the next trace call on this context.
   SimTrace &trace() { return Trace; }
 
-  /// Reusable per-block order buffer for callers that schedule one block
-  /// at a time (e.g. the instrumented-scheduler pass).
-  std::vector<int> &orderBuffer() { return OrderBuffer; }
-
   /// Scratch for ScheduleFilter::shouldScheduleBatch: the SoA feature
   /// matrix, the non-gated block list with its original-index map, the
   /// compiled filter's predicate bit matrix, per-row results, and the
@@ -75,7 +71,6 @@ private:
   ListSchedulerScratch SchedScratch;
   SimScratch SimulatorScratch;
   SimTrace Trace;
-  std::vector<int> OrderBuffer;
   FeatureMatrix Features;
   std::vector<const BasicBlock *> BatchBlocks;
   std::vector<uint32_t> BatchRowIndex;

@@ -10,7 +10,7 @@
 
 #include "analysis/RuleAnalysis.h"
 
-#include "harness/Experiments.h"
+#include "harness/ParallelExperiments.h"
 #include "ml/Serialization.h"
 #include "support/Rng.h"
 
@@ -487,9 +487,10 @@ TEST(Golden, TrainedFilterLintStableAtZero) {
   // only strip redundant conditions) must be proven predict()-equivalent
   // on the exhaustive corner grid.
   MachineModel Model = MachineModel::ppc7410();
+  ExperimentEngine Engine;
   std::vector<BenchmarkRun> Suite =
-      generateSuiteData(specjvm98Suite(), Model);
-  std::vector<Dataset> Labeled = labelSuite(Suite, 0.0);
+      Engine.generateSuiteData(specjvm98Suite(), Model);
+  std::vector<Dataset> Labeled = Engine.labelSuite(Suite, 0.0);
   Dataset Train("minus-jack");
   for (size_t I = 0; I + 1 < Labeled.size(); ++I)
     Train.append(Labeled[I]);

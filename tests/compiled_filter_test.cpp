@@ -433,8 +433,9 @@ TEST(Golden, ServeStatsByteIdenticalAcrossEvaluators) {
   // interpreter oracle computes over the methods the service compiled.
   MachineModel Model = MachineModel::ppc7410();
   const BenchmarkSpec &Spec = *findBenchmarkSpec("db");
-  std::vector<BenchmarkRun> Runs = generateSuiteData({Spec}, Model);
-  RuleSet Rules = ripperLearner()(labelSuite(Runs, 0.0)[0]);
+  ExperimentEngine Engine;
+  std::vector<BenchmarkRun> Runs = Engine.generateSuiteData({Spec}, Model);
+  RuleSet Rules = ripperLearner()(Engine.labelSuite(Runs, 0.0)[0]);
   ServiceConfig Cfg;
   Cfg.StreamSeed = invocationStreamSeed(Spec.Seed);
 

@@ -350,6 +350,7 @@ TEST(CorpusCache, UnwritableDirectoryDegradesToTracing) {
   EXPECT_EQ(St.Stores, 0u);
 
   // Uncached reference must agree on every deterministic field.
-  std::vector<BenchmarkRun> Ref = generateSuiteData(Suite, Model);
+  std::vector<BenchmarkRun> Ref =
+      ExperimentEngine().generateSuiteData(Suite, Model);
   expectRunsIdentical(Ref, Runs, /*CompareWallTime=*/false);
 }

@@ -108,9 +108,9 @@ TEST(Determinism, SweepIdenticalAcrossJobCountsAndMatchesSerialApi) {
   std::vector<BenchmarkRun> Runs = Parallel.generateSuiteData(Suite, Model);
   std::vector<double> Thresholds = {0.0, 20.0, 50.0};
 
-  // The serial free functions are the reference implementation.
+  // A one-job engine is the serial reference implementation.
   std::vector<ThresholdResult> Serial =
-      runThresholdSweep(Runs, Thresholds, ripperLearner());
+      ExperimentEngine().runThresholdSweep(Runs, Thresholds, ripperLearner());
   std::vector<ThresholdResult> Threaded =
       Parallel.runThresholdSweep(Runs, Thresholds, ripperLearner());
 

@@ -25,10 +25,13 @@ using namespace schedfilter;
 
 namespace {
 
+/// The serial harness: a one-job engine spawns no threads.
+ExperimentEngine Serial;
+
 const std::vector<BenchmarkRun> &fullSuite() {
   static const std::vector<BenchmarkRun> Suite = [] {
     MachineModel Model = MachineModel::ppc7410();
-    return generateSuiteData(specjvm98Suite(), Model);
+    return Serial.generateSuiteData(specjvm98Suite(), Model);
   }();
   return Suite;
 }
@@ -47,7 +50,7 @@ TEST(Golden, SuitePopulation) {
 }
 
 TEST(Golden, Table5TrainingSetSizes) {
-  std::vector<Dataset> At0 = labelSuite(fullSuite(), 0.0);
+  std::vector<Dataset> At0 = Serial.labelSuite(fullSuite(), 0.0);
   size_t LS = 0, NS = 0;
   for (const Dataset &D : At0) {
     LS += D.countLabel(Label::LS);
@@ -59,14 +62,14 @@ TEST(Golden, Table5TrainingSetSizes) {
 }
 
 TEST(Golden, Table3ErrorGeomeanAtZero) {
-  ThresholdResult R = runThreshold(fullSuite(), 0.0, ripperLearner());
+  ThresholdResult R = Serial.runThreshold(fullSuite(), 0.0, ripperLearner());
   // Paper: 7.86.  Pinned with a tolerance that still catches regressions
   // an order of magnitude smaller than the paper-vs-us gap.
   EXPECT_NEAR(geometricMean(R.ErrorPct), 7.78, 0.75);
 }
 
 TEST(Golden, HeadlineFrontierAtZero) {
-  ThresholdResult R = runThreshold(fullSuite(), 0.0, ripperLearner());
+  ThresholdResult R = Serial.runThreshold(fullSuite(), 0.0, ripperLearner());
   double LS = geometricMean(R.AppRatioLS);
   double LN = geometricMean(R.AppRatioLN);
   double Retention = (1.0 - LN) / (1.0 - LS);
@@ -97,7 +100,7 @@ TEST(Golden, HeadlineNumbersIdenticalAtJobsFour) {
 
   // Bit-for-bit agreement with the serial path on every deterministic
   // output (wall-clock fields excluded by construction).
-  ThresholdResult S = runThreshold(fullSuite(), 0.0, ripperLearner());
+  ThresholdResult S = Serial.runThreshold(fullSuite(), 0.0, ripperLearner());
   EXPECT_EQ(R.ErrorPct, S.ErrorPct);
   EXPECT_EQ(R.PredictedTimePct, S.PredictedTimePct);
   EXPECT_EQ(R.EffortRatioWork, S.EffortRatioWork);
@@ -119,7 +122,7 @@ TEST(Golden, Table5IdenticalFromEveryArtifactSource) {
 
   auto CountAt0 = [](const std::vector<BenchmarkRun> &Runs) {
     std::pair<size_t, size_t> C{0, 0};
-    for (const Dataset &D : labelSuite(Runs, 0.0)) {
+    for (const Dataset &D : Serial.labelSuite(Runs, 0.0)) {
       C.first += D.countLabel(Label::LS);
       C.second += D.countLabel(Label::NS);
     }
@@ -198,8 +201,8 @@ TEST(Golden, ServeRecoupedHeadline) {
   // learner-dependent goldens.
   MachineModel Model = MachineModel::ppc7410();
   const BenchmarkSpec &Spec = *findBenchmarkSpec("db");
-  std::vector<BenchmarkRun> Runs = generateSuiteData({Spec}, Model);
-  RuleSet Rules = ripperLearner()(labelSuite(Runs, 0.0)[0]);
+  std::vector<BenchmarkRun> Runs = Serial.generateSuiteData({Spec}, Model);
+  RuleSet Rules = ripperLearner()(Serial.labelSuite(Runs, 0.0)[0]);
 
   ServiceConfig Cfg;
   Cfg.StreamSeed = invocationStreamSeed(Spec.Seed);
@@ -277,7 +280,7 @@ TEST(Golden, MixedServeStreamPinned) {
 }
 
 TEST(Golden, EffortCollapsesAtHighThreshold) {
-  ThresholdResult R = runThreshold(fullSuite(), 50.0, ripperLearner());
+  ThresholdResult R = Serial.runThreshold(fullSuite(), 50.0, ripperLearner());
   EXPECT_LT(geometricMean(R.EffortRatioWork), 0.15);
   EXPECT_LT(R.RuntimeLS, 400u);
 }
@@ -285,7 +288,7 @@ TEST(Golden, EffortCollapsesAtHighThreshold) {
 TEST(Golden, Figure4ShapeStable) {
   // Train on all-but-jack at t = 0 (the Figure 4 setting) and pin the
   // structural properties EXPERIMENTS.md describes.
-  std::vector<Dataset> Labeled = labelSuite(fullSuite(), 0.0);
+  std::vector<Dataset> Labeled = Serial.labelSuite(fullSuite(), 0.0);
   Dataset Train("minus-jack");
   for (size_t I = 0; I + 1 < Labeled.size(); ++I)
     Train.append(Labeled[I]);

@@ -1,12 +1,15 @@
 //===- tests/harness_test.cpp - harness/ unit tests ---------------------------===//
 
-#include "harness/Experiments.h"
+#include "harness/ParallelExperiments.h"
 #include "harness/TableRender.h"
+#include "workloads/WorkloadFamily.h"
 
 #include "TestHelpers.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <sstream>
 
 using namespace schedfilter;
@@ -14,11 +17,14 @@ using namespace schedfilter::test;
 
 namespace {
 
+/// The serial harness: a one-job engine spawns no threads.
+ExperimentEngine Serial;
+
 /// Shared tiny suite so the harness tests stay fast: generated once.
 const std::vector<BenchmarkRun> &tinySuite() {
   static const std::vector<BenchmarkRun> Suite = [] {
     MachineModel Model = MachineModel::ppc7410();
-    return generateSuiteData(shrinkSuite(specjvm98Suite(), 6), Model);
+    return Serial.generateSuiteData(shrinkSuite(specjvm98Suite(), 6), Model);
   }();
   return Suite;
 }
@@ -50,12 +56,50 @@ TEST(Experiments, RecordsMatchPolicyReports) {
     EXPECT_DOUBLE_EQ(NoSched, Run.NeverReport.SimulatedTime);
     EXPECT_DOUBLE_EQ(Sched, Run.AlwaysReport.SimulatedTime);
   }
+
+  // The trace derives both fixed-policy reports in one pass; each must
+  // equal a fresh compile under its policy on every deterministic field,
+  // SimulatedTime to the bit, on a small suite of every family.
+  auto Bits = [](double D) {
+    uint64_t U;
+    std::memcpy(&U, &D, sizeof(U));
+    return U;
+  };
+  auto ExpectSameReport = [&](const CompileReport &Traced,
+                              const CompileReport &Compiled,
+                              const std::string &Name) {
+    EXPECT_EQ(Traced.Policy, Compiled.Policy) << Name;
+    EXPECT_EQ(Traced.NumBlocks, Compiled.NumBlocks) << Name;
+    EXPECT_EQ(Traced.NumScheduled, Compiled.NumScheduled) << Name;
+    EXPECT_EQ(Traced.SchedulingWork, Compiled.SchedulingWork) << Name;
+    EXPECT_EQ(Traced.FilterWork, Compiled.FilterWork) << Name;
+    EXPECT_EQ(Bits(Traced.SimulatedTime), Bits(Compiled.SimulatedTime))
+        << Name;
+  };
+  MachineModel Model = MachineModel::ppc7410();
+  const std::vector<const WorkloadFamily *> &Families =
+      WorkloadRegistry::instance().families();
+  ASSERT_EQ(Families.size(), 5u);
+  for (const WorkloadFamily *F : Families) {
+    std::vector<BenchmarkSpec> Specs =
+        shrinkSuite(F->makeBenchmarkSuite(), 3);
+    Specs.resize(std::min<size_t>(Specs.size(), 3));
+    for (const BenchmarkRun &Run : Serial.generateSuiteData(Specs, Model)) {
+      std::string Name = std::string(F->name()) + "/" + Run.Name;
+      ExpectSameReport(
+          Run.NeverReport,
+          compileProgram(Run.Prog, Model, SchedulingPolicy::Never), Name);
+      ExpectSameReport(
+          Run.AlwaysReport,
+          compileProgram(Run.Prog, Model, SchedulingPolicy::Always), Name);
+    }
+  }
 }
 
 TEST(Experiments, LabelSuiteNamesAndNsInvariance) {
   const std::vector<BenchmarkRun> &Suite = tinySuite();
-  std::vector<Dataset> At0 = labelSuite(Suite, 0.0);
-  std::vector<Dataset> At30 = labelSuite(Suite, 30.0);
+  std::vector<Dataset> At0 = Serial.labelSuite(Suite, 0.0);
+  std::vector<Dataset> At30 = Serial.labelSuite(Suite, 30.0);
   ASSERT_EQ(At0.size(), Suite.size());
   for (size_t I = 0; I != Suite.size(); ++I) {
     EXPECT_EQ(At0[I].getName(), Suite[I].Name);
@@ -75,7 +119,7 @@ TEST(Experiments, PaperThresholdGrid) {
 }
 
 TEST(Experiments, RunThresholdFieldShapes) {
-  ThresholdResult R = runThreshold(tinySuite(), 0.0, ripperLearner());
+  ThresholdResult R = Serial.runThreshold(tinySuite(), 0.0, ripperLearner());
   EXPECT_EQ(R.Names.size(), 7u);
   EXPECT_EQ(R.ErrorPct.size(), 7u);
   EXPECT_EQ(R.PredictedTimePct.size(), 7u);
@@ -90,7 +134,7 @@ TEST(Experiments, RunThresholdFieldShapes) {
 }
 
 TEST(Experiments, RunThresholdValueRanges) {
-  ThresholdResult R = runThreshold(tinySuite(), 0.0, ripperLearner());
+  ThresholdResult R = Serial.runThreshold(tinySuite(), 0.0, ripperLearner());
   for (size_t I = 0; I != R.Names.size(); ++I) {
     EXPECT_GE(R.ErrorPct[I], 0.0);
     EXPECT_LE(R.ErrorPct[I], 100.0);
@@ -102,9 +146,29 @@ TEST(Experiments, RunThresholdValueRanges) {
   }
 }
 
+TEST(Experiments, RunThresholdPricesEachRunUnderItsOwnModel) {
+  // One suite traced on two targets: the filter that schedules every
+  // block must reproduce each run's own LS report exactly, which holds
+  // only when every run is recompiled under the model it was traced on.
+  std::vector<BenchmarkSpec> Specs = shrinkSuite(specjvm98Suite(), 4);
+  std::vector<BenchmarkRun> Suite =
+      Serial.generateSuiteData(Specs, MachineModel::ppc7410());
+  std::vector<BenchmarkRun> On970 =
+      Serial.generateSuiteData(Specs, MachineModel::ppc970());
+  for (BenchmarkRun &Run : On970)
+    Suite.push_back(std::move(Run));
+
+  LearnerFn AlwaysLS = [](const Dataset &) { return RuleSet(Label::LS); };
+  ThresholdResult R = Serial.runThreshold(Suite, 0.0, AlwaysLS);
+  ASSERT_EQ(R.AppRatioLN.size(), Suite.size());
+  for (size_t B = 0; B != Suite.size(); ++B)
+    EXPECT_EQ(R.AppRatioLN[B], R.AppRatioLS[B])
+        << R.Names[B] << " on " << Suite[B].ModelName;
+}
+
 TEST(Experiments, SweepCoversAllThresholds) {
   std::vector<ThresholdResult> Sweep =
-      runThresholdSweep(tinySuite(), {0.0, 25.0}, ripperLearner());
+      Serial.runThresholdSweep(tinySuite(), {0.0, 25.0}, ripperLearner());
   ASSERT_EQ(Sweep.size(), 2u);
   EXPECT_EQ(Sweep[0].ThresholdPct, 0.0);
   EXPECT_EQ(Sweep[1].ThresholdPct, 25.0);
@@ -115,7 +179,7 @@ TEST(Experiments, SweepCoversAllThresholds) {
 
 TEST(TableRender, Table3RowsAndHeader) {
   std::vector<ThresholdResult> Sweep =
-      runThresholdSweep(tinySuite(), {0.0, 20.0}, ripperLearner());
+      Serial.runThresholdSweep(tinySuite(), {0.0, 20.0}, ripperLearner());
   std::ostringstream OS;
   renderTable3(Sweep, OS);
   std::string Out = OS.str();
@@ -129,7 +193,7 @@ TEST(TableRender, Table3RowsAndHeader) {
 
 TEST(TableRender, Table4PercentOfUnscheduled) {
   std::vector<ThresholdResult> Sweep =
-      runThresholdSweep(tinySuite(), {0.0}, ripperLearner());
+      Serial.runThresholdSweep(tinySuite(), {0.0}, ripperLearner());
   std::ostringstream OS;
   renderTable4(Sweep, OS);
   EXPECT_NE(OS.str().find("percent of unscheduled"), std::string::npos);
@@ -137,7 +201,7 @@ TEST(TableRender, Table4PercentOfUnscheduled) {
 
 TEST(TableRender, Table5And6RowLayout) {
   std::vector<ThresholdResult> Sweep =
-      runThresholdSweep(tinySuite(), {0.0, 20.0}, ripperLearner());
+      Serial.runThresholdSweep(tinySuite(), {0.0, 20.0}, ripperLearner());
   std::ostringstream OS5, OS6;
   renderTable5(Sweep, OS5);
   renderTable6(Sweep, OS6);
@@ -149,7 +213,7 @@ TEST(TableRender, Table5And6RowLayout) {
 
 TEST(TableRender, FiguresAndHeadline) {
   std::vector<ThresholdResult> Sweep =
-      runThresholdSweep(tinySuite(), {0.0}, ripperLearner());
+      Serial.runThresholdSweep(tinySuite(), {0.0}, ripperLearner());
   std::ostringstream OS;
   renderEffortFigure(Sweep, false, OS);
   renderEffortFigure(Sweep, true, OS);
@@ -163,7 +227,7 @@ TEST(TableRender, FiguresAndHeadline) {
 }
 
 TEST(TableRender, InducedFilterPrintout) {
-  ThresholdResult R = runThreshold(tinySuite(), 0.0, ripperLearner());
+  ThresholdResult R = Serial.runThreshold(tinySuite(), 0.0, ripperLearner());
   std::ostringstream OS;
   renderInducedFilter(R.Filters[0], OS);
   EXPECT_NE(OS.str().find("(default) orig"), std::string::npos);

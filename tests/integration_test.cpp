@@ -7,7 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "harness/Experiments.h"
+#include "harness/ParallelExperiments.h"
 
 #include "TestHelpers.h"
 #include "ml/Metrics.h"
@@ -20,19 +20,22 @@ using namespace schedfilter::test;
 
 namespace {
 
+/// The serial harness: a one-job engine spawns no threads.
+ExperimentEngine Serial;
+
 /// Moderate-size suite: big enough for the learning signal, small enough
 /// for test time (~1s).
 const std::vector<BenchmarkRun> &suite() {
   static const std::vector<BenchmarkRun> Suite = [] {
     MachineModel Model = MachineModel::ppc7410();
-    return generateSuiteData(shrinkSuite(specjvm98Suite(), 30), Model);
+    return Serial.generateSuiteData(shrinkSuite(specjvm98Suite(), 30), Model);
   }();
   return Suite;
 }
 
 const ThresholdResult &atZero() {
   static const ThresholdResult R =
-      runThreshold(suite(), 0.0, ripperLearner());
+      Serial.runThreshold(suite(), 0.0, ripperLearner());
   return R;
 }
 
@@ -70,8 +73,8 @@ TEST(Reproduction, CrossValidatedErrorIsSingleDigit) {
 
 TEST(Reproduction, ErrorFallsAsThresholdRises) {
   double E0 = geometricMean(atZero().ErrorPct);
-  double E40 =
-      geometricMean(runThreshold(suite(), 40.0, ripperLearner()).ErrorPct);
+  double E40 = geometricMean(
+      Serial.runThreshold(suite(), 40.0, ripperLearner()).ErrorPct);
   EXPECT_LT(E40, E0 * 0.5);
 }
 
@@ -85,7 +88,7 @@ TEST(Reproduction, FilterCutsSchedulingEffort) {
 TEST(Reproduction, EffortFallsMonotonicallyWithThreshold) {
   // Figure 2(a): geometric-mean effort declines as t grows.
   std::vector<ThresholdResult> Sweep =
-      runThresholdSweep(suite(), {0.0, 20.0, 40.0}, ripperLearner());
+      Serial.runThresholdSweep(suite(), {0.0, 20.0, 40.0}, ripperLearner());
   double E0 = geometricMean(Sweep[0].EffortRatioWork);
   double E20 = geometricMean(Sweep[1].EffortRatioWork);
   double E40 = geometricMean(Sweep[2].EffortRatioWork);
@@ -112,7 +115,7 @@ TEST(Reproduction, FilteredNeverWorseThanNeverScheduling) {
 TEST(Reproduction, PredictedTimesImproveAtAllThresholds) {
   // Table 4: "the model predicts improvements at all thresholds."
   for (double T : {0.0, 20.0, 50.0}) {
-    ThresholdResult R = runThreshold(suite(), T, ripperLearner());
+    ThresholdResult R = Serial.runThreshold(suite(), T, ripperLearner());
     EXPECT_LE(geometricMean(R.PredictedTimePct), 100.0) << "t=" << T;
   }
 }
@@ -124,7 +127,7 @@ TEST(Reproduction, RuntimeLsSharePlausible) {
   double Share0 = static_cast<double>(R0.RuntimeLS) /
                   static_cast<double>(R0.RuntimeLS + R0.RuntimeNS);
   EXPECT_LT(Share0, 0.45);
-  ThresholdResult R30 = runThreshold(suite(), 30.0, ripperLearner());
+  ThresholdResult R30 = Serial.runThreshold(suite(), 30.0, ripperLearner());
   EXPECT_LT(R30.RuntimeLS, R0.RuntimeLS);
 }
 
@@ -157,8 +160,8 @@ TEST(Reproduction, FpSuitePreservesLargeBenefit) {
   // nearly all of a large benefit.
   MachineModel Model = MachineModel::ppc7410();
   std::vector<BenchmarkRun> Fp =
-      generateSuiteData(shrinkSuite(fpSuite(), 25), Model);
-  ThresholdResult R = runThreshold(Fp, 0.0, ripperLearner());
+      Serial.generateSuiteData(shrinkSuite(fpSuite(), 25), Model);
+  ThresholdResult R = Serial.runThreshold(Fp, 0.0, ripperLearner());
   double LS = geometricMean(R.AppRatioLS);
   double LN = geometricMean(R.AppRatioLN);
   EXPECT_LT(LS, 0.90) << "FP suite must benefit a lot from scheduling";
@@ -169,7 +172,7 @@ TEST(Reproduction, HeadlineEffortBenefitTradeoffExists) {
   // The abstract: most of the benefit at a fraction of the effort.  Find
   // any threshold achieving >=75% retention at <=55% effort.
   std::vector<ThresholdResult> Sweep =
-      runThresholdSweep(suite(), {0.0, 10.0, 20.0}, ripperLearner());
+      Serial.runThresholdSweep(suite(), {0.0, 10.0, 20.0}, ripperLearner());
   bool Achieved = false;
   for (const ThresholdResult &R : Sweep) {
     double LS = geometricMean(R.AppRatioLS);

@@ -18,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <iterator>
 
 using namespace schedfilter;
 
@@ -333,8 +335,8 @@ TEST(NoiseStats, LabelFlipRateMatchesAndBandStaysDropped) {
 
 TEST(NoiseMisTune, SwapsModelAndRecomputesReports) {
   MachineModel Train = MachineModel::ppc7410();
-  std::vector<BenchmarkRun> Suite =
-      generateSuiteData(test::shrinkSuite(specjvm98Suite(), 4), Train);
+  std::vector<BenchmarkRun> Suite = ExperimentEngine().generateSuiteData(
+      test::shrinkSuite(specjvm98Suite(), 4), Train);
   std::vector<BenchmarkRun> Orig = Suite;
 
   NoiseStack S = parseOrDie("mistune:ppc970", 3);
@@ -428,6 +430,40 @@ TEST(Golden, RobustnessFrontierWinsCleanLosesAtTopRung) {
   for (size_t I = 1; I != Points.size(); ++I)
     EXPECT_LE(Points[I].WinMargin, Points[I - 1].WinMargin + 1e-12)
         << "rung " << I;
+
+  // Exact per-rung pins: counts, and the bits of the three geomeans.
+  struct Pin {
+    size_t TrainLS, TrainNS, RuntimeLS, RuntimeBlocks;
+    uint64_t EffortRatio, AppTimeLN, AppTimeLS;
+  };
+  const Pin Pins[] = {
+      {677, 7154, 1105, 8827, 0x3fd649f6fc8c178cull, 0x3fedc7a546e7af3dull,
+       0x3fecbbca6da88cc8ull},
+      {1047, 6107, 848, 8827, 0x3fd38a18ed0f96b6ull, 0x3fee17c7e33466dcull,
+       0x3fecbbca6da88cc8ull},
+      {2287, 5177, 1064, 8827, 0x3fd3e5a4e6074dd3ull, 0x3fee2b15ce3eb391ull,
+       0x3fecbbca6da88cc8ull},
+      {3122, 4554, 1749, 8827, 0x3fc224908d07cf73ull, 0x3feea5016ff48178ull,
+       0x3fec6a90b00d1246ull},
+      {3660, 4127, 0, 8827, 0x3f82e6d3029145b7ull, 0x3ff0000000000000ull,
+       0x3fec6a90b00d1246ull},
+  };
+  ASSERT_EQ(Points.size(), std::size(Pins));
+  auto Bits = [](double D) {
+    uint64_t U;
+    std::memcpy(&U, &D, sizeof(U));
+    return U;
+  };
+  for (size_t I = 0; I != Points.size(); ++I) {
+    const RobustnessPoint &P = Points[I];
+    EXPECT_EQ(P.TrainLS, Pins[I].TrainLS) << "rung " << I;
+    EXPECT_EQ(P.TrainNS, Pins[I].TrainNS) << "rung " << I;
+    EXPECT_EQ(P.RuntimeLS, Pins[I].RuntimeLS) << "rung " << I;
+    EXPECT_EQ(P.RuntimeBlocks, Pins[I].RuntimeBlocks) << "rung " << I;
+    EXPECT_EQ(Bits(P.EffortRatio), Pins[I].EffortRatio) << "rung " << I;
+    EXPECT_EQ(Bits(P.AppTimeLN), Pins[I].AppTimeLN) << "rung " << I;
+    EXPECT_EQ(Bits(P.AppTimeLS), Pins[I].AppTimeLS) << "rung " << I;
+  }
 }
 
 TEST(Golden, RobustnessPointIdenticalAtJobsOneAndFour) {

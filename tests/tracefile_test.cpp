@@ -8,7 +8,7 @@
 #include "io/TraceStore.h"
 
 #include "TestHelpers.h"
-#include "harness/Experiments.h"
+#include "harness/ParallelExperiments.h"
 
 #include <gtest/gtest.h>
 
@@ -261,8 +261,8 @@ TEST(TraceFile, BinaryRejectsForeignFeatureCount) {
 
 TEST(TraceFile, RealTraceRoundTripsBothFormatsAndLabelsIdentically) {
   MachineModel Model = MachineModel::ppc7410();
-  std::vector<BenchmarkRun> Runs =
-      generateSuiteData(shrinkSuite({*findBenchmarkSpec("db")}, 5), Model);
+  std::vector<BenchmarkRun> Runs = ExperimentEngine().generateSuiteData(
+      shrinkSuite({*findBenchmarkSpec("db")}, 5), Model);
   const std::vector<BlockRecord> &Records = Runs[0].Records;
 
   for (TraceFormat F : {TraceFormat::Csv, TraceFormat::Binary}) {
@@ -287,7 +287,7 @@ TEST(TraceFile, CsvAndBinaryDecodeToIdenticalRecords) {
   // Property: whatever the suite generator emits, both encodings decode
   // to field-identical records (the acceptance bit-identity guarantee).
   MachineModel Model = MachineModel::ppc970();
-  std::vector<BenchmarkRun> Runs = generateSuiteData(
+  std::vector<BenchmarkRun> Runs = ExperimentEngine().generateSuiteData(
       shrinkSuite({*findBenchmarkSpec("scimark")}, 4), Model);
   const std::vector<BlockRecord> &Records = Runs[0].Records;
 

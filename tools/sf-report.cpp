@@ -2,8 +2,19 @@
 //
 // Runs the paper's whole evaluation in one command and prints every table
 // and figure in order (Tables 3-6, Figures 1-4), plus the headline
-// benefit/effort frontier, for the chosen suite.  This is the "regenerate
-// the paper" button; the per-table bench binaries exist for focused runs.
+// benefit/effort frontier, for the chosen suite.  This is the one program
+// that prints the paper's tables: Figure 1 is the t = 0 column of the
+// Figure 2 sweep, and Figure 3 is `sf-report --suite fp`.
+//
+// Paper reference values (SPECjvm98; the shapes are what reproduce, the
+// synthetic suite's absolute numbers differ):
+//   Table 3   geomean LOOCV error 7.86% at t=0, falling to 0.06% at t=50.
+//   Table 4   geomean predicted time 91.85% of NS at t=0, 99.64% at t=50.
+//   Table 5   LS instances fall 8173 -> 49 over t=0..50; NS constant.
+//   Figure 1  L/N effort 38% of LS; app time LS 0.977, L/N 0.979 of NS.
+//   Figure 2  effort geomean falls from ~0.39 at t=0 to ~0.06 at t=50.
+//   Figure 3  on the FP suite L/N keeps nearly all of LS's benefit while
+//             effort falls less than on SPECjvm98.
 //
 // Usage:
 //   sf-report [--suite FAMILY] [--model ppc7410|ppc970|simple-scalar]
