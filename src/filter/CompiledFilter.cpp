@@ -168,8 +168,12 @@ unsigned popCount(uint64_t V) {
 // loader picks an AVX2 clone when the CPU has it -- twice the lanes of
 // the baseline SSE2 codegen.  Purely a codegen knob: double compares are
 // exact at any vector width, so results are bit-identical across clones.
+// ThreadSanitizer builds go without: the clones' ifunc resolver runs
+// before the TSan runtime is initialized, and every binary linking this
+// file crashed at startup.
 #if defined(__x86_64__) && defined(__has_attribute)
-#if __has_attribute(target_clones) && defined(__ELF__)
+#if __has_attribute(target_clones) && defined(__ELF__) &&                 \
+    !defined(__SANITIZE_THREAD__)
 #define SF_SWEEP_CLONES __attribute__((target_clones("default", "avx2")))
 #endif
 #endif

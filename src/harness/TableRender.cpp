@@ -157,11 +157,20 @@ void schedfilter::renderInducedFilter(const RuleSet &Filter,
 }
 
 void schedfilter::renderHeadline(const std::vector<ThresholdResult> &Sweep,
-                                 std::ostream &OS) {
+                                 bool UseWallTime, std::ostream &OS) {
+  if (UseWallTime) {
+    OS << "Headline (wall): effort vs LS in measured wall time (suite "
+          "geometric means)\n\n";
+    TablePrinter T({"Threshold", "Effort vs LS (wall)"});
+    for (const ThresholdResult &R : Sweep)
+      T.addRow({formatDouble(R.ThresholdPct, 0) + "%",
+                formatPercent(geometricMean(R.EffortRatioWall), 1)});
+    T.print(OS);
+    return;
+  }
   OS << "Headline: benefit retained vs effort spent (suite geometric "
         "means)\n\n";
-  TablePrinter T({"Threshold", "LS benefit retained", "Effort vs LS (work)",
-                  "Effort vs LS (wall)"});
+  TablePrinter T({"Threshold", "LS benefit retained", "Effort vs LS (work)"});
   for (const ThresholdResult &R : Sweep) {
     double LS = geometricMean(R.AppRatioLS);
     double LN = geometricMean(R.AppRatioLN);
@@ -171,8 +180,7 @@ void schedfilter::renderHeadline(const std::vector<ThresholdResult> &Sweep,
         BenefitLS > 0.0 ? 100.0 * BenefitLN / BenefitLS : 100.0;
     T.addRow({formatDouble(R.ThresholdPct, 0) + "%",
               formatDouble(Retained, 1) + "%",
-              formatPercent(geometricMean(R.EffortRatioWork), 1),
-              formatPercent(geometricMean(R.EffortRatioWall), 1)});
+              formatPercent(geometricMean(R.EffortRatioWork), 1)});
   }
   T.print(OS);
 }

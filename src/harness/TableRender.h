@@ -48,9 +48,11 @@ void renderAppTimeFigure(const std::vector<ThresholdResult> &Sweep,
 void renderInducedFilter(const RuleSet &Filter, std::ostream &OS);
 
 /// Headline summary (the abstract's claim): percent of LS benefit
-/// retained and fraction of LS effort spent, at each threshold.
+/// retained and fraction of LS effort spent (deterministic work units),
+/// at each threshold.  With \p UseWallTime, prints instead the fraction
+/// of LS's measured wall time, which varies run to run.
 void renderHeadline(const std::vector<ThresholdResult> &Sweep,
-                    std::ostream &OS);
+                    bool UseWallTime, std::ostream &OS);
 
 } // namespace schedfilter
 

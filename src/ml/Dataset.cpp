@@ -2,6 +2,7 @@
 
 #include "ml/Dataset.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <istream>
 #include <ostream>
@@ -67,7 +68,7 @@ bool Dataset::readCsv(std::istream &IS) {
         return false;
       char *End = nullptr;
       Inst.X[F] = std::strtod(Cell.c_str(), &End);
-      if (End == Cell.c_str())
+      if (End == Cell.c_str() || !std::isfinite(Inst.X[F]))
         return false;
     }
     if (!std::getline(SS, Cell))

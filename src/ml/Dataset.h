@@ -31,11 +31,13 @@ struct Instance {
 };
 
 /// A flat, feature-major (columnar) view of a dataset, for algorithms that
-/// scan one feature across many instances (the indexed RIPPER trainer).
-/// Values are copied bit-exactly from the row-major instances, so a
-/// condition evaluated against a column compares the same doubles as
-/// Condition::matches against the original FeatureVector.  The view is a
-/// snapshot: it does not track later mutation of the source dataset.
+/// scan one feature across many instances (the indexed RIPPER trainer
+/// ranks each column's distinct values from it and tests conditions and
+/// rule masks against it).  Values are copied bit-exactly from the
+/// row-major instances, so a condition evaluated against a column compares
+/// the same doubles as Condition::matches against the original
+/// FeatureVector.  The view is a snapshot: it does not track later
+/// mutation of the source dataset.
 struct ColumnView {
   size_t NumInstances = 0;
   /// Values[F * NumInstances + i] == dataset[i].X[F].
@@ -81,7 +83,8 @@ public:
   void writeCsv(std::ostream &OS) const;
 
   /// Parses the CSV format produced by writeCsv.  Returns false (and leaves
-  /// the dataset unchanged) on malformed input.
+  /// the dataset unchanged) on malformed input, including a feature value
+  /// that is NaN or infinite: training requires finite features.
   bool readCsv(std::istream &IS);
 
 private:

@@ -1,20 +1,19 @@
 //===- ml/Ripper.cpp - RIPPER rule induction --------------------------------===//
 //
 // The indexed training engine.  The naive trainer re-sorted every feature
-// column for every candidate condition of every grown rule; this one
-// sorts each feature column exactly once per train() call over a flat
-// Dataset::ColumnView and keeps everything downstream sort-free:
+// column for every candidate condition of every grown rule; this one ranks
+// each feature column once per train() call and never sorts a column
+// again:
 //
-//  - The *grow universe* (instances a rule may be grown over) is held per
-//    feature in value order and shrunk as rules claim coverage, so
-//    materializing a rule's covered set is a filtered walk, never a walk
-//    of the whole dataset.
-//  - Grow-phase coverage is an L1-resident bit-set (one bit per
-//    instance), cleared in O(n/64) per rule and filtered per condition.
-//  - Finding the best FOIL condition is a sweep over the presorted
-//    covered entries, O(features x covered) per condition instead of
-//    O(features x covered log covered), with an FP-sound upper bound
-//    (gain <= P * -BaseInfo) skipping provably-losing candidates.
+//  - Every instance carries its dense rank among its column's distinct
+//    values (the Table 1 features have a few dozen to a few hundred per
+//    training set), so a value-order sweep is a walk over ranks.
+//  - Finding the best FOIL condition counts the covered instances' (P, N)
+//    into a rank-indexed histogram per feature and walks its non-empty
+//    bins in ascending order -- O(features x (covered + distinct)) per
+//    condition -- with an FP-sound upper bound (gain <= P * -BaseInfo)
+//    skipping provably-losing candidates.
+//  - The covered set is one instance list, filtered per condition.
 //  - Rule-set coverage for the MDL bookkeeping (totalDL, optimizePass,
 //    rule deletion) is computed through per-rule coverage bitmasks that
 //    the call sites OR incrementally instead of re-evaluating every rule
@@ -36,6 +35,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cassert>
 
 using namespace schedfilter;
 
@@ -90,41 +90,20 @@ struct FeatureBest {
   double Value = 0.0;
   bool IsLessEqual = true;
   bool Found = false;
+  size_t P = 0, N = 0; // covered instances the condition keeps
 };
 
-/// One covered instance in a feature's value order: the feature value, the
-/// instance index (for bit-set filtering) and its class, packed so the
-/// per-condition sweep is a purely sequential walk.
-struct ColEntry {
-  double Val;
-  int32_t Idx;
-  int32_t Pos;
-};
-
-/// THE ordering of this engine: ascending value, ties by instance index.
-/// Every sorted structure (the global column index, universe lists,
-/// covered lists) uses exactly this relation -- the bit-identity contract
-/// depends on there being one definition.
-bool entryLess(const ColEntry &A, const ColEntry &B) {
-  if (A.Val != B.Val)
-    return A.Val < B.Val;
-  return A.Idx < B.Idx;
-}
-
-/// Materialization strategy: walking a presorted list of \p Walkable
-/// candidates beats gathering and sorting \p Members members when it
-/// costs less than ~2 comparisons per sorted element.  Depends only on
-/// sizes, so job count never affects the choice (both strategies produce
-/// the entryLess order either way).
-bool preferWalk(size_t Walkable, size_t Members) {
-  return static_cast<double>(Walkable) <=
-         2.0 * static_cast<double>(Members) *
-             std::log2(static_cast<double>(Members) + 2.0);
+/// A strict weak order on doubles that agrees with operator< on non-NaN
+/// values and ranks every NaN last.  Training data must be finite
+/// (Dataset::readCsv rejects anything else); this only keeps a NaN from
+/// breaking the rank sort.
+bool valueLess(double A, double B) {
+  return A < B || (!std::isnan(A) && std::isnan(B));
 }
 
 /// The whole learning state threaded through the helper routines: the
-/// immutable column indexes built once per train() call, plus reusable
-/// coverage and mask scratch.
+/// immutable rank indexes built once per train() call, plus reusable
+/// coverage, histogram and mask scratch.
 struct Trainer {
   const RipperOptions &Opts;
   Label Target;
@@ -135,30 +114,20 @@ struct Trainer {
   ColumnView Cols;
   /// IsPos[i]: instance i's label equals the target class.
   std::vector<uint8_t> IsPos;
-  /// Order[F * n + k]: the instance at position k when feature F's column
-  /// is sorted ascending (ties broken by instance index, for determinism).
-  std::vector<int32_t> Order;
+  /// Rank[F * n + i]: instance i's dense rank among feature F's distinct
+  /// values (0 = smallest; equal values under operator== share a rank).
+  std::vector<uint32_t> Rank;
+  /// RankValue[F][r]: the value of rank r, bit for bit as the
+  /// lowest-index instance holding it.
+  std::vector<std::vector<double>> RankValue;
 
-  // --- Coverage-set scratch (reused across every grown rule; no
-  // --- steady-state allocations). ---
-  /// Bit i set iff instance i is in the current covered set.  One bit per
-  /// instance keeps the whole set L1-resident (2 KB at 16k instances --
-  /// the epoch-stamped uint64 variant measured 3x slower on the gather-
-  /// heavy index walks), and resetting is an O(n/64) fill.
-  std::vector<uint64_t> CovBits;
-  /// The covered set as a list (stable instance order), for re-marking.
+  // --- Scratch (reused across every grown rule; no steady-state
+  // --- allocations). ---
+  /// The covered grow instances, filtered in place per condition.
   std::vector<int32_t> CovList;
-  /// The grow *universe*: the instances a rule may currently be grown
-  /// over (buildRuleList: the not-yet-covered remainder; optimizePass:
-  /// the instances reaching the rule under revision).  Kept per feature
-  /// in value order and shrunk as rules claim coverage, so growRule walks
-  /// O(|universe|), never O(n), to materialize its covered set.
-  std::vector<std::vector<ColEntry>> UniverseOrd;
-  std::vector<uint64_t> UniverseBits;
-  std::vector<int32_t> UniverseList;
-  /// Per feature: the covered instances in that feature's sorted value
-  /// order.  Rebuilt per grown rule, filtered in place per condition.
-  std::vector<std::vector<ColEntry>> OrderedCov;
+  /// Per feature: (N, P) counts of the covered instances at slots
+  /// (2r, 2r + 1) for rank r.  All zero between sweeps.
+  std::vector<std::vector<uint32_t>> Hist;
   /// Per-feature sweep results (index-owned slots for the pool).
   std::vector<FeatureBest> FeatureResults;
   /// Prune-split instances still matched by the rule prefix under
@@ -181,38 +150,46 @@ struct Trainer {
     IsPos.resize(N);
     for (size_t I = 0; I != N; ++I)
       IsPos[I] = Cols.Labels[I] == Target;
-    CovBits.assign((N + 63) / 64, 0);
-    UniverseOrd.resize(NumFeatures);
-    OrderedCov.resize(NumFeatures);
+    Rank.resize(static_cast<size_t>(NumFeatures) * N);
+    RankValue.resize(NumFeatures);
+    Hist.resize(NumFeatures);
     FeatureResults.resize(NumFeatures);
-
-    // Sort each feature column once and count distinct values.  The
-    // condition space is two operators per distinct (feature, value) pair
-    // present in the data, exactly the count the old per-feature std::set
-    // produced.
-    Order.resize(static_cast<size_t>(NumFeatures) * N);
-    std::vector<size_t> DistinctPerFeature(NumFeatures, 0);
     forEachFeature(N, [&](unsigned F) {
-      const double *Col = Cols.col(F);
-      int32_t *OrderF = Order.data() + static_cast<size_t>(F) * N;
-      for (size_t I = 0; I != N; ++I)
-        OrderF[I] = static_cast<int32_t>(I);
-      std::sort(OrderF, OrderF + N, [Col](int32_t A, int32_t B) {
-        if (Col[A] != Col[B])
-          return Col[A] < Col[B];
-        return A < B;
-      });
-      size_t Distinct = 0;
-      for (size_t K = 0; K != N; ++K)
-        if (K == 0 || Col[OrderF[K]] != Col[OrderF[K - 1]])
-          ++Distinct;
-      DistinctPerFeature[F] = Distinct;
+      rankColumn(F);
+      Hist[F].assign(2 * RankValue[F].size(), 0);
     });
+    // The condition space is two operators per distinct (feature, value)
+    // pair present in the data, exactly the count the old per-feature
+    // std::set produced.
     size_t NumConds = 0;
-    for (size_t Distinct : DistinctPerFeature)
-      NumConds += 2 * Distinct;
+    for (const std::vector<double> &Values : RankValue)
+      NumConds += 2 * Values.size();
     CondSpaceBits =
         std::log2(std::max<double>(2.0, static_cast<double>(NumConds)));
+  }
+
+  /// Fills feature \p F's Rank column and RankValue: sorts the column's
+  /// distinct values once, then finds each instance's rank by binary
+  /// search.  Each rank keeps the bits of the lowest-index instance
+  /// holding it (of finite values, only -0.0 and +0.0 compare equal with
+  /// different bits).
+  void rankColumn(unsigned F) {
+    size_t N = Cols.NumInstances;
+    const double *Col = Cols.col(F);
+    uint32_t *RankF = Rank.data() + static_cast<size_t>(F) * N;
+    std::vector<double> &Values = RankValue[F];
+    Values.assign(Col, Col + N);
+    std::sort(Values.begin(), Values.end(), valueLess);
+    auto Same = [](double A, double B) { return !valueLess(A, B); };
+    Values.erase(std::unique(Values.begin(), Values.end(), Same), Values.end());
+    // Walk down so the last write to each rank is its lowest-index holder.
+    for (size_t I = N; I-- != 0;) {
+      size_t R = static_cast<size_t>(
+          std::lower_bound(Values.begin(), Values.end(), Col[I], valueLess) -
+          Values.begin());
+      RankF[I] = static_cast<uint32_t>(R);
+      Values[R] = Col[I];
+    }
   }
 
   /// Runs \p Body(F) for every feature, on the pool when one is attached
@@ -361,11 +338,14 @@ struct Trainer {
     PruneNeg.assign(N.begin() + static_cast<long>(NG), N.end());
   }
 
-  /// Sweeps feature \p F's covered instances in presorted value order and
+  /// Sweeps feature \p F's covered instances in ascending value order and
   /// records the best candidate threshold by FOIL information gain.  The
-  /// prefix counts (P, N with value <= v) are exactly what the old
-  /// sort-per-condition sweep counted; the gain expression and the
-  /// strict-greater tie policy are unchanged, so the winner is too.
+  /// covered (P, N) counts are gathered into the feature's rank-indexed
+  /// histogram, whose non-empty bins -- the distinct-value groups -- are
+  /// then visited in rank order.  The prefix counts (P, N with value <= v)
+  /// are exactly what the old sort-per-condition sweep counted; the gain
+  /// expression and the strict-greater tie policy are unchanged, so the
+  /// winner is too.
   ///
   /// \p Hint carries the largest gain any feature's sweep has *exactly*
   /// achieved so far (monotone; updated as features finish).  Since
@@ -378,22 +358,26 @@ struct Trainer {
   /// ever changes: results are bit-identical with the hint arriving in
   /// any order, including not at all.
   void scanFeature(unsigned F, size_t P0, size_t N0, double BaseInfo,
-                   std::atomic<double> &Hint, FeatureBest &Out) const {
-    const std::vector<ColEntry> &Ord = OrderedCov[F];
+                   std::atomic<double> &Hint, FeatureBest &Out) {
+    const uint32_t *RankF =
+        Rank.data() + static_cast<size_t>(F) * Cols.NumInstances;
+    const std::vector<double> &Values = RankValue[F];
     double BestGain = 1e-9;
     double HintGain = Hint.load(std::memory_order_relaxed);
     double NegBase = 0.0 - BaseInfo; // >= 0: BaseInfo = log2(ratio <= 1)
     FeatureBest Best;
     size_t PrefP = 0, PrefN = 0;
-    for (size_t K = 0; K != Ord.size();) {
-      double V = Ord[K].Val;
-      // One distinct-value group: count its positives/negatives.
-      size_t GP = 0, GN = 0;
-      while (K != Ord.size() && Ord[K].Val == V) {
-        GP += static_cast<size_t>(Ord[K].Pos);
-        GN += static_cast<size_t>(1 - Ord[K].Pos);
-        ++K;
-      }
+    uint32_t *H = Hist[F].data();
+    for (int32_t I : CovList)
+      ++H[(RankF[I] << 1) | IsPos[static_cast<size_t>(I)]];
+    // Bins past the last covered rank are empty: stop once the prefix
+    // holds the whole covered set.
+    for (uint32_t R = 0; PrefP + PrefN != P0 + N0; ++R) {
+      size_t GN = H[2 * R], GP = H[2 * R + 1];
+      if (GN + GP == 0)
+        continue;
+      H[2 * R] = H[2 * R + 1] = 0;
+      double V = Values[R];
       PrefP += GP;
       PrefN += GN;
       auto Consider = [&](bool IsLE, size_t P, size_t N) {
@@ -410,7 +394,7 @@ struct Trainer {
              BaseInfo);
         if (Gain > BestGain) {
           BestGain = Gain;
-          Best = {Gain, V, IsLE, true};
+          Best = {Gain, V, IsLE, true, P, N};
         }
       };
       // X[F] <= V keeps the prefix (group included).
@@ -428,13 +412,15 @@ struct Trainer {
   }
 
   /// Finds the single condition with the highest FOIL information gain
-  /// over the currently covered grow instances (\p CovP positives,
-  /// \p CovN negatives).  Per-feature sweeps run independently -- on the
-  /// pool when attached -- and the argmax is reduced in feature order
-  /// with the serial sweep's strict-greater policy (lowest feature index
-  /// wins ties).  Returns false when no condition has positive gain (or
-  /// none excludes anything).
-  bool findBestCondition(size_t CovP, size_t CovN, Condition &Best) {
+  /// over the covered grow instances (\p CovP positives, \p CovN
+  /// negatives).  Per-feature sweeps run independently -- on the pool when
+  /// attached -- and the argmax is reduced in feature order with the
+  /// serial sweep's strict-greater policy (lowest feature index wins
+  /// ties).  \p KeepP / \p KeepN receive the covered positives and
+  /// negatives the winner keeps.  Returns false when no condition has
+  /// positive gain (or none excludes anything).
+  bool findBestCondition(size_t CovP, size_t CovN, Condition &Best,
+                         size_t &KeepP, size_t &KeepN) {
     size_t P0 = CovP, N0 = CovN;
     if (P0 == 0)
       return false;
@@ -451,80 +437,21 @@ struct Trainer {
       if (FB.Found && FB.Gain > BestGain) {
         BestGain = FB.Gain;
         Best = {F, FB.IsLessEqual, FB.Value};
+        KeepP = FB.P;
+        KeepN = FB.N;
         Found = true;
       }
     }
     return Found;
   }
 
-  /// Installs (\p Pos, \p Neg) as the grow universe: per feature, those
-  /// instances in value order.  Two bit-identical strategies, chosen
-  /// purely by size (so job count never affects the choice): walk the
-  /// global presorted index and keep members -- O(n) per feature, right
-  /// when the universe is most of the data -- or gather the members and
-  /// sort them directly -- O(u log u), right for small mop-up sets.
-  void setUniverse(const IndexList &Pos, const IndexList &Neg) {
-    size_t N = Cols.NumInstances;
-    UniverseBits.assign((N + 63) / 64, 0);
-    UniverseList.clear();
-    for (const IndexList *L : {&Pos, &Neg})
-      for (int I : *L) {
-        UniverseBits[static_cast<size_t>(I) >> 6] |=
-            1ull << (static_cast<size_t>(I) & 63);
-        UniverseList.push_back(I);
-      }
-    size_t U = UniverseList.size();
-    bool WalkIndex = preferWalk(N, U);
-    forEachFeature(WalkIndex ? N : U, [&](unsigned F) {
-      std::vector<ColEntry> &Ord = UniverseOrd[F];
-      Ord.clear();
-      Ord.reserve(U);
-      const double *Col = Cols.col(F);
-      if (WalkIndex) {
-        const int32_t *OrderF = Order.data() + static_cast<size_t>(F) * N;
-        for (size_t K = 0; K != N; ++K) {
-          int32_t I = OrderF[K];
-          if (maskBit(UniverseBits, I))
-            Ord.push_back({Col[static_cast<size_t>(I)], I,
-                           static_cast<int32_t>(IsPos[static_cast<size_t>(I)])});
-        }
-      } else {
-        for (int32_t I : UniverseList)
-          Ord.push_back({Col[static_cast<size_t>(I)], I,
-                         static_cast<int32_t>(IsPos[static_cast<size_t>(I)])});
-        std::sort(Ord.begin(), Ord.end(), entryLess);
-      }
-    });
-  }
-
-  /// Removes every instance whose bit is set in \p DropMask from the
-  /// universe (order of the survivors is preserved).
-  void shrinkUniverse(const std::vector<uint64_t> &DropMask) {
-    size_t U = UniverseOrd.empty() ? 0 : UniverseOrd[0].size();
-    forEachFeature(U, [&](unsigned F) {
-      std::vector<ColEntry> &Ord = UniverseOrd[F];
-      size_t O = 0;
-      for (const ColEntry &E : Ord)
-        if (!maskBit(DropMask, E.Idx))
-          Ord[O++] = E;
-      Ord.resize(O);
-    });
-    for (size_t W = 0; W != UniverseBits.size(); ++W)
-      UniverseBits[W] &= ~DropMask[W];
-  }
-
-  /// Restricts the covered set to instances satisfying \p C: clears the
-  /// coverage bits of the dropped instances and filters every per-feature
-  /// ordered list (filtering preserves their value order).
+  /// Restricts the covered set to instances satisfying \p C.
   void applyCondition(const Condition &C, size_t &CovP, size_t &CovN) {
     CovP = CovN = 0;
     size_t W = 0;
     for (int32_t I : CovList) {
-      if (!condMatches(C, I)) {
-        CovBits[static_cast<size_t>(I) >> 6] &=
-            ~(1ull << (static_cast<size_t>(I) & 63));
+      if (!condMatches(C, I))
         continue;
-      }
       CovList[W++] = I;
       if (IsPos[static_cast<size_t>(I)])
         ++CovP;
@@ -532,14 +459,6 @@ struct Trainer {
         ++CovN;
     }
     CovList.resize(W);
-    forEachFeature(W, [&](unsigned F) {
-      std::vector<ColEntry> &Ord = OrderedCov[F];
-      size_t O = 0;
-      for (const ColEntry &E : Ord)
-        if (maskBit(CovBits, E.Idx))
-          Ord[O++] = E;
-      Ord.resize(O);
-    });
   }
 
   /// Grows \p R (possibly already containing conditions, for revisions) by
@@ -548,58 +467,27 @@ struct Trainer {
                 const IndexList &GrowNeg) {
     // Seed the covered set with the grow instances the rule already
     // matches.
-    std::fill(CovBits.begin(), CovBits.end(), 0);
     CovList.clear();
     size_t CovP = 0, CovN = 0;
     for (int I : GrowPos)
       if (ruleMatches(R, I)) {
         CovList.push_back(I);
-        CovBits[static_cast<size_t>(I) >> 6] |=
-            1ull << (static_cast<size_t>(I) & 63);
         ++CovP;
       }
     for (int I : GrowNeg)
       if (ruleMatches(R, I)) {
         CovList.push_back(I);
-        CovBits[static_cast<size_t>(I) >> 6] |=
-            1ull << (static_cast<size_t>(I) & 63);
         ++CovN;
       }
-    if (CovN == 0 || R.size() >= Opts.MaxConditionsPerRule)
-      return;
-
-    // Materialize the covered set per feature in value order, once per
-    // grown rule: every subsequent condition sweeps it sort-free.  The
-    // covered set is a subset of the grow universe, so this is a filtered
-    // walk of the (already shrunk) per-feature universe lists -- never of
-    // the whole dataset -- unless the covered set is so much smaller that
-    // sorting it directly wins (preferWalk).
-    size_t CovSize = CovList.size();
-    size_t U = UniverseOrd[0].size();
-    bool WalkUniverse = preferWalk(U, CovSize);
-    forEachFeature(WalkUniverse ? U : CovSize, [&](unsigned F) {
-      std::vector<ColEntry> &Ord = OrderedCov[F];
-      Ord.clear();
-      Ord.reserve(CovSize);
-      if (WalkUniverse) {
-        for (const ColEntry &E : UniverseOrd[F])
-          if (maskBit(CovBits, E.Idx))
-            Ord.push_back(E);
-      } else {
-        const double *Col = Cols.col(F);
-        for (int32_t I : CovList)
-          Ord.push_back({Col[static_cast<size_t>(I)], I,
-                         static_cast<int32_t>(IsPos[static_cast<size_t>(I)])});
-        std::sort(Ord.begin(), Ord.end(), entryLess);
-      }
-    });
-
     while (CovN != 0 && R.size() < Opts.MaxConditionsPerRule) {
       Condition C;
-      if (!findBestCondition(CovP, CovN, C))
+      size_t KeepP = 0, KeepN = 0;
+      if (!findBestCondition(CovP, CovN, C, KeepP, KeepN))
         break;
       R.Conditions.push_back(C);
       applyCondition(C, CovP, CovN);
+      assert(CovP == KeepP && CovN == KeepN &&
+             "the sweep's counts must be the condition's coverage");
     }
   }
 
@@ -657,7 +545,6 @@ struct Trainer {
     size_t Words = (Cols.NumInstances + 63) / 64;
     std::vector<uint64_t> AccumMask(Words, 0), CandMask;
     IndexList AllPos = Pos, AllNeg = Neg;
-    setUniverse(Pos, Neg);
     double BestDL = dlFromMask(AccumMask, Rules, Rules.size(), Pos, Neg);
 
     while (!Pos.empty() && Rules.size() < Opts.MaxRules) {
@@ -706,7 +593,6 @@ struct Trainer {
       };
       RemoveCovered(Pos);
       RemoveCovered(Neg);
-      shrinkUniverse(RuleMaskScratch);
     }
     return Rules;
   }
@@ -730,12 +616,10 @@ struct Trainer {
       SuffMask[K] = SuffMask[K + 1];
       orInto(SuffMask[K], RuleMaskScratch);
     }
-    setUniverse(AllPos, AllNeg);
     for (size_t RI = 0; RI != Rules.size(); ++RI) {
       if (RI > 0) {
         ruleMask(Rules[RI - 1], RuleMaskScratch);
         orInto(PrevMaskScratch, RuleMaskScratch);
-        shrinkUniverse(RuleMaskScratch);
       }
       // Instances that reach rule RI (not claimed by an earlier rule).
       IndexList ReachPos, ReachNeg;

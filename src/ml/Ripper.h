@@ -23,9 +23,9 @@
 /// is fully deterministic.
 ///
 /// The trainer is the repository's *indexed* engine (see Ripper.cpp): it
-/// sorts each feature column once per train() call over a flat
-/// Dataset::ColumnView and sweeps candidate conditions over bit-set
-/// coverage of presorted, shrinking per-feature universes, instead of
+/// ranks each feature column's distinct values once per train() call over
+/// a flat Dataset::ColumnView and sweeps candidate conditions over
+/// rank-indexed (P, N) histograms of the covered instances, instead of
 /// re-sorting every feature column for every candidate condition.  The
 /// pooled overload fans the per-feature sweeps across a shared TaskPool;
 /// output is bit-for-bit identical to the serial overload at any job

@@ -1,25 +1,28 @@
 //===- tests/ripper_engine_test.cpp - indexed-engine equivalence pins --------===//
 //
-// The indexed RIPPER trainer (column indexes + bit-set coverage +
-// value-order sweeps, ml/Ripper.cpp) must produce *bit-for-bit* the
-// RuleSet of the original sort-per-condition implementation, which lives
-// on verbatim in tests/ReferenceRipper.h -- across datasets, seeds,
-// option settings and TaskPool job counts.  Plus the degenerate inputs
-// the rank-array machinery could plausibly mishandle: tiny datasets whose
-// ceil-based grow/prune split leaves an empty prune side, single-class
-// data, and all-identical feature columns.
+// The indexed RIPPER trainer (per-feature value ranks + rank-histogram
+// sweeps; ml/Ripper.cpp) must produce *bit-for-bit* the RuleSet of the
+// original sort-per-condition implementation, which lives on verbatim in
+// tests/ReferenceRipper.h -- across synthetic datasets, the real LOOCV
+// folds sf-report trains, seeds, option settings and TaskPool job counts.
+// Plus the degenerate inputs the rank machinery could plausibly
+// mishandle: tiny datasets whose ceil-based grow/prune split leaves an
+// empty prune side, single-class data, and all-identical feature columns.
 //
 //===----------------------------------------------------------------------===//
 
 #include "ml/Ripper.h"
 
 #include "ReferenceRipper.h"
+#include "harness/ParallelExperiments.h"
 #include "RuleSetIdentity.h"
 #include "ml/Metrics.h"
 #include "support/Rng.h"
 #include "support/TaskPool.h"
 
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 using namespace schedfilter;
 
@@ -88,6 +91,31 @@ Dataset hardData(size_t N, uint64_t Seed) {
     if (R.chance(0.05))
       Pos = !Pos;
     D.add({fv(BBLen, Loads, Calls), Pos ? Label::LS : Label::NS});
+  }
+  return D;
+}
+
+/// Every Table 1 shape in one dataset: a small-integer bbLen, k/n
+/// fractions with small n in eleven columns (a few dozen distinct values
+/// each), and one continuous column (nearly one distinct value per
+/// instance, so on a rule's small covered sets its histogram is almost
+/// all empty bins).  The label depends on several of them, with 5% noise.
+Dataset mixedShapeData(size_t N, uint64_t Seed) {
+  Dataset D("mixed");
+  Rng R(Seed);
+  for (size_t I = 0; I != N; ++I) {
+    FeatureVector X{};
+    double Len = static_cast<double>(R.range(1, 12));
+    X[FeatBBLen] = Len;
+    for (unsigned F = FeatBranch; F != FeatYield; ++F)
+      X[F] = static_cast<double>(R.range(0, static_cast<int>(Len))) / Len;
+    X[FeatYield] = R.uniform();
+    bool Pos = (Len >= 9 && X[FeatLoad] >= 0.25) ||
+               (X[FeatYield] >= 0.8 && X[FeatCall] <= 0.2) ||
+               (X[FeatFloat] >= 0.5 && X[FeatStore] <= 0.1);
+    if (R.chance(0.05))
+      Pos = !Pos;
+    D.add({X, Pos ? Label::LS : Label::NS});
   }
   return D;
 }
@@ -170,6 +198,43 @@ TEST(RipperEngine, PooledLearnerMatchesFromInsideAPoolTask) {
     expectIdentical(Out[I], Serial, "nested slot " + std::to_string(I));
 }
 
+TEST(RipperEngine, MatchesReferenceOnRealLoocvFolds) {
+  // The sweep's own training sets: the SPECjvm98 suite traced fresh (no
+  // corpus cache), labeled at three thresholds, minus one held-out
+  // benchmark -- exactly the folds sf-report trains.
+  ExperimentEngine Engine;
+  std::vector<BenchmarkRun> Runs =
+      Engine.generateSuiteData(specjvm98Suite(), MachineModel::ppc7410());
+  for (double T : {0.0, 25.0, 50.0}) {
+    std::vector<Dataset> Labeled = Engine.labelSuite(Runs, T);
+    ASSERT_GE(Labeled.size(), 3u);
+    for (size_t Held = 0; Held != 3; ++Held) {
+      Dataset Fold("fold");
+      for (size_t B = 0; B != Labeled.size(); ++B)
+        if (B != Held)
+          Fold.append(Labeled[B]);
+      expectIdentical(Ripper().train(Fold), reference::trainReference(Fold),
+                      "t=" + std::to_string(T) + " without " +
+                          Labeled[Held].getName());
+    }
+  }
+}
+
+TEST(RipperEngine, MixedFeatureShapesMatchReferenceAtAnyJobCount) {
+  // One training that sweeps dense histograms (the fraction columns) and
+  // sparse ones (the continuous column on small covered sets), with the
+  // pool's per-feature fan-out engaged on the early, large covered sets.
+  Dataset D = mixedShapeData(4000, 23);
+  RuleSet Serial = Ripper().train(D);
+  expectIdentical(Serial, reference::trainReference(D), "mixed, serial");
+  EXPECT_GE(Serial.size(), 2u);
+  for (unsigned Jobs : {2u, 4u}) {
+    TaskPool Pool(Jobs);
+    expectIdentical(Ripper().train(D, Pool), Serial,
+                    "mixed, jobs=" + std::to_string(Jobs));
+  }
+}
+
 // --- Degenerate inputs. ---
 
 TEST(RipperEngine, EmptyAndSingleClassMatchReference) {
@@ -246,6 +311,27 @@ TEST(RipperEngine, ConstantColumnsAmongInformativeOnes) {
   expectIdentical(RS, reference::trainReference(D), "constant columns");
   EXPECT_GE(RS.size(), 1u);
   EXPECT_LE(errorRatePercent(RS, D), 1.0);
+}
+
+TEST(RipperEngine, SignedZeroThresholdTakesLowestIndexBits) {
+  // -0.0 and +0.0 share a rank; its threshold keeps the bits of the
+  // lowest-index instance holding it, whichever order the sort left.
+  for (double First : {-0.0, 0.0}) {
+    Dataset D("zeros");
+    for (int I = 0; I != 300; ++I) {
+      FeatureVector X{};
+      bool Pos = I % 3 == 0;
+      X[FeatLoad] = Pos ? (I == 0 ? First : -First) : 1.0;
+      D.add({X, Pos ? Label::LS : Label::NS});
+    }
+    RuleSet RS = Ripper().train(D);
+    ASSERT_EQ(RS.size(), 1u);
+    ASSERT_EQ(RS.rules()[0].Conditions.size(), 1u);
+    const Condition &C = RS.rules()[0].Conditions[0];
+    EXPECT_EQ(C.Feature, static_cast<unsigned>(FeatLoad));
+    EXPECT_TRUE(C.IsLessEqual);
+    EXPECT_EQ(std::signbit(C.Threshold), std::signbit(First));
+  }
 }
 
 TEST(RipperEngine, ContradictoryDuplicatesMatchReference) {

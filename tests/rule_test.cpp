@@ -178,6 +178,21 @@ TEST(Dataset, CsvRejectsMalformed) {
   EXPECT_EQ(D.size(), 0u);
 }
 
+TEST(Dataset, CsvRejectsNonFiniteValues) {
+  // The same row parses with a finite load fraction and fails with a
+  // non-finite one.
+  for (const char *Load : {"0.25", "nan", "inf", "-inf"}) {
+    std::string Row = "1";
+    for (unsigned F = 1; F != NumFeatures; ++F)
+      Row += F == FeatLoad ? std::string(",") + Load : ",0.5";
+    std::stringstream SS("header\n" + Row + ",LS\n");
+    Dataset D("row");
+    bool Finite = std::string(Load) == "0.25";
+    EXPECT_EQ(D.readCsv(SS), Finite) << Load;
+    EXPECT_EQ(D.size(), Finite ? 1u : 0u) << Load;
+  }
+}
+
 TEST(Dataset, AppendAndCounts) {
   Dataset A("a"), B("b");
   A.add({fv(1), Label::LS});

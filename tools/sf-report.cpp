@@ -23,15 +23,17 @@
 // --suite accepts any registered workload family (specjvm98 by default;
 // fp, serverloop, fpkernel, ptrchase, ... -- see sf-serve --list).
 //
-// --jobs N fans the tracing and the threshold sweep out over N workers;
-// the printed numbers are bit-for-bit identical at any N -- and whether
-// the suite was traced fresh or loaded from a warm corpus cache.
+// --jobs N fans the tracing, the threshold sweep and the Figure 4
+// training out over N workers.  Stdout is bit-for-bit identical at any N
+// -- and whether the suite was traced fresh or loaded from a warm corpus
+// cache.  The measured wall-time effort (its Figure (a) and the
+// headline's wall column) varies run to run, so it goes to stderr with
+// the progress lines.
 //
 //===----------------------------------------------------------------------===//
 
 #include "harness/ParallelExperiments.h"
 #include "harness/TableRender.h"
-#include "ml/Ripper.h"
 #include "support/CommandLine.h"
 
 #include "EngineOption.h"
@@ -102,12 +104,15 @@ int main(int argc, char **argv) {
   std::cout << '\n';
   renderEffortFigure(Sweep, /*UseWallTime=*/false, std::cout);
   std::cout << '\n';
-  renderEffortFigure(Sweep, /*UseWallTime=*/true, std::cout);
-  std::cout << '\n';
   renderAppTimeFigure(Sweep, std::cout);
   std::cout << '\n';
-  renderHeadline(Sweep, std::cout);
+  renderHeadline(Sweep, /*UseWallTime=*/false, std::cout);
   std::cout << '\n';
+  std::cerr << '\n';
+  renderEffortFigure(Sweep, /*UseWallTime=*/true, std::cerr);
+  std::cerr << '\n';
+  renderHeadline(Sweep, /*UseWallTime=*/true, std::cerr);
+  std::cerr << '\n';
 
   // Figure 4: train on all but one benchmark at t = 0.
   std::string Holdout = CL.get("fig4-holdout", Suite.back().Name);
@@ -116,7 +121,7 @@ int main(int argc, char **argv) {
   for (const Dataset &D : Labeled)
     if (D.getName() != Holdout)
       Train.append(D);
-  RuleSet Filter = Ripper().train(Train);
+  RuleSet Filter = ripperLearner(Engine.pool())(Train);
   renderInducedFilter(Filter, std::cout);
   return 0;
 }
