@@ -1,14 +1,15 @@
 //===- bench/bench_train_scale.cpp - Training throughput across corpus tiers -===//
 //
-// Tracks the payoff of the indexed RIPPER training engine (per-feature
-// value ranks, rank-histogram condition sweeps -- see ml/Ripper.cpp) the
-// way bench_micro_costs tracks the SchedContext arena: times the
-// *reference* trainer (the original sort-per-condition implementation,
-// kept verbatim in tests/ReferenceRipper.h) against the indexed engine,
-// serial and pooled, over growing tiers of the repository's real training
-// corpus, verifies the induced filters are byte-identical along the way,
-// and writes the instances/sec comparison to BENCH_train_scale.json so
-// the speedup is tracked across PRs.
+// Tracks the payoff of the indexed RIPPER training engine (views of a
+// suite-wide rank table, rank-histogram condition sweeps, incremental
+// mask-based MDL bookkeeping -- see ml/Ripper.cpp) the way
+// bench_micro_costs tracks the SchedContext arena: times the *reference*
+// trainer (the original sort-per-condition implementation, kept verbatim
+// in tests/ReferenceRipper.h) against the indexed engine, serial and
+// pooled, over growing tiers of the repository's real training corpus,
+// verifies the induced filters are byte-identical along the way, and
+// writes the instances/sec comparison to BENCH_train_scale.json so the
+// speedup is tracked across PRs.
 //
 // The corpus is the paper's own: every SPECjvm98 stand-in block traced
 // through the instrumented scheduler and labeled at t = 0 (8 827
@@ -17,7 +18,9 @@
 // more rules with more conditions, which is exactly the regime that
 // separates the engines: the reference re-sorts every feature column for
 // every candidate condition, the indexed engine counts the covered
-// instances into per-rank histograms.
+// instances into per-rank histograms.  Every tier is pooled from
+// labelSuite's datasets, so the indexed engine trains on a view of the
+// suite's one rank table, as sf-report's folds do.
 //
 // Usage:
 //   bench_train_scale [--quick] [--jobs N] [--corpus-dir DIR | --no-cache]

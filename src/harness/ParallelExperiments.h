@@ -70,7 +70,9 @@ public:
 
   /// Labels every benchmark's records at threshold \p ThresholdPct
   /// (dropping the (0, t] noise band), one Dataset per benchmark, in
-  /// suite order; parallel by benchmark.
+  /// suite order; parallel by benchmark.  The datasets hold buildDataset's
+  /// instances as rows of one rank table over the suite's records, so
+  /// every training set pooled from them trains without re-ranking.
   std::vector<Dataset> labelSuite(const std::vector<BenchmarkRun> &Suite,
                                   double ThresholdPct);
 
@@ -83,7 +85,9 @@ public:
 
   /// runThreshold over datasets the caller already labeled (one per run,
   /// in suite order) -- e.g. through a noise stack's label hooks.
-  /// \p ThresholdPct is reported, not re-applied.
+  /// \p ThresholdPct is reported, not re-applied.  Each fold trains on
+  /// the datasets' own instances (ranked per fold unless they sit on a
+  /// shared rank table).
   ThresholdResult runThreshold(const std::vector<BenchmarkRun> &Suite,
                                const std::vector<Dataset> &Labeled,
                                double ThresholdPct, const LearnerFn &Learner);
@@ -91,7 +95,8 @@ public:
   /// Sweeps thresholds (the paper uses paperThresholds()) and returns one
   /// ThresholdResult per value: thresholds fan out across the pool; each
   /// threshold's inner layers run inline on the worker that owns it
-  /// (TaskPool nesting).
+  /// (TaskPool nesting).  The suite is ranked once for the whole sweep:
+  /// every threshold's folds train on views of one shared rank table.
   std::vector<ThresholdResult>
   runThresholdSweep(const std::vector<BenchmarkRun> &Suite,
                     const std::vector<double> &Thresholds,

@@ -2,8 +2,13 @@
 
 #include "ml/Dataset.h"
 
+#include "support/TaskPool.h"
+
+#include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -14,7 +19,107 @@ const char *schedfilter::getLabelName(Label L) {
   return L == Label::LS ? "LS" : "NS";
 }
 
+namespace {
+
+/// An order-preserving integer key for a double: key(A) < key(B) iff
+/// A < B, for non-NaN values; -0.0 and +0.0 share a key, and every NaN
+/// takes the largest key (training data must be finite -- readCsv rejects
+/// anything else -- this only keeps a NaN from breaking the ranking).
+/// Ranking integer keys sorts and searches without a floating-point
+/// comparator.
+uint64_t orderKey(double V) {
+  if (std::isnan(V))
+    return ~0ull;
+  if (V == 0.0)
+    V = 0.0;
+  uint64_t Bits;
+  std::memcpy(&Bits, &V, sizeof(Bits));
+  return Bits >> 63 ? ~Bits : Bits | (1ull << 63);
+}
+
+} // namespace
+
+RankTable::RankTable(size_t NumRows, std::vector<double> FeatureMajor,
+                     TaskPool *Pool)
+    : NumRows(NumRows), Values(std::move(FeatureMajor)),
+      Ranks(Values.size()) {
+  assert(Values.size() == static_cast<size_t>(NumFeatures) * NumRows &&
+         "one value per (feature, row)");
+  auto RankFeature = [&](size_t F) {
+    const double *Col = values(static_cast<unsigned>(F));
+    uint32_t *RankF = Ranks.data() + F * NumRows;
+    std::vector<uint64_t> Keys(NumRows);
+    for (size_t I = 0; I != NumRows; ++I)
+      Keys[I] = orderKey(Col[I]);
+    std::vector<uint64_t> Distinct = Keys;
+    std::sort(Distinct.begin(), Distinct.end());
+    Distinct.erase(std::unique(Distinct.begin(), Distinct.end()),
+                   Distinct.end());
+    // Walk down so the last write to each rank is its lowest-index holder.
+    std::vector<double> &RV = RankValues[F];
+    RV.resize(Distinct.size());
+    for (size_t I = NumRows; I-- != 0;) {
+      // Branchless binary search for the row's own key, which Distinct
+      // holds: the lookups come in row order, not value order.
+      const uint64_t *Lo = Distinct.data();
+      for (size_t Len = Distinct.size(); Len > 1;) {
+        size_t Half = Len / 2;
+        Lo = Lo[Half - 1] < Keys[I] ? Lo + Half : Lo;
+        Len -= Half;
+      }
+      size_t R = static_cast<size_t>(Lo - Distinct.data());
+      RankF[I] = static_cast<uint32_t>(R);
+      RV[R] = Col[I];
+    }
+    for (size_t I = 0; I != NumRows; ++I)
+      if (std::memcmp(&Col[I], &RV[RankF[I]], sizeof(double)) != 0)
+        Mixed[F].push_back(RankF[I]);
+    std::sort(Mixed[F].begin(), Mixed[F].end());
+    Mixed[F].erase(std::unique(Mixed[F].begin(), Mixed[F].end()),
+                   Mixed[F].end());
+  };
+  if (Pool)
+    Pool->parallelFor(NumFeatures, RankFeature);
+  else
+    for (size_t F = 0; F != NumFeatures; ++F)
+      RankFeature(F);
+}
+
+FeatureVector RankTable::row(size_t I) const {
+  FeatureVector X;
+  for (unsigned F = 0; F != NumFeatures; ++F)
+    X[F] = values(F)[I];
+  return X;
+}
+
+std::shared_ptr<const RankTable>
+schedfilter::rankInstances(const Dataset &D, TaskPool *Pool) {
+  size_t N = D.size();
+  std::vector<double> Values(static_cast<size_t>(NumFeatures) * N);
+  for (size_t I = 0; I != N; ++I)
+    for (unsigned F = 0; F != NumFeatures; ++F)
+      Values[static_cast<size_t>(F) * N + I] = D[I].X[F];
+  return std::make_shared<const RankTable>(N, std::move(Values), Pool);
+}
+
+void Dataset::addRow(uint32_t Row, Label Y) {
+  assert(Table && Row < Table->rows() && "a row of the dataset's table");
+  Instances.push_back({Table->row(Row), Y});
+  RowIds.push_back(Row);
+}
+
 void Dataset::append(const Dataset &Other) {
+  if (Other.empty())
+    return;
+  if (empty()) {
+    Table = Other.Table;
+    RowIds = Other.RowIds;
+  } else if (Table && Table == Other.Table) {
+    RowIds.insert(RowIds.end(), Other.RowIds.begin(), Other.RowIds.end());
+  } else {
+    Table.reset();
+    RowIds.clear();
+  }
   Instances.insert(Instances.end(), Other.Instances.begin(),
                    Other.Instances.end());
 }
@@ -25,20 +130,6 @@ size_t Dataset::countLabel(Label L) const {
     if (I.Y == L)
       ++N;
   return N;
-}
-
-ColumnView Dataset::columns() const {
-  ColumnView CV;
-  CV.NumInstances = Instances.size();
-  CV.Values.resize(static_cast<size_t>(NumFeatures) * CV.NumInstances);
-  CV.Labels.resize(CV.NumInstances);
-  for (size_t I = 0; I != CV.NumInstances; ++I) {
-    CV.Labels[I] = Instances[I].Y;
-    for (unsigned F = 0; F != NumFeatures; ++F)
-      CV.Values[static_cast<size_t>(F) * CV.NumInstances + I] =
-          Instances[I].X[F];
-  }
-  return CV;
 }
 
 void Dataset::writeCsv(std::ostream &OS) const {
@@ -82,5 +173,7 @@ bool Dataset::readCsv(std::istream &IS) {
     Parsed.push_back(Inst);
   }
   Instances = std::move(Parsed);
+  Table.reset();
+  RowIds.clear();
   return true;
 }

@@ -4,6 +4,8 @@
 /// Labeled instances for the whether-to-schedule learning problem.  Each
 /// instance is one basic block: a feature vector plus a boolean class
 /// label, LS (schedule) or NS (don't schedule), per the paper's §2.2.
+/// Datasets labeled from one suite also share a rank table of the suite's
+/// records, the index the RIPPER trainer sweeps (ml/Ripper.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,11 +14,15 @@
 
 #include "features/Features.h"
 
+#include <array>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
 namespace schedfilter {
+
+class TaskPool;
 
 /// Class labels.  NS first so that "default class" logic reads naturally.
 enum class Label : uint8_t { NS = 0, LS = 1 };
@@ -30,25 +36,55 @@ struct Instance {
   Label Y;
 };
 
-/// A flat, feature-major (columnar) view of a dataset, for algorithms that
-/// scan one feature across many instances (the indexed RIPPER trainer
-/// ranks each column's distinct values from it and tests conditions and
-/// rule masks against it).  Values are copied bit-exactly from the
-/// row-major instances, so a condition evaluated against a column compares
-/// the same doubles as Condition::matches against the original
-/// FeatureVector.  The view is a snapshot: it does not track later
-/// mutation of the source dataset.
-struct ColumnView {
-  size_t NumInstances = 0;
-  /// Values[F * NumInstances + i] == dataset[i].X[F].
-  std::vector<double> Values;
-  /// Labels[i] == dataset[i].Y.
-  std::vector<Label> Labels;
+/// An immutable, feature-major rank index over a fixed set of feature
+/// vectors (its rows) -- typically every traced record of one suite.  For
+/// each feature it holds the rows' values bit for bit, each row's dense
+/// rank among the feature's distinct values (0 = smallest; values equal
+/// under operator== share a rank), and each rank's value, with the bits
+/// of the lowest-index row holding it.  A dataset whose instances are
+/// rows of a table (see Dataset::addRow) trains on a view of it, so every
+/// fold of every threshold of a sweep shares one ranking.  Read-only
+/// after construction, so any number of threads may share one.
+class RankTable {
+public:
+  /// Ranks \p NumRows rows given feature-major:
+  /// FeatureMajor[F * NumRows + i] is row i's feature F.  Features are
+  /// ranked on \p Pool's workers when one is given; the table is the
+  /// same either way.
+  RankTable(size_t NumRows, std::vector<double> FeatureMajor,
+            TaskPool *Pool = nullptr);
 
-  /// The contiguous column of feature \p F.
-  const double *col(unsigned F) const {
-    return Values.data() + static_cast<size_t>(F) * NumInstances;
+  size_t rows() const { return NumRows; }
+
+  /// Feature \p F of every row, in row order.
+  const double *values(unsigned F) const {
+    return Values.data() + static_cast<size_t>(F) * NumRows;
   }
+  /// Every row's dense rank under feature \p F, in row order.
+  const uint32_t *ranks(unsigned F) const {
+    return Ranks.data() + static_cast<size_t>(F) * NumRows;
+  }
+  /// Feature \p F's distinct values in ascending order, indexed by rank.
+  const std::vector<double> &rankValues(unsigned F) const {
+    return RankValues[F];
+  }
+  /// The ranks of feature \p F whose holders do not all share one bit
+  /// pattern (of finite values, a rank holding both -0.0 and +0.0).  A
+  /// subset of the rows may have a different lowest-index holder for
+  /// these, hence different bits.
+  const std::vector<uint32_t> &mixedRanks(unsigned F) const {
+    return Mixed[F];
+  }
+
+  /// Row \p I as a feature vector.
+  FeatureVector row(size_t I) const;
+
+private:
+  size_t NumRows;
+  std::vector<double> Values;
+  std::vector<uint32_t> Ranks;
+  std::array<std::vector<double>, NumFeatures> RankValues;
+  std::array<std::vector<uint32_t>, NumFeatures> Mixed;
 };
 
 /// A named bag of instances (typically: all blocks of one benchmark).
@@ -56,10 +92,29 @@ class Dataset {
 public:
   explicit Dataset(std::string Name = "") : Name(std::move(Name)) {}
 
+  /// An empty dataset whose instances will be rows of \p Table (addRow).
+  Dataset(std::string Name, std::shared_ptr<const RankTable> Table)
+      : Name(std::move(Name)), Table(std::move(Table)) {}
+
   const std::string &getName() const { return Name; }
 
-  void add(Instance I) { Instances.push_back(std::move(I)); }
+  /// Adds a free-standing instance; the dataset no longer sits on a rank
+  /// table.
+  void add(Instance I) {
+    Instances.push_back(std::move(I));
+    Table.reset();
+    RowIds.clear();
+  }
+  /// Adds row \p Row of the rank table with label \p Y.
+  void addRow(uint32_t Row, Label Y);
+  /// Appends \p Other's instances.  The result stays on a rank table when
+  /// both sides sit on the same one (or this side is empty).
   void append(const Dataset &Other);
+
+  /// The rank table every instance is a row of, or null.
+  const std::shared_ptr<const RankTable> &rankTable() const { return Table; }
+  /// Instance i is row rowIds()[i] of rankTable(); empty without a table.
+  const std::vector<uint32_t> &rowIds() const { return RowIds; }
 
   size_t size() const { return Instances.size(); }
   bool empty() const { return Instances.empty(); }
@@ -76,9 +131,6 @@ public:
   /// Number of instances with label \p L.
   size_t countLabel(Label L) const;
 
-  /// Builds a feature-major snapshot of the instances (see ColumnView).
-  ColumnView columns() const;
-
   /// Writes instances as CSV: feature columns then the label name.
   void writeCsv(std::ostream &OS) const;
 
@@ -90,7 +142,13 @@ public:
 private:
   std::string Name;
   std::vector<Instance> Instances;
+  std::shared_ptr<const RankTable> Table;
+  std::vector<uint32_t> RowIds;
 };
+
+/// A rank table over \p D's instances: row i is D[i].
+std::shared_ptr<const RankTable> rankInstances(const Dataset &D,
+                                               TaskPool *Pool = nullptr);
 
 } // namespace schedfilter
 

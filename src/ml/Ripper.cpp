@@ -1,23 +1,30 @@
 //===- ml/Ripper.cpp - RIPPER rule induction --------------------------------===//
 //
 // The indexed training engine.  The naive trainer re-sorted every feature
-// column for every candidate condition of every grown rule; this one ranks
-// each feature column once per train() call and never sorts a column
-// again:
+// column for every candidate condition of every grown rule; this one
+// never sorts during training:
 //
-//  - Every instance carries its dense rank among its column's distinct
-//    values (the Table 1 features have a few dozen to a few hundred per
-//    training set), so a value-order sweep is a walk over ranks.
+//  - Every training set is a view of a RankTable (ml/Dataset.h): each
+//    instance carries its dense rank among its feature's distinct values
+//    (the Table 1 features have a few dozen to a few hundred), so a
+//    value-order sweep is a walk over ranks.  Datasets labeled from one
+//    suite share one table -- all 77 folds of sf-report's sweep -- and
+//    train() just gathers its rows and labels; a dataset without a table
+//    (CSV, add()) is ranked by the same table builder first.
 //  - Finding the best FOIL condition counts the covered instances' (P, N)
 //    into a rank-indexed histogram per feature and walks its non-empty
 //    bins in ascending order -- O(features x (covered + distinct)) per
 //    condition -- with an FP-sound upper bound (gain <= P * -BaseInfo)
 //    skipping provably-losing candidates.
 //  - The covered set is one instance list, filtered per condition.
-//  - Rule-set coverage for the MDL bookkeeping (totalDL, optimizePass,
-//    rule deletion) is computed through per-rule coverage bitmasks that
-//    the call sites OR incrementally instead of re-evaluating every rule
-//    per instance.
+//  - The MDL bookkeeping is incremental: each rule's coverage bitmask is
+//    computed once and kept beside it for the rest of training
+//    (replacement, revision, mop-up, deletion, the final coverage
+//    counts); exception counts are popcounts against per-call class
+//    masks; rule deletion bit-slices the cover count into "covered >= 1"
+//    and "covered >= 2" masks, so each candidate costs one pass over the
+//    words.  Theory bits are still summed in list order, so every DL
+//    double is the one the per-instance computation produced.
 //
 // Per-feature sweeps optionally fan out across a shared TaskPool; the
 // argmax is reduced in feature order with the exact strict-greater tie
@@ -34,8 +41,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cassert>
+#include <cmath>
+#include <numeric>
 
 using namespace schedfilter;
 
@@ -93,32 +101,47 @@ struct FeatureBest {
   size_t P = 0, N = 0; // covered instances the condition keeps
 };
 
-/// A strict weak order on doubles that agrees with operator< on non-NaN
-/// values and ranks every NaN last.  Training data must be finite
-/// (Dataset::readCsv rejects anything else); this only keeps a NaN from
-/// breaking the rank sort.
-bool valueLess(double A, double B) {
-  return A < B || (!std::isnan(A) && std::isnan(B));
-}
+/// One call's instances as class bitmasks, one bit per training instance:
+/// exception counts for the MDL are popcounts against them.
+struct ClassMasks {
+  std::vector<uint64_t> Pos, Neg;
+  size_t NumPos = 0, NumNeg = 0;
+};
+
+/// Covered instances of each class.
+struct Coverage {
+  size_t Pos = 0, Neg = 0;
+};
+
+/// A rule list plus each rule's coverage mask over the training set: the
+/// masks ride along through every pass (replacement, revision, mop-up,
+/// deletion), so the MDL bookkeeping never re-evaluates a settled rule.
+struct RuleList {
+  std::vector<Rule> Rules;
+  std::vector<std::vector<uint64_t>> Masks;
+};
 
 /// The whole learning state threaded through the helper routines: the
-/// immutable rank indexes built once per train() call, plus reusable
-/// coverage, histogram and mask scratch.
+/// training set's view of its rank table, gathered once per train() call,
+/// plus reusable coverage, histogram and mask scratch.
 struct Trainer {
   const RipperOptions &Opts;
   Label Target;
   TaskPool *Pool; // may be null: run every feature loop inline
   double CondSpaceBits; // log2(#possible conditions), for the theory DL
+  size_t N;             // training instances
+  size_t Words;         // 64-bit words per instance bitmask
 
-  // --- Immutable per-train() indexes. ---
-  ColumnView Cols;
+  // --- The immutable per-train() view, gathered from the rank table. ---
+  /// Values[F * N + i]: instance i's feature F, bit for bit.
+  std::vector<double> Values;
   /// IsPos[i]: instance i's label equals the target class.
   std::vector<uint8_t> IsPos;
-  /// Rank[F * n + i]: instance i's dense rank among feature F's distinct
-  /// values (0 = smallest; equal values under operator== share a rank).
+  /// Rank[F * N + i]: instance i's rank in the table's feature F.
   std::vector<uint32_t> Rank;
   /// RankValue[F][r]: the value of rank r, bit for bit as the
-  /// lowest-index instance holding it.
+  /// lowest-index training instance holding it (ranks no instance holds
+  /// are never read).
   std::vector<std::vector<double>> RankValue;
 
   // --- Scratch (reused across every grown rule; no steady-state
@@ -133,63 +156,71 @@ struct Trainer {
   /// Prune-split instances still matched by the rule prefix under
   /// evaluation (incremental pruneRule).
   std::vector<int32_t> PrunePosCur, PruneNegCur;
-  /// Bitmask scratch for rule-coverage counting (totalDL, optimizePass):
-  /// one bit per instance, branchless column scans instead of per-instance
-  /// rule evaluation.  The counted memberships are identical.
-  std::vector<uint64_t> RuleMaskScratch, AnyMaskScratch, PrevMaskScratch;
 
   /// Fan per-feature work out only when each feature has enough covered
   /// instances to amortize the fork; below this, inline is faster.  A
   /// wall-clock knob only: results are identical either way.
   static constexpr size_t ParallelMinCovered = 2048;
 
-  Trainer(const Dataset &Data, const RipperOptions &O, Label Tgt,
-          TaskPool *P)
-      : Opts(O), Target(Tgt), Pool(P), Cols(Data.columns()) {
-    size_t N = Cols.NumInstances;
+  /// Gathers \p Data's rows of \p Table (instance i is row \p Rows[i]):
+  /// O(instances x features), no sort.
+  Trainer(const Dataset &Data, const RankTable &Table, const uint32_t *Rows,
+          const RipperOptions &O, Label Tgt, TaskPool *P)
+      : Opts(O), Target(Tgt), Pool(P), N(Data.size()), Words((N + 63) / 64) {
     IsPos.resize(N);
     for (size_t I = 0; I != N; ++I)
-      IsPos[I] = Cols.Labels[I] == Target;
+      IsPos[I] = Data[I].Y == Target;
+    Values.resize(static_cast<size_t>(NumFeatures) * N);
     Rank.resize(static_cast<size_t>(NumFeatures) * N);
     RankValue.resize(NumFeatures);
     Hist.resize(NumFeatures);
     FeatureResults.resize(NumFeatures);
+    std::vector<size_t> Present(NumFeatures);
     forEachFeature(N, [&](unsigned F) {
-      rankColumn(F);
-      Hist[F].assign(2 * RankValue[F].size(), 0);
+      Present[F] = gatherFeature(F, Table, Rows);
     });
     // The condition space is two operators per distinct (feature, value)
-    // pair present in the data, exactly the count the old per-feature
-    // std::set produced.
+    // pair present in the training set: the ranks its instances hold.
     size_t NumConds = 0;
-    for (const std::vector<double> &Values : RankValue)
-      NumConds += 2 * Values.size();
+    for (size_t P : Present)
+      NumConds += 2 * P;
     CondSpaceBits =
         std::log2(std::max<double>(2.0, static_cast<double>(NumConds)));
   }
 
-  /// Fills feature \p F's Rank column and RankValue: sorts the column's
-  /// distinct values once, then finds each instance's rank by binary
-  /// search.  Each rank keeps the bits of the lowest-index instance
-  /// holding it (of finite values, only -0.0 and +0.0 compare equal with
-  /// different bits).
-  void rankColumn(unsigned F) {
-    size_t N = Cols.NumInstances;
-    const double *Col = Cols.col(F);
+  /// Fills feature \p F's Values, Rank and RankValue from \p Table and
+  /// returns how many of its ranks the training set holds.  A mixed rank
+  /// (-0.0 and +0.0) takes the bits of its lowest-index holder here, which
+  /// need not be the table's.
+  size_t gatherFeature(unsigned F, const RankTable &Table,
+                       const uint32_t *Rows) {
+    const double *TV = Table.values(F);
+    const uint32_t *TR = Table.ranks(F);
+    double *V = Values.data() + static_cast<size_t>(F) * N;
     uint32_t *RankF = Rank.data() + static_cast<size_t>(F) * N;
-    std::vector<double> &Values = RankValue[F];
-    Values.assign(Col, Col + N);
-    std::sort(Values.begin(), Values.end(), valueLess);
-    auto Same = [](double A, double B) { return !valueLess(A, B); };
-    Values.erase(std::unique(Values.begin(), Values.end(), Same), Values.end());
-    // Walk down so the last write to each rank is its lowest-index holder.
-    for (size_t I = N; I-- != 0;) {
-      size_t R = static_cast<size_t>(
-          std::lower_bound(Values.begin(), Values.end(), Col[I], valueLess) -
-          Values.begin());
-      RankF[I] = static_cast<uint32_t>(R);
-      Values[R] = Col[I];
+    for (size_t I = 0; I != N; ++I) {
+      V[I] = TV[Rows[I]];
+      RankF[I] = TR[Rows[I]];
     }
+    std::vector<double> &RV = RankValue[F];
+    RV = Table.rankValues(F);
+    // Hist doubles as the "rank held" scratch; it is zero again on return.
+    std::vector<uint32_t> &H = Hist[F];
+    H.assign(2 * RV.size(), 0);
+    for (size_t I = 0; I != N; ++I)
+      H[2 * RankF[I]] = 1;
+    size_t Held = 0;
+    for (size_t R = 0; R != RV.size(); ++R) {
+      Held += H[2 * R];
+      H[2 * R] = 0;
+    }
+    for (uint32_t M : Table.mixedRanks(F))
+      for (size_t I = 0; I != N; ++I)
+        if (RankF[I] == M) {
+          RV[M] = V[I];
+          break;
+        }
+    return Held;
   }
 
   /// Runs \p Body(F) for every feature, on the pool when one is attached
@@ -207,31 +238,15 @@ struct Trainer {
       Body(F);
   }
 
+  const double *col(unsigned F) const {
+    return Values.data() + static_cast<size_t>(F) * N;
+  }
+
   /// Does instance \p I satisfy \p C?  Compares the same doubles as
   /// Condition::matches against the row-major FeatureVector.
   bool condMatches(const Condition &C, int32_t I) const {
-    double V = Cols.col(C.Feature)[static_cast<size_t>(I)];
+    double V = col(C.Feature)[static_cast<size_t>(I)];
     return C.IsLessEqual ? V <= C.Threshold : V >= C.Threshold;
-  }
-
-  /// Does instance \p I satisfy every condition of \p R?
-  bool ruleMatches(const Rule &R, int32_t I) const {
-    for (const Condition &C : R.Conditions)
-      if (!condMatches(C, I))
-        return false;
-    return true;
-  }
-
-  /// Counts how many of (\p Pos, \p Neg) the rule matches, split by class.
-  void countCoverage(const Rule &R, const IndexList &Pos,
-                     const IndexList &Neg, size_t &P, size_t &N) const {
-    P = N = 0;
-    for (int I : Pos)
-      if (ruleMatches(R, I))
-        ++P;
-    for (int I : Neg)
-      if (ruleMatches(R, I))
-        ++N;
   }
 
   /// Theory cost of one rule (Cohen's redundancy-adjusted encoding).
@@ -240,17 +255,15 @@ struct Trainer {
     return 0.5 * (std::log2(K + 1.0) + K * CondSpaceBits);
   }
 
-  /// Fills \p Mask with one bit per instance: set iff the instance
-  /// satisfies every condition of \p R.  Each condition is a branchless
-  /// sequential scan of its column; the memberships are exactly those of
-  /// per-instance rule evaluation.  Bits past the instance count may be
-  /// set and must not be read.
-  void ruleMask(const Rule &R, std::vector<uint64_t> &Mask) const {
-    size_t N = Cols.NumInstances;
-    size_t Words = (N + 63) / 64;
-    Mask.assign(Words, ~0ull);
+  /// One bit per instance: set iff the instance satisfies every condition
+  /// of \p R.  Each condition is a branchless sequential scan of its
+  /// column; the memberships are exactly those of per-instance rule
+  /// evaluation.  Bits past the instance count may be set and must not be
+  /// read (the class masks are zero there).
+  std::vector<uint64_t> ruleMask(const Rule &R) const {
+    std::vector<uint64_t> Mask(Words, ~0ull);
     for (const Condition &C : R.Conditions) {
-      const double *Col = Cols.col(C.Feature);
+      const double *Col = col(C.Feature);
       double T = C.Threshold;
       for (size_t W = 0; W != Words; ++W) {
         size_t Base = W * 64;
@@ -266,18 +279,7 @@ struct Trainer {
         Mask[W] &= M;
       }
     }
-  }
-
-  /// Fills \p Any with the union of every rule's coverage mask.
-  void anyRuleMask(const std::vector<Rule> &Rules,
-                   std::vector<uint64_t> &Any) {
-    size_t Words = (Cols.NumInstances + 63) / 64;
-    Any.assign(Words, 0);
-    for (const Rule &R : Rules) {
-      ruleMask(R, RuleMaskScratch);
-      for (size_t W = 0; W != Words; ++W)
-        Any[W] |= RuleMaskScratch[W];
-    }
+    return Mask;
   }
 
   static bool maskBit(const std::vector<uint64_t> &Mask, int I) {
@@ -292,32 +294,60 @@ struct Trainer {
       Dst[W] |= Src[W];
   }
 
-  /// Description length given a precomputed covered-by-any mask: exception
-  /// bits from the coverage counts over (\p Pos, \p Neg) plus theory bits
-  /// for every rule of \p Rules except index \p Skip (pass
-  /// Rules.size() to include all) -- accumulated in list order, exactly as
-  /// the direct computation would.
-  double dlFromMask(const std::vector<uint64_t> &Any,
-                    const std::vector<Rule> &Rules, size_t Skip,
-                    const IndexList &Pos, const IndexList &Neg) const {
-    size_t Covered = 0, FP = 0, FN = 0;
-    for (int I : Pos) {
-      if (maskBit(Any, I))
-        ++Covered;
-      else
-        ++FN;
+  /// How many of \p L's instances \p Mask covers.
+  static size_t countIn(const std::vector<uint64_t> &Mask,
+                        const IndexList &L) {
+    size_t C = 0;
+    for (int I : L)
+      C += maskBit(Mask, I);
+    return C;
+  }
+
+  ClassMasks classMasks(const IndexList &Pos, const IndexList &Neg) const {
+    ClassMasks CM;
+    CM.Pos.assign(Words, 0);
+    CM.Neg.assign(Words, 0);
+    for (int I : Pos)
+      CM.Pos[static_cast<size_t>(I) >> 6] |= 1ull << (I & 63);
+    for (int I : Neg)
+      CM.Neg[static_cast<size_t>(I) >> 6] |= 1ull << (I & 63);
+    CM.NumPos = Pos.size();
+    CM.NumNeg = Neg.size();
+    return CM;
+  }
+
+  /// The instances of \p CM's classes in the mask \p Word(W) yields.
+  template <typename WordFn>
+  Coverage covered(const ClassMasks &CM, const WordFn &Word) const {
+    Coverage C;
+    for (size_t W = 0; W != Words; ++W) {
+      uint64_t M = Word(W);
+      C.Pos += static_cast<size_t>(__builtin_popcountll(M & CM.Pos[W]));
+      C.Neg += static_cast<size_t>(__builtin_popcountll(M & CM.Neg[W]));
     }
-    for (int I : Neg) {
-      if (maskBit(Any, I)) {
-        ++Covered;
-        ++FP;
-      }
-    }
-    size_t Total = Pos.size() + Neg.size();
-    double DL = subsetDL(Covered, FP) + subsetDL(Total - Covered, FN);
-    for (size_t R = 0; R != Rules.size(); ++R)
-      if (R != Skip)
+    return C;
+  }
+
+  /// Exception bits of a rule list whose union covers \p C of \p CM's
+  /// instances.
+  static double exceptionDL(const ClassMasks &CM, Coverage C) {
+    size_t Covered = C.Pos + C.Neg, FP = C.Neg, FN = CM.NumPos - C.Pos;
+    size_t Total = CM.NumPos + CM.NumNeg;
+    return subsetDL(Covered, FP) + subsetDL(Total - Covered, FN);
+  }
+
+  /// \p DL plus the theory bits of \p Rules, accumulated in list order
+  /// (the order that keeps every DL double bit-identical), with the rule
+  /// at \p At replaced by \p *Sub -- or left out when \p Sub is null.
+  /// \p At == Rules.size() takes every rule as is.
+  double withTheory(double DL, const std::vector<Rule> &Rules, size_t At,
+                    const Rule *Sub) const {
+    for (size_t R = 0; R != Rules.size(); ++R) {
+      if (R != At)
         DL += ruleDL(Rules[R]);
+      else if (Sub)
+        DL += ruleDL(*Sub);
+    }
     return DL;
   }
 
@@ -359,8 +389,7 @@ struct Trainer {
   /// any order, including not at all.
   void scanFeature(unsigned F, size_t P0, size_t N0, double BaseInfo,
                    std::atomic<double> &Hint, FeatureBest &Out) {
-    const uint32_t *RankF =
-        Rank.data() + static_cast<size_t>(F) * Cols.NumInstances;
+    const uint32_t *RankF = Rank.data() + static_cast<size_t>(F) * N;
     const std::vector<double> &Values = RankValue[F];
     double BestGain = 1e-9;
     double HintGain = Hint.load(std::memory_order_relaxed);
@@ -461,21 +490,24 @@ struct Trainer {
     CovList.resize(W);
   }
 
-  /// Grows \p R (possibly already containing conditions, for revisions) by
-  /// adding best-gain conditions until no negatives remain covered.
-  void growRule(Rule &R, const IndexList &GrowPos,
-                const IndexList &GrowNeg) {
+  /// Grows \p R by adding best-gain conditions until no negatives remain
+  /// covered.  \p Covers is R's coverage mask when R already has
+  /// conditions (a revision); null when it has none.
+  void growRule(Rule &R, const IndexList &GrowPos, const IndexList &GrowNeg,
+                const std::vector<uint64_t> *Covers) {
+    assert((Covers != nullptr) == !R.Conditions.empty() &&
+           "a mask exactly for rules that already have conditions");
     // Seed the covered set with the grow instances the rule already
     // matches.
     CovList.clear();
     size_t CovP = 0, CovN = 0;
     for (int I : GrowPos)
-      if (ruleMatches(R, I)) {
+      if (!Covers || maskBit(*Covers, I)) {
         CovList.push_back(I);
         ++CovP;
       }
     for (int I : GrowNeg)
-      if (ruleMatches(R, I)) {
+      if (!Covers || maskBit(*Covers, I)) {
         CovList.push_back(I);
         ++CovN;
       }
@@ -534,100 +566,98 @@ struct Trainer {
   }
 
   /// IREP* main loop: returns an ordered list of rules for the target
-  /// class covering \p Pos against \p Neg.  The MDL check after each
-  /// accepted rule ORs the new rule's coverage mask into an accumulator
-  /// instead of re-evaluating every prior rule -- same memberships, same
-  /// description lengths.
-  std::vector<Rule> buildRuleList(IndexList Pos, IndexList Neg, Rng &R) {
-    std::vector<Rule> Rules;
+  /// class covering \p Pos against \p Neg, with their masks.  The MDL
+  /// check after each accepted rule ORs the new rule's mask into the
+  /// union and counts exceptions by popcount against the call's class
+  /// masks -- the same memberships, so the same description lengths.
+  RuleList buildRuleList(IndexList Pos, IndexList Neg, Rng &R) {
+    RuleList Out;
     if (Pos.empty())
-      return Rules;
-    size_t Words = (Cols.NumInstances + 63) / 64;
-    std::vector<uint64_t> AccumMask(Words, 0), CandMask;
-    IndexList AllPos = Pos, AllNeg = Neg;
-    double BestDL = dlFromMask(AccumMask, Rules, Rules.size(), Pos, Neg);
+      return Out;
+    ClassMasks CM = classMasks(Pos, Neg);
+    std::vector<uint64_t> AccumMask(Words, 0);
+    auto DLOf = [&](const auto &Word) {
+      return withTheory(exceptionDL(CM, covered(CM, Word)), Out.Rules,
+                        Out.Rules.size(), nullptr);
+    };
+    double BestDL = DLOf([&](size_t W) { return AccumMask[W]; });
 
-    while (!Pos.empty() && Rules.size() < Opts.MaxRules) {
+    while (!Pos.empty() && Out.Rules.size() < Opts.MaxRules) {
       IndexList GP, GN, PP, PN;
       splitGrowPrune(Pos, Neg, R, GP, GN, PP, PN);
 
       Rule NewRule;
       NewRule.Conclusion = Target;
-      growRule(NewRule, GP, GN);
+      growRule(NewRule, GP, GN, nullptr);
       pruneRule(NewRule, PP, PN);
       if (NewRule.Conditions.empty())
         break;
+      std::vector<uint64_t> Mask = ruleMask(NewRule);
 
       // Reject rules that are wrong more often than right on prune data.
-      size_t P, N;
-      countCoverage(NewRule, PP, PN, P, N);
+      size_t P = countIn(Mask, PP), N = countIn(Mask, PN);
       if (P + N > 0 && N > P)
         break;
 
       // The rule must make progress on the remaining positives.
-      size_t CovP, CovN;
-      countCoverage(NewRule, Pos, Neg, CovP, CovN);
-      if (CovP == 0)
+      if (countIn(Mask, Pos) == 0)
         break;
 
-      Rules.push_back(NewRule);
-      ruleMask(NewRule, RuleMaskScratch);
-      CandMask = AccumMask;
-      orInto(CandMask, RuleMaskScratch);
-      double DL = dlFromMask(CandMask, Rules, Rules.size(), AllPos, AllNeg);
+      Out.Rules.push_back(std::move(NewRule));
+      double DL = DLOf([&](size_t W) { return AccumMask[W] | Mask[W]; });
       if (DL < BestDL)
         BestDL = DL;
       if (DL > BestDL + Opts.MdlSlackBits) {
-        Rules.pop_back();
+        Out.Rules.pop_back();
         break;
       }
-      AccumMask.swap(CandMask);
+      orInto(AccumMask, Mask);
 
       auto RemoveCovered = [&](IndexList &L) {
-        IndexList Out;
-        Out.reserve(L.size());
-        for (int I : L)
-          if (!maskBit(RuleMaskScratch, I))
-            Out.push_back(I);
-        L = std::move(Out);
+        size_t Kept = 0;
+        for (int I : L) {
+          L[Kept] = I;
+          Kept += !maskBit(Mask, I);
+        }
+        L.resize(Kept);
       };
       RemoveCovered(Pos);
       RemoveCovered(Neg);
+      Out.Masks.push_back(std::move(Mask));
     }
-    return Rules;
+    return Out;
   }
 
-  /// One optimization pass over \p Rules (replacement / revision / keep by
+  /// One optimization pass over \p L (replacement / revision / keep by
   /// minimum description length), followed by mop-up and rule deletion.
-  void optimizePass(std::vector<Rule> &Rules, const IndexList &AllPos,
-                    const IndexList &AllNeg, Rng &R) {
-    // PrevMaskScratch accumulates the union of rules before RI, in their
-    // *final* (possibly replaced) form -- exactly what per-instance
-    // re-evaluation saw, since rule RI-1 is settled before iteration RI.
-    // SuffMask[K] is the union of the *original* rules K..end; at
-    // iteration RI only indices > RI are consulted, which the pass has
-    // not touched yet, so the precomputation stays valid throughout.
-    size_t Words = (Cols.NumInstances + 63) / 64;
-    PrevMaskScratch.assign(Words, 0);
-    std::vector<std::vector<uint64_t>> SuffMask(Rules.size() + 1);
-    SuffMask[Rules.size()].assign(Words, 0);
+  /// \p CM holds (\p AllPos, \p AllNeg) as class masks.
+  void optimizePass(RuleList &L, const IndexList &AllPos,
+                    const IndexList &AllNeg, const ClassMasks &CM, Rng &R) {
+    std::vector<Rule> &Rules = L.Rules;
+    std::vector<std::vector<uint64_t>> &Masks = L.Masks;
+    // Prev accumulates the union of rules before RI, in their *final*
+    // (possibly replaced) form -- exactly what per-instance re-evaluation
+    // saw, since rule RI-1 is settled before iteration RI.  Suff[K] is the
+    // union of the *original* rules K..end; at iteration RI only indices
+    // > RI are consulted, which the pass has not touched yet, so the
+    // precomputation stays valid throughout.
+    std::vector<uint64_t> Prev(Words, 0);
+    std::vector<std::vector<uint64_t>> Suff(Rules.size() + 1);
+    Suff[Rules.size()].assign(Words, 0);
     for (size_t K = Rules.size(); K-- > 0;) {
-      ruleMask(Rules[K], RuleMaskScratch);
-      SuffMask[K] = SuffMask[K + 1];
-      orInto(SuffMask[K], RuleMaskScratch);
+      Suff[K] = Suff[K + 1];
+      orInto(Suff[K], Masks[K]);
     }
     for (size_t RI = 0; RI != Rules.size(); ++RI) {
-      if (RI > 0) {
-        ruleMask(Rules[RI - 1], RuleMaskScratch);
-        orInto(PrevMaskScratch, RuleMaskScratch);
-      }
+      if (RI > 0)
+        orInto(Prev, Masks[RI - 1]);
       // Instances that reach rule RI (not claimed by an earlier rule).
       IndexList ReachPos, ReachNeg;
       for (int I : AllPos)
-        if (!maskBit(PrevMaskScratch, I))
+        if (!maskBit(Prev, I))
           ReachPos.push_back(I);
       for (int I : AllNeg)
-        if (!maskBit(PrevMaskScratch, I))
+        if (!maskBit(Prev, I))
           ReachNeg.push_back(I);
       if (ReachPos.empty())
         continue;
@@ -638,78 +668,88 @@ struct Trainer {
       // Replacement: grown from scratch.
       Rule Replacement;
       Replacement.Conclusion = Target;
-      growRule(Replacement, GP, GN);
+      growRule(Replacement, GP, GN, nullptr);
       pruneRule(Replacement, PP, PN);
 
       // Revision: grown from the current rule.
       Rule Revision = Rules[RI];
       Revision.NumCorrect = Revision.NumIncorrect = 0;
-      growRule(Revision, GP, GN);
+      growRule(Revision, GP, GN, &Masks[RI]);
       pruneRule(Revision, PP, PN);
 
       // Keep whichever of {original, replacement, revision} minimizes the
       // description length of the whole rule set.  Every variant differs
       // from the current list only at RI, so each DL is prefix-union |
       // variant's mask | suffix-union -- no other rule is re-evaluated.
-      std::vector<Rule> Variant = Rules;
-      auto VariantDL = [&](const Rule &At) {
-        Variant[RI] = At;
-        std::vector<uint64_t> Any = PrevMaskScratch;
-        orInto(Any, SuffMask[RI + 1]);
-        ruleMask(At, RuleMaskScratch);
-        orInto(Any, RuleMaskScratch);
-        return dlFromMask(Any, Variant, Variant.size(), AllPos, AllNeg);
+      std::vector<uint64_t> Base = Prev;
+      orInto(Base, Suff[RI + 1]);
+      auto VariantDL = [&](const Rule &At, const std::vector<uint64_t> &M) {
+        Coverage C =
+            covered(CM, [&](size_t W) { return Base[W] | M[W]; });
+        return withTheory(exceptionDL(CM, C), Rules, RI, &At);
       };
-      double DLOrig = VariantDL(Rules[RI]);
+      double DLOrig = VariantDL(Rules[RI], Masks[RI]);
       double DLRepl = 1e300, DLRev = 1e300;
-      if (!Replacement.Conditions.empty())
-        DLRepl = VariantDL(Replacement);
-      if (!Revision.Conditions.empty())
-        DLRev = VariantDL(Revision);
-      if (DLRepl < DLOrig && DLRepl <= DLRev)
-        Rules[RI] = Replacement;
-      else if (DLRev < DLOrig)
-        Rules[RI] = Revision;
+      std::vector<uint64_t> ReplMask, RevMask;
+      if (!Replacement.Conditions.empty()) {
+        ReplMask = ruleMask(Replacement);
+        DLRepl = VariantDL(Replacement, ReplMask);
+      }
+      if (!Revision.Conditions.empty()) {
+        RevMask = ruleMask(Revision);
+        DLRev = VariantDL(Revision, RevMask);
+      }
+      if (DLRepl < DLOrig && DLRepl <= DLRev) {
+        Rules[RI] = std::move(Replacement);
+        Masks[RI] = std::move(ReplMask);
+      } else if (DLRev < DLOrig) {
+        Rules[RI] = std::move(Revision);
+        Masks[RI] = std::move(RevMask);
+      }
     }
 
     // Mop-up: cover positives the optimized rules no longer cover.
+    if (!Rules.empty())
+      orInto(Prev, Masks.back());
     IndexList UncovPos, UncovNeg;
-    anyRuleMask(Rules, AnyMaskScratch);
     for (int I : AllPos)
-      if (!maskBit(AnyMaskScratch, I))
+      if (!maskBit(Prev, I))
         UncovPos.push_back(I);
     for (int I : AllNeg)
-      if (!maskBit(AnyMaskScratch, I))
+      if (!maskBit(Prev, I))
         UncovNeg.push_back(I);
-    std::vector<Rule> Extra = buildRuleList(UncovPos, UncovNeg, R);
-    for (Rule &E : Extra)
-      if (Rules.size() < Opts.MaxRules)
-        Rules.push_back(std::move(E));
+    RuleList Extra = buildRuleList(UncovPos, UncovNeg, R);
+    for (size_t E = 0; E != Extra.Rules.size(); ++E)
+      if (Rules.size() < Opts.MaxRules) {
+        Rules.push_back(std::move(Extra.Rules[E]));
+        Masks.push_back(std::move(Extra.Masks[E]));
+      }
 
     // Deletion: drop rules whose removal shrinks the description length.
-    // Each round computes every rule's coverage mask once; a
-    // leave-one-out union is then cheap bit algebra instead of a full
-    // re-evaluation per candidate.
-    std::vector<std::vector<uint64_t>> PerRule;
-    std::vector<uint64_t> Any;
+    // Each round bit-slices the per-instance cover count into "covered
+    // >= 1" (Ones) and "covered >= 2" (Twos); dropping rule r uncovers
+    // exactly Masks[r] & ~Twos (within Ones), so a candidate costs one
+    // pass over the words.
+    std::vector<uint64_t> Ones, Twos;
     bool Changed = true;
     while (Changed && !Rules.empty()) {
       Changed = false;
-      PerRule.resize(Rules.size());
-      Any.assign(Words, 0);
-      for (size_t RI = 0; RI != Rules.size(); ++RI) {
-        ruleMask(Rules[RI], PerRule[RI]);
-        orInto(Any, PerRule[RI]);
-      }
-      double CurDL = dlFromMask(Any, Rules, Rules.size(), AllPos, AllNeg);
-      double BestDL = CurDL;
+      Ones.assign(Words, 0);
+      Twos.assign(Words, 0);
+      for (const std::vector<uint64_t> &M : Masks)
+        for (size_t W = 0; W != Words; ++W) {
+          Twos[W] |= Ones[W] & M[W];
+          Ones[W] |= M[W];
+        }
+      Coverage All = covered(CM, [&](size_t W) { return Ones[W]; });
+      double BestDL =
+          withTheory(exceptionDL(CM, All), Rules, Rules.size(), nullptr);
       size_t BestIdx = Rules.size();
       for (size_t RI = 0; RI != Rules.size(); ++RI) {
-        Any.assign(Words, 0);
-        for (size_t J = 0; J != Rules.size(); ++J)
-          if (J != RI)
-            orInto(Any, PerRule[J]);
-        double DL = dlFromMask(Any, Rules, RI, AllPos, AllNeg);
+        const std::vector<uint64_t> &M = Masks[RI];
+        Coverage Lost = covered(CM, [&](size_t W) { return M[W] & ~Twos[W]; });
+        Coverage Left{All.Pos - Lost.Pos, All.Neg - Lost.Neg};
+        double DL = withTheory(exceptionDL(CM, Left), Rules, RI, nullptr);
         if (DL < BestDL) {
           BestDL = DL;
           BestIdx = RI;
@@ -717,6 +757,7 @@ struct Trainer {
       }
       if (BestIdx != Rules.size()) {
         Rules.erase(Rules.begin() + static_cast<long>(BestIdx));
+        Masks.erase(Masks.begin() + static_cast<long>(BestIdx));
         Changed = true;
       }
     }
@@ -742,23 +783,44 @@ RuleSet trainImpl(const Dataset &Data, const RipperOptions &Opts,
   Label Target = NumLS <= NumNS ? Label::LS : Label::NS;
   Label Default = Target == Label::LS ? Label::NS : Label::LS;
 
-  Trainer T(Data, Opts, Target, Pool);
+  // Train on a view of the dataset's rank table; a dataset without one
+  // (CSV, add()) is ranked here, as the one-row-per-instance table.
+  std::shared_ptr<const RankTable> Table = Data.rankTable();
+  std::vector<uint32_t> Identity;
+  const uint32_t *Rows = Data.rowIds().data();
+  if (!Table) {
+    Table = rankInstances(Data, Pool);
+    Identity.resize(Data.size());
+    std::iota(Identity.begin(), Identity.end(), 0u);
+    Rows = Identity.data();
+  }
+  Trainer T(Data, *Table, Rows, Opts, Target, Pool);
   IndexList Pos, Neg;
   for (int I = 0, E = static_cast<int>(Data.size()); I != E; ++I)
     (T.IsPos[static_cast<size_t>(I)] ? Pos : Neg).push_back(I);
+  ClassMasks CM = T.classMasks(Pos, Neg);
 
   Rng R(Opts.Seed);
-  std::vector<Rule> Rules = T.buildRuleList(Pos, Neg, R);
+  RuleList L = T.buildRuleList(Pos, Neg, R);
   for (unsigned Pass = 0; Pass != Opts.OptimizePasses; ++Pass)
-    T.optimizePass(Rules, Pos, Neg, R);
+    T.optimizePass(L, Pos, Neg, CM, R);
 
+  // Figure 4 coverage, RuleSet::annotateCoverage's first-match counts
+  // read off the masks: rule K claims what it covers and no earlier rule
+  // did.
   RuleSet RS(Default);
-  for (Rule &Rl : Rules) {
+  std::vector<uint64_t> Claimed(T.Words, 0);
+  for (size_t K = 0; K != L.Rules.size(); ++K) {
+    Rule &Rl = L.Rules[K];
+    const std::vector<uint64_t> &M = L.Masks[K];
+    Coverage C =
+        T.covered(CM, [&](size_t W) { return M[W] & ~Claimed[W]; });
+    T.orInto(Claimed, M);
     Rl.Conclusion = Target;
+    Rl.NumCorrect = C.Pos;
+    Rl.NumIncorrect = C.Neg;
     RS.addRule(std::move(Rl));
   }
-  size_t DC, DI;
-  RS.annotateCoverage(Data, DC, DI);
   return RS;
 }
 

@@ -4,6 +4,7 @@
 #include "harness/TableRender.h"
 #include "workloads/WorkloadFamily.h"
 
+#include "RuleSetIdentity.h"
 #include "TestHelpers.h"
 
 #include <gtest/gtest.h>
@@ -106,6 +107,54 @@ TEST(Experiments, LabelSuiteNamesAndNsInvariance) {
     // Table 5 property: NS constant, LS shrinking.
     EXPECT_EQ(At30[I].countLabel(Label::NS), At0[I].countLabel(Label::NS));
     EXPECT_LE(At30[I].countLabel(Label::LS), At0[I].countLabel(Label::LS));
+  }
+}
+
+TEST(Experiments, LabelSuiteSitsOnOneSuiteRankTable) {
+  // labelSuite's datasets are buildDataset's instances, bit for bit, as
+  // rows of one rank table over the whole suite's records.
+  const std::vector<BenchmarkRun> &Suite = tinySuite();
+  std::vector<Dataset> Labeled = Serial.labelSuite(Suite, 20.0);
+  ASSERT_EQ(Labeled.size(), Suite.size());
+  const std::shared_ptr<const RankTable> &Table = Labeled[0].rankTable();
+  ASSERT_NE(Table, nullptr);
+  size_t Records = 0;
+  for (size_t B = 0; B != Suite.size(); ++B) {
+    Records += Suite[B].Records.size();
+    const Dataset &D = Labeled[B];
+    EXPECT_EQ(D.rankTable(), Table);
+    Dataset Plain = buildDataset(Suite[B].Records, 20.0, Suite[B].Name);
+    ASSERT_EQ(D.size(), Plain.size());
+    ASSERT_EQ(D.rowIds().size(), D.size());
+    for (size_t I = 0; I != D.size(); ++I) {
+      EXPECT_EQ(D[I].Y, Plain[I].Y);
+      FeatureVector Row = Table->row(D.rowIds()[I]);
+      for (unsigned F = 0; F != NumFeatures; ++F) {
+        EXPECT_TRUE(sameBits(D[I].X[F], Plain[I].X[F]));
+        EXPECT_TRUE(sameBits(Row[F], Plain[I].X[F]));
+      }
+    }
+  }
+  EXPECT_EQ(Table->rows(), Records);
+}
+
+TEST(Experiments, PooledSweepOnTheSharedTableMatchesSerial) {
+  // Thresholds, folds and per-feature sweeps all read one rank table
+  // from the pool's workers at once.
+  ExperimentEngine Pooled(4);
+  std::vector<double> Thresholds = {0.0, 25.0, 50.0};
+  std::vector<ThresholdResult> A =
+      Serial.runThresholdSweep(tinySuite(), Thresholds, ripperLearner());
+  std::vector<ThresholdResult> B = Pooled.runThresholdSweep(
+      tinySuite(), Thresholds, ripperLearner(Pooled.pool()));
+  ASSERT_EQ(A.size(), B.size());
+  for (size_t T = 0; T != A.size(); ++T) {
+    EXPECT_EQ(A[T].ErrorPct, B[T].ErrorPct);
+    EXPECT_EQ(A[T].AppRatioLN, B[T].AppRatioLN);
+    ASSERT_EQ(A[T].Filters.size(), B[T].Filters.size());
+    for (size_t F = 0; F != A[T].Filters.size(); ++F)
+      EXPECT_TRUE(identicalRuleSets(A[T].Filters[F], B[T].Filters[F]))
+          << "threshold " << Thresholds[T] << " fold " << F;
   }
 }
 

@@ -1,11 +1,15 @@
 //===- tests/ripper_engine_test.cpp - indexed-engine equivalence pins --------===//
 //
-// The indexed RIPPER trainer (per-feature value ranks + rank-histogram
-// sweeps; ml/Ripper.cpp) must produce *bit-for-bit* the RuleSet of the
-// original sort-per-condition implementation, which lives on verbatim in
-// tests/ReferenceRipper.h -- across synthetic datasets, the real LOOCV
-// folds sf-report trains, seeds, option settings and TaskPool job counts.
-// Plus the degenerate inputs the rank machinery could plausibly
+// The indexed RIPPER trainer (views of a shared rank table, rank-histogram
+// sweeps and incremental mask-based MDL bookkeeping; ml/Ripper.cpp) must
+// produce *bit-for-bit* the RuleSet of the original sort-per-condition
+// implementation, which lives on verbatim in tests/ReferenceRipper.h --
+// across synthetic datasets, a many-rule corpus that keeps mop-up and
+// deletion busy, the real LOOCV folds sf-report trains, seeds, option
+// settings and TaskPool job counts.  A sweep's folds, trained on views of
+// one suite-wide table, must equal the same folds ranked on their own,
+// including when a fold drops the row that gave a -0.0/+0.0 rank its
+// bits.  Plus the degenerate inputs the rank machinery could plausibly
 // mishandle: tiny datasets whose ceil-based grow/prune split leaves an
 // empty prune side, single-class data, and all-identical feature columns.
 //
@@ -120,18 +124,92 @@ Dataset mixedShapeData(size_t N, uint64_t Seed) {
   return D;
 }
 
+/// A noisy checkerboard over two small-integer columns: LS on the cells
+/// where (a / 4 + b / 4) is even, so the positive class is a union of
+/// many boxes, with 3% label noise.  Large enough to induce well over a
+/// dozen rules, so mop-up and deletion both get work.
+Dataset checkerData(size_t N, uint64_t Seed) {
+  Dataset D("checker");
+  Rng R(Seed);
+  for (size_t I = 0; I != N; ++I) {
+    FeatureVector X{};
+    int A = R.range(0, 23), B = R.range(0, 23);
+    X[FeatBBLen] = A;
+    X[FeatLoad] = B / 24.0;
+    X[FeatStore] = R.range(0, 5) / 6.0;
+    bool Pos = (A / 4 + B / 4) % 2 == 0;
+    if (R.chance(0.03))
+      Pos = !Pos;
+    D.add({X, Pos ? Label::LS : Label::NS});
+  }
+  return D;
+}
+
 } // namespace
 
-TEST(RipperEngine, ColumnViewMirrorsInstancesBitExactly) {
-  Dataset D = hardData(257, 11);
-  ColumnView CV = D.columns();
-  ASSERT_EQ(CV.NumInstances, D.size());
-  ASSERT_EQ(CV.Labels.size(), D.size());
-  for (size_t I = 0; I != D.size(); ++I) {
-    EXPECT_EQ(CV.Labels[I], D[I].Y);
-    for (unsigned F = 0; F != NumFeatures; ++F)
-      EXPECT_TRUE(sameBits(CV.col(F)[I], D[I].X[F])) << I << "/" << F;
+TEST(RipperEngine, ManyRuleCorpusMatchesReferenceAtAnyJobCount) {
+  Dataset D = checkerData(2500, 4);
+  RuleSet Serial = Ripper().train(D);
+  EXPECT_GE(Serial.size(), 15u);
+  expectIdentical(Serial, reference::trainReference(D), "checker, serial");
+  for (unsigned Jobs : {2u, 4u}) {
+    TaskPool Pool(Jobs);
+    expectIdentical(Ripper().train(D, Pool), Serial,
+                    "checker, jobs=" + std::to_string(Jobs));
   }
+}
+
+TEST(RipperEngine, RankTableMirrorsInstancesBitExactly) {
+  Dataset D = hardData(257, 11);
+  std::shared_ptr<const RankTable> T = rankInstances(D);
+  ASSERT_EQ(T->rows(), D.size());
+  for (unsigned F = 0; F != NumFeatures; ++F) {
+    const std::vector<double> &RV = T->rankValues(F);
+    for (size_t R = 1; R < RV.size(); ++R)
+      EXPECT_LT(RV[R - 1], RV[R]) << "rank values ascend strictly, F=" << F;
+    for (size_t I = 0; I != D.size(); ++I) {
+      EXPECT_TRUE(sameBits(T->values(F)[I], D[I].X[F])) << I << "/" << F;
+      ASSERT_LT(T->ranks(F)[I], RV.size()) << I << "/" << F;
+      EXPECT_EQ(RV[T->ranks(F)[I]], D[I].X[F]) << I << "/" << F;
+      EXPECT_TRUE(sameBits(T->row(I)[F], D[I].X[F])) << I << "/" << F;
+    }
+    // Ranks are monotone in the values: a smaller value never outranks a
+    // larger one.
+    for (size_t I = 0; I != D.size(); ++I)
+      for (size_t J = 0; J != D.size(); ++J) {
+        if (D[I].X[F] < D[J].X[F]) {
+          ASSERT_LT(T->ranks(F)[I], T->ranks(F)[J]) << I << "/" << J;
+        }
+      }
+    EXPECT_TRUE(T->mixedRanks(F).empty());
+  }
+}
+
+TEST(RipperEngine, DatasetsKeepTheirRankTableOnlyWhileRowsMatch) {
+  Dataset Base = hardData(50, 3);
+  std::shared_ptr<const RankTable> T = rankInstances(Base);
+  Dataset A("a", T), B("b", T);
+  for (uint32_t R = 0; R != 50; ++R)
+    (R % 2 ? A : B).addRow(R, Base[R].Y);
+  for (size_t I = 0; I != A.size(); ++I)
+    for (unsigned F = 0; F != NumFeatures; ++F)
+      EXPECT_TRUE(sameBits(A[I].X[F], Base[A.rowIds()[I]].X[F]));
+
+  Dataset Pooled("pooled");
+  Pooled.append(A);
+  Pooled.append(B);
+  EXPECT_EQ(Pooled.rankTable(), T);
+  ASSERT_EQ(Pooled.rowIds().size(), Pooled.size());
+  EXPECT_EQ(Pooled.rowIds()[A.size()], B.rowIds()[0]);
+
+  Dataset Other = Pooled;
+  Other.append(Base); // Base has no table: the rows no longer match one.
+  EXPECT_EQ(Other.rankTable(), nullptr);
+  EXPECT_TRUE(Other.rowIds().empty());
+  Dataset Added = Pooled;
+  Added.add(Base[0]);
+  EXPECT_EQ(Added.rankTable(), nullptr);
+  EXPECT_TRUE(Added.rowIds().empty());
 }
 
 TEST(RipperEngine, MatchesReferenceOnStockDatasets) {
@@ -217,6 +295,72 @@ TEST(RipperEngine, MatchesReferenceOnRealLoocvFolds) {
                       "t=" + std::to_string(T) + " without " +
                           Labeled[Held].getName());
     }
+  }
+}
+
+TEST(RipperEngine, SweepFiltersMatchPerFoldTraining) {
+  // runThresholdSweep ranks the suite once and trains all 77 folds on
+  // views of that table; each filter must equal a training of the same
+  // fold assembled without a table (through add()), which ranks itself.
+  ExperimentEngine Engine(4);
+  std::vector<BenchmarkRun> Runs =
+      Engine.generateSuiteData(specjvm98Suite(), MachineModel::ppc7410());
+  std::vector<double> Thresholds = paperThresholds();
+  std::vector<ThresholdResult> Sweep =
+      Engine.runThresholdSweep(Runs, Thresholds, ripperLearner());
+  ASSERT_EQ(Sweep.size(), Thresholds.size());
+  size_t Folds = 0;
+  for (size_t T = 0; T != Thresholds.size(); ++T) {
+    ASSERT_EQ(Sweep[T].Filters.size(), Runs.size());
+    for (size_t Held = 0; Held != Runs.size(); ++Held) {
+      Dataset Fold("fold");
+      for (size_t B = 0; B != Runs.size(); ++B)
+        if (B != Held)
+          for (const Instance &I :
+               buildDataset(Runs[B].Records, Thresholds[T], Runs[B].Name))
+            Fold.add(I);
+      ASSERT_EQ(Fold.rankTable(), nullptr);
+      expectIdentical(Sweep[T].Filters[Held], Ripper().train(Fold),
+                      "t=" + std::to_string(Thresholds[T]) + " without " +
+                          Runs[Held].Name);
+      ++Folds;
+    }
+  }
+  EXPECT_EQ(Folds, 77u);
+}
+
+TEST(RipperEngine, FoldOnASharedTableTakesItsOwnSignedZeroBits) {
+  // The suite table's zero rank holds -0.0 at its lowest row and +0.0
+  // elsewhere.  A fold that drops that row holds only +0.0, so its
+  // threshold must be +0.0 -- not the table's -0.0 -- exactly as a
+  // training that ranks the fold itself (and the reference) gives.
+  Dataset Suite("suite");
+  for (int I = 0; I != 300; ++I) {
+    FeatureVector X{};
+    bool Pos = I % 3 == 0;
+    X[FeatLoad] = Pos ? (I == 0 ? -0.0 : 0.0) : 1.0;
+    Suite.add({X, Pos ? Label::LS : Label::NS});
+  }
+  std::shared_ptr<const RankTable> T = rankInstances(Suite);
+  ASSERT_EQ(T->mixedRanks(FeatLoad).size(), 1u);
+  EXPECT_TRUE(std::signbit(T->rankValues(FeatLoad)[0]));
+  for (uint32_t FirstRow : {0u, 1u}) {
+    Dataset Fold("fold", T);
+    for (uint32_t R = FirstRow; R != Suite.size(); ++R)
+      Fold.addRow(R, Suite[R].Y);
+    RuleSet RS = Ripper().train(Fold);
+    ASSERT_EQ(RS.size(), 1u);
+    ASSERT_EQ(RS.rules()[0].Conditions.size(), 1u);
+    EXPECT_EQ(std::signbit(RS.rules()[0].Conditions[0].Threshold),
+              FirstRow == 0)
+        << "first row " << FirstRow;
+    Dataset Own("own");
+    for (const Instance &I : Fold)
+      Own.add(I);
+    expectIdentical(RS, Ripper().train(Own),
+                    "first row " + std::to_string(FirstRow));
+    if (FirstRow == 1)
+      expectIdentical(RS, reference::trainReference(Fold), "without row 0");
   }
 }
 
