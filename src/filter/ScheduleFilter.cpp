@@ -6,11 +6,6 @@
 
 using namespace schedfilter;
 
-bool ScheduleFilter::shouldSchedule(const BasicBlock &BB, SchedContext &Ctx) {
-  (void)Ctx; // scalar decisions need no scratch; see the header
-  return shouldSchedule(BB);
-}
-
 void ScheduleFilter::shouldScheduleBatch(
     const std::vector<const BasicBlock *> &Blocks, SchedContext &Ctx,
     std::vector<char> &Decisions) {

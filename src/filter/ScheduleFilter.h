@@ -63,12 +63,6 @@ public:
     return D.ScheduleLS;
   }
 
-  /// Context-threading variant used by the allocation-free pipeline.
-  /// Scalar decisions are already allocation-free (the feature vector is
-  /// a fixed-size array); \p Ctx keeps the call shape uniform with the
-  /// batch path.
-  bool shouldSchedule(const BasicBlock &BB, SchedContext &Ctx);
-
   /// Const query without statistics (for tests).  Same decide() path as
   /// the stat-accumulating overloads -- the variants cannot diverge.
   bool shouldSchedule(const BasicBlock &BB) const {

@@ -52,9 +52,6 @@ public:
   bool isTerminator() const { return getInfo().IsTerminator; }
   bool isCall() const { return isInCategory(CatCall); }
 
-  /// True if any hazard bit (PEI/GC/thread-switch/yield) is set.
-  bool isHazard() const { return (categories() & AttrAllHazards) != 0; }
-
   /// True for hazards that act as full scheduling barriers.  The paper
   /// treats GC safepoints, thread-switch points and yield points as
   /// "possible but unusual branches, which disallow reordering"; PEIs are

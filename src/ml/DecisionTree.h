@@ -9,9 +9,9 @@
 /// The paper's closest related work induced heuristics with decision
 /// trees (Calder et al. for branch prediction; Monsifrot & Bodin for loop
 /// unrolling), and the paper argues RIPPER's rule sets are preferable
-/// because they are more compact and readable.  This learner exists to
-/// put that claim under test: bench_ablation_learners compares the two on
-/// accuracy, model size, and the end-to-end effort/benefit frontier.
+/// because they are more compact and readable.  This learner puts that
+/// claim under test: `sf-train --learner tree` induces a filter from the
+/// same trace, to compare with RIPPER's on rule count and training error.
 ///
 /// A trained tree converts to an ordered RuleSet (one rule per LS leaf,
 /// conditions collected along the path), so it plugs into ScheduleFilter

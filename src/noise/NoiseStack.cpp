@@ -75,15 +75,6 @@ Dataset NoiseStack::labelRun(const BenchmarkRun &Run, size_t RunIndex,
 
 std::vector<Dataset>
 NoiseStack::labelSuite(const std::vector<BenchmarkRun> &Suite,
-                       double ThresholdPct) const {
-  std::vector<Dataset> Out(Suite.size());
-  for (size_t B = 0; B != Suite.size(); ++B)
-    Out[B] = labelRun(Suite[B], B, ThresholdPct);
-  return Out;
-}
-
-std::vector<Dataset>
-NoiseStack::labelSuite(const std::vector<BenchmarkRun> &Suite,
                        double ThresholdPct, TaskPool &Pool) const {
   std::vector<Dataset> Out(Suite.size());
   Pool.parallelFor(Suite.size(),

@@ -75,10 +75,8 @@ public:
   Dataset labelRun(const BenchmarkRun &Run, size_t RunIndex,
                    double ThresholdPct) const;
 
-  /// labelRun over a whole suite; with \p Pool, parallel by run with
-  /// identical results.
-  std::vector<Dataset> labelSuite(const std::vector<BenchmarkRun> &Suite,
-                                  double ThresholdPct) const;
+  /// labelRun over a whole suite, parallel by run on \p Pool; the result
+  /// is identical at any job count.
   std::vector<Dataset> labelSuite(const std::vector<BenchmarkRun> &Suite,
                                   double ThresholdPct, TaskPool &Pool) const;
 

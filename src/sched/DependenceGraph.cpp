@@ -66,26 +66,14 @@ void DependenceGraph::addEdge(int From, int To, unsigned Latency,
   Work += 4;
 }
 
-/// True if \p Inst may be speculated upward across a superblock side
-/// exit: pure register computation or a non-excepting load.
-static bool isSpeculationSafe(const Instruction &Inst) {
-  if (Inst.writesMemory() || Inst.isTerminator() || Inst.isHazard() ||
-      Inst.isCall())
-    return false;
-  if (Inst.getInfo().Unit == FuClass::System)
-    return false;
-  return true;
-}
-
 DependenceGraph::DependenceGraph(const BasicBlock &BB,
-                                 const MachineModel &Model,
-                                 bool SuperblockMode) {
+                                 const MachineModel &Model) {
   DagBuildScratch Scratch;
-  build(BB, Model, Scratch, SuperblockMode);
+  build(BB, Model, Scratch);
 }
 
 void DependenceGraph::build(const BasicBlock &BB, const MachineModel &Model,
-                            DagBuildScratch &S, bool SuperblockMode) {
+                            DagBuildScratch &S) {
   size_t N = BB.size();
   // Reset reusing capacity: the outer Succs vector only grows, so the
   // inner edge lists (and their heap blocks) survive across blocks.
@@ -109,8 +97,6 @@ void DependenceGraph::build(const BasicBlock &BB, const MachineModel &Model,
   // Hazard ordering state.
   int LastPEI = -1;
   int LastBarrier = -1;
-  // Superblock state: the most recent interior terminator (side exit).
-  int LastSideExit = -1;
 
   for (int I = 0, E = static_cast<int>(N); I != E; ++I) {
     const Instruction &Inst = BB[static_cast<size_t>(I)];
@@ -181,20 +167,11 @@ void DependenceGraph::build(const BasicBlock &BB, const MachineModel &Model,
       S.SinceBarrier.push_back(I);
     }
 
-    // Side exits: in superblock mode, unsafe instructions may not move up
-    // across the previous interior terminator.
-    if (SuperblockMode && LastSideExit >= 0 && LastSideExit != I &&
-        !isSpeculationSafe(Inst))
-      addEdge(LastSideExit, I, 0, DepKind::Control);
-
     // Terminator: every earlier instruction must stay before it (no
-    // downward motion across a branch, interior or final).
-    if (Inst.isTerminator()) {
+    // downward motion across a branch).
+    if (Inst.isTerminator())
       for (int P = 0; P != I; ++P)
         addEdge(P, I, 0, DepKind::Control);
-      if (SuperblockMode && I + 1 != static_cast<int>(N))
-        LastSideExit = I;
-    }
   }
 
   computeHeights(BB, Model);

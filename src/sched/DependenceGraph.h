@@ -76,24 +76,15 @@ public:
   DependenceGraph() = default;
 
   /// One-shot convenience: builds the DAG for \p BB under machine model
-  /// \p Model with a local scratch.  Semantics of \p SuperblockMode as for
-  /// build().
-  DependenceGraph(const BasicBlock &BB, const MachineModel &Model,
-                  bool SuperblockMode = false);
+  /// \p Model with a local scratch.
+  DependenceGraph(const BasicBlock &BB, const MachineModel &Model);
 
   /// (Re)builds the DAG for \p BB under \p Model, reusing this graph's
-  /// adjacency storage and \p Scratch across calls.
-  ///
-  /// With \p SuperblockMode, interior terminators (side exits of a
-  /// superblock) are permitted: nothing may move *down* across a side
-  /// exit, but speculation-safe instructions appearing after it -- pure
-  /// register computation and non-excepting loads, whose targets are
-  /// superblock-local temporaries dead on the exit path -- may move *up*
-  /// across it.  Stores, calls, hazards, system ops and other branches
-  /// stay put.  Without the flag (the default, the paper's local
-  /// scheduler), a terminator is expected only at the end.
+  /// adjacency storage and \p Scratch across calls.  The block is a
+  /// basic block (the paper's local scheduler): every earlier instruction
+  /// gets a control edge to a terminator.
   void build(const BasicBlock &BB, const MachineModel &Model,
-             DagBuildScratch &Scratch, bool SuperblockMode = false);
+             DagBuildScratch &Scratch);
 
   size_t numNodes() const { return NodeCount; }
   size_t numEdges() const { return EdgeCount; }

@@ -85,10 +85,7 @@ uint64_t ListScheduler::scheduleInto(const BasicBlock &BB,
       Future.pop_back();
       long Cp = Dag.criticalPath(Idx);
       long Fanout = static_cast<long>(Dag.succs(Idx).size());
-      if (Priority == SchedPriority::CriticalPath)
-        Now.push_back({Cp, Fanout, Idx});
-      else
-        Now.push_back({Fanout, Cp, Idx});
+      Now.push_back({Cp, Fanout, Idx});
       std::push_heap(Now.begin(), Now.end());
       WorkUnits += 2; // one pop + one push
     }

@@ -5,8 +5,9 @@
 /// repeatedly append a ready instruction; under the critical path
 /// scheduling (CPS) model, prefer the ready instruction that can start
 /// soonest, and break ties by the longest weighted critical path to the end
-/// of the block.  Ties beyond that resolve to original program order so the
-/// result is deterministic.
+/// of the block.  Ties beyond that go to the instruction with the most
+/// dependence successors, then to original program order, so the result
+/// is deterministic.
 ///
 /// The scheduler reports abstract work units (DAG build + priority-queue
 /// traffic) so that "scheduling effort" can be measured both as wall time
@@ -35,20 +36,21 @@ struct ScheduleResult {
   uint64_t WorkUnits = 0;
 };
 
-/// Ready instruction that can start at the current clock; ordered by a
-/// primary and secondary priority key (larger is better), then original
-/// program order.  std::push_heap/pop_heap over a reused vector realize
-/// exactly the max-priority-queue the one-shot path used, so the pick
-/// sequence is identical (the key is a total order: indices are unique).
+/// Ready instruction that can start at the current clock; ordered by the
+/// CPS key -- longest weighted critical path first -- then by most
+/// dependence successors, then original program order.  std::push_heap/
+/// pop_heap over a reused vector realize exactly the max-priority-queue
+/// the one-shot path used, so the pick sequence is identical (the key is
+/// a total order: indices are unique).
 struct ReadyNowEntry {
-  long Primary;
-  long Secondary;
+  long Cp;
+  long Fanout;
   int Index;
   bool operator<(const ReadyNowEntry &O) const {
-    if (Primary != O.Primary)
-      return Primary < O.Primary; // max-heap on the priority key
-    if (Secondary != O.Secondary)
-      return Secondary < O.Secondary;
+    if (Cp != O.Cp)
+      return Cp < O.Cp; // max-heap on the critical path
+    if (Fanout != O.Fanout)
+      return Fanout < O.Fanout;
     return Index > O.Index; // then min index
   }
 };
@@ -76,25 +78,10 @@ struct ListSchedulerScratch {
   std::vector<ReadyFutureEntry> Future; ///< min-heap via std::greater
 };
 
-/// Tie-breaking priority used among instructions that can start soonest.
-/// The paper notes its filtering technique "applies to any competent
-/// scheduler"; providing a second priority function lets the ablation
-/// benches test that claim (train labels with one scheduler, deploy the
-/// filter over another).
-enum class SchedPriority {
-  /// The paper's CPS model: longest weighted critical path first.
-  CriticalPath,
-  /// Gibbons/Muchnick-flavoured alternative: most dependence successors
-  /// first (unblock the most work), then critical path.
-  Fanout,
-};
-
 /// Critical-path list scheduler over basic blocks.
 class ListScheduler {
 public:
-  explicit ListScheduler(const MachineModel &Model,
-                         SchedPriority Priority = SchedPriority::CriticalPath)
-      : Model(Model), Priority(Priority) {}
+  explicit ListScheduler(const MachineModel &Model) : Model(Model) {}
 
   /// Schedules \p BB and returns the chosen instruction order.  Always
   /// legal: every dependence-graph edge is respected.
@@ -125,7 +112,6 @@ public:
 
 private:
   const MachineModel &Model;
-  SchedPriority Priority;
 };
 
 } // namespace schedfilter

@@ -3,6 +3,8 @@
 #include "sched/DependenceGraph.h"
 
 #include "TestHelpers.h"
+#include "io/TraceStore.h"
+#include "sched/SchedContext.h"
 #include "workloads/ProgramGenerator.h"
 
 #include <gtest/gtest.h>
@@ -193,6 +195,48 @@ TEST(DependenceGraph, EmptyBlock) {
   DependenceGraph G(BB, model());
   EXPECT_EQ(G.numNodes(), 0u);
   EXPECT_EQ(G.numEdges(), 0u);
+}
+
+TEST(DependenceGraph, SuiteDigestPinned) {
+  // Bit-exact guard on the DAG and the CPS order over every SPECjvm98
+  // block under ppc7410.  Each block contributes its successor lists in
+  // order (To, Latency, Kind), its critical-path heights, the DAG's work
+  // units and the list scheduler's order and total work; the stream is
+  // hashed with the repository's FNV-1a.  Any rewrite of the builder or
+  // the scheduler must keep the edge set, the kind that survives each
+  // dedupe, successor order, every work unit and every pick.
+  MachineModel M = model();
+  ListScheduler Scheduler(M);
+  SchedContext Ctx;
+  std::vector<int> Order;
+  std::string Bytes;
+  uint64_t Blocks = 0, Edges = 0;
+  for (const BenchmarkSpec &Spec : specjvm98Suite()) {
+    Program P = ProgramGenerator(Spec).generate();
+    P.forEachBlock([&](const BasicBlock &BB) {
+      uint64_t Work = Scheduler.schedule(BB, Ctx, Order);
+      const DependenceGraph &G = Ctx.dag();
+      wire::putU32(Bytes, static_cast<uint32_t>(G.numNodes()));
+      for (int I = 0; I != static_cast<int>(G.numNodes()); ++I) {
+        wire::putU32(Bytes, static_cast<uint32_t>(G.succs(I).size()));
+        for (const DepEdge &E : G.succs(I)) {
+          wire::putU32(Bytes, static_cast<uint32_t>(E.To));
+          wire::putU32(Bytes, E.Latency);
+          Bytes.push_back(static_cast<char>(E.Kind));
+        }
+        wire::putU64(Bytes, static_cast<uint64_t>(G.criticalPath(I)));
+      }
+      wire::putU64(Bytes, G.workUnits());
+      for (int Idx : Order)
+        wire::putU32(Bytes, static_cast<uint32_t>(Idx));
+      wire::putU64(Bytes, Work);
+      ++Blocks;
+      Edges += G.numEdges();
+    });
+  }
+  EXPECT_EQ(Blocks, 8827u); // Golden.SuitePopulation
+  EXPECT_EQ(Edges, 101592u);
+  EXPECT_EQ(wire::fnv1a(Bytes.data(), Bytes.size()), 0xb25b6dc445ac4674ULL);
 }
 
 // Property sweep: on generated blocks, all edges point forward and

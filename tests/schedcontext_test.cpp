@@ -62,37 +62,16 @@ TEST(SchedContext, DagBuildMatchesOneShot) {
   }
 }
 
-TEST(SchedContext, SuperblockDagBuildMatchesOneShot) {
-  MachineModel Model = MachineModel::ppc7410();
-  // Stitch two blocks together so there is an interior terminator.
-  std::vector<BasicBlock> Blocks = testBlocks();
-  SchedContext Ctx;
-  for (size_t I = 0; I + 1 < Blocks.size(); I += 2) {
-    BasicBlock Merged("sb", 1);
-    for (const Instruction &Inst : Blocks[I])
-      Merged.append(Inst);
-    for (const Instruction &Inst : Blocks[I + 1])
-      Merged.append(Inst);
-    DependenceGraph OneShot(Merged, Model, /*SuperblockMode=*/true);
-    Ctx.dag().build(Merged, Model, Ctx.dagScratch(), /*SuperblockMode=*/true);
-    EXPECT_EQ(Ctx.dag().numEdges(), OneShot.numEdges());
-    EXPECT_EQ(Ctx.dag().workUnits(), OneShot.workUnits());
-    EXPECT_EQ(Ctx.dag().inDegrees(), OneShot.inDegrees());
-  }
-}
-
 TEST(SchedContext, ScheduleMatchesOneShot) {
   MachineModel Model = MachineModel::ppc7410();
-  for (SchedPriority P : {SchedPriority::CriticalPath, SchedPriority::Fanout}) {
-    ListScheduler Scheduler(Model, P);
-    SchedContext Ctx;
-    std::vector<int> Order;
-    for (const BasicBlock &BB : testBlocks()) {
-      ScheduleResult OneShot = Scheduler.schedule(BB);
-      uint64_t Work = Scheduler.schedule(BB, Ctx, Order);
-      EXPECT_EQ(Order, OneShot.Order);
-      EXPECT_EQ(Work, OneShot.WorkUnits);
-    }
+  ListScheduler Scheduler(Model);
+  SchedContext Ctx;
+  std::vector<int> Order;
+  for (const BasicBlock &BB : testBlocks()) {
+    ScheduleResult OneShot = Scheduler.schedule(BB);
+    uint64_t Work = Scheduler.schedule(BB, Ctx, Order);
+    EXPECT_EQ(Order, OneShot.Order);
+    EXPECT_EQ(Work, OneShot.WorkUnits);
   }
 }
 

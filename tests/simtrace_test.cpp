@@ -1,10 +1,9 @@
-//===- tests/simtrace_test.cpp - SimTrace and scheduler-priority tests --------===//
+//===- tests/simtrace_test.cpp - SimTrace tests ---------------------------===//
 
 #include "sim/BlockSimulator.h"
 
 #include "TestHelpers.h"
 #include "sched/ListScheduler.h"
-#include "sched/ScheduleVerifier.h"
 #include "workloads/ProgramGenerator.h"
 
 #include <gtest/gtest.h>
@@ -72,50 +71,4 @@ TEST(SimTrace, ToStringRendersEveryInstruction) {
   EXPECT_NE(S.find("stw"), std::string::npos);
   EXPECT_NE(S.find("total: " + std::to_string(T.TotalCycles)),
             std::string::npos);
-}
-
-TEST(SchedPriority, FanoutSchedulesLegally) {
-  MachineModel M = MachineModel::ppc7410();
-  ListScheduler Fanout(M, SchedPriority::Fanout);
-  const BenchmarkSpec *Spec = findBenchmarkSpec("scimark");
-  Rng R(71);
-  for (int Trial = 0; Trial != 30; ++Trial) {
-    BasicBlock BB = ProgramGenerator(*Spec).generateBlock(
-        R, R.range(0, 8), /*EndWithTerminator=*/true);
-    ScheduleResult SR = Fanout.schedule(BB);
-    ScheduleVerifyResult V = verifySchedule(BB, M, SR.Order);
-    EXPECT_TRUE(V.Ok) << V.Message;
-  }
-}
-
-TEST(SchedPriority, BothPrioritiesCompetent) {
-  // Both schedulers should substantially improve the canonical ILP block
-  // (they may differ in how much).
-  MachineModel M = MachineModel::ppc7410();
-  BlockSimulator Sim(M);
-  BasicBlock BB = makeIlpFloatBlock();
-  uint64_t Before = Sim.simulate(BB);
-  for (SchedPriority P : {SchedPriority::CriticalPath, SchedPriority::Fanout}) {
-    ListScheduler S(M, P);
-    EXPECT_LT(Sim.simulate(BB, S.schedule(BB).Order), Before);
-  }
-}
-
-TEST(SchedPriority, PrioritiesCanDisagree) {
-  // On a population of blocks the two tie-breaks must produce different
-  // orders at least sometimes (otherwise the "any competent scheduler"
-  // ablation tests nothing).
-  MachineModel M = MachineModel::ppc7410();
-  ListScheduler Cp(M, SchedPriority::CriticalPath);
-  ListScheduler Fo(M, SchedPriority::Fanout);
-  const BenchmarkSpec *Spec = findBenchmarkSpec("linpack");
-  Rng R(81);
-  int Different = 0;
-  for (int Trial = 0; Trial != 40; ++Trial) {
-    BasicBlock BB = ProgramGenerator(*Spec).generateBlock(
-        R, R.range(2, 8), /*EndWithTerminator=*/true);
-    if (Cp.schedule(BB).Order != Fo.schedule(BB).Order)
-      ++Different;
-  }
-  EXPECT_GT(Different, 0);
 }

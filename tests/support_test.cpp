@@ -1,6 +1,7 @@
 //===- tests/support_test.cpp - support/ unit tests -------------------------===//
 
 #include "support/CdfTable.h"
+#include "support/CommandLine.h"
 #include "support/Rng.h"
 #include "support/Statistics.h"
 #include "support/StringUtils.h"
@@ -378,4 +379,55 @@ TEST(Timer, AccumulatesAcrossIntervals) {
   EXPECT_GE(T.nanoseconds(), First);
   T.reset();
   EXPECT_EQ(T.nanoseconds(), 0);
+}
+
+TEST(CommandLine, OptionsAndPositionals) {
+  const char *Argv[] = {"prog", "trace.csv", "--threshold", "20",
+                        "--learner=tree", "more.csv", "--verbose"};
+  CommandLine CL(7, const_cast<char **>(Argv));
+  EXPECT_EQ(CL.get("threshold"), "20");
+  EXPECT_EQ(CL.get("learner"), "tree");
+  EXPECT_EQ(CL.get("verbose"), "true");
+  EXPECT_TRUE(CL.has("verbose"));
+  EXPECT_FALSE(CL.has("missing"));
+  EXPECT_EQ(CL.get("missing", "dflt"), "dflt");
+  ASSERT_EQ(CL.positional().size(), 2u);
+  EXPECT_EQ(CL.positional()[0], "trace.csv");
+  EXPECT_EQ(CL.positional()[1], "more.csv");
+}
+
+TEST(CommandLine, GetDouble) {
+  const char *Argv[] = {"prog", "--threshold", "12.5"};
+  CommandLine CL(3, const_cast<char **>(Argv));
+  std::optional<double> T = CL.getDouble("threshold", 0.0);
+  ASSERT_TRUE(T.has_value());
+  EXPECT_DOUBLE_EQ(*T, 12.5);
+  std::optional<double> Absent = CL.getDouble("absent", 7.0);
+  ASSERT_TRUE(Absent.has_value());
+  EXPECT_DOUBLE_EQ(*Absent, 7.0);
+}
+
+TEST(CommandLine, GetDoubleAcceptsTheUsualSpellings) {
+  const char *Argv[] = {"prog", "--a=-3.25", "--b=1e2", "--c=+0.5", "--d=40."};
+  CommandLine CL(5, const_cast<char **>(Argv));
+  EXPECT_DOUBLE_EQ(*CL.getDouble("a", 0.0), -3.25);
+  EXPECT_DOUBLE_EQ(*CL.getDouble("b", 0.0), 100.0);
+  EXPECT_DOUBLE_EQ(*CL.getDouble("c", 0.0), 0.5);
+  EXPECT_DOUBLE_EQ(*CL.getDouble("d", 0.0), 40.0);
+}
+
+TEST(CommandLine, GetDoubleRejectsGarbage) {
+  // Each value used to strtod-parse as 0.0 (or truncate at the junk);
+  // strict parsing must reject the whole token instead.
+  const char *Argv[] = {"prog",        "--a=abc",  "--b=1.5x", "--c=",
+                        "--d=nan",     "--e=inf",  "--f=1e999",
+                        "--g=12 trailing", "--h=0x10", "--i=0x1p3"};
+  CommandLine CL(10, const_cast<char **>(Argv));
+  for (const char *Name : {"a", "b", "c", "d", "e", "f", "g", "h", "i"})
+    EXPECT_FALSE(CL.getDouble(Name, 0.0).has_value()) << Name;
+  // A bare boolean flag ("--flag" with no value) parses as the string
+  // "true", which is not a number either.
+  const char *Argv2[] = {"prog", "--hot"};
+  CommandLine CL2(2, const_cast<char **>(Argv2));
+  EXPECT_FALSE(CL2.getDouble("hot", 1.0).has_value());
 }
