@@ -11,10 +11,9 @@
 // comparisons:
 //   * one-shot vs SchedContext-reused scheduling over the fig3 FP suite
 //     -> BENCH_schedcontext.json (--out-schedcontext);
-//   * interpreter vs compiled vs compiled-batch evaluation of the
-//     SPECjvm98 t = 0 filter over every block of the suite, with a
-//     bit-identity cross-check of all three paths
-//     -> BENCH_filter_eval.json (--out-filter-eval).
+//   * interpreter vs compiled evaluation of the SPECjvm98 t = 0 filter
+//     over every block of the suite, with a bit-identity cross-check of
+//     the two -> BENCH_filter_eval.json (--out-filter-eval).
 //
 // Usage:
 //   bench_micro_costs [--quick] [--jobs N] [--corpus-dir DIR | --no-cache]
@@ -27,7 +26,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "features/FeatureMatrix.h"
 #include "features/Features.h"
 #include "filter/CompiledFilter.h"
 #include "harness/ParallelExperiments.h"
@@ -214,11 +212,10 @@ bool runSchedContextComparison(const std::string &JsonPath, bool Quick) {
 }
 
 /// The headline comparison for the compiled filter: interpreter vs
-/// compiled-scalar vs compiled-batch evaluation of the SPECjvm98 t = 0
-/// filter over every block of the suite, bit-identity checked across all
-/// three paths before any timing is reported.  The interpreter side pays
-/// predict + predictionWork per decision, while the compiled paths return
-/// both in one walk.
+/// compiled evaluation of the SPECjvm98 t = 0 filter over every block of
+/// the suite, bit-identity checked before any timing is reported.  The
+/// interpreter side pays predict + predictionWork per decision, while
+/// the compiled walk returns both at once.
 bool runEvaluatorComparison(ExperimentEngine &Engine,
                             const std::string &JsonPath, bool Quick) {
   std::cerr << "training the SPECjvm98 t = 0 filter (tracing on cache "
@@ -232,29 +229,19 @@ bool runEvaluatorComparison(ExperimentEngine &Engine,
   RuleSet Filter = Ripper().train(Suite, Engine.pool());
   CompiledFilter Compiled(Filter);
 
-  // Every block of the suite, features extracted once (row-major for the
-  // scalar paths, SoA for the batch path -- bit-identical values).
+  // Every block of the suite, features extracted once.
   std::vector<FeatureVector> Rows;
-  FeatureMatrix M;
   for (const BenchmarkRun &R : Runs)
-    R.Prog.forEachBlock([&](const BasicBlock &BB) {
-      Rows.push_back(extractFeatures(BB));
-      M.appendRow(Rows.back());
-    });
+    R.Prog.forEachBlock(
+        [&](const BasicBlock &BB) { Rows.push_back(extractFeatures(BB)); });
   const size_t N = Rows.size();
 
-  // Bit-identity first: predictions and work units of all three paths
+  // Bit-identity first: predictions and work units of both evaluators
   // must agree on every block before the timings mean anything.
-  std::vector<unsigned char> BatchLS(N, 0);
-  std::vector<uint64_t> BatchWork(N, 0);
-  CompiledFilter::BatchScratch Scratch;
-  Compiled.evaluateBatch(M, Scratch, BatchLS.data(), BatchWork.data());
   for (size_t I = 0; I != N; ++I) {
-    bool InterpLS = Filter.predict(Rows[I]) == Label::LS;
-    uint64_t InterpWork = Filter.predictionWork(Rows[I]);
     CompiledFilter::Decision D = Compiled.evaluate(Rows[I]);
-    if (D.ScheduleLS != InterpLS || D.Work != InterpWork ||
-        (BatchLS[I] != 0) != InterpLS || BatchWork[I] != InterpWork) {
+    if (D.ScheduleLS != (Filter.predict(Rows[I]) == Label::LS) ||
+        D.Work != Filter.predictionWork(Rows[I])) {
       std::cerr << "error: evaluator paths diverged on block " << I
                 << " (run compiled_filter_test)\n";
       return false;
@@ -264,10 +251,10 @@ bool runEvaluatorComparison(ExperimentEngine &Engine,
   const int Reps = Quick ? 40 : 400;
   uint64_t Guard = 0;
 
-  // The three paths are timed interleaved, one full pass each per rep:
-  // external load then perturbs all three about equally, so the reported
-  // speedup ratios are stable even on a busy machine.
-  AccumulatingTimer InterpTimer, ScalarTimer, BatchTimer;
+  // The two evaluators are timed interleaved, one full pass each per
+  // rep: external load then perturbs both about equally, so the reported
+  // speedup ratio is stable even on a busy machine.
+  AccumulatingTimer InterpTimer, ScalarTimer;
   for (int R = 0; R != Reps; ++R) {
     InterpTimer.start();
     for (size_t I = 0; I != N; ++I) {
@@ -282,11 +269,6 @@ bool runEvaluatorComparison(ExperimentEngine &Engine,
       Guard += D.Work + D.ScheduleLS;
     }
     ScalarTimer.stop();
-
-    BatchTimer.start();
-    Compiled.evaluateBatch(M, Scratch, BatchLS.data(), BatchWork.data());
-    BatchTimer.stop();
-    Guard += BatchWork[N - 1] + BatchLS[0];
   }
 
   double Decisions = static_cast<double>(N) * Reps;
@@ -298,38 +280,29 @@ bool runEvaluatorComparison(ExperimentEngine &Engine,
   };
   double InterpNs = NsPer(InterpTimer);
   double ScalarNs = NsPer(ScalarTimer);
-  double BatchNs = NsPer(BatchTimer);
 
   std::ostringstream OS;
   OS << "{\n"
      << "  \"filter\": \"specjvm98 @ t=0\",\n"
      << "  \"rules\": " << Filter.size() << ",\n"
      << "  \"conditions\": " << Filter.totalConditions() << ",\n"
-     << "  \"predicate_rows\": " << Compiled.numPredRows() << ",\n"
      << "  \"blocks\": " << N << ",\n"
      << "  \"repetitions\": " << Reps << ",\n"
      << "  \"interpreter_ns_per_decision\": " << InterpNs << ",\n"
      << "  \"compiled_ns_per_decision\": " << ScalarNs << ",\n"
-     << "  \"compiled_batch_ns_per_decision\": " << BatchNs << ",\n"
      << "  \"interpreter_blocks_per_sec\": " << Rate(InterpTimer) << ",\n"
      << "  \"compiled_blocks_per_sec\": " << Rate(ScalarTimer) << ",\n"
-     << "  \"compiled_batch_blocks_per_sec\": " << Rate(BatchTimer) << ",\n"
-     << "  \"compiled_speedup\": " << InterpNs / ScalarNs << ",\n"
-     << "  \"batch_speedup\": " << InterpNs / BatchNs << "\n"
+     << "  \"compiled_speedup\": " << InterpNs / ScalarNs << "\n"
      << "}\n";
 
   std::cout << "\nfilter evaluation on the SPECjvm98 t = 0 filter ("
             << Filter.size() << " rules, " << Filter.totalConditions()
-            << " conditions -> " << Compiled.numCells() << " cells, "
-            << Compiled.numPredRows() << " predicate rows; " << N
+            << " conditions -> " << Compiled.numCells() << " cells; " << N
             << " blocks x " << Reps << " reps):\n"
-            << "  interpreter:    " << InterpNs << " ns/decision ("
+            << "  interpreter: " << InterpNs << " ns/decision ("
             << Rate(InterpTimer) << " blocks/sec)\n"
-            << "  compiled:       " << ScalarNs << " ns/decision ("
+            << "  compiled:    " << ScalarNs << " ns/decision ("
             << Rate(ScalarTimer) << " blocks/sec, " << InterpNs / ScalarNs
-            << "x)\n"
-            << "  compiled-batch: " << BatchNs << " ns/decision ("
-            << Rate(BatchTimer) << " blocks/sec, " << InterpNs / BatchNs
             << "x)  (guard " << (Guard & 1) << ")\n";
   return writeBenchJson(JsonPath, OS.str());
 }

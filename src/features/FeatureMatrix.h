@@ -3,15 +3,13 @@
 /// \file
 /// Structure-of-arrays storage for many blocks' feature vectors: one
 /// contiguous column per Table 1 feature instead of one 13-double row per
-/// block.  The serve hot path streams blocks through extract -> evaluate
-/// -> schedule; with columns, the compiled filter's per-condition compare
-/// loop (filter/CompiledFilter.h) reads one column sequentially and
-/// auto-vectorizes, where the row-major interpreter reloads a scattered
-/// double per condition.
+/// block.  The compile path does not use it -- ScheduleFilter extracts
+/// and evaluates one block at a time -- so it serves only perfbench's
+/// replay (its features.batch and filter.batch spans) through
+/// extractFeaturesBatch and CompiledFilter::evaluateBatch.
 ///
 /// Extraction itself reuses extractFeatures verbatim, so every value
-/// stored in a column is bit-identical to the per-block path -- the batch
-/// pipeline can never diverge from the one-block-at-a-time pipeline by
+/// stored in a column is bit-identical to the per-block path by
 /// construction.
 ///
 //===----------------------------------------------------------------------===//

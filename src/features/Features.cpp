@@ -6,6 +6,22 @@
 
 using namespace schedfilter;
 
+// extractFeatures counts category bit K toward Table 1 feature K + 1.
+static_assert(CatBranch == 1u << (FeatBranch - 1) &&
+                  CatCall == 1u << (FeatCall - 1) &&
+                  CatLoad == 1u << (FeatLoad - 1) &&
+                  CatStore == 1u << (FeatStore - 1) &&
+                  CatReturn == 1u << (FeatReturn - 1) &&
+                  CatIntegerFU == 1u << (FeatInteger - 1) &&
+                  CatFloatFU == 1u << (FeatFloat - 1) &&
+                  CatSystemFU == 1u << (FeatSystem - 1) &&
+                  CatPEI == 1u << (FeatPEI - 1) &&
+                  CatGCPoint == 1u << (FeatGC - 1) &&
+                  CatThreadSwitch == 1u << (FeatTS - 1) &&
+                  CatYieldPoint == 1u << (FeatYield - 1) &&
+                  NumFeatures == 13,
+              "CategoryBits bit K must be Table 1 feature K + 1");
+
 const char *schedfilter::getFeatureName(unsigned F) {
   switch (F) {
   case FeatBBLen:
@@ -45,34 +61,13 @@ FeatureVector schedfilter::extractFeatures(const BasicBlock &BB) {
   if (BB.empty())
     return X;
 
-  // One pass, counting category membership.
+  // One pass, counting category membership branch-free: each category
+  // bit adds itself to its feature's count (see the static_assert).
   unsigned Counts[NumFeatures] = {0};
   for (const Instruction &I : BB) {
     uint16_t Cats = I.categories();
-    if (Cats & CatBranch)
-      ++Counts[FeatBranch];
-    if (Cats & CatCall)
-      ++Counts[FeatCall];
-    if (Cats & CatLoad)
-      ++Counts[FeatLoad];
-    if (Cats & CatStore)
-      ++Counts[FeatStore];
-    if (Cats & CatReturn)
-      ++Counts[FeatReturn];
-    if (Cats & CatIntegerFU)
-      ++Counts[FeatInteger];
-    if (Cats & CatFloatFU)
-      ++Counts[FeatFloat];
-    if (Cats & CatSystemFU)
-      ++Counts[FeatSystem];
-    if (Cats & CatPEI)
-      ++Counts[FeatPEI];
-    if (Cats & CatGCPoint)
-      ++Counts[FeatGC];
-    if (Cats & CatThreadSwitch)
-      ++Counts[FeatTS];
-    if (Cats & CatYieldPoint)
-      ++Counts[FeatYield];
+    for (unsigned K = 0; K != NumFeatures - 1; ++K)
+      Counts[K + 1] += (Cats >> K) & 1;
   }
 
   double N = static_cast<double>(BB.size());

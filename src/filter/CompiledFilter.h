@@ -35,11 +35,11 @@
 ///   * evaluateBatch over a FeatureMatrix returns, row for row, exactly
 ///     what evaluate returns on that row.
 ///
-/// Batch mode is where compilation pays: distinct (Feature, Sign,
-/// Threshold) triples are deduplicated into predicate rows, each row is
-/// evaluated for all N blocks with one auto-vectorizable compare sweep
-/// over the SoA feature column, and the first-match resolution then walks
-/// precomputed bits instead of re-comparing doubles.
+/// Evaluation is one cursor walk per block: each step tests one cell and
+/// follows OnPass or OnFail, so the walk touches exactly the conditions
+/// the interpreter tests and the step count is the work.  There is one
+/// evaluator; evaluateBatch is that walk looped over a FeatureMatrix's
+/// rows.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,12 +61,10 @@ struct FilterCell {
   uint32_t Feature = 0;
   uint32_t OnPass = 0; ///< next cell, or a terminal when last in its rule
   uint32_t OnFail = 0; ///< first cell of the next rule, or TermDefault
-  uint32_t PredRow = 0; ///< deduplicated predicate row (batch mode)
 };
 
 /// A RuleSet compiled to the flat cell form.  Immutable after
-/// construction; copyable and safely shared across threads (evaluation
-/// takes scratch by argument).
+/// construction; copyable and safely shared across threads.
 class CompiledFilter {
 public:
   /// What one evaluation decides: the class (as "schedule?") and the
@@ -76,15 +74,7 @@ public:
     uint64_t Work = 0;
   };
 
-  /// Reusable batch scratch: the predicate bit matrix, packed into
-  /// 64-bit words.  When the filter's cells plus one guard bit per rule
-  /// fit one word (every trained filter in the repo), the layout is one
-  /// word per block, one bit per cell in rule order, so first-match
-  /// resolution is straight-line bit arithmetic on a single register
-  /// (see evaluateBatch); larger filters fall back to predicate-row-major
-  /// words.  Packing matters: with byte-per-predicate storage each
-  /// resolution step touched a different N-spaced cache line.  Grow-only,
-  /// one per thread like every other arena buffer.
+  /// The scratch type of evaluateBatch's signature (unread).
   using BatchScratch = std::vector<uint64_t>;
 
   CompiledFilter() = default; ///< empty set: always the default class (NS)
@@ -104,14 +94,20 @@ public:
     return terminalDecision(C, W);
   }
 
-  /// Batch evaluation: for every row I of \p M, writes evaluate(row I)
-  /// into IsLS[I] / Work[I] (arrays of at least M.size()).  The predicate
-  /// matrix lives in \p Scratch and is reused across calls.
-  void evaluateBatch(const FeatureMatrix &M, BatchScratch &Scratch,
-                     unsigned char *IsLS, uint64_t *Work) const;
+  /// For every row I of \p M, writes evaluate(row I) into IsLS[I] /
+  /// Work[I] (arrays of at least M.size()).  This and its unused
+  /// \p Scratch parameter remain only for perfbench's filter.batch span;
+  /// both can go once a benchmark change drops that span.
+  void evaluateBatch(const FeatureMatrix &M, BatchScratch & /*Scratch*/,
+                     unsigned char *IsLS, uint64_t *Work) const {
+    for (size_t I = 0, N = M.size(); I != N; ++I) {
+      Decision D = evaluate(M.row(I));
+      IsLS[I] = D.ScheduleLS;
+      Work[I] = D.Work;
+    }
+  }
 
   size_t numCells() const { return Cells.size(); }
-  size_t numPredRows() const { return PredRows.size(); }
   Label defaultClass() const { return Default; }
 
   /// The canonical (keep-tightest) form of \p RS: every within-rule
@@ -140,41 +136,6 @@ private:
   enum : uint32_t { TermMatchLS = 0, TermMatchNS = 1, TermDefault = 2 };
 
   std::vector<FilterCell> Cells;
-  /// Deduplicated predicate rows for batch mode: cell c's compare is
-  /// PredRows[Cells[c].PredRow].
-  struct PredRowInfo {
-    double Threshold = 0.0;
-    double Sign = 1.0;
-    uint32_t Feature = 0;
-  };
-  std::vector<PredRowInfo> PredRows;
-  /// Batch fast-path tables, built when every cell bit, one guard bit
-  /// per rule, and the default's sentinel bit fit one mask word
-  /// (NumCells + #rules + 1 <= 64; true for every trained filter in the
-  /// repo).  Bit layout, low to high: rule 0's cells in condition order,
-  /// rule 0's guard bit, rule 1's cells, rule 1's guard, ..., the
-  /// default bit.  RowCellBits[r]: the (laid-out) cell bits predicate
-  /// row r feeds -- one OR per compare sweep fans the row out to all
-  /// duplicates.  Resolution is then branchless over the whole rule
-  /// list (see evaluateBatch): Fail + CellBitsAll carries into exactly
-  /// the guard bits of failing rules, so the first match is one ctz,
-  /// and the interpreter's short-circuit work is a popcount of the
-  /// visited-cell mask XB ^ (XB - BaseBits).
-  std::vector<uint64_t> RowCellBits;
-  /// Predicate-row sweep order, grouped by feature (stable within a
-  /// feature), so consecutive sweeps reuse the cached column tile.
-  std::vector<uint32_t> RowOrder;
-  uint64_t CellBitsAll = 0; ///< every cell bit (guard/default bits clear)
-  uint64_t GuardBits = 0;   ///< per-rule guard bits plus the default bit
-  uint64_t BaseBits = 0;    ///< lowest cell bit of each non-empty rule
-  /// Per guard/default bit position: the work the matching rule adds
-  /// (its condition count; 1 for the default's +1), its conclusion, and
-  /// the mask of all bits strictly below the matching rule's own first
-  /// cell -- the failing rules the interpreter walked through.
-  unsigned char LenAtPos[64] = {};
-  unsigned char LSAtPos[64] = {};
-  uint64_t PrefixMaskAtPos[64] = {};
-  bool BatchFastPath = false;
   uint32_t NumCells = 0;
   uint32_t Entry = TermDefault; ///< first cell, or a terminal (+NumCells)
   Label Default = Label::NS;

@@ -22,6 +22,10 @@
 /// interpreter survives only as that oracle in
 /// tests/compiled_filter_test.cpp.
 ///
+/// MethodCompiler calls shouldSchedule once per block inside its timed
+/// scheduling phase: one decision path, whose cost is charged to
+/// scheduling like the paper's (§3.1).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCHEDFILTER_FILTER_SCHEDULEFILTER_H
@@ -30,11 +34,7 @@
 #include "features/Features.h"
 #include "filter/FilterVersion.h"
 
-#include <vector>
-
 namespace schedfilter {
-
-class SchedContext;
 
 /// Wraps an induced RuleSet as an online block filter.
 class ScheduleFilter {
@@ -68,14 +68,6 @@ public:
   bool shouldSchedule(const BasicBlock &BB) const {
     return decide(BB).ScheduleLS;
   }
-
-  /// Batch decision pass: fills Decisions[i] with shouldSchedule(*Blocks[i])
-  /// for all i, accumulating exactly the counters and work units the
-  /// per-block loop would.  Non-gated blocks stream through
-  /// extractFeaturesBatch into \p Ctx's SoA feature matrix and one
-  /// evaluateBatch call.  Decisions is sized to Blocks.size().
-  void shouldScheduleBatch(const std::vector<const BasicBlock *> &Blocks,
-                           SchedContext &Ctx, std::vector<char> &Decisions);
 
   const RuleSet &ruleSet() const { return Art->Rules; }
   const CompiledFilter &compiled() const { return Art->Compiled; }

@@ -23,30 +23,20 @@ void MethodCompiler::schedulePhase(const Method &M, SchedulingPolicy Policy,
   uint64_t FilterWorkBefore = Filter ? Filter->workUnits() : 0;
   if (Orders.size() < M.size())
     Orders.resize(M.size());
-  std::vector<char> &Decisions = Ctx.batchDecisions();
-  if (Policy == SchedulingPolicy::Filtered) {
-    BlockPtrs.clear();
-    for (const BasicBlock &BB : M)
-      BlockPtrs.push_back(&BB);
-  }
 
-  // The scheduling phase proper -- filter decisions plus list scheduling
-  // of the chosen blocks.  One timer spans the whole phase, like the
-  // paper's per-phase compiler timers; the filter's cost is thereby
-  // charged to scheduling (§3.1).  Under the Filtered policy all of the
-  // method's decisions are made up front in one batch pass, which
-  // accumulates exactly the per-block counters and work units.
+  // The scheduling phase proper -- one filter decision per block plus
+  // list scheduling of the chosen blocks.  One timer spans the whole
+  // phase, like the paper's per-phase compiler timers; the filter's cost
+  // is thereby charged to scheduling (§3.1).
   AccumulatingTimer SchedTimer;
   SchedTimer.start();
-  if (Policy == SchedulingPolicy::Filtered)
-    Filter->shouldScheduleBatch(BlockPtrs, Ctx, Decisions);
   size_t B = 0;
   for (const BasicBlock &BB : M) {
-    std::vector<int> &Order = Orders[B];
+    std::vector<int> &Order = Orders[B++];
     Order.clear();
     bool DoSchedule = Policy == SchedulingPolicy::Always ||
-                      (Policy == SchedulingPolicy::Filtered && Decisions[B]);
-    ++B;
+                      (Policy == SchedulingPolicy::Filtered &&
+                       Filter->shouldSchedule(BB));
     if (DoSchedule) {
       Report.SchedulingWork += Scheduler.schedule(BB, Ctx, Order);
       ++Report.NumScheduled;

@@ -63,18 +63,15 @@ private:
   ListScheduler Scheduler;
   BlockSimulator Sim;
   SchedContext &Ctx;
-  /// Per-method block-pointer scratch for the batch filter pass
-  /// (grow-only; the decision bytes live in the context's arena).
-  std::vector<const BasicBlock *> BlockPtrs;
   /// One order slot per block of the method being compiled, so the timed
   /// scheduling phase runs before simulation.  The outer vector only
   /// grows and each slot keeps its capacity across methods.
   std::vector<std::vector<int>> Orders;
 
   /// The timed scheduling phase shared by compileMethod and traceMethod:
-  /// runs the filter batch, fills one order slot per block of \p M
-  /// (empty for a block left unscheduled), and charges counts, work
-  /// units and wall time to \p Report.
+  /// asks the filter about each block of \p M in order, fills one order
+  /// slot per block (empty for a block left unscheduled), and charges
+  /// counts, work units and wall time to \p Report.
   void schedulePhase(const Method &M, SchedulingPolicy Policy,
                      ScheduleFilter *Filter, CompileReport &Report);
 };

@@ -8,11 +8,10 @@
 // finite proof: every condition is an axis-aligned threshold compare, so
 // one representative per threshold-cut cell of feature space covers every
 // behaviorally distinct input.  Randomized rule sets and feature streams
-// cover the batch layouts (fast-path mask word vs. the > 64-cell general
-// path), and the Golden group pins the real trained filters and the
-// serve path's decision counters and work against the interpreter.  The
-// interpreter (RuleSet::predict / predictionWork) lives on here only, as
-// the oracle.
+// cover rule sets from empty to past 64 cells, and the Golden group pins
+// the real trained filters and the serve path's decision counters and
+// work against the interpreter.  The interpreter (RuleSet::predict /
+// predictionWork) lives on here only, as the oracle.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +22,6 @@
 #include "harness/ParallelExperiments.h"
 #include "ml/Ripper.h"
 #include "runtime/MultiAppService.h"
-#include "sched/SchedContext.h"
 #include "support/Rng.h"
 #include "workloads/ProgramGenerator.h"
 
@@ -96,8 +94,8 @@ void expectBatchMatchesScalar(const RuleSet &RS,
 }
 
 /// A deterministic random rule set.  Thresholds come from a small pool so
-/// rules overlap, share predicate rows, and contain within-rule redundant
-/// conditions -- the shapes that stress interning and work counting.
+/// rules overlap and contain within-rule redundant conditions -- the
+/// shapes that stress work counting.
 RuleSet randomRuleSet(Rng &R, size_t NumRules, size_t MaxConds,
                       bool AllowNaNThreshold) {
   static const double Pool[] = {-1.0, 0.0,  0.125, 0.25, 0.5,
@@ -177,7 +175,7 @@ TEST(CompiledFilter, SingleRule) {
 TEST(CompiledFilter, EmptyAntecedentRuleMatchesEverything) {
   // An empty-antecedent rule matches every input with zero condition
   // work; rules behind it are unreachable.  Both positions (first and
-  // mid-list) exercise the rule-entry and guard-bit special cases.
+  // mid-list) exercise the rule-entry special case.
   for (size_t Position : {size_t{0}, size_t{1}}) {
     RuleSet RS(Label::NS);
     if (Position == 1)
@@ -218,9 +216,9 @@ TEST(CompiledFilter, NaNThresholdConditionNeverMatches) {
   expectBatchMatchesScalar(RS, randomVectors(R, 300));
 }
 
-TEST(CompiledFilter, MaxConditionRuleTakesGeneralBatchPath) {
-  // 80 conditions in one rule: past the one-mask-word fast path, so the
-  // batch evaluator must fall back to the predicate-row-major layout.
+TEST(CompiledFilter, EightyConditionRuleMatchesInterpreter) {
+  // 80 conditions in one rule: a filter wider than any 64-bit mask, so
+  // no evaluator may assume the cells fit one word.
   Rng Seed(6);
   RuleSet RS(Label::NS);
   Rule Big;
@@ -240,10 +238,10 @@ TEST(CompiledFilter, MaxConditionRuleTakesGeneralBatchPath) {
   expectBatchMatchesScalar(RS, randomVectors(Seed, 500));
 }
 
-TEST(CompiledFilter, FastPathBoundary) {
-  // Cells + one guard per rule + the default bit must fit 64 bits for
-  // the mask-word fast path; one condition either side of the boundary
-  // must stay bit-identical.
+TEST(CompiledFilter, SixtyFourBitBoundaryMatchesInterpreter) {
+  // 61-63 cells in one rule -- 63 to 65 bits with one per rule and one
+  // for the default -- straddle a 64-bit word; evaluate and evaluateBatch must
+  // stay bit-identical to the interpreter there.
   for (size_t Conds : {size_t{61}, size_t{62}, size_t{63}}) {
     RuleSet RS(Label::LS);
     Rule R1;
@@ -371,26 +369,6 @@ TEST(ScheduleFilter, EvaluatorModesAgreeBlockForBlock) {
   EXPECT_EQ(Compiled.numSkipDecisions(), OracleNS);
   EXPECT_EQ(Compiled.workUnits(), OracleWork);
   EXPECT_GT(Compiled.workUnits(), 0u);
-}
-
-TEST(ScheduleFilter, BatchMatchesScalarLoopInBothModes) {
-  Program P = ProgramGenerator(shrinkSuite(specjvm98Suite(), 6)[1]).generate();
-  std::vector<const BasicBlock *> Blocks;
-  P.forEachBlock([&](const BasicBlock &BB) { Blocks.push_back(&BB); });
-  ASSERT_FALSE(Blocks.empty());
-
-  ScheduleFilter Batch(basicFilter());
-  ScheduleFilter Scalar(basicFilter());
-  SchedContext Ctx;
-  std::vector<char> Decisions;
-  Batch.shouldScheduleBatch(Blocks, Ctx, Decisions);
-  ASSERT_EQ(Decisions.size(), Blocks.size());
-  for (size_t I = 0; I != Blocks.size(); ++I)
-    ASSERT_EQ(Decisions[I] != 0, Scalar.shouldSchedule(*Blocks[I]))
-        << "block " << I;
-  EXPECT_EQ(Batch.numScheduleDecisions(), Scalar.numScheduleDecisions());
-  EXPECT_EQ(Batch.numSkipDecisions(), Scalar.numSkipDecisions());
-  EXPECT_EQ(Batch.workUnits(), Scalar.workUnits());
 }
 
 // --- Golden: the real trained filters and the serve path (skipped in the

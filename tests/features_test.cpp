@@ -3,10 +3,12 @@
 #include "features/Features.h"
 
 #include "TestHelpers.h"
+#include "io/TraceStore.h"
 #include "workloads/ProgramGenerator.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 using namespace schedfilter;
@@ -131,3 +133,28 @@ TEST_P(FeatureProperty, FractionsInRangeAndConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FeatureProperty,
                          ::testing::Values(3, 1415, 92, 65, 35));
+
+TEST(Features, SuiteDigestPinned) {
+  // Bit-exact guard on every feature value over every SPECjvm98 block, in
+  // suite order: each block contributes its 13 feature doubles as raw
+  // 64-bit patterns and its featureExtractionWork, and the stream is
+  // hashed with the repository's FNV-1a.  Any rewrite of extractFeatures
+  // must keep every count, every division and every work unit.
+  std::string Bytes;
+  uint64_t Blocks = 0;
+  for (const BenchmarkSpec &Spec : specjvm98Suite()) {
+    Program P = ProgramGenerator(Spec).generate();
+    P.forEachBlock([&](const BasicBlock &BB) {
+      FeatureVector X = extractFeatures(BB);
+      for (double V : X) {
+        uint64_t Bits;
+        std::memcpy(&Bits, &V, sizeof Bits);
+        wire::putU64(Bytes, Bits);
+      }
+      wire::putU64(Bytes, featureExtractionWork(BB));
+      ++Blocks;
+    });
+  }
+  EXPECT_EQ(Blocks, 8827u); // Golden.SuitePopulation
+  EXPECT_EQ(wire::fnv1a(Bytes.data(), Bytes.size()), 0x3b8ee60513b8734dULL);
+}
