@@ -4,14 +4,10 @@
 
 #include "io/TraceStore.h"
 
-#include <atomic>
 #include <cctype>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iterator>
-
-#include <unistd.h>
 
 using namespace schedfilter;
 
@@ -159,12 +155,6 @@ bool CorpusCache::store(const CorpusKey &K,
                         const std::vector<BlockRecord> &Records,
                         const CompileReport &NeverReport,
                         const CompileReport &AlwaysReport) {
-  auto Failed = [&]() {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++S.StoreFailures;
-    return false;
-  };
-
   std::string Body;
   wire::putU16(Body, NumFeatures);
   wire::putU32(Body, K.GeneratorVersion);
@@ -183,37 +173,10 @@ bool CorpusCache::store(const CorpusKey &K,
   wire::putU64(Bytes, wire::fnv1a(Body.data(), Body.size()));
   Bytes += Body;
 
-  std::error_code EC;
-  std::filesystem::create_directories(Dir, EC); // best effort; open reports
-
-  // Unique temp name per process and store call, then an atomic rename:
-  // a concurrent reader sees the old entry or the new one, never a torn
-  // file.
-  static std::atomic<uint64_t> StoreSerial{0};
-  std::string Path = entryPath(K);
-  std::string Tmp = Path + ".tmp." + std::to_string(::getpid()) + "." +
-                    std::to_string(StoreSerial.fetch_add(1));
-  {
-    std::ofstream OS(Tmp, std::ios::binary | std::ios::trunc);
-    if (!OS)
-      return Failed();
-    OS.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-    OS.flush();
-    if (!OS) {
-      OS.close();
-      std::filesystem::remove(Tmp, EC);
-      return Failed();
-    }
-  }
-  std::filesystem::rename(Tmp, Path, EC);
-  if (EC) {
-    std::filesystem::remove(Tmp, EC);
-    return Failed();
-  }
-
+  bool Ok = wire::writeFileAtomic(entryPath(K), Bytes);
   std::lock_guard<std::mutex> Lock(Mutex);
-  ++S.Stores;
-  return true;
+  ++(Ok ? S.Stores : S.StoreFailures);
+  return Ok;
 }
 
 CorpusCache::Stats CorpusCache::stats() const {

@@ -6,14 +6,11 @@
 #include "ml/Serialization.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
-
-#include <unistd.h>
 
 using namespace schedfilter;
 
@@ -51,39 +48,9 @@ bool FilterRegistry::store(const FilterVersionMeta &Meta,
   wire::putU64(Bytes, wire::fnv1a(Body.data(), Body.size()));
   Bytes += Body;
 
-  std::error_code EC;
-  std::filesystem::create_directories(Dir, EC); // best effort; open reports
-
-  // Unique temp name, then an atomic rename -- the CorpusCache idiom: a
-  // concurrent reader sees the old entry or the new one, never torn bytes.
-  static std::atomic<uint64_t> StoreSerial{0};
-  std::string Path = entryPath(Meta.Version);
-  std::string Tmp = Path + ".tmp." + std::to_string(::getpid()) + "." +
-                    std::to_string(StoreSerial.fetch_add(1));
-  {
-    std::ofstream OS(Tmp, std::ios::binary | std::ios::trunc);
-    if (!OS) {
-      ++S.StoreFailures;
-      return false;
-    }
-    OS.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
-    OS.flush();
-    if (!OS) {
-      OS.close();
-      std::filesystem::remove(Tmp, EC);
-      ++S.StoreFailures;
-      return false;
-    }
-  }
-  std::filesystem::rename(Tmp, Path, EC);
-  if (EC) {
-    std::filesystem::remove(Tmp, EC);
-    ++S.StoreFailures;
-    return false;
-  }
-
-  ++S.Stores;
-  return true;
+  bool Ok = wire::writeFileAtomic(entryPath(Meta.Version), Bytes);
+  ++(Ok ? S.Stores : S.StoreFailures);
+  return Ok;
 }
 
 ParseResult<RegistryEntry> FilterRegistry::load(uint32_t Version) const {

@@ -4,15 +4,20 @@
 
 #include "features/Features.h"
 
+#include <atomic>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <iterator>
 #include <ostream>
+
+#include <unistd.h>
 
 using namespace schedfilter;
 
@@ -132,9 +137,46 @@ wire::decodeRecords(const char *P, const char *End, uint64_t Count) {
     if (!Ok)
       return ParseError{static_cast<size_t>(I + 1),
                         "record payload truncated"};
+    for (unsigned F = 0; F != NumFeatures; ++F)
+      if (!std::isfinite(R.X[F]))
+        return ParseError{static_cast<size_t>(I + 1),
+                          "record " + std::to_string(I + 1) + " has " +
+                              getFeatureName(F) + " = " +
+                              formatDoubleShortest(R.X[F]) +
+                              " (features must be finite)"};
     Records.push_back(R);
   }
   return Records;
+}
+
+bool wire::writeFileAtomic(const std::string &Path, const std::string &Bytes) {
+  std::error_code EC;
+  std::filesystem::create_directories(
+      std::filesystem::path(Path).parent_path(), EC); // best effort
+
+  // Unique temp name per process and call, then an atomic rename: a
+  // concurrent reader sees the old file or the new one, never torn bytes.
+  static std::atomic<uint64_t> StoreSerial{0};
+  std::string Tmp = Path + ".tmp." + std::to_string(::getpid()) + "." +
+                    std::to_string(StoreSerial.fetch_add(1));
+  {
+    std::ofstream OS(Tmp, std::ios::binary | std::ios::trunc);
+    if (!OS)
+      return false;
+    OS.write(Bytes.data(), static_cast<std::streamsize>(Bytes.size()));
+    OS.flush();
+    if (!OS) {
+      OS.close();
+      std::filesystem::remove(Tmp, EC);
+      return false;
+    }
+  }
+  std::filesystem::rename(Tmp, Path, EC);
+  if (EC) {
+    std::filesystem::remove(Tmp, EC);
+    return false;
+  }
+  return true;
 }
 
 //===----------------------------------------------------------------------===//
@@ -190,12 +232,15 @@ void splitCells(const std::string &Line, std::vector<std::string> &Cells) {
   }
 }
 
-bool parseDoubleCell(const std::string &Cell, double &Out) {
+/// Whole-cell decimal parse that must land on a finite value: "nan",
+/// "inf", "-inf" and overflow such as "1e999" all fail, so a non-finite
+/// feature never reaches the trainer's rank table.
+bool parseFiniteCell(const std::string &Cell, double &Out) {
   if (Cell.empty())
     return false;
   char *End = nullptr;
   Out = std::strtod(Cell.c_str(), &End);
-  return End == Cell.c_str() + Cell.size();
+  return End == Cell.c_str() + Cell.size() && std::isfinite(Out);
 }
 
 /// Strict unsigned-integer cell parse: digits only (no sign, fraction or
@@ -242,9 +287,9 @@ ParseResult<std::vector<BlockRecord>> readTraceCsvBody(std::istream &IS,
                                     std::to_string(ExpectedCells)};
     BlockRecord R;
     for (unsigned F = 0; F != NumFeatures; ++F)
-      if (!parseDoubleCell(Cells[F], R.X[F]))
+      if (!parseFiniteCell(Cells[F], R.X[F]))
         return ParseError{LineNo, std::string(getFeatureName(F)) + " cell '" +
-                                      Cells[F] + "' is not a number"};
+                                      Cells[F] + "' is not a finite number"};
     const char *Cols[3] = {"costNoSched", "costSched", "execCount"};
     uint64_t *Dsts[3] = {&R.CostNoSched, &R.CostSched, &R.ExecCount};
     for (int I = 0; I != 3; ++I) {

@@ -13,7 +13,9 @@
 ///   CSV (human readable)  -- a header row naming every column, then one
 ///   row per block.  Doubles are printed with the shortest decimal that
 ///   parses back bit-exactly, so CSV round-trips records exactly too.
-///   CRLF line endings are accepted on every line.  Cost and exec-count
+///   CRLF line endings are accepted on every line.  Feature cells must be
+///   finite numbers: "nan", "inf" and overflow such as "1e999" are
+///   rejected with a line diagnostic.  Cost and exec-count
 ///   cells must be unsigned integers: fractional, negative, or
 ///   uint64_t-overflowing cells are rejected with a line diagnostic
 ///   rather than silently truncated.
@@ -26,7 +28,9 @@
 ///     u64          record count
 ///     u64          FNV-1a 64 checksum of the payload
 ///     payload      per record: NumFeatures f64 (IEEE-754 bit pattern),
-///                  then costNoSched, costSched, execCount as u64
+///                  then costNoSched, costSched, execCount as u64;
+///                  a NaN or infinite feature is rejected with its record
+///                  ordinal
 ///
 /// Bumping either format is a new magic/header ("SFTB2", a "v2" header
 /// line), never a silent change: readers must keep rejecting what they
@@ -78,8 +82,9 @@ ParseResult<std::vector<BlockRecord>> readTraceFile(const std::string &Path);
 /// anywhere else a double must survive a text round trip.
 std::string formatDoubleShortest(double V);
 
-/// Low-level little-endian wire helpers shared by the SFTB1 trace format
-/// and the corpus cache's SFCC1 entries.
+/// Low-level little-endian wire helpers shared by the SFTB1 trace format,
+/// the corpus cache's SFCC1 entries and the filter registry's SFFR1
+/// entries.
 namespace wire {
 
 void putU16(std::string &Out, uint16_t V);
@@ -103,8 +108,16 @@ std::string encodeRecords(const std::vector<BlockRecord> &Records);
 
 /// Decodes \p Count records from a payload previously produced by
 /// encodeRecords; the ParseError's Line is the 1-based record ordinal.
+/// A truncated record or a non-finite feature (NaN, inf) is an error.
 ParseResult<std::vector<BlockRecord>>
 decodeRecords(const char *P, const char *End, uint64_t Count);
+
+/// Replaces \p Path with \p Bytes atomically: writes a temp file named
+/// from the process id and a per-process counter, then renames it over
+/// \p Path, creating the directory first (best effort).  Readers see the
+/// old file or the new one, never torn bytes.  On failure the temp file
+/// is removed and false returned.
+bool writeFileAtomic(const std::string &Path, const std::string &Bytes);
 
 } // namespace wire
 

@@ -41,13 +41,3 @@ schedfilter::leaveOneOut(const std::vector<Dataset> &PerBenchmark,
   });
   return Folds;
 }
-
-std::vector<LoocvFold>
-schedfilter::selfTrain(const std::vector<Dataset> &PerBenchmark,
-                       const LearnerFn &Learner) {
-  std::vector<LoocvFold> Folds;
-  Folds.reserve(PerBenchmark.size());
-  for (const Dataset &D : PerBenchmark)
-    Folds.push_back({D.getName(), Learner(D)});
-  return Folds;
-}

@@ -19,7 +19,9 @@ namespace schedfilter {
 
 class TaskPool;
 
-/// A learner: trains a RuleSet from a dataset.
+/// A learner: trains a RuleSet from a dataset.  Every tool and bench
+/// passes RIPPER (harness/Experiments.h's ripperLearner); the indirection
+/// lets tests substitute a fake learner that records what each fold saw.
 using LearnerFn = std::function<RuleSet(const Dataset &)>;
 
 /// One leave-one-out fold result.
@@ -33,6 +35,7 @@ struct LoocvFold {
 /// Runs leave-one-out cross-validation: for each dataset i in
 /// \p PerBenchmark, trains \p Learner on the concatenation of all others
 /// and pairs the result with dataset i's name.  Order follows the input.
+/// Serial: the determinism tests hold the pooled overload to it.
 std::vector<LoocvFold> leaveOneOut(const std::vector<Dataset> &PerBenchmark,
                                    const LearnerFn &Learner);
 
@@ -45,11 +48,6 @@ std::vector<LoocvFold> leaveOneOut(const std::vector<Dataset> &PerBenchmark,
 /// parallelFor calls run inline on the worker that owns the fold.
 std::vector<LoocvFold> leaveOneOut(const std::vector<Dataset> &PerBenchmark,
                                    const LearnerFn &Learner, TaskPool &Pool);
-
-/// Self-training upper bound discussed in the paper's footnote: train and
-/// name one fold per benchmark, trained on that benchmark itself.
-std::vector<LoocvFold> selfTrain(const std::vector<Dataset> &PerBenchmark,
-                                 const LearnerFn &Learner);
 
 } // namespace schedfilter
 

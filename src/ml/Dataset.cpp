@@ -7,11 +7,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <istream>
-#include <ostream>
-#include <sstream>
 
 using namespace schedfilter;
 
@@ -23,8 +19,9 @@ namespace {
 
 /// An order-preserving integer key for a double: key(A) < key(B) iff
 /// A < B, for non-NaN values; -0.0 and +0.0 share a key, and every NaN
-/// takes the largest key (training data must be finite -- readCsv rejects
-/// anything else -- this only keeps a NaN from breaking the ranking).
+/// takes the largest key (training data must be finite -- the trace readers
+/// in io/TraceStore reject anything else -- this only keeps a NaN from
+/// breaking the ranking).
 /// Ranking integer keys sorts and searches without a floating-point
 /// comparator.
 uint64_t orderKey(double V) {
@@ -130,50 +127,4 @@ size_t Dataset::countLabel(Label L) const {
     if (I.Y == L)
       ++N;
   return N;
-}
-
-void Dataset::writeCsv(std::ostream &OS) const {
-  for (unsigned F = 0; F != NumFeatures; ++F)
-    OS << getFeatureName(F) << ',';
-  OS << "label\n";
-  for (const Instance &I : Instances) {
-    for (unsigned F = 0; F != NumFeatures; ++F)
-      OS << I.X[F] << ',';
-    OS << getLabelName(I.Y) << '\n';
-  }
-}
-
-bool Dataset::readCsv(std::istream &IS) {
-  std::vector<Instance> Parsed;
-  std::string Line;
-  if (!std::getline(IS, Line))
-    return false; // missing header
-  while (std::getline(IS, Line)) {
-    if (Line.empty())
-      continue;
-    std::istringstream SS(Line);
-    Instance Inst;
-    std::string Cell;
-    for (unsigned F = 0; F != NumFeatures; ++F) {
-      if (!std::getline(SS, Cell, ','))
-        return false;
-      char *End = nullptr;
-      Inst.X[F] = std::strtod(Cell.c_str(), &End);
-      if (End == Cell.c_str() || !std::isfinite(Inst.X[F]))
-        return false;
-    }
-    if (!std::getline(SS, Cell))
-      return false;
-    if (Cell == "LS")
-      Inst.Y = Label::LS;
-    else if (Cell == "NS")
-      Inst.Y = Label::NS;
-    else
-      return false;
-    Parsed.push_back(Inst);
-  }
-  Instances = std::move(Parsed);
-  Table.reset();
-  RowIds.clear();
-  return true;
 }

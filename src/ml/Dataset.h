@@ -4,6 +4,8 @@
 /// Labeled instances for the whether-to-schedule learning problem.  Each
 /// instance is one basic block: a feature vector plus a boolean class
 /// label, LS (schedule) or NS (don't schedule), per the paper's §2.2.
+/// Features are finite: datasets are labeled from traced or decoded
+/// records, and the trace readers (io/TraceStore.h) reject NaN and inf.
 /// Datasets labeled from one suite also share a rank table of the suite's
 /// records, the index the RIPPER trainer sweeps (ml/Ripper.cpp).
 ///
@@ -15,7 +17,6 @@
 #include "features/Features.h"
 
 #include <array>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -130,14 +131,6 @@ public:
 
   /// Number of instances with label \p L.
   size_t countLabel(Label L) const;
-
-  /// Writes instances as CSV: feature columns then the label name.
-  void writeCsv(std::ostream &OS) const;
-
-  /// Parses the CSV format produced by writeCsv.  Returns false (and leaves
-  /// the dataset unchanged) on malformed input, including a feature value
-  /// that is NaN or infinite: training requires finite features.
-  bool readCsv(std::istream &IS);
 
 private:
   std::string Name;

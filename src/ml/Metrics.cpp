@@ -11,20 +11,6 @@ double ConfusionMatrix::errorRate() const {
   return static_cast<double>(errors()) / static_cast<double>(N);
 }
 
-double ConfusionMatrix::precision() const {
-  size_t Denom = TruePos + FalsePos;
-  if (Denom == 0)
-    return 0.0;
-  return static_cast<double>(TruePos) / static_cast<double>(Denom);
-}
-
-double ConfusionMatrix::recall() const {
-  size_t Denom = TruePos + FalseNeg;
-  if (Denom == 0)
-    return 0.0;
-  return static_cast<double>(TruePos) / static_cast<double>(Denom);
-}
-
 ConfusionMatrix schedfilter::evaluate(const RuleSet &RS, const Dataset &Data) {
   ConfusionMatrix M;
   for (const Instance &I : Data) {

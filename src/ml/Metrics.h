@@ -26,10 +26,6 @@ struct ConfusionMatrix {
 
   /// Fraction misclassified in [0, 1]; 0 for an empty matrix.
   double errorRate() const;
-
-  /// Precision and recall of the LS class (0 when undefined).
-  double precision() const;
-  double recall() const;
 };
 
 /// Evaluates \p RS on every instance of \p Data.

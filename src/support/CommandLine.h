@@ -4,19 +4,22 @@
 /// A deliberately tiny command-line parser for the tools/ binaries:
 /// "--flag value" and "--flag=value" options plus positional arguments.
 /// No subcommands, no type registry -- the tools validate their own
-/// values and print their own usage.
+/// values, reject flags they do not read, and print their own usage.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCHEDFILTER_SUPPORT_COMMANDLINE_H
 #define SCHEDFILTER_SUPPORT_COMMANDLINE_H
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace schedfilter {
@@ -81,6 +84,19 @@ public:
   }
 
   bool has(const std::string &Name) const { return Options.count(Name) != 0; }
+
+  /// Checks every option against \p Known, the flags the tool reads.  The
+  /// first option (in name order) outside the list prints "error: unknown
+  /// option --NAME" and returns false, so a typo such as "--threshhold"
+  /// exits non-zero instead of quietly running on the default.
+  bool checkKnownOptions(std::initializer_list<std::string_view> Known) const {
+    for (const auto &[Name, Value] : Options)
+      if (std::find(Known.begin(), Known.end(), Name) == Known.end()) {
+        std::cerr << "error: unknown option --" << Name << '\n';
+        return false;
+      }
+    return true;
+  }
 
   const std::vector<std::string> &positional() const { return Positional; }
 

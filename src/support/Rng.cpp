@@ -90,22 +90,6 @@ size_t Rng::pickWeighted(const std::vector<double> &Weights) {
   return Weights.size() - 1;
 }
 
-int Rng::zipf(int N, double S) {
-  assert(N >= 1 && "zipf() requires N >= 1");
-  // Exact inverse transform over the normalization sum.  N is small in all
-  // of our uses (block counts per method), so the O(N) scan is fine.
-  double Norm = 0.0;
-  for (int K = 1; K <= N; ++K)
-    Norm += 1.0 / std::pow(static_cast<double>(K), S);
-  double X = uniform() * Norm;
-  for (int K = 1; K <= N; ++K) {
-    X -= 1.0 / std::pow(static_cast<double>(K), S);
-    if (X < 0.0)
-      return K;
-  }
-  return N;
-}
-
 Rng Rng::split() { return Rng(next64()); }
 
 Rng Rng::fork(uint64_t StreamId) const {

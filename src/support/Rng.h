@@ -87,11 +87,6 @@ public:
   /// to Weights[i].  Weights must be nonnegative and not all zero.
   size_t pickWeighted(const std::vector<double> &Weights);
 
-  /// Samples a Zipf-like rank in [1, N] with exponent \p S >= 0 by inverse
-  /// transform over the exact normalization constant.  Rank 1 is the most
-  /// probable.  Used for block execution-count (hotness) profiles.
-  int zipf(int N, double S);
-
   /// Derives an independent generator from this stream; convenient for
   /// giving each generated method its own substream.  Consumes state (two
   /// split() calls return different generators).

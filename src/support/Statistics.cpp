@@ -38,16 +38,6 @@ double schedfilter::median(std::vector<double> Values) {
   return 0.5 * (Values[N / 2 - 1] + Values[N / 2]);
 }
 
-double schedfilter::sampleStddev(const std::vector<double> &Values) {
-  if (Values.size() < 2)
-    return 0.0;
-  double M = mean(Values);
-  double Sum = 0.0;
-  for (double V : Values)
-    Sum += (V - M) * (V - M);
-  return std::sqrt(Sum / static_cast<double>(Values.size() - 1));
-}
-
 double schedfilter::safeRatio(double Numerator, double Denominator,
                               double IfZero) {
   if (Denominator == 0.0)

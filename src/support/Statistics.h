@@ -25,9 +25,6 @@ double geometricMean(const std::vector<double> &Values);
 /// Returns the median of \p Values (copies and sorts); 0 for empty input.
 double median(std::vector<double> Values);
 
-/// Returns the sample standard deviation; 0 for fewer than two values.
-double sampleStddev(const std::vector<double> &Values);
-
 /// Returns Numerator / Denominator, or \p IfZero when the denominator is 0.
 double safeRatio(double Numerator, double Denominator, double IfZero = 0.0);
 

@@ -17,6 +17,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include <unistd.h>
 
@@ -248,6 +249,14 @@ TEST(CorpusCache, CorruptEntriesAreInvalidNotFatal) {
   }
   EXPECT_FALSE(Cache.load(Key).has_value());
   EXPECT_EQ(Cache.stats().InvalidEntries, 3u);
+
+  // A well-formed, correctly checksummed entry holding a NaN feature is
+  // invalid too: the record decoder refuses non-finite features.
+  CachedRun NaNRun = Run;
+  NaNRun.Records[1].X[FeatBBLen] = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_TRUE(Cache.store(Key, NaNRun));
+  EXPECT_FALSE(Cache.load(Key).has_value());
+  EXPECT_EQ(Cache.stats().InvalidEntries, 4u);
 }
 
 TEST(CorpusCache, WarmEngineSkipsAllSuiteTracing) {

@@ -67,16 +67,6 @@ TEST(CrossValidation, NeverTrainsOnHeldOutInstances) {
   EXPECT_EQ(Fold, 3u);
 }
 
-TEST(CrossValidation, SelfTrainUsesOwnDataOnly) {
-  std::vector<Dataset> Suite = {named("a", 3), named("b", 7)};
-  std::vector<size_t> TrainSizes;
-  selfTrain(Suite, [&](const Dataset &Train) {
-    TrainSizes.push_back(Train.size());
-    return RuleSet(Label::NS);
-  });
-  EXPECT_EQ(TrainSizes, (std::vector<size_t>{3, 7}));
-}
-
 TEST(CrossValidation, SingleBenchmarkTrainsOnNothing) {
   std::vector<Dataset> Suite = {named("only", 5)};
   std::vector<LoocvFold> Folds =

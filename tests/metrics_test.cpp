@@ -53,28 +53,6 @@ TEST(Metrics, PerfectClassifier) {
   D.add({fv(3), Label::NS});
   ConfusionMatrix M = evaluate(thresholdFilter(), D);
   EXPECT_DOUBLE_EQ(M.errorRate(), 0.0);
-  EXPECT_DOUBLE_EQ(M.precision(), 1.0);
-  EXPECT_DOUBLE_EQ(M.recall(), 1.0);
-}
-
-TEST(Metrics, PrecisionRecallAsymmetry) {
-  Dataset D("d");
-  D.add({fv(12), Label::LS}); // TP
-  D.add({fv(11), Label::NS}); // FP
-  D.add({fv(12), Label::LS}); // TP
-  ConfusionMatrix M = evaluate(thresholdFilter(), D);
-  EXPECT_NEAR(M.precision(), 2.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(M.recall(), 1.0);
-}
-
-TEST(Metrics, UndefinedPrecisionRecallAreZero) {
-  // Never-schedule filter: no positive predictions.
-  RuleSet Never(Label::NS);
-  Dataset D("d");
-  D.add({fv(12), Label::NS});
-  ConfusionMatrix M = evaluate(Never, D);
-  EXPECT_DOUBLE_EQ(M.precision(), 0.0);
-  EXPECT_DOUBLE_EQ(M.recall(), 0.0);
 }
 
 TEST(Metrics, ErrorRatePercentScales) {

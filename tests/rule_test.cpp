@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 using namespace schedfilter;
 
 namespace {
@@ -154,43 +152,6 @@ TEST(RuleSet, ToStringListsRulesAndDefault) {
   std::string S = RS.toString();
   EXPECT_NE(S.find("list :-"), std::string::npos);
   EXPECT_NE(S.find("(default) orig"), std::string::npos);
-}
-
-TEST(Dataset, CsvRoundTrip) {
-  Dataset D("rt");
-  D.add({fv(7, 0.25), Label::LS});
-  D.add({fv(3, 0.0), Label::NS});
-  std::stringstream SS;
-  D.writeCsv(SS);
-  Dataset Back("rt2");
-  EXPECT_TRUE(Back.readCsv(SS));
-  ASSERT_EQ(Back.size(), 2u);
-  EXPECT_EQ(Back[0].Y, Label::LS);
-  EXPECT_EQ(Back[1].Y, Label::NS);
-  EXPECT_DOUBLE_EQ(Back[0].X[FeatBBLen], 7.0);
-  EXPECT_DOUBLE_EQ(Back[0].X[FeatLoad], 0.25);
-}
-
-TEST(Dataset, CsvRejectsMalformed) {
-  Dataset D("bad");
-  std::stringstream SS("header\n1,2,3\n");
-  EXPECT_FALSE(D.readCsv(SS));
-  EXPECT_EQ(D.size(), 0u);
-}
-
-TEST(Dataset, CsvRejectsNonFiniteValues) {
-  // The same row parses with a finite load fraction and fails with a
-  // non-finite one.
-  for (const char *Load : {"0.25", "nan", "inf", "-inf"}) {
-    std::string Row = "1";
-    for (unsigned F = 1; F != NumFeatures; ++F)
-      Row += F == FeatLoad ? std::string(",") + Load : ",0.5";
-    std::stringstream SS("header\n" + Row + ",LS\n");
-    Dataset D("row");
-    bool Finite = std::string(Load) == "0.25";
-    EXPECT_EQ(D.readCsv(SS), Finite) << Load;
-    EXPECT_EQ(D.size(), Finite ? 1u : 0u) << Load;
-  }
 }
 
 TEST(Dataset, AppendAndCounts) {

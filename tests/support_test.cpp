@@ -98,15 +98,6 @@ TEST(Rng, PickWeightedProportions) {
   EXPECT_NEAR(static_cast<double>(Count1) / N, 0.75, 0.02);
 }
 
-TEST(Rng, ZipfRankOneMostLikely) {
-  Rng R(29);
-  std::vector<int> Counts(11, 0);
-  for (int I = 0; I < 20000; ++I)
-    ++Counts[static_cast<size_t>(R.zipf(10, 1.2))];
-  EXPECT_GT(Counts[1], Counts[2]);
-  EXPECT_GT(Counts[2], Counts[5]);
-}
-
 TEST(Rng, SplitStreamsIndependent) {
   Rng A(31);
   Rng B = A.split();
@@ -315,12 +306,6 @@ TEST(Statistics, GeometricMeanClampsZeros) {
   EXPECT_LT(G, 1.0);
 }
 
-TEST(Statistics, SampleStddev) {
-  EXPECT_DOUBLE_EQ(sampleStddev({2, 2, 2}), 0.0);
-  EXPECT_NEAR(sampleStddev({1, 2, 3}), 1.0, 1e-9);
-  EXPECT_DOUBLE_EQ(sampleStddev({1}), 0.0);
-}
-
 TEST(Statistics, SafeRatio) {
   EXPECT_DOUBLE_EQ(safeRatio(6, 3), 2.0);
   EXPECT_DOUBLE_EQ(safeRatio(6, 0, -1.0), -1.0);
@@ -394,6 +379,21 @@ TEST(CommandLine, OptionsAndPositionals) {
   ASSERT_EQ(CL.positional().size(), 2u);
   EXPECT_EQ(CL.positional()[0], "trace.csv");
   EXPECT_EQ(CL.positional()[1], "more.csv");
+}
+
+TEST(CommandLine, CheckKnownOptionsNamesTheFirstStranger) {
+  const char *Argv[] = {"prog", "trace.csv", "--threshold", "5",
+                        "--threshhold", "5", "--bogus"};
+  CommandLine CL(7, const_cast<char **>(Argv));
+  EXPECT_TRUE(CL.checkKnownOptions({"threshold", "threshhold", "bogus"}));
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(CL.checkKnownOptions({"threshold", "out"}));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "error: unknown option --bogus\n");
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(CL.checkKnownOptions({"threshold", "bogus"}));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "error: unknown option --threshhold\n");
 }
 
 TEST(CommandLine, GetDouble) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 using namespace schedfilter;
@@ -19,8 +20,8 @@ using namespace schedfilter::test;
 
 namespace {
 
-/// Field-exact record comparison (doubles compared by value; traces never
-/// contain NaNs, so == is bit-equality here).
+/// Field-exact record comparison (doubles compared by value; the readers
+/// reject NaNs, so == is bit-equality here).
 void expectRecordsEqual(const std::vector<BlockRecord> &A,
                         const std::vector<BlockRecord> &B) {
   ASSERT_EQ(A.size(), B.size());
@@ -143,6 +144,33 @@ TEST(TraceFile, RejectsNonNumericCell) {
   EXPECT_FALSE(readTrace(Bad).has_value());
 }
 
+TEST(TraceFile, RejectsNonFiniteFeatureCells) {
+  // strtod accepts every one of these spellings; a NaN or infinite feature
+  // would get a rank whose ">=" candidates miscount coverage, so the
+  // reader rejects the row and names its line and column.
+  std::stringstream SS;
+  writeTrace(sampleRecords(), SS);
+  const std::string Text = SS.str();
+  size_t Row2 = Text.find("\n2,"); // line 3 starts after it: bbLen 2
+  ASSERT_NE(Row2, std::string::npos);
+  ++Row2;
+  for (const char *Cell : {"nan", "inf", "-inf", "1e999"}) {
+    std::string Bad = Text;
+    Bad.replace(Row2, 1, Cell);
+    std::stringstream In(Bad);
+    ParseResult<std::vector<BlockRecord>> R = readTrace(In);
+    ASSERT_FALSE(R.has_value()) << Cell;
+    EXPECT_EQ(R.error().Line, 3u) << Cell;
+    EXPECT_NE(R.error().Message.find(getFeatureName(FeatBBLen)),
+              std::string::npos)
+        << R.error().Message;
+    EXPECT_NE(R.error().Message.find(Cell), std::string::npos)
+        << R.error().Message;
+  }
+  std::stringstream Clean(Text);
+  EXPECT_TRUE(readTrace(Clean).has_value());
+}
+
 TEST(TraceFile, RejectsFractionalCostCells) {
   // Regression: "7154.5" used to be strtod-parsed and silently truncated
   // to 7154, corrupting training data without a diagnostic.
@@ -244,6 +272,24 @@ TEST(TraceFile, BinaryRejectsCorruption) {
   ParseResult<std::vector<BlockRecord>> R3 = readTrace(TrailIn);
   ASSERT_FALSE(R3.has_value());
   EXPECT_NE(R3.error().Message.find("trailing"), std::string::npos);
+}
+
+TEST(TraceFile, BinaryRejectsNonFiniteFeatures) {
+  // The writer checksums whatever it is given, so the checksum passes and
+  // the decoder itself must refuse the NaN, naming the record.
+  std::vector<BlockRecord> Records = sampleRecords();
+  Records[1].X[FeatLoad] = std::numeric_limits<double>::quiet_NaN();
+  std::stringstream SS;
+  writeTrace(Records, SS, TraceFormat::Binary);
+  std::stringstream In(SS.str());
+  ParseResult<std::vector<BlockRecord>> R = readTrace(In);
+  ASSERT_FALSE(R.has_value());
+  EXPECT_EQ(R.error().Line, 2u);
+  EXPECT_NE(R.error().Message.find(getFeatureName(FeatLoad)),
+            std::string::npos)
+      << R.error().Message;
+  EXPECT_NE(R.error().Message.find("finite"), std::string::npos)
+      << R.error().Message;
 }
 
 TEST(TraceFile, BinaryRejectsForeignFeatureCount) {

@@ -43,6 +43,9 @@ static int usage() {
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (!CL.checkKnownOptions({"help", "version", "list", "rules", "benchmark",
+                             "model", "hot"}))
+    return 1;
   if (CL.has("help")) {
     printUsage(std::cout);
     return 0;

@@ -71,6 +71,10 @@ int usage() {
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (!CL.checkKnownOptions({"help", "version", "list", "benchmark", "model",
+                             "threshold", "max-grid", "fix", "out", "jobs",
+                             "corpus-dir", "no-cache"}))
+    return 1;
   if (CL.has("help")) {
     printUsage(std::cout);
     return 0;

@@ -55,6 +55,9 @@ static void printUsage(std::ostream &OS) {
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (!CL.checkKnownOptions({"help", "version", "suite", "model",
+                             "fig4-holdout", "jobs", "corpus-dir", "no-cache"}))
+    return 1;
   if (CL.has("help")) {
     printUsage(std::cout);
     return 0;

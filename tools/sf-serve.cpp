@@ -354,6 +354,13 @@ int serve(const CommandLine &CL, const std::vector<AppSpec> &Apps,
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (!CL.checkKnownOptions({"help", "version", "list", "benchmark", "workload",
+                             "model", "jobs", "corpus-dir", "no-cache",
+                             "invocations", "hot-threshold", "queue-cap",
+                             "sample-every", "epoch-len", "drain", "online",
+                             "retrain-every", "registry", "rules",
+                             "threshold"}))
+    return 1;
   if (CL.has("help")) {
     printUsage(std::cout);
     return 0;

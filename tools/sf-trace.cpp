@@ -57,6 +57,10 @@ static int usage() {
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (!CL.checkKnownOptions({"help", "version", "list", "benchmark", "workload",
+                             "model", "out", "format", "jobs", "corpus-dir",
+                             "no-cache", "noise", "noise-seed"}))
+    return 1;
   if (CL.has("help")) {
     printUsage(std::cout);
     return 0;

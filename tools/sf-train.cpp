@@ -1,15 +1,14 @@
 //===- tools/sf-train.cpp - Induce a filter from traces ---------------------===//
 //
 // Labels one or more traces (written by sf-trace, CSV or SFTB1 binary --
-// auto-detected per file) at a threshold, trains a learner, prints the
-// induced filter with coverage counts, and optionally serializes it for
+// auto-detected per file) at a threshold, induces a filter with RIPPER,
+// prints it with coverage counts, and optionally serializes it for
 // installation in the compiler -- the paper's offline "at the factory"
 // procedure end to end.
 //
 // Usage:
 //   sf-train [TRACE ...] [--workload FAMILY[,FAMILY...]] [--threshold T]
-//            [--learner ripper|tree|oner|stump] [--out RULES.txt]
-//            [--model ppc7410|ppc970|simple-scalar]
+//            [--out RULES.txt] [--model ppc7410|ppc970|simple-scalar]
 //            [--jobs N] [--corpus-dir DIR | --no-cache]
 //
 // Training data comes from trace files, from --workload, or both:
@@ -36,8 +35,6 @@
 #include "analysis/RuleAnalysis.h"
 #include "io/FilterRegistry.h"
 #include "io/TraceStore.h"
-#include "ml/Baselines.h"
-#include "ml/DecisionTree.h"
 #include "ml/Metrics.h"
 #include "ml/Ripper.h"
 #include "ml/Serialization.h"
@@ -57,10 +54,8 @@ using namespace schedfilter;
 
 static void printUsage(std::ostream &OS) {
   OS << "usage: sf-train [TRACE ...] [--workload FAMILY[,FAMILY...]]\n"
-        "                [--threshold T]"
-        " [--learner ripper|tree|oner|stump]\n"
-        "                [--out RULES.txt]"
-        " [--model ppc7410|ppc970|simple-scalar]\n"
+        "                [--threshold T] [--out RULES.txt]\n"
+        "                [--model ppc7410|ppc970|simple-scalar]\n"
         "                [--jobs N] [--corpus-dir DIR | --no-cache]\n"
         "                [--noise SRC:PARAM[,...]] [--noise-seed N]\n"
         "       sf-train --from-registry DIR [--filter-version N]\n"
@@ -146,6 +141,11 @@ static int inspectRegistry(const CommandLine &CL) {
 
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
+  if (!CL.checkKnownOptions({"help", "version", "from-registry",
+                             "filter-version", "workload", "threshold", "out",
+                             "model", "jobs", "corpus-dir", "no-cache", "noise",
+                             "noise-seed"}))
+    return 1;
   if (CL.has("help")) {
     printUsage(std::cout);
     return 0;
@@ -173,7 +173,6 @@ int main(int argc, char **argv) {
                  "(got '" << CL.get("threshold") << "')\n";
     return 1;
   }
-  std::string LearnerName = CL.get("learner", "ripper");
   std::optional<MachineModel> Model = parseModelOption(CL);
   if (!Model)
     return 1;
@@ -247,19 +246,7 @@ int main(int argc, char **argv) {
             << Train.countLabel(Label::LS) << " LS, "
             << Train.countLabel(Label::NS) << " NS)\n";
 
-  RuleSet Filter(Label::NS);
-  if (LearnerName == "ripper")
-    Filter = Ripper().train(Train, Pool);
-  else if (LearnerName == "tree")
-    Filter = learnDecisionTreeRules(Train);
-  else if (LearnerName == "oner")
-    Filter = learnOneR(Train);
-  else if (LearnerName == "stump")
-    Filter = learnSizeStump(Train);
-  else {
-    std::cerr << "error: unknown learner '" << LearnerName << "'\n";
-    return usage();
-  }
+  RuleSet Filter = Ripper().train(Train, Pool);
 
   std::cerr << "training error "
             << errorRatePercent(Filter, Train) << "%\n\n";
