@@ -2,10 +2,21 @@
 
 #include "mir/Instruction.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 using namespace schedfilter;
+
+void Instruction::tooManyOperands(Opcode Op, size_t N) {
+  std::fprintf(stderr,
+               "Instruction %s: %zu register operands, at most %zu fit\n",
+               getOpcodeName(Op), N, MaxOperands);
+  std::abort();
+}
 
 std::string Instruction::toString() const {
   std::string S = getOpcodeName(Op);
+  RegRange Defs = defs(), Uses = uses();
   if (!Defs.empty()) {
     S += ' ';
     for (size_t I = 0; I != Defs.size(); ++I)

@@ -46,11 +46,12 @@ void DependenceGraph::addEdge(int From, int To, unsigned Latency,
                               DepKind Kind) {
   assert(From < To && "dependence edges must point forward in program order");
   auto &List = Succs[static_cast<size_t>(From)];
-  // Deduplicate, keeping the strongest (largest latency) constraint.  Out
-  // degrees are small, so a linear scan beats a hash set here.
-  for (DepEdge &E : List) {
-    if (E.To != To)
-      continue;
+  // Deduplicate, keeping the strongest (largest latency) constraint.  The
+  // builder adds every edge into instruction To while visiting To, and
+  // visits instructions in order, so a duplicate From -> To can only be
+  // the last edge out of From: one compare replaces a scan.
+  if (!List.empty() && List.back().To == To) {
+    DepEdge &E = List.back();
     if (Latency > E.Latency) {
       E.Latency = Latency;
       E.Kind = Kind;
@@ -60,7 +61,7 @@ void DependenceGraph::addEdge(int From, int To, unsigned Latency,
   List.push_back({To, Latency, Kind});
   ++InDegree[static_cast<size_t>(To)];
   ++EdgeCount;
-  // An edge insert costs several elementary operations: the dedupe scan,
+  // An edge insert costs several elementary operations: the dedupe check,
   // the push, and the bookkeeping that led here (def/use lookups in the
   // builder).  Weight it so work units track wall time.
   Work += 4;

@@ -158,6 +158,35 @@ TEST(DependenceGraph, EdgesDeduplicatedKeepingStrongest) {
   EXPECT_EQ(G.succs(0)[0].Latency, M.getLatency(Opcode::LoadInt));
 }
 
+TEST(DependenceGraph, DuplicateEdgeWeakerSecondKeepsFirst) {
+  MachineModel M = model();
+  BasicBlock BB("strong-first");
+  // The store reads the load's result (Data, load latency) and must also
+  // stay after the load (Memory, latency 0): the Data edge survives.
+  BB.append(Instruction(Opcode::LoadInt, {100}, {0}));
+  BB.append(Instruction(Opcode::StoreInt, {}, {100, 1}));
+  DependenceGraph G(BB, M);
+  ASSERT_EQ(G.succs(0).size(), 1u);
+  EXPECT_EQ(G.numEdges(), 1u);
+  EXPECT_EQ(G.inDegrees()[1], 1);
+  EXPECT_EQ(G.succs(0)[0].Kind, DepKind::Data);
+  EXPECT_EQ(G.succs(0)[0].Latency, M.getLatency(Opcode::LoadInt));
+}
+
+TEST(DependenceGraph, DuplicateEdgeStrongerSecondReplacesFirst) {
+  BasicBlock BB("strong-second");
+  // The load overwrites a register the store read (Anti, latency 0) and
+  // must follow the store (Memory, latency 1): the Memory edge survives.
+  BB.append(Instruction(Opcode::StoreInt, {}, {5, 1}));
+  BB.append(Instruction(Opcode::LoadInt, {5}, {2}));
+  DependenceGraph G(BB, model());
+  ASSERT_EQ(G.succs(0).size(), 1u);
+  EXPECT_EQ(G.numEdges(), 1u);
+  EXPECT_EQ(G.inDegrees()[1], 1);
+  EXPECT_EQ(G.succs(0)[0].Kind, DepKind::Memory);
+  EXPECT_EQ(G.succs(0)[0].Latency, 1u);
+}
+
 TEST(DependenceGraph, CriticalPathOfChain) {
   MachineModel M = model();
   BasicBlock BB = makeChainBlock();

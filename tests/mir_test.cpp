@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
+#include <vector>
 
 using namespace schedfilter;
 using namespace schedfilter::test;
@@ -68,6 +70,36 @@ TEST(Instruction, DefsAndUses) {
   EXPECT_EQ(I.defs().size(), 1u);
   EXPECT_EQ(I.defs()[0], 5);
   EXPECT_EQ(I.uses().size(), 2u);
+}
+
+// Operands live inline: a block's instructions are one flat array with no
+// per-instruction heap blocks.
+static_assert(sizeof(Instruction) <= 16, "Instruction must stay compact");
+static_assert(std::is_trivially_copyable_v<Instruction>,
+              "Instruction must own no heap memory");
+
+TEST(Instruction, VectorAndListConstructorsAgree) {
+  const std::vector<Reg> Defs = {7};
+  const std::vector<Reg> Uses = {1, 2, 3};
+  Instruction FromVec(Opcode::FMAdd, Defs, Uses, AttrPEI);
+  Instruction FromList(Opcode::FMAdd, {7}, {1, 2, 3}, AttrPEI);
+  auto AsVector = [](RegRange R) {
+    return std::vector<Reg>(R.begin(), R.end());
+  };
+  EXPECT_EQ(AsVector(FromVec.defs()), Defs);
+  EXPECT_EQ(AsVector(FromVec.uses()), Uses);
+  EXPECT_EQ(AsVector(FromList.defs()), Defs);
+  EXPECT_EQ(AsVector(FromList.uses()), Uses);
+  EXPECT_EQ(FromVec.toString(), FromList.toString());
+  EXPECT_EQ(FromList.toString(), "fmadd r7 = r1, r2, r3 [pei]");
+}
+
+TEST(InstructionDeathTest, FiveOperandsAbortNamingOpcode) {
+  EXPECT_DEATH(Instruction(Opcode::FMAdd, {7}, {1, 2, 3, 4}),
+               "Instruction fmadd: 5 register operands");
+  EXPECT_DEATH(Instruction(Opcode::Add, std::vector<Reg>{7},
+                           std::vector<Reg>{1, 2, 3, 4}),
+               "Instruction add: 5 register operands");
 }
 
 TEST(Instruction, ExtraAttrsExtendCategories) {
