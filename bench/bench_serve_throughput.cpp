@@ -1,6 +1,6 @@
 //===- bench/bench_serve_throughput.cpp - Single-app serving suite sweep ----===//
 //
-// The runtime-regime counterpart of bench_adaptive_jit: every SPECjvm98
+// The §3.1 adaptive regime as a suite sweep: every SPECjvm98
 // stand-in is replayed as the lone app of a MultiAppService (sampling,
 // bounded queue, tiered promotion under a virtual clock) with its LOOCV t = 0
 // filter in the optimizing tier, against the same service with LS in the

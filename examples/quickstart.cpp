@@ -4,7 +4,7 @@
 // synthetic suite, and use the filter to decide whether to schedule.
 //
 // Build & run:  cmake -B build -G Ninja && cmake --build build &&
-//               ./build/examples/quickstart
+//               ./build/quickstart
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,11 +36,12 @@ int main() {
   uint64_t Before = Sim.simulate(BB);
   ScheduleResult SR = Sched.schedule(BB);
   uint64_t After = Sim.simulate(BB, SR.Order);
+  bool Legal = verifySchedule(BB, Model, SR.Order).Ok;
   std::cout << "block cost unscheduled: " << Before << " cycles\n"
             << "block cost scheduled:   " << After << " cycles\n"
-            << "schedule is legal:      "
-            << (verifySchedule(BB, Model, SR.Order).Ok ? "yes" : "no")
-            << "\n\n";
+            << "schedule is legal:      " << (Legal ? "yes" : "no") << "\n\n";
+  if (!Legal)
+    return 1;
 
   // 3. Train a filter on a small synthetic suite and apply it online.
   std::vector<BenchmarkSpec> Suite = specjvm98Suite();

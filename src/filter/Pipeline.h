@@ -70,9 +70,6 @@ CompileReport compileProgram(const Program &P, const MachineModel &Model,
                              SchedulingPolicy Policy, ScheduleFilter *Filter,
                              SchedContext &Ctx);
 
-// The adaptive (hot-method-only) variant of §3.1, compileProgramAdaptive,
-// is declared beside MethodCompiler in runtime/MethodCompiler.h.
-
 } // namespace schedfilter
 
 #endif // SCHEDFILTER_FILTER_PIPELINE_H

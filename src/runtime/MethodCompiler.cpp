@@ -5,7 +5,6 @@
 #include "sched/SchedContext.h"
 #include "support/Timer.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace schedfilter;
@@ -91,63 +90,4 @@ void MethodCompiler::traceMethod(const Method &M,
     ++LSReport.NumBlocks;
     Records.push_back(Rec);
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Profile-directed batch entry (the §3.1 hot-method-only regime).
-//===----------------------------------------------------------------------===//
-
-CompileReport schedfilter::compileProgramAdaptive(const Program &P,
-                                                  const MachineModel &Model,
-                                                  SchedulingPolicy Policy,
-                                                  ScheduleFilter *Filter,
-                                                  double HotMethodFraction) {
-  assert(HotMethodFraction >= 0.0 && HotMethodFraction <= 1.0 &&
-         "fraction must be in [0, 1]");
-
-  // Rank methods by total profile weight, ties toward earlier methods.
-  std::vector<std::pair<double, size_t>> Ranked;
-  for (size_t MI = 0; MI != P.size(); ++MI) {
-    double Weight = 0.0;
-    for (const BasicBlock &BB : P[MI])
-      Weight += static_cast<double>(BB.getExecCount());
-    Ranked.push_back({Weight, MI});
-  }
-  std::sort(Ranked.begin(), Ranked.end(), [](const auto &A, const auto &B) {
-    if (A.first != B.first)
-      return A.first > B.first;
-    return A.second < B.second;
-  });
-  size_t NumHot = static_cast<size_t>(
-      HotMethodFraction * static_cast<double>(P.size()) + 0.5);
-  std::vector<bool> IsHot(P.size(), false);
-  for (size_t I = 0; I != NumHot && I != Ranked.size(); ++I)
-    IsHot[Ranked[I].second] = true;
-
-  // Hot methods compile under the policy, cold methods baseline, each
-  // partition folded method by method in program order -- the exact block
-  // sequence (and therefore the exact SimulatedTime fold) of compiling the
-  // two partition programs, as this function historically did.
-  SchedContext Ctx;
-  MethodCompiler MC(Model, Ctx);
-  CompileReport HotReport;
-  HotReport.Policy = Policy;
-  for (size_t MI = 0; MI != P.size(); ++MI)
-    if (IsHot[MI])
-      MC.compileMethod(P[MI], Policy, Filter, HotReport);
-  CompileReport ColdReport;
-  for (size_t MI = 0; MI != P.size(); ++MI)
-    if (!IsHot[MI])
-      MC.compileMethod(P[MI], SchedulingPolicy::Never, nullptr, ColdReport);
-
-  CompileReport Merged;
-  Merged.Policy = Policy;
-  Merged.NumBlocks = HotReport.NumBlocks + ColdReport.NumBlocks;
-  Merged.NumScheduled = HotReport.NumScheduled;
-  Merged.SchedulingSeconds =
-      HotReport.SchedulingSeconds + ColdReport.SchedulingSeconds;
-  Merged.SchedulingWork = HotReport.SchedulingWork;
-  Merged.FilterWork = HotReport.FilterWork;
-  Merged.SimulatedTime = HotReport.SimulatedTime + ColdReport.SimulatedTime;
-  return Merged;
 }

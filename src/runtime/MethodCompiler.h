@@ -76,19 +76,6 @@ private:
                      ScheduleFilter *Filter, CompileReport &Report);
 };
 
-/// The profile-directed batch entry of the tiered-compilation subsystem,
-/// the §3.1 hot-method-only regime: methods are ranked by total profile
-/// weight, the top \p HotMethodFraction (by method count, ties toward
-/// hotter) compile under \p Policy, the rest compile baseline.  Hot and
-/// cold partitions each fold method by method in program order -- the
-/// exact report of compileProgram over the two partition programs
-/// (tests/adaptive_test.cpp pins the equivalence).
-CompileReport compileProgramAdaptive(const Program &P,
-                                     const MachineModel &Model,
-                                     SchedulingPolicy Policy,
-                                     ScheduleFilter *Filter,
-                                     double HotMethodFraction);
-
 } // namespace schedfilter
 
 #endif // SCHEDFILTER_RUNTIME_METHODCOMPILER_H

@@ -3,13 +3,12 @@
 /// \file
 /// The scratch arena behind the repository's allocation-free hot path.
 /// Scheduling one block used to heap-allocate a fresh dependence-graph
-/// adjacency, ready queues, scoreboard maps and trace buffers; a
-/// SchedContext owns all of that storage and is threaded through
-/// DependenceGraph, ListScheduler, BlockSimulator and the compile
-/// Pipeline, so that after a short warm-up, scheduling and simulating a
-/// block performs zero steady-state allocations.  Filter decisions need
-/// no arena: ScheduleFilter extracts and evaluates one block at a time
-/// on the stack.
+/// adjacency, ready queues and scoreboard maps; a SchedContext owns all
+/// of that storage and is threaded through DependenceGraph, ListScheduler,
+/// BlockSimulator and the compile Pipeline, so that after a short warm-up,
+/// scheduling and simulating a block performs zero steady-state
+/// allocations.  Filter decisions need no arena: ScheduleFilter extracts
+/// and evaluates one block at a time on the stack.
 ///
 /// Contexts are cheap to construct, model-agnostic (the same context can
 /// serve blocks for different MachineModels), and deliberately not
@@ -28,8 +27,10 @@
 
 namespace schedfilter {
 
-/// Scratch arena for the per-block schedule/simulate pipeline.
-class SchedContext {
+/// Scratch arena for the per-block schedule/simulate pipeline.  Aligned
+/// to a cache line: workers' contexts are often allocated back to back,
+/// and the scratch headers they write per block must not share a line.
+class alignas(64) SchedContext {
 public:
   SchedContext() = default;
   SchedContext(const SchedContext &) = delete;
@@ -49,16 +50,11 @@ public:
   /// Scoreboard scratch for the block simulator.
   SimScratch &simScratch() { return SimulatorScratch; }
 
-  /// Reusable trace buffer for BlockSimulator::simulateWithTrace; valid
-  /// until the next trace call on this context.
-  SimTrace &trace() { return Trace; }
-
 private:
   DependenceGraph Dag;
   DagBuildScratch DagScratch;
   ListSchedulerScratch SchedScratch;
   SimScratch SimulatorScratch;
-  SimTrace Trace;
 };
 
 } // namespace schedfilter

@@ -23,48 +23,30 @@ const std::vector<int> &identityOrder(std::vector<int> &Identity, size_t N) {
 
 uint64_t BlockSimulator::simulate(const BasicBlock &BB) const {
   SimScratch S;
-  return run(BB, identityOrder(S.Identity, BB.size()), S, nullptr);
+  return run(BB, identityOrder(S.Identity, BB.size()), S);
 }
 
 uint64_t BlockSimulator::simulate(const BasicBlock &BB,
                                   const std::vector<int> &Order) const {
   SimScratch S;
-  return run(BB, Order, S, nullptr);
+  return run(BB, Order, S);
 }
 
 uint64_t BlockSimulator::simulate(const BasicBlock &BB,
                                   SchedContext &Ctx) const {
   SimScratch &S = Ctx.simScratch();
-  return run(BB, identityOrder(S.Identity, BB.size()), S, nullptr);
+  return run(BB, identityOrder(S.Identity, BB.size()), S);
 }
 
 uint64_t BlockSimulator::simulate(const BasicBlock &BB,
                                   const std::vector<int> &Order,
                                   SchedContext &Ctx) const {
-  return run(BB, Order, Ctx.simScratch(), nullptr);
-}
-
-SimTrace BlockSimulator::simulateWithTrace(
-    const BasicBlock &BB, const std::vector<int> &Order) const {
-  SimTrace Trace;
-  SimScratch S;
-  Trace.TotalCycles = run(BB, Order, S, &Trace);
-  return Trace;
-}
-
-const SimTrace &
-BlockSimulator::simulateWithTrace(const BasicBlock &BB,
-                                  const std::vector<int> &Order,
-                                  SchedContext &Ctx) const {
-  SimTrace &Trace = Ctx.trace();
-  Trace.Events.clear();
-  Trace.TotalCycles = run(BB, Order, Ctx.simScratch(), &Trace);
-  return Trace;
+  return run(BB, Order, Ctx.simScratch());
 }
 
 uint64_t BlockSimulator::run(const BasicBlock &BB,
-                             const std::vector<int> &Order, SimScratch &S,
-                             SimTrace *Trace) const {
+                             const std::vector<int> &Order,
+                             SimScratch &S) const {
   assert(Order.size() == BB.size() && "order must cover the block");
   if (BB.empty())
     return 0;
@@ -146,8 +128,6 @@ uint64_t BlockSimulator::run(const BasicBlock &BB,
     if (Inst.isBarrier())
       SerializeUntil = std::max(SerializeUntil, Done);
     MaxCompletion = std::max(MaxCompletion, Done);
-    if (Trace)
-      Trace->Events.push_back({Order[Pos], Cycle, Done, BestUnit});
     if (IsBranchClass)
       ++IssuedBranch;
     else
@@ -156,23 +136,4 @@ uint64_t BlockSimulator::run(const BasicBlock &BB,
   }
 
   return MaxCompletion;
-}
-
-std::string SimTrace::toString(const BasicBlock &BB,
-                               const MachineModel &M) const {
-  std::string Out = "cycle  unit  instruction (completes)\n";
-  for (const IssueEvent &E : Events) {
-    std::string Line = std::to_string(E.IssueCycle);
-    while (Line.size() < 5)
-      Line += ' ';
-    Line += "  " + M.units()[E.Unit].Name;
-    while (Line.size() < 11)
-      Line += ' ';
-    Line += "  " +
-            BB[static_cast<size_t>(E.OriginalIndex)].toString() + " (" +
-            std::to_string(E.CompleteCycle) + ")\n";
-    Out += Line;
-  }
-  Out += "total: " + std::to_string(TotalCycles) + " cycles\n";
-  return Out;
 }

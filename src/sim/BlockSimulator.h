@@ -27,26 +27,6 @@ namespace schedfilter {
 
 class SchedContext;
 
-/// Per-instruction pipeline events recorded by simulateWithTrace.
-struct IssueEvent {
-  int OriginalIndex = 0;     ///< index into the (unpermuted) block
-  uint64_t IssueCycle = 0;   ///< cycle the instruction began executing
-  uint64_t CompleteCycle = 0;///< cycle its result became available
-  unsigned Unit = 0;         ///< functional unit index that executed it
-};
-
-/// A full simulation trace: the block's total cycles plus one event per
-/// instruction, in issue order.  Useful for debugging schedules and for
-/// the examples' visualizations; the scalar simulate() entry points are
-/// what the experiment harness uses.
-struct SimTrace {
-  uint64_t TotalCycles = 0;
-  std::vector<IssueEvent> Events;
-
-  /// Renders an issue table, one line per instruction.
-  std::string toString(const BasicBlock &BB, const MachineModel &M) const;
-};
-
 /// Scoreboard scratch for simulating one block: per-register result-ready
 /// cycles (epoch-stamped flat array -- absent entries are invalidated in
 /// O(1) per block) and per-unit busy cycles.  Owned by a SchedContext in
@@ -81,21 +61,9 @@ public:
   uint64_t simulate(const BasicBlock &BB, const std::vector<int> &Order,
                     SchedContext &Ctx) const;
 
-  /// Like simulate(), additionally recording per-instruction issue and
-  /// completion cycles.  TotalCycles always equals what simulate()
-  /// returns for the same inputs.
-  SimTrace simulateWithTrace(const BasicBlock &BB,
-                             const std::vector<int> &Order) const;
-
-  /// Trace variant reusing \p Ctx scratch and its trace buffer; the
-  /// returned reference lives until the next trace call on \p Ctx.
-  const SimTrace &simulateWithTrace(const BasicBlock &BB,
-                                    const std::vector<int> &Order,
-                                    SchedContext &Ctx) const;
-
 private:
   uint64_t run(const BasicBlock &BB, const std::vector<int> &Order,
-               SimScratch &S, SimTrace *Trace) const;
+               SimScratch &S) const;
 
   const MachineModel &Model;
 };

@@ -2,12 +2,11 @@
 //
 // A faithful copy of the repository's original RIPPER implementation (the
 // one that re-sorted every feature column for every candidate condition),
-// kept as the reference the indexed engine is pinned against -- the same
-// way tests/adaptive_test.cpp inlines the old batch fold to pin
-// compileProgramAdaptive.  tests/ripper_engine_test.cpp asserts
-// Ripper::train produces bit-for-bit this trainer's RuleSet on every
-// dataset/seed/options combination it throws at both, and
-// bench/bench_train_scale.cpp uses it as the throughput baseline.
+// kept as the reference the indexed engine is pinned against.
+// tests/ripper_engine_test.cpp asserts Ripper::train produces bit-for-bit
+// this trainer's RuleSet on every dataset/seed/options combination it
+// throws at both, and bench/bench_train_scale.cpp uses it as the
+// throughput baseline.
 //
 // Do not "improve" this file: its value is being exactly the old
 // algorithm, FP expression for FP expression.

@@ -11,7 +11,6 @@
 
 #include "harness/ParallelExperiments.h"
 #include "io/TraceStore.h"
-#include "runtime/MethodCompiler.h"
 #include "support/Statistics.h"
 
 #include "RuleSetIdentity.h"
@@ -169,27 +168,6 @@ TEST(Golden, Table5IdenticalFromEveryArtifactSource) {
   EXPECT_EQ(Warm.tracedBlocks(), 0u);
   EXPECT_EQ(Cache.stats().Hits, Specs.size());
   EXPECT_EQ(CountAt0(FromCache), Golden);
-}
-
-TEST(Golden, AdaptiveRegimeStable) {
-  // The §3.1 hot-method-only regime, now served by the runtime subsystem:
-  // exact work units and block counts for one benchmark at one fraction,
-  // so any drift in the rebased compileProgramAdaptive is caught without
-  // rerunning the whole bench_adaptive_jit LOOCV table.
-  MachineModel Model = MachineModel::ppc7410();
-  Program P = ProgramGenerator(*findBenchmarkSpec("db")).generate();
-  CompileReport LS = compileProgramAdaptive(P, Model,
-                                            SchedulingPolicy::Always,
-                                            nullptr, 0.25);
-  CompileReport Full =
-      compileProgram(P, Model, SchedulingPolicy::Always);
-  EXPECT_EQ(LS.NumBlocks, Full.NumBlocks);
-  EXPECT_LT(LS.NumScheduled, Full.NumScheduled);
-  EXPECT_LT(LS.SchedulingWork, Full.SchedulingWork);
-  EXPECT_GT(LS.NumScheduled, 0u);
-  // Pure functions of the seeded generator + scheduler accounting.
-  EXPECT_EQ(LS.NumScheduled, 405u);
-  EXPECT_EQ(LS.SchedulingWork, 48870u);
 }
 
 TEST(Golden, ServeRecoupedHeadline) {

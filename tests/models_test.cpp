@@ -2,7 +2,9 @@
 //
 // Invariants that must hold on *every* machine model: scheduler legality,
 // simulator sanity, and the end-to-end relationship NS >= L/N >= ~LS on
-// simulated time.  Parameterized over the three models x several seeds.
+// simulated time.  Parameterized over the three models x several seeds,
+// plus two fixed checks that ppc970 is wider and deeper than ppc7410 and
+// that scheduling on it stays legal and useful.
 //
 //===----------------------------------------------------------------------===//
 
@@ -137,3 +139,24 @@ TEST_P(SerializationProperty, RandomRuleSetsRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerializationProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(Ppc970, WiderAndDeeperThan7410) {
+  MachineModel G4 = MachineModel::ppc7410();
+  MachineModel G5 = MachineModel::ppc970();
+  EXPECT_GT(G5.getMaxIssueNonBranch(), G4.getMaxIssueNonBranch());
+  EXPECT_GT(G5.getNumUnits(), G4.getNumUnits());
+  EXPECT_GT(G5.getLatency(Opcode::FAdd), G4.getLatency(Opcode::FAdd));
+  EXPECT_GT(G5.getLatency(Opcode::LoadFloat),
+            G4.getLatency(Opcode::LoadFloat));
+  EXPECT_EQ(G5.unitsFor(FuClass::Float).size(), 2u);
+  EXPECT_EQ(G5.unitsFor(FuClass::LoadStore).size(), 2u);
+}
+
+TEST(Ppc970, SchedulingStillLegalAndUseful) {
+  MachineModel G5 = MachineModel::ppc970();
+  ListScheduler S(G5);
+  BlockSimulator Sim(G5);
+  BasicBlock BB = makeIlpFloatBlock();
+  ScheduleResult SR = S.schedule(BB);
+  EXPECT_LE(Sim.simulate(BB, SR.Order), Sim.simulate(BB));
+}

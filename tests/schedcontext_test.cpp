@@ -88,27 +88,6 @@ TEST(SchedContext, SimulateMatchesOneShot) {
   }
 }
 
-TEST(SchedContext, TraceMatchesOneShot) {
-  MachineModel Model = MachineModel::ppc7410();
-  ListScheduler Scheduler(Model);
-  BlockSimulator Sim(Model);
-  SchedContext Ctx;
-  std::vector<int> Order;
-  for (const BasicBlock &BB : testBlocks()) {
-    Scheduler.schedule(BB, Ctx, Order);
-    SimTrace OneShot = Sim.simulateWithTrace(BB, Order);
-    const SimTrace &Reused = Sim.simulateWithTrace(BB, Order, Ctx);
-    EXPECT_EQ(Reused.TotalCycles, OneShot.TotalCycles);
-    ASSERT_EQ(Reused.Events.size(), OneShot.Events.size());
-    for (size_t E = 0; E != OneShot.Events.size(); ++E) {
-      EXPECT_EQ(Reused.Events[E].OriginalIndex, OneShot.Events[E].OriginalIndex);
-      EXPECT_EQ(Reused.Events[E].IssueCycle, OneShot.Events[E].IssueCycle);
-      EXPECT_EQ(Reused.Events[E].CompleteCycle, OneShot.Events[E].CompleteCycle);
-      EXPECT_EQ(Reused.Events[E].Unit, OneShot.Events[E].Unit);
-    }
-  }
-}
-
 TEST(SchedContext, ContextSurvivesModelSwitch) {
   // A context is model-agnostic: reusing one across machine models must
   // not leak per-model scoreboard state.

@@ -6,14 +6,14 @@
 //
 // Usage:
 //   sf-apply --rules RULES.txt --benchmark mpegaudio
-//            [--model ppc7410|ppc970|simple-scalar] [--hot FRACTION]
+//            [--model ppc7410|ppc970|simple-scalar]
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/RuleAnalysis.h"
+#include "filter/Pipeline.h"
 #include "harness/Experiments.h"
 #include "ml/Serialization.h"
-#include "runtime/MethodCompiler.h"
 #include "support/CommandLine.h"
 
 #include "ModelOption.h"
@@ -30,8 +30,7 @@ using namespace schedfilter;
 
 static void printUsage(std::ostream &OS) {
   OS << "usage: sf-apply --rules RULES.txt --benchmark NAME\n"
-        "                [--model ppc7410|ppc970|simple-scalar]"
-        " [--hot FRACTION]\n"
+        "                [--model ppc7410|ppc970|simple-scalar]\n"
         "       sf-apply --list\n"
         "       sf-apply --help | --version\n";
 }
@@ -44,7 +43,7 @@ static int usage() {
 int main(int argc, char **argv) {
   CommandLine CL(argc, argv);
   if (!CL.checkKnownOptions({"help", "version", "list", "rules", "benchmark",
-                             "model", "hot"}))
+                             "model"}))
     return 1;
   if (CL.has("help")) {
     printUsage(std::cout);
@@ -70,15 +69,6 @@ int main(int argc, char **argv) {
   std::optional<MachineModel> Model = parseModelOption(CL);
   if (!Model)
     return 1;
-  std::optional<double> HotFlag = CL.getDouble("hot", 1.0);
-  if (!HotFlag)
-    return 1;
-  if (!(*HotFlag >= 0.0 && *HotFlag <= 1.0)) {
-    std::cerr << "error: --hot expects a fraction in [0, 1] (got '"
-              << CL.get("hot") << "')\n";
-    return 1;
-  }
-  double Hot = *HotFlag;
 
   std::optional<RuleSetFile> Rules = loadRulesFileWithLint(RulesPath);
   if (!Rules)
@@ -87,17 +77,12 @@ int main(int argc, char **argv) {
   Program P = generateWorkloadProgram(*Spec);
   ScheduleFilter Filter(Rules->Rules);
 
-  CompileReport NS = compileProgramAdaptive(P, *Model,
-                                            SchedulingPolicy::Never,
-                                            nullptr, Hot);
-  CompileReport LS = compileProgramAdaptive(P, *Model,
-                                            SchedulingPolicy::Always,
-                                            nullptr, Hot);
-  CompileReport LN = compileProgramAdaptive(
-      P, *Model, SchedulingPolicy::Filtered, &Filter, Hot);
+  CompileReport NS = compileProgram(P, *Model, SchedulingPolicy::Never);
+  CompileReport LS = compileProgram(P, *Model, SchedulingPolicy::Always);
+  CompileReport LN =
+      compileProgram(P, *Model, SchedulingPolicy::Filtered, &Filter);
 
-  std::cout << Name << " on " << Model->getName() << " (hot fraction "
-            << formatPercent(Hot, 0) << ")\n\n";
+  std::cout << Name << " on " << Model->getName() << "\n\n";
   TablePrinter T({"Policy", "Scheduled", "Work units", "Wall (ms)",
                   "App time vs NS"});
   for (const CompileReport &R : {NS, LS, LN})
