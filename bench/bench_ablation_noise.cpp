@@ -43,8 +43,6 @@ class BandFill final : public NoiseSource {
 public:
   explicit BandFill(Label Fill) : Fill(Fill) {}
 
-  const char *name() const override { return "band-fill"; }
-  uint32_t version() const override { return 1; }
   std::string describe() const override {
     return std::string("band-fill:") + getLabelName(Fill);
   }

@@ -284,7 +284,7 @@ int main(int argc, char **argv) {
      << "  \"gate_passed\": "
      << ((ShiftHurts && OnlineRecovers) ? "true" : "false") << "\n}\n";
 
-  std::string OutPath = benchOutPath(CL, "out", "BENCH_online_adapt.json");
+  std::string OutPath = benchOutPath(CL, "BENCH_online_adapt.json");
   if (!writeBenchJson(OutPath, OS.str()))
     return 1;
   return (ShiftHurts && OnlineRecovers) ? 0 : 1;

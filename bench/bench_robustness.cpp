@@ -84,14 +84,9 @@ int main(int argc, char **argv) {
       parseCountOption(CL, "noise-seed", DefaultNoiseSeed, 0, UINT64_MAX);
   if (!Seed)
     return 1;
-  std::optional<double> Threshold = CL.getDouble("threshold", 20.0);
+  std::optional<double> Threshold = parseThresholdOption(CL, 20.0);
   if (!Threshold)
     return 1;
-  if (!(*Threshold >= 0.0 && *Threshold <= 100.0)) {
-    std::cerr << "error: --threshold expects a percentage in [0, 100] "
-                 "(got '" << CL.get("threshold") << "')\n";
-    return 1;
-  }
   const bool Quick = CL.has("quick");
 
   // Which families and which rungs.  --quick keeps CI's smoke cheap: one
@@ -210,7 +205,7 @@ int main(int argc, char **argv) {
   }
 
   OS << "  \"all_monotone\": " << (AllMonotone ? "true" : "false") << "\n}\n";
-  std::string OutPath = benchOutPath(CL, "out", "BENCH_robustness.json");
+  std::string OutPath = benchOutPath(CL, "BENCH_robustness.json");
   if (!writeBenchJson(OutPath, OS.str()))
     return 1;
   return 0;

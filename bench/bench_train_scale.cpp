@@ -81,7 +81,7 @@ int main(int argc, char **argv) {
   const std::vector<int> Tiers = Quick ? std::vector<int>{1, 2}
                                        : std::vector<int>{1, 2, 4};
 
-  std::string OutPath = benchOutPath(CL, "out", "BENCH_train_scale.json");
+  std::string OutPath = benchOutPath(CL, "BENCH_train_scale.json");
   std::ostringstream OS;
   OS << "{\n  \"corpus\": \"specjvm98 @ t=0\",\n  \"base_instances\": "
      << Suite.size() << ",\n  \"jobs\": " << Engine.jobs()

@@ -8,9 +8,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "filter/Pipeline.h"
+#include "filter/ScheduleFilter.h"
 #include "harness/ParallelExperiments.h"
 #include "ml/Ripper.h"
+#include "sched/SchedContext.h"
 #include "sched/ScheduleVerifier.h"
 
 #include <iostream>
@@ -30,13 +31,15 @@ int main() {
   BB.append(Instruction(Opcode::FAdd, {104}, {101, 103}));
   BB.append(Instruction(Opcode::StoreFloat, {}, {104, 2}));
 
-  // 2. Cost it with and without list scheduling.
+  // 2. Cost it with and without list scheduling, and check the schedule
+  // against the dependence DAG the scheduler left in the context.
+  SchedContext Ctx;
   BlockSimulator Sim(Model);
-  ListScheduler Sched(Model);
-  uint64_t Before = Sim.simulate(BB);
-  ScheduleResult SR = Sched.schedule(BB);
-  uint64_t After = Sim.simulate(BB, SR.Order);
-  bool Legal = verifySchedule(BB, Model, SR.Order).Ok;
+  std::vector<int> Order;
+  ListScheduler(Model).schedule(BB, Ctx, Order);
+  uint64_t Before = Sim.simulate(BB, Ctx);
+  uint64_t After = Sim.simulate(BB, Order, Ctx);
+  bool Legal = verifySchedule(Ctx.dag(), Order).Ok;
   std::cout << "block cost unscheduled: " << Before << " cycles\n"
             << "block cost scheduled:   " << After << " cycles\n"
             << "schedule is legal:      " << (Legal ? "yes" : "no") << "\n\n";

@@ -177,6 +177,47 @@ struct ObservedRange {
   }
 };
 
+/// The analyzer's within-rule keep-tightest pass: Mask[c] != 0 iff
+/// condition c of \p R is subsumed by a tighter (or earlier duplicate)
+/// same-feature, same-direction test in the same rule, so dropping it is
+/// predict()-equivalent.  \p Subsumer receives, per condition, the index
+/// of the subsuming condition (LintFinding::npos when it is kept).
+std::vector<char> redundantConditionMask(const Rule &R,
+                                         std::vector<size_t> &Subsumer) {
+  // Keep the tightest test per (feature, direction); every looser or
+  // later-duplicate same-direction test is subsumed.  NaN thresholds are
+  // excluded (the rule is dead regardless; the analyzer reports that as
+  // its own finding).
+  std::vector<char> Mask(R.Conditions.size(), 0);
+  Subsumer.assign(R.Conditions.size(), LintFinding::npos);
+  for (size_t C = 0; C != R.Conditions.size(); ++C) {
+    const Condition &Cond = R.Conditions[C];
+    if (std::isnan(Cond.Threshold))
+      continue;
+    size_t Tightest = LintFinding::npos;
+    for (size_t D = 0; D != R.Conditions.size(); ++D) {
+      const Condition &Other = R.Conditions[D];
+      if (D == C || Other.Feature != Cond.Feature ||
+          Other.IsLessEqual != Cond.IsLessEqual ||
+          std::isnan(Other.Threshold))
+        continue;
+      bool OtherTighter = Cond.IsLessEqual
+                              ? Other.Threshold < Cond.Threshold
+                              : Other.Threshold > Cond.Threshold;
+      bool Duplicate = Other.Threshold == Cond.Threshold && D < C;
+      if (OtherTighter || Duplicate) {
+        Tightest = D;
+        break;
+      }
+    }
+    if (Tightest != LintFinding::npos) {
+      Mask[C] = 1;
+      Subsumer[C] = Tightest;
+    }
+  }
+  return Mask;
+}
+
 } // namespace
 
 const char *schedfilter::getSeverityName(LintSeverity S) {
@@ -214,45 +255,6 @@ size_t RuleAnalysis::removedConditions() const {
       N += C != 0;
   }
   return N;
-}
-
-std::vector<char>
-schedfilter::redundantConditionMask(const Rule &R,
-                                    std::vector<size_t> *Subsumer) {
-  // Keep the tightest test per (feature, direction); every looser or
-  // later-duplicate same-direction test is subsumed.  NaN thresholds are
-  // excluded (the rule is dead regardless; the analyzer reports that as
-  // its own finding).
-  std::vector<char> Mask(R.Conditions.size(), 0);
-  if (Subsumer)
-    Subsumer->assign(R.Conditions.size(), LintFinding::npos);
-  for (size_t C = 0; C != R.Conditions.size(); ++C) {
-    const Condition &Cond = R.Conditions[C];
-    if (std::isnan(Cond.Threshold))
-      continue;
-    size_t Tightest = LintFinding::npos;
-    for (size_t D = 0; D != R.Conditions.size(); ++D) {
-      const Condition &Other = R.Conditions[D];
-      if (D == C || Other.Feature != Cond.Feature ||
-          Other.IsLessEqual != Cond.IsLessEqual ||
-          std::isnan(Other.Threshold))
-        continue;
-      bool OtherTighter = Cond.IsLessEqual
-                              ? Other.Threshold < Cond.Threshold
-                              : Other.Threshold > Cond.Threshold;
-      bool Duplicate = Other.Threshold == Cond.Threshold && D < C;
-      if (OtherTighter || Duplicate) {
-        Tightest = D;
-        break;
-      }
-    }
-    if (Tightest != LintFinding::npos) {
-      Mask[C] = 1;
-      if (Subsumer)
-        (*Subsumer)[C] = Tightest;
-    }
-  }
-  return Mask;
 }
 
 RuleAnalysis schedfilter::analyzeRuleSet(const RuleSet &RS,
@@ -338,11 +340,10 @@ RuleAnalysis schedfilter::analyzeRuleSet(const RuleSet &RS,
                  "]");
     }
 
-    // Within-rule redundancy via the shared keep-tightest pass (also
-    // used by CompiledFilter::canonicalRules).
+    // Within-rule redundancy via the keep-tightest pass.
     {
       std::vector<size_t> Subsumer;
-      A.RemoveCondition[I] = redundantConditionMask(R, &Subsumer);
+      A.RemoveCondition[I] = redundantConditionMask(R, Subsumer);
       for (size_t C = 0; C != R.Conditions.size(); ++C)
         if (A.RemoveCondition[I][C])
           Emit(LintKind::RedundantCondition, LintSeverity::Warning, I, C,

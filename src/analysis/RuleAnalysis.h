@@ -118,21 +118,6 @@ RuleAnalysis analyzeRuleSet(const RuleSet &RS,
                             const Dataset *Observed = nullptr,
                             uint64_t MaxGridPoints = 1u << 22);
 
-/// The analyzer's within-rule keep-tightest pass, exported on its own:
-/// Mask[c] != 0 iff condition c of \p R is subsumed by a tighter (or
-/// earlier duplicate) same-feature, same-direction test in the same rule,
-/// so dropping it is predict()-equivalent.  NaN-threshold conditions are
-/// never marked (the rule is dead regardless; the analyzer reports that
-/// separately).  This is the single definition of "canonical condition
-/// order" shared by analyzeRuleSet / normalizeRuleSet (sf-lint --fix) and
-/// CompiledFilter::canonicalRules, so a linted file and a compiled
-/// filter's canonical form agree by construction.  When \p Subsumer is
-/// non-null it receives, per condition, the index of the subsuming
-/// condition (LintFinding::npos when the condition is kept).
-std::vector<char> redundantConditionMask(const Rule &R,
-                                         std::vector<size_t> *Subsumer =
-                                             nullptr);
-
 /// Applies \p A's removal plan to \p RS: dead and shadowed rules are
 /// dropped, redundant conditions of surviving rules are dropped, order
 /// and the default class are preserved, and per-rule coverage counts are

@@ -2,8 +2,6 @@
 
 #include "filter/CompiledFilter.h"
 
-#include "analysis/RuleAnalysis.h"
-
 #include <cassert>
 #include <limits>
 
@@ -61,20 +59,4 @@ CompiledFilter::CompiledFilter(const RuleSet &RS)
       Cells.push_back(L);
     }
   }
-}
-
-RuleSet CompiledFilter::canonicalRules(const RuleSet &RS) {
-  RuleSet Out(RS.getDefaultClass());
-  for (const Rule &R : RS.rules()) {
-    std::vector<char> Drop = redundantConditionMask(R);
-    Rule Kept;
-    Kept.Conclusion = R.Conclusion;
-    Kept.NumCorrect = R.NumCorrect;
-    Kept.NumIncorrect = R.NumIncorrect;
-    for (size_t C = 0; C != R.Conditions.size(); ++C)
-      if (!Drop[C])
-        Kept.Conditions.push_back(R.Conditions[C]);
-    Out.addRule(std::move(Kept));
-  }
-  return Out;
 }

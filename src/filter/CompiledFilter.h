@@ -108,21 +108,6 @@ public:
   }
 
   size_t numCells() const { return Cells.size(); }
-  Label defaultClass() const { return Default; }
-
-  /// The canonical (keep-tightest) form of \p RS: every within-rule
-  /// condition that the analyzer's shared redundantConditionMask marks as
-  /// subsumed is dropped; rule order, conclusions, coverage counts and
-  /// the default class are preserved.  This is exactly the within-rule
-  /// half of sf-lint --fix (analysis/normalizeRuleSet applies the same
-  /// mask), so a linted file and a compiled filter agree on condition
-  /// order -- tests/compiled_filter_test.cpp round-trips the two.
-  ///
-  /// Note the compiler itself intentionally does NOT evaluate from the
-  /// canonical form: dropping a redundant condition would change
-  /// predictionWork, and the cell array is contractually work-equivalent
-  /// to the interpreter over the rule set as given.
-  static RuleSet canonicalRules(const RuleSet &RS);
 
 private:
   Decision terminalDecision(uint32_t C, uint64_t W) const {

@@ -1,12 +1,13 @@
-//===- filter/Pipeline.h - JIT-style compile pass ----------------*- C++ -*-===//
+//===- filter/Pipeline.h - Policies and compile reports ---------*- C++ -*-===//
 ///
 /// \file
-/// The experiment pipeline: "compile" a program block by block under a
-/// scheduling policy, as the paper's JIT presents blocks to its scheduler.
+/// The vocabulary of the experiment pipeline, which "compiles" a program
+/// block by block under a scheduling policy, as the paper's JIT presents
+/// blocks to its scheduler (runtime/MethodCompiler.h runs it).
 ///
 /// Three policies, matching §4: NS (never schedule), LS (always run the
-/// list scheduler), and L/N (consult the induced filter per block).  The
-/// pipeline accounts scheduling effort two ways — measured wall-clock time
+/// list scheduler), and L/N (consult the induced filter per block).  A
+/// compile accounts scheduling effort two ways — measured wall-clock time
 /// and deterministic work units — and computes the paper's SIM(P) metric,
 /// the sum over blocks of (execution count x simulated cycles) under the
 /// order the policy produced.  As in the paper, the cost of computing
@@ -17,12 +18,7 @@
 #ifndef SCHEDFILTER_FILTER_PIPELINE_H
 #define SCHEDFILTER_FILTER_PIPELINE_H
 
-#include "filter/ScheduleFilter.h"
-#include "mir/Program.h"
-#include "sched/ListScheduler.h"
-#include "sim/BlockSimulator.h"
-
-#include <optional>
+#include <cstdint>
 
 namespace schedfilter {
 
@@ -54,21 +50,6 @@ struct CompileReport {
   /// under the final (possibly rescheduled) order.
   double SimulatedTime = 0.0;
 };
-
-/// Compiles \p P under \p Policy on \p Model.  \p Filter must be non-null
-/// iff Policy == Filtered.  The fold is MethodCompiler::compileMethod over
-/// the program's methods in order (runtime/MethodCompiler.h).
-CompileReport compileProgram(const Program &P, const MachineModel &Model,
-                             SchedulingPolicy Policy,
-                             ScheduleFilter *Filter = nullptr);
-
-/// Context-reuse variant: identical report, but the per-block scratch
-/// (DAG adjacency, ready queues, scoreboards) lives in \p Ctx, so
-/// compiling block after block -- and program after program with the
-/// same context -- performs zero steady-state allocations.
-CompileReport compileProgram(const Program &P, const MachineModel &Model,
-                             SchedulingPolicy Policy, ScheduleFilter *Filter,
-                             SchedContext &Ctx);
 
 } // namespace schedfilter
 

@@ -70,10 +70,6 @@ public:
   }
 
   const RuleSet &ruleSet() const { return Art->Rules; }
-  const CompiledFilter &compiled() const { return Art->Compiled; }
-  const FilterArtifactRef &artifact() const { return Art; }
-  /// The borrowed artifact's version (0 for plain rule-set filters).
-  uint32_t version() const { return Art->Version; }
 
   /// Decision counters (since construction or resetStats()).
   uint64_t numScheduleDecisions() const { return NumLS; }

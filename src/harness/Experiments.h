@@ -17,6 +17,7 @@
 #include "filter/Pipeline.h"
 #include "ml/CrossValidation.h"
 #include "ml/Labeler.h"
+#include "target/MachineModel.h"
 #include "workloads/ProgramGenerator.h"
 
 namespace schedfilter {

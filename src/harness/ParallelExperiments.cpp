@@ -53,8 +53,7 @@ struct PerBenchmarkEval {
 PerBenchmarkEval evaluateBenchmark(const BenchmarkRun &Run,
                                    const RuleSet &Filter,
                                    const Dataset &Labeled,
-                                   const MachineModel &Model,
-                                   SchedContext &Ctx) {
+                                   const MachineModel &Model) {
   PerBenchmarkEval Out;
 
   // Table 3: classification error on the held-out benchmark's labeled
@@ -81,8 +80,7 @@ PerBenchmarkEval evaluateBenchmark(const BenchmarkRun &Run,
   // simulated application time against the fixed policies.
   ScheduleFilter Online(Filter);
   CompileReport LN =
-      compileProgram(Run.Prog, Model, SchedulingPolicy::Filtered, &Online,
-                     Ctx);
+      compileProgram(Run.Prog, Model, SchedulingPolicy::Filtered, &Online);
   Out.EffortRatioWork =
       safeRatio(static_cast<double>(LN.SchedulingWork),
                 static_cast<double>(Run.AlwaysReport.SchedulingWork));
@@ -214,9 +212,8 @@ ExperimentEngine::runThreshold(const std::vector<BenchmarkRun> &Suite,
     if (std::optional<MachineModel> M =
             MachineModel::byName(Suite[B].ModelName))
       Model = *M;
-    SchedContext Ctx;
-    Evals[B] = evaluateBenchmark(Suite[B], Folds[B].Filter, Labeled[B],
-                                 Model, Ctx);
+    Evals[B] =
+        evaluateBenchmark(Suite[B], Folds[B].Filter, Labeled[B], Model);
   });
 
   // Assemble in suite order (never completion order).

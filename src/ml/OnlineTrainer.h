@@ -73,14 +73,13 @@ struct RetrainPolicy {
   /// Minimum virtual ticks between retrain triggers (and before the
   /// first, measured from tick 0 where the initial version installed).
   uint64_t RetrainEvery = 8192;
-  /// Minimum newly-accumulated records for a trigger to fire (an idle
-  /// interval with nothing new to learn from retrains nothing).
-  uint64_t MinNewRecords = 1;
 
+  /// Fires once RetrainEvery ticks have passed and at least one new
+  /// record arrived (an idle interval with nothing new to learn from
+  /// retrains nothing).
   bool shouldRetrain(uint64_t Tick, uint64_t LastTriggerTick,
                      size_t NewRecords) const {
-    return Tick - LastTriggerTick >= RetrainEvery &&
-           NewRecords >= MinNewRecords;
+    return Tick - LastTriggerTick >= RetrainEvery && NewRecords != 0;
   }
 };
 

@@ -35,8 +35,6 @@ public:
     assert(Prob >= 0.0 && Prob <= 1.0 && "parseNoiseStack enforces range");
   }
 
-  const char *name() const override { return "spikes"; }
-  uint32_t version() const override { return 1; }
   std::string describe() const override {
     return "spikes:" + formatTrimmed(Prob);
   }

@@ -26,8 +26,6 @@ public:
            "parseNoiseStack enforces range");
   }
 
-  const char *name() const override { return "labelflip"; }
-  uint32_t version() const override { return 1; }
   std::string describe() const override {
     return "labelflip:" + formatTrimmed(FlipProb);
   }

@@ -27,8 +27,6 @@ public:
     assert(Sigma >= 0.0 && Sigma <= 2.0 && "parseNoiseStack enforces range");
   }
 
-  const char *name() const override { return "jitter"; }
-  uint32_t version() const override { return 1; }
   std::string describe() const override {
     return "jitter:" + formatTrimmed(Sigma);
   }

@@ -37,8 +37,6 @@ public:
            "parseNoiseStack enforces range");
   }
 
-  const char *name() const override { return "drift"; }
-  uint32_t version() const override { return 1; }
   std::string describe() const override {
     return "drift:" + formatTrimmed(Amplitude);
   }

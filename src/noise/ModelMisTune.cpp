@@ -13,6 +13,7 @@
 
 #include "noise/NoiseSource.h"
 
+#include "runtime/MethodCompiler.h"
 #include "target/MachineModel.h"
 
 #include <cassert>
@@ -29,8 +30,6 @@ public:
            "parseNoiseStack validates the model name");
   }
 
-  const char *name() const override { return "mistune"; }
-  uint32_t version() const override { return 1; }
   std::string describe() const override { return "mistune:" + ServeModel; }
 
   void perturb(BenchmarkRun &Run, const Rng &) const override {

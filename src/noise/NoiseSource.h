@@ -55,18 +55,6 @@ class NoiseSource {
 public:
   virtual ~NoiseSource() = default;
 
-  /// Registry key and --noise spelling, lowercase [a-z0-9-]; unique
-  /// across the built-in sources.
-  virtual const char *name() const = 0;
-
-  /// Version of this source's perturbation.  Perturbed records never
-  /// enter the corpus cache (the stack applies downstream of it), so
-  /// this is not a cache key; it versions the *meaning* of a severity
-  /// parameter, and MUST be bumped by any change that alters what a
-  /// given (parameter, seed) pair emits -- pinned robustness frontiers
-  /// cite it.
-  virtual uint32_t version() const = 0;
-
   /// Canonical parameterized spelling, e.g. "jitter:0.1" -- exactly what
   /// parseNoiseStack would accept to reconstruct this source.
   virtual std::string describe() const = 0;

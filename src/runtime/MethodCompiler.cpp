@@ -91,3 +91,16 @@ void MethodCompiler::traceMethod(const Method &M,
     Records.push_back(Rec);
   }
 }
+
+CompileReport schedfilter::compileProgram(const Program &P,
+                                          const MachineModel &Model,
+                                          SchedulingPolicy Policy,
+                                          ScheduleFilter *Filter) {
+  CompileReport Report;
+  Report.Policy = Policy;
+  SchedContext Ctx;
+  MethodCompiler MC(Model, Ctx);
+  for (const Method &M : P)
+    MC.compileMethod(M, Policy, Filter, Report);
+  return Report;
+}

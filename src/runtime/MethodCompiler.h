@@ -3,10 +3,10 @@
 /// \file
 /// The one per-block compile fold: one method, compiled under one
 /// scheduling policy -- the unit of work the serving engine's
-/// recompilation queue retires.  filter/Pipeline's compileProgram is this
-/// fold looped over a program's methods, and the experiment engine's
-/// trace (harness/ParallelExperiments.cpp) is traceMethod looped the same
-/// way.  Both run the same timed scheduling phase, so batch compilation,
+/// recompilation queue retires.  compileProgram is this fold looped over
+/// a program's methods, and the experiment engine's trace
+/// (harness/ParallelExperiments.cpp) is traceMethod looped the same way.
+/// Both run the same timed scheduling phase, so batch compilation,
 /// tracing and serving share one recipe.  MethodCompiler depends only on
 /// filter/ and the layers below it.
 ///
@@ -16,8 +16,11 @@
 #define SCHEDFILTER_RUNTIME_METHODCOMPILER_H
 
 #include "filter/Pipeline.h"
-#include "mir/Method.h"
+#include "filter/ScheduleFilter.h"
+#include "mir/Program.h"
 #include "ml/Labeler.h"
+#include "sched/ListScheduler.h"
+#include "sim/BlockSimulator.h"
 
 namespace schedfilter {
 
@@ -75,6 +78,13 @@ private:
   void schedulePhase(const Method &M, SchedulingPolicy Policy,
                      ScheduleFilter *Filter, CompileReport &Report);
 };
+
+/// Compiles \p P under \p Policy on \p Model: MethodCompiler::compileMethod
+/// over the program's methods in order, with a fresh SchedContext.
+/// \p Filter must be non-null iff Policy == Filtered.
+CompileReport compileProgram(const Program &P, const MachineModel &Model,
+                             SchedulingPolicy Policy,
+                             ScheduleFilter *Filter = nullptr);
 
 } // namespace schedfilter
 

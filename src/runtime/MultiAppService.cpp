@@ -290,8 +290,7 @@ MultiAppStats MultiAppService::run() {
   // shared service, not of any single tenant.
   FilterArtifactRef Cur = BaseArt;
   FilterArtifactRef PendingArt;
-  OnlineTrainer Trainer(Pool, Cfg.RetrainThreshold,
-                        {Cfg.RetrainEvery, Cfg.MinRetrainRecords});
+  OnlineTrainer Trainer(Pool, Cfg.RetrainThreshold, {Cfg.RetrainEvery});
   auto InstallSwap = [&](const FilterArtifactRef &Art, uint64_t Epoch,
                          uint64_t Tick) {
     St.Total.Swaps.push_back({Epoch, Tick, Art->Version, Art->ParentVersion,

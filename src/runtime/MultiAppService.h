@@ -53,6 +53,7 @@
 #include "ml/OnlineTrainer.h"
 #include "support/CdfTable.h"
 #include "support/TaskPool.h"
+#include "target/MachineModel.h"
 #include "workloads/WorkloadFamily.h"
 
 #include <cstdint>
@@ -99,8 +100,6 @@ struct ServiceConfig {
   bool Online = false;
   /// RetrainPolicy::RetrainEvery, in virtual ticks (--retrain-every).
   uint64_t RetrainEvery = 8192;
-  /// RetrainPolicy::MinNewRecords.
-  uint64_t MinRetrainRecords = 1;
   /// Labeling threshold (percent) every online retrain uses.
   double RetrainThreshold = 0.0;
 };

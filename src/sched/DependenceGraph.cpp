@@ -67,12 +67,6 @@ void DependenceGraph::addEdge(int From, int To, unsigned Latency,
   Work += 4;
 }
 
-DependenceGraph::DependenceGraph(const BasicBlock &BB,
-                                 const MachineModel &Model) {
-  DagBuildScratch Scratch;
-  build(BB, Model, Scratch);
-}
-
 void DependenceGraph::build(const BasicBlock &BB, const MachineModel &Model,
                             DagBuildScratch &S) {
   size_t N = BB.size();

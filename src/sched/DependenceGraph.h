@@ -46,13 +46,10 @@ struct DepEdge {
   DepKind Kind;
 };
 
-/// Register bookkeeping scratch used while building one DAG.  Owned either
-/// by a SchedContext (the allocation-free steady-state path: capacities
-/// persist across blocks, entries are invalidated in O(1) by bumping
-/// Epoch) or by the one-shot DependenceGraph constructor (a short-lived
-/// local).  Indexed by virtual register number; registers are small dense
-/// integers, so flat arrays replace the hash maps the one-shot path used
-/// to allocate per block.
+/// Register bookkeeping scratch used while building one DAG.  Owned by a
+/// SchedContext: capacities persist across blocks, and entries are
+/// invalidated in O(1) by bumping Epoch.  Indexed by virtual register
+/// number; registers are small dense integers, so flat arrays serve.
 struct DagBuildScratch {
   uint64_t Epoch = 0;
   /// LastDef[R] is valid iff DefStamp[R] == Epoch.
@@ -69,15 +66,10 @@ struct DagBuildScratch {
 
 /// Dependence DAG for one block.  Node i is instruction i of the block.
 /// Default-construct once and build() repeatedly to reuse the adjacency
-/// storage across blocks (zero steady-state allocations); the build
-/// results are identical to the one-shot constructor's.
+/// storage across blocks (zero steady-state allocations).
 class DependenceGraph {
 public:
   DependenceGraph() = default;
-
-  /// One-shot convenience: builds the DAG for \p BB under machine model
-  /// \p Model with a local scratch.
-  DependenceGraph(const BasicBlock &BB, const MachineModel &Model);
 
   /// (Re)builds the DAG for \p BB under \p Model, reusing this graph's
   /// adjacency storage and \p Scratch across calls.  The block is a

@@ -10,31 +10,6 @@
 
 using namespace schedfilter;
 
-ScheduleResult ListScheduler::identity(const BasicBlock &BB) {
-  ScheduleResult R;
-  R.Order.resize(BB.size());
-  for (size_t I = 0; I != BB.size(); ++I)
-    R.Order[I] = static_cast<int>(I);
-  return R;
-}
-
-ScheduleResult ListScheduler::schedule(const BasicBlock &BB) const {
-  DagBuildScratch DagScratch;
-  DependenceGraph Dag;
-  Dag.build(BB, Model, DagScratch);
-  ScheduleResult R = schedule(BB, Dag);
-  R.WorkUnits += Dag.workUnits();
-  return R;
-}
-
-ScheduleResult ListScheduler::schedule(const BasicBlock &BB,
-                                       const DependenceGraph &Dag) const {
-  ScheduleResult R;
-  ListSchedulerScratch Scratch;
-  R.WorkUnits = scheduleInto(BB, Dag, Scratch, R.Order);
-  return R;
-}
-
 uint64_t ListScheduler::schedule(const BasicBlock &BB, SchedContext &Ctx,
                                  std::vector<int> &OrderOut) const {
   DependenceGraph &Dag = Ctx.dag();

@@ -27,21 +27,11 @@ namespace schedfilter {
 
 class SchedContext;
 
-/// Result of scheduling one block.
-struct ScheduleResult {
-  /// Order[i] is the original index of the i-th instruction in the new
-  /// schedule; a permutation of [0, n).
-  std::vector<int> Order;
-  /// Deterministic effort: DAG work plus scheduler loop work.
-  uint64_t WorkUnits = 0;
-};
-
 /// Ready instruction that can start at the current clock; ordered by the
 /// CPS key -- longest weighted critical path first -- then by most
-/// dependence successors, then original program order.  std::push_heap/
-/// pop_heap over a reused vector realize exactly the max-priority-queue
-/// the one-shot path used, so the pick sequence is identical (the key is
-/// a total order: indices are unique).
+/// dependence successors, then original program order.  The key is a
+/// total order (indices are unique), so the pick sequence is fully
+/// determined.
 struct ReadyNowEntry {
   long Cp;
   long Fanout;
@@ -68,9 +58,8 @@ struct ReadyFutureEntry {
 };
 
 /// Per-block scheduling scratch: ready queues, the in-degree scoreboard
-/// and the earliest-start table.  Owned by a SchedContext in the reused
-/// path (capacities persist across blocks) or created locally by the
-/// one-shot entry points.
+/// and the earliest-start table.  Owned by a SchedContext (capacities
+/// persist across blocks).
 struct ListSchedulerScratch {
   std::vector<long> EarliestStart;
   std::vector<int> Pending;
@@ -83,20 +72,12 @@ class ListScheduler {
 public:
   explicit ListScheduler(const MachineModel &Model) : Model(Model) {}
 
-  /// Schedules \p BB and returns the chosen instruction order.  Always
-  /// legal: every dependence-graph edge is respected.
-  ScheduleResult schedule(const BasicBlock &BB) const;
-
-  /// Schedules using a caller-provided, already-built DAG (lets callers
-  /// account DAG-build cost separately).
-  ScheduleResult schedule(const BasicBlock &BB,
-                          const DependenceGraph &Dag) const;
-
-  /// Allocation-free steady-state path: builds the DAG into \p Ctx and
-  /// schedules with \p Ctx scratch, writing the order into \p OrderOut
-  /// (cleared first; its capacity is reused).  Returns the total work
-  /// units (DAG build + scheduling), identical to schedule(BB).WorkUnits,
-  /// and produces the identical order.
+  /// Schedules \p BB: builds its DAG into \p Ctx (left in Ctx.dag() for
+  /// callers that verify or inspect it) and writes the chosen order into
+  /// \p OrderOut (cleared first; its capacity is reused).  OrderOut[i] is
+  /// the original index of the i-th instruction in the new schedule.
+  /// Always legal: every dependence-graph edge is respected.  Returns the
+  /// total work units, DAG build plus scheduling.
   uint64_t schedule(const BasicBlock &BB, SchedContext &Ctx,
                     std::vector<int> &OrderOut) const;
 
@@ -105,10 +86,6 @@ public:
   uint64_t scheduleInto(const BasicBlock &BB, const DependenceGraph &Dag,
                         ListSchedulerScratch &Scratch,
                         std::vector<int> &OrderOut) const;
-
-  /// The identity schedule, i.e. "no scheduling" (NS).  Provided so that
-  /// policies can be written uniformly.
-  static ScheduleResult identity(const BasicBlock &BB);
 
 private:
   const MachineModel &Model;

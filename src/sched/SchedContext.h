@@ -1,20 +1,19 @@
 //===- sched/SchedContext.h - Reusable per-block scheduling arena -*- C++ -*-===//
 ///
 /// \file
-/// The scratch arena behind the repository's allocation-free hot path.
-/// Scheduling one block used to heap-allocate a fresh dependence-graph
-/// adjacency, ready queues and scoreboard maps; a SchedContext owns all
-/// of that storage and is threaded through DependenceGraph, ListScheduler,
-/// BlockSimulator and the compile Pipeline, so that after a short warm-up,
-/// scheduling and simulating a block performs zero steady-state
-/// allocations.  Filter decisions need no arena: ScheduleFilter extracts
-/// and evaluates one block at a time on the stack.
+/// The scratch arena behind every block the repository builds, schedules,
+/// simulates or verifies.  A SchedContext owns the dependence-graph
+/// adjacency, ready queues and scoreboards, and is threaded through
+/// DependenceGraph, ListScheduler, BlockSimulator and MethodCompiler, so
+/// that after a short warm-up, scheduling and simulating a block performs
+/// zero steady-state allocations.  Filter decisions need no arena:
+/// ScheduleFilter extracts and evaluates one block at a time on the stack.
 ///
 /// Contexts are cheap to construct, model-agnostic (the same context can
 /// serve blocks for different MachineModels), and deliberately not
 /// thread-safe: one context per thread.  Reuse never changes results --
-/// every context entry point produces bit-for-bit the output of its
-/// one-shot counterpart, which tests/schedcontext_test.cpp locks in.
+/// a reused context gives bit-for-bit what a fresh one gives, which
+/// tests/schedcontext_test.cpp locks in.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -30,10 +30,3 @@ schedfilter::verifySchedule(const DependenceGraph &Dag,
                            std::to_string(E.To) + " violated"};
   return {true, ""};
 }
-
-ScheduleVerifyResult
-schedfilter::verifySchedule(const BasicBlock &BB, const MachineModel &Model,
-                            const std::vector<int> &Order) {
-  DependenceGraph Dag(BB, Model);
-  return verifySchedule(Dag, Order);
-}

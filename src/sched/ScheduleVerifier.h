@@ -25,13 +25,9 @@ struct ScheduleVerifyResult {
 };
 
 /// Checks that \p Order is a permutation of [0, n) that respects every edge
-/// of \p Dag.
+/// of \p Dag -- typically the DAG ListScheduler::schedule just left in
+/// its SchedContext.
 ScheduleVerifyResult verifySchedule(const DependenceGraph &Dag,
-                                    const std::vector<int> &Order);
-
-/// Convenience overload that builds the DAG itself.
-ScheduleVerifyResult verifySchedule(const BasicBlock &BB,
-                                    const MachineModel &Model,
                                     const std::vector<int> &Order);
 
 } // namespace schedfilter

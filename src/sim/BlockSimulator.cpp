@@ -21,17 +21,6 @@ const std::vector<int> &identityOrder(std::vector<int> &Identity, size_t N) {
 
 } // namespace
 
-uint64_t BlockSimulator::simulate(const BasicBlock &BB) const {
-  SimScratch S;
-  return run(BB, identityOrder(S.Identity, BB.size()), S);
-}
-
-uint64_t BlockSimulator::simulate(const BasicBlock &BB,
-                                  const std::vector<int> &Order) const {
-  SimScratch S;
-  return run(BB, Order, S);
-}
-
 uint64_t BlockSimulator::simulate(const BasicBlock &BB,
                                   SchedContext &Ctx) const {
   SimScratch &S = Ctx.simScratch();

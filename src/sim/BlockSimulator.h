@@ -29,8 +29,7 @@ class SchedContext;
 
 /// Scoreboard scratch for simulating one block: per-register result-ready
 /// cycles (epoch-stamped flat array -- absent entries are invalidated in
-/// O(1) per block) and per-unit busy cycles.  Owned by a SchedContext in
-/// the reused path or created locally by the one-shot entry points.
+/// O(1) per block) and per-unit busy cycles.  Owned by a SchedContext.
 struct SimScratch {
   uint64_t Epoch = 0;
   /// RegReady[R] is valid iff RegStamp[R] == Epoch; an invalid entry means
@@ -38,7 +37,7 @@ struct SimScratch {
   std::vector<uint64_t> RegStamp;
   std::vector<uint64_t> RegReady;
   std::vector<uint64_t> UnitFree;
-  /// Reused identity permutation for the order-less simulate() path.
+  /// Reused identity permutation for the order-less simulate().
   std::vector<int> Identity;
 };
 
@@ -47,17 +46,12 @@ class BlockSimulator {
 public:
   explicit BlockSimulator(const MachineModel &Model) : Model(Model) {}
 
-  /// Cycles to execute \p BB in its current instruction order.  Returns 0
-  /// for an empty block.
-  uint64_t simulate(const BasicBlock &BB) const;
+  /// Cycles to execute \p BB in its current instruction order, with the
+  /// scoreboard in \p Ctx scratch.  Returns 0 for an empty block.
+  uint64_t simulate(const BasicBlock &BB, SchedContext &Ctx) const;
 
   /// Cycles to execute \p BB with its instructions permuted by \p Order
   /// (Order[i] = original index of the i-th instruction executed).
-  uint64_t simulate(const BasicBlock &BB, const std::vector<int> &Order) const;
-
-  /// Allocation-free steady-state variants reusing \p Ctx scoreboard
-  /// scratch; results are identical to the one-shot entry points.
-  uint64_t simulate(const BasicBlock &BB, SchedContext &Ctx) const;
   uint64_t simulate(const BasicBlock &BB, const std::vector<int> &Order,
                     SchedContext &Ctx) const;
 

@@ -11,6 +11,7 @@
 
 #include "mir/BasicBlock.h"
 #include "runtime/MultiAppService.h"
+#include "sched/SchedContext.h"
 #include "workloads/BenchmarkSpec.h"
 
 #include <filesystem>
@@ -69,6 +70,25 @@ inline BasicBlock makeTrivialBlock(uint64_t ExecCount = 1) {
   BB.append(Instruction(Opcode::Move, {100}, {0}));
   BB.append(Instruction(Opcode::Ret, {}, {}));
   return BB;
+}
+
+/// The dependence DAG of \p BB under \p Model, built in a fresh graph.
+inline DependenceGraph buildDag(const BasicBlock &BB,
+                                const MachineModel &Model) {
+  DependenceGraph G;
+  DagBuildScratch Scratch;
+  G.build(BB, Model, Scratch);
+  return G;
+}
+
+/// The list-scheduled order of \p BB under \p Model, from a fresh
+/// SchedContext.
+inline std::vector<int> scheduleBlock(const BasicBlock &BB,
+                                      const MachineModel &Model) {
+  SchedContext Ctx;
+  std::vector<int> Order;
+  ListScheduler(Model).schedule(BB, Ctx, Order);
+  return Order;
 }
 
 /// Shrinks every spec of a suite so tests run in milliseconds.

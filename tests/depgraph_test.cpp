@@ -31,7 +31,7 @@ TEST(DependenceGraph, RawDependenceCarriesProducerLatency) {
   BasicBlock BB("raw");
   BB.append(Instruction(Opcode::LoadInt, {100}, {0}));
   BB.append(Instruction(Opcode::Add, {101}, {100, 1}));
-  DependenceGraph G(BB, M);
+  DependenceGraph G = buildDag(BB, M);
   const DepEdge *E = findEdge(G, 0, 1);
   ASSERT_NE(E, nullptr);
   EXPECT_EQ(E->Kind, DepKind::Data);
@@ -42,7 +42,7 @@ TEST(DependenceGraph, AntiDependence) {
   BasicBlock BB("war");
   BB.append(Instruction(Opcode::Add, {100}, {1, 2}));  // reads r1
   BB.append(Instruction(Opcode::Add, {1}, {3, 4}));    // writes r1
-  DependenceGraph G(BB, model());
+  DependenceGraph G = buildDag(BB, model());
   const DepEdge *E = findEdge(G, 0, 1);
   ASSERT_NE(E, nullptr);
   EXPECT_EQ(E->Kind, DepKind::Anti);
@@ -53,7 +53,7 @@ TEST(DependenceGraph, OutputDependence) {
   BasicBlock BB("waw");
   BB.append(Instruction(Opcode::Add, {100}, {1, 2}));
   BB.append(Instruction(Opcode::Sub, {100}, {3, 4}));
-  DependenceGraph G(BB, model());
+  DependenceGraph G = buildDag(BB, model());
   const DepEdge *E = findEdge(G, 0, 1);
   ASSERT_NE(E, nullptr);
   EXPECT_EQ(E->Kind, DepKind::Output);
@@ -63,7 +63,7 @@ TEST(DependenceGraph, IndependentInstructionsHaveNoEdge) {
   BasicBlock BB("indep");
   BB.append(Instruction(Opcode::Add, {100}, {1, 2}));
   BB.append(Instruction(Opcode::Add, {101}, {3, 4}));
-  DependenceGraph G(BB, model());
+  DependenceGraph G = buildDag(BB, model());
   EXPECT_FALSE(G.hasEdge(0, 1));
 }
 
@@ -71,7 +71,7 @@ TEST(DependenceGraph, StoreThenLoadOrdered) {
   BasicBlock BB("st-ld");
   BB.append(Instruction(Opcode::StoreInt, {}, {1, 2}));
   BB.append(Instruction(Opcode::LoadInt, {100}, {3}));
-  DependenceGraph G(BB, model());
+  DependenceGraph G = buildDag(BB, model());
   EXPECT_TRUE(G.hasEdge(0, 1));
 }
 
@@ -79,7 +79,7 @@ TEST(DependenceGraph, LoadThenStoreOrdered) {
   BasicBlock BB("ld-st");
   BB.append(Instruction(Opcode::LoadInt, {100}, {3}));
   BB.append(Instruction(Opcode::StoreInt, {}, {1, 2}));
-  DependenceGraph G(BB, model());
+  DependenceGraph G = buildDag(BB, model());
   EXPECT_TRUE(G.hasEdge(0, 1));
 }
 
@@ -87,7 +87,7 @@ TEST(DependenceGraph, StoreStoreOrdered) {
   BasicBlock BB("st-st");
   BB.append(Instruction(Opcode::StoreInt, {}, {1, 2}));
   BB.append(Instruction(Opcode::StoreInt, {}, {3, 4}));
-  DependenceGraph G(BB, model());
+  DependenceGraph G = buildDag(BB, model());
   EXPECT_TRUE(G.hasEdge(0, 1));
 }
 
@@ -95,7 +95,7 @@ TEST(DependenceGraph, LoadsMayReorderFreely) {
   BasicBlock BB("ld-ld");
   BB.append(Instruction(Opcode::LoadInt, {100}, {1}));
   BB.append(Instruction(Opcode::LoadInt, {101}, {2}));
-  DependenceGraph G(BB, model());
+  DependenceGraph G = buildDag(BB, model());
   EXPECT_FALSE(G.hasEdge(0, 1));
 }
 
@@ -103,7 +103,7 @@ TEST(DependenceGraph, PeisStayOrdered) {
   BasicBlock BB("pei-pei");
   BB.append(Instruction(Opcode::NullCheck, {}, {1}));
   BB.append(Instruction(Opcode::BoundsCheck, {}, {2}));
-  DependenceGraph G(BB, model());
+  DependenceGraph G = buildDag(BB, model());
   EXPECT_TRUE(G.hasEdge(0, 1));
 }
 
@@ -112,7 +112,7 @@ TEST(DependenceGraph, PeiAndStoreMutuallyOrdered) {
   BB.append(Instruction(Opcode::NullCheck, {}, {1}));
   BB.append(Instruction(Opcode::StoreInt, {}, {2, 3}));
   BB.append(Instruction(Opcode::BoundsCheck, {}, {4}));
-  DependenceGraph G(BB, model());
+  DependenceGraph G = buildDag(BB, model());
   EXPECT_TRUE(G.hasEdge(0, 1)); // PEI before store stays before
   EXPECT_TRUE(G.hasEdge(1, 2)); // store before PEI stays before
 }
@@ -122,7 +122,7 @@ TEST(DependenceGraph, CallIsFullBarrier) {
   BB.append(Instruction(Opcode::Add, {100}, {1, 2}));
   BB.append(Instruction(Opcode::Call, {101}, {3}));
   BB.append(Instruction(Opcode::Add, {102}, {4, 5}));
-  DependenceGraph G(BB, model());
+  DependenceGraph G = buildDag(BB, model());
   EXPECT_TRUE(G.hasEdge(0, 1)); // nothing moves below the call...
   EXPECT_TRUE(G.hasEdge(1, 2)); // ...or above it
 }
@@ -132,7 +132,7 @@ TEST(DependenceGraph, YieldPointIsFullBarrier) {
   BB.append(Instruction(Opcode::Add, {100}, {1, 2}));
   BB.append(Instruction(Opcode::YieldPoint, {}, {}));
   BB.append(Instruction(Opcode::Add, {101}, {3, 4}));
-  DependenceGraph G(BB, model());
+  DependenceGraph G = buildDag(BB, model());
   EXPECT_TRUE(G.hasEdge(0, 1));
   EXPECT_TRUE(G.hasEdge(1, 2));
 }
@@ -142,7 +142,7 @@ TEST(DependenceGraph, EverythingBeforeTerminator) {
   BB.append(Instruction(Opcode::Add, {100}, {1, 2}));
   BB.append(Instruction(Opcode::Add, {101}, {3, 4}));
   BB.append(Instruction(Opcode::Br, {}, {}));
-  DependenceGraph G(BB, model());
+  DependenceGraph G = buildDag(BB, model());
   EXPECT_TRUE(G.hasEdge(0, 2));
   EXPECT_TRUE(G.hasEdge(1, 2));
 }
@@ -153,7 +153,7 @@ TEST(DependenceGraph, EdgesDeduplicatedKeepingStrongest) {
   // r100 feeds both operands: a single Data edge must remain.
   BB.append(Instruction(Opcode::LoadInt, {100}, {0}));
   BB.append(Instruction(Opcode::Add, {101}, {100, 100}));
-  DependenceGraph G(BB, M);
+  DependenceGraph G = buildDag(BB, M);
   EXPECT_EQ(G.succs(0).size(), 1u);
   EXPECT_EQ(G.succs(0)[0].Latency, M.getLatency(Opcode::LoadInt));
 }
@@ -165,7 +165,7 @@ TEST(DependenceGraph, DuplicateEdgeWeakerSecondKeepsFirst) {
   // stay after the load (Memory, latency 0): the Data edge survives.
   BB.append(Instruction(Opcode::LoadInt, {100}, {0}));
   BB.append(Instruction(Opcode::StoreInt, {}, {100, 1}));
-  DependenceGraph G(BB, M);
+  DependenceGraph G = buildDag(BB, M);
   ASSERT_EQ(G.succs(0).size(), 1u);
   EXPECT_EQ(G.numEdges(), 1u);
   EXPECT_EQ(G.inDegrees()[1], 1);
@@ -179,7 +179,7 @@ TEST(DependenceGraph, DuplicateEdgeStrongerSecondReplacesFirst) {
   // must follow the store (Memory, latency 1): the Memory edge survives.
   BB.append(Instruction(Opcode::StoreInt, {}, {5, 1}));
   BB.append(Instruction(Opcode::LoadInt, {5}, {2}));
-  DependenceGraph G(BB, model());
+  DependenceGraph G = buildDag(BB, model());
   ASSERT_EQ(G.succs(0).size(), 1u);
   EXPECT_EQ(G.numEdges(), 1u);
   EXPECT_EQ(G.inDegrees()[1], 1);
@@ -190,7 +190,7 @@ TEST(DependenceGraph, DuplicateEdgeStrongerSecondReplacesFirst) {
 TEST(DependenceGraph, CriticalPathOfChain) {
   MachineModel M = model();
   BasicBlock BB = makeChainBlock();
-  DependenceGraph G(BB, M);
+  DependenceGraph G = buildDag(BB, M);
   // Height of the first instruction covers the whole chain:
   // lwz(3) -> add(1) -> add(1) -> stw(1).
   long Expected = static_cast<long>(M.getLatency(Opcode::LoadInt)) + 1 + 1 +
@@ -204,7 +204,7 @@ TEST(DependenceGraph, CriticalPathOfChain) {
 TEST(DependenceGraph, CriticalPathAtLeastOwnLatency) {
   MachineModel M = model();
   BasicBlock BB = makeIlpFloatBlock();
-  DependenceGraph G(BB, M);
+  DependenceGraph G = buildDag(BB, M);
   for (int I = 0; I != static_cast<int>(BB.size()); ++I)
     EXPECT_GE(G.criticalPath(I),
               static_cast<long>(
@@ -213,15 +213,15 @@ TEST(DependenceGraph, CriticalPathAtLeastOwnLatency) {
 
 TEST(DependenceGraph, WorkUnitsPositiveAndGrowWithSize) {
   MachineModel M = model();
-  DependenceGraph Small(makeTrivialBlock(), M);
-  DependenceGraph Large(makeIlpFloatBlock(), M);
+  DependenceGraph Small = buildDag(makeTrivialBlock(), M);
+  DependenceGraph Large = buildDag(makeIlpFloatBlock(), M);
   EXPECT_GT(Small.workUnits(), 0u);
   EXPECT_GT(Large.workUnits(), Small.workUnits());
 }
 
 TEST(DependenceGraph, EmptyBlock) {
   BasicBlock BB("empty");
-  DependenceGraph G(BB, model());
+  DependenceGraph G = buildDag(BB, model());
   EXPECT_EQ(G.numNodes(), 0u);
   EXPECT_EQ(G.numEdges(), 0u);
 }
@@ -280,7 +280,7 @@ TEST_P(DepGraphProperty, EdgesForwardAndDegreesConsistent) {
   for (int Trial = 0; Trial != 20; ++Trial) {
     BasicBlock BB = ProgramGenerator(*Spec).generateBlock(
         R, R.range(0, 8), /*EndWithTerminator=*/true);
-    DependenceGraph G(BB, M);
+    DependenceGraph G = buildDag(BB, M);
     std::vector<int> InDeg(G.numNodes(), 0);
     for (size_t I = 0; I != G.numNodes(); ++I)
       for (const DepEdge &E : G.succs(static_cast<int>(I))) {

@@ -2,6 +2,7 @@
 
 #include "harness/ParallelExperiments.h"
 #include "harness/TableRender.h"
+#include "runtime/MethodCompiler.h"
 #include "workloads/WorkloadFamily.h"
 
 #include "RuleSetIdentity.h"

@@ -9,8 +9,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestHelpers.h"
-#include "filter/Pipeline.h"
 #include "ml/Serialization.h"
+#include "runtime/MethodCompiler.h"
 #include "sched/ScheduleVerifier.h"
 #include "workloads/ProgramGenerator.h"
 
@@ -37,13 +37,15 @@ class ModelInvariants
 TEST_P(ModelInvariants, SchedulerLegalOnThisModel) {
   MachineModel M = makeModel(std::get<0>(GetParam()));
   ListScheduler S(M);
+  SchedContext Ctx;
+  std::vector<int> Order;
   const BenchmarkSpec *Spec = findBenchmarkSpec("raytrace");
   Rng R(std::get<1>(GetParam()));
   for (int Trial = 0; Trial != 15; ++Trial) {
     BasicBlock BB = ProgramGenerator(*Spec).generateBlock(
         R, R.range(0, 7), /*EndWithTerminator=*/true);
-    ScheduleResult SR = S.schedule(BB);
-    ScheduleVerifyResult V = verifySchedule(BB, M, SR.Order);
+    S.schedule(BB, Ctx, Order);
+    ScheduleVerifyResult V = verifySchedule(Ctx.dag(), Order);
     EXPECT_TRUE(V.Ok) << M.getName() << ": " << V.Message;
   }
 }
@@ -51,12 +53,13 @@ TEST_P(ModelInvariants, SchedulerLegalOnThisModel) {
 TEST_P(ModelInvariants, SimulatorBoundsHold) {
   MachineModel M = makeModel(std::get<0>(GetParam()));
   BlockSimulator Sim(M);
+  SchedContext Ctx;
   const BenchmarkSpec *Spec = findBenchmarkSpec("power");
   Rng R(std::get<1>(GetParam()) * 7 + 3);
   for (int Trial = 0; Trial != 15; ++Trial) {
     BasicBlock BB = ProgramGenerator(*Spec).generateBlock(
         R, R.range(1, 6), /*EndWithTerminator=*/true);
-    uint64_t Cycles = Sim.simulate(BB);
+    uint64_t Cycles = Sim.simulate(BB, Ctx);
     // Lower bound: the longest single instruction latency and the issue
     // width.  Upper bound: fully serial execution.
     uint64_t MaxLat = 0, SumLat = 0;
@@ -154,9 +157,9 @@ TEST(Ppc970, WiderAndDeeperThan7410) {
 
 TEST(Ppc970, SchedulingStillLegalAndUseful) {
   MachineModel G5 = MachineModel::ppc970();
-  ListScheduler S(G5);
   BlockSimulator Sim(G5);
+  SchedContext Ctx;
   BasicBlock BB = makeIlpFloatBlock();
-  ScheduleResult SR = S.schedule(BB);
-  EXPECT_LE(Sim.simulate(BB, SR.Order), Sim.simulate(BB));
+  std::vector<int> Order = scheduleBlock(BB, G5);
+  EXPECT_LE(Sim.simulate(BB, Order, Ctx), Sim.simulate(BB, Ctx));
 }

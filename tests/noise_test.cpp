@@ -14,6 +14,7 @@
 #include "noise/Robustness.h"
 
 #include "TestHelpers.h"
+#include "runtime/MethodCompiler.h"
 
 #include <gtest/gtest.h>
 

@@ -9,7 +9,7 @@
 
 #include "features/Features.h"
 #include "mir/Verifier.h"
-#include "sched/ListScheduler.h"
+#include "sched/SchedContext.h"
 #include "sched/ScheduleVerifier.h"
 #include "sim/BlockSimulator.h"
 
@@ -71,22 +71,20 @@ TEST_P(OpcodeCoverage, FlowsThroughEntireStack) {
   for (const MachineModel &M :
        {MachineModel::ppc7410(), MachineModel::ppc970(),
         MachineModel::simpleScalar()}) {
-    // DAG builds, heights positive.
-    DependenceGraph Dag(BB, M);
+    // Scheduler emits a legal order over a DAG whose heights are positive.
+    SchedContext Ctx;
+    std::vector<int> Order;
+    ListScheduler(M).schedule(BB, Ctx, Order);
     for (int I = 0; I != static_cast<int>(BB.size()); ++I)
-      EXPECT_GE(Dag.criticalPath(I), 1);
-
-    // Scheduler emits a legal order.
-    ListScheduler S(M);
-    ScheduleResult SR = S.schedule(BB, Dag);
-    ScheduleVerifyResult SV = verifySchedule(Dag, SR.Order);
+      EXPECT_GE(Ctx.dag().criticalPath(I), 1);
+    ScheduleVerifyResult SV = verifySchedule(Ctx.dag(), Order);
     EXPECT_TRUE(SV.Ok) << getOpcodeName(Op) << " on " << M.getName() << ": "
                        << SV.Message;
 
     // Simulator prices both orders sanely.
     BlockSimulator Sim(M);
-    uint64_t Before = Sim.simulate(BB);
-    uint64_t After = Sim.simulate(BB, SR.Order);
+    uint64_t Before = Sim.simulate(BB, Ctx);
+    uint64_t After = Sim.simulate(BB, Order, Ctx);
     EXPECT_GE(Before, M.getLatency(Op));
     EXPECT_GT(After, 0u);
   }

@@ -1,6 +1,6 @@
-//===- tests/pipeline_test.cpp - filter/Pipeline unit tests -------------------===//
+//===- tests/pipeline_test.cpp - compileProgram unit tests ----------------===//
 
-#include "filter/Pipeline.h"
+#include "runtime/MethodCompiler.h"
 
 #include "TestHelpers.h"
 #include "workloads/ProgramGenerator.h"

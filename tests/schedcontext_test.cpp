@@ -1,15 +1,13 @@
 //===- tests/schedcontext_test.cpp - context-reuse equivalence --------------===//
 //
-// The SchedContext contract: the allocation-free context-reuse entry
-// points of DependenceGraph, ListScheduler, BlockSimulator and the
-// compile Pipeline produce bit-for-bit the results of their one-shot
-// counterparts -- including when one context is reused across many blocks
-// of different shapes, sizes and register populations (stale scratch from
-// a previous block must never leak into the next).
+// The SchedContext contract: one context reused across many blocks of
+// different shapes, sizes and register populations -- and across machine
+// models -- builds, schedules and simulates each block bit-for-bit as a
+// fresh context would.  Stale scratch from a previous block must never
+// leak into the next.
 //
 //===----------------------------------------------------------------------===//
 
-#include "filter/Pipeline.h"
 #include "sched/SchedContext.h"
 #include "workloads/ProgramGenerator.h"
 
@@ -36,22 +34,24 @@ std::vector<BasicBlock> testBlocks() {
 
 } // namespace
 
-TEST(SchedContext, DagBuildMatchesOneShot) {
+TEST(SchedContext, DagBuildMatchesFreshContext) {
   MachineModel Model = MachineModel::ppc7410();
   SchedContext Ctx;
   for (const BasicBlock &BB : testBlocks()) {
-    DependenceGraph OneShot(BB, Model);
+    SchedContext Fresh;
+    const DependenceGraph &Expected = Fresh.dag();
+    Fresh.dag().build(BB, Model, Fresh.dagScratch());
     DependenceGraph &Reused = Ctx.dag();
     Reused.build(BB, Model, Ctx.dagScratch());
 
-    ASSERT_EQ(Reused.numNodes(), OneShot.numNodes());
-    EXPECT_EQ(Reused.numEdges(), OneShot.numEdges());
-    EXPECT_EQ(Reused.workUnits(), OneShot.workUnits());
-    EXPECT_EQ(Reused.inDegrees(), OneShot.inDegrees());
-    for (int I = 0; I != static_cast<int>(OneShot.numNodes()); ++I) {
-      EXPECT_EQ(Reused.criticalPath(I), OneShot.criticalPath(I));
+    ASSERT_EQ(Reused.numNodes(), Expected.numNodes());
+    EXPECT_EQ(Reused.numEdges(), Expected.numEdges());
+    EXPECT_EQ(Reused.workUnits(), Expected.workUnits());
+    EXPECT_EQ(Reused.inDegrees(), Expected.inDegrees());
+    for (int I = 0; I != static_cast<int>(Expected.numNodes()); ++I) {
+      EXPECT_EQ(Reused.criticalPath(I), Expected.criticalPath(I));
       const std::vector<DepEdge> &A = Reused.succs(I);
-      const std::vector<DepEdge> &B = OneShot.succs(I);
+      const std::vector<DepEdge> &B = Expected.succs(I);
       ASSERT_EQ(A.size(), B.size());
       for (size_t E = 0; E != A.size(); ++E) {
         EXPECT_EQ(A[E].To, B[E].To);
@@ -62,68 +62,54 @@ TEST(SchedContext, DagBuildMatchesOneShot) {
   }
 }
 
-TEST(SchedContext, ScheduleMatchesOneShot) {
+TEST(SchedContext, ScheduleMatchesFreshContext) {
   MachineModel Model = MachineModel::ppc7410();
   ListScheduler Scheduler(Model);
   SchedContext Ctx;
-  std::vector<int> Order;
+  std::vector<int> Order, Expected;
   for (const BasicBlock &BB : testBlocks()) {
-    ScheduleResult OneShot = Scheduler.schedule(BB);
+    SchedContext Fresh;
+    uint64_t ExpectedWork = Scheduler.schedule(BB, Fresh, Expected);
     uint64_t Work = Scheduler.schedule(BB, Ctx, Order);
-    EXPECT_EQ(Order, OneShot.Order);
-    EXPECT_EQ(Work, OneShot.WorkUnits);
+    EXPECT_EQ(Order, Expected);
+    EXPECT_EQ(Work, ExpectedWork);
   }
 }
 
-TEST(SchedContext, SimulateMatchesOneShot) {
+TEST(SchedContext, SimulateMatchesFreshContext) {
   MachineModel Model = MachineModel::ppc7410();
   ListScheduler Scheduler(Model);
   BlockSimulator Sim(Model);
   SchedContext Ctx;
   std::vector<int> Order;
   for (const BasicBlock &BB : testBlocks()) {
-    EXPECT_EQ(Sim.simulate(BB, Ctx), Sim.simulate(BB));
     Scheduler.schedule(BB, Ctx, Order);
-    EXPECT_EQ(Sim.simulate(BB, Order, Ctx), Sim.simulate(BB, Order));
+    SchedContext Fresh;
+    EXPECT_EQ(Sim.simulate(BB, Ctx), Sim.simulate(BB, Fresh));
+    SchedContext FreshOrdered;
+    EXPECT_EQ(Sim.simulate(BB, Order, Ctx),
+              Sim.simulate(BB, Order, FreshOrdered));
   }
 }
 
-TEST(SchedContext, ContextSurvivesModelSwitch) {
+TEST(SchedContext, ModelSwitchMatchesFreshContext) {
   // A context is model-agnostic: reusing one across machine models must
   // not leak per-model scoreboard state.
   SchedContext Ctx;
-  std::vector<int> Order;
+  std::vector<int> Order, Expected;
   for (const MachineModel &Model :
        {MachineModel::ppc7410(), MachineModel::ppc970(),
         MachineModel::simpleScalar()}) {
     ListScheduler Scheduler(Model);
     BlockSimulator Sim(Model);
     for (const BasicBlock &BB : testBlocks()) {
-      ScheduleResult OneShot = Scheduler.schedule(BB);
+      SchedContext Fresh;
+      uint64_t ExpectedWork = Scheduler.schedule(BB, Fresh, Expected);
       uint64_t Work = Scheduler.schedule(BB, Ctx, Order);
-      EXPECT_EQ(Order, OneShot.Order);
-      EXPECT_EQ(Work, OneShot.WorkUnits);
-      EXPECT_EQ(Sim.simulate(BB, Order, Ctx), Sim.simulate(BB, OneShot.Order));
+      EXPECT_EQ(Order, Expected);
+      EXPECT_EQ(Work, ExpectedWork);
+      EXPECT_EQ(Sim.simulate(BB, Order, Ctx),
+                Sim.simulate(BB, Expected, Fresh));
     }
-  }
-}
-
-TEST(SchedContext, CompileProgramMatchesOneShot) {
-  MachineModel Model = MachineModel::ppc7410();
-  const BenchmarkSpec *Spec = findBenchmarkSpec("db");
-  ASSERT_NE(Spec, nullptr);
-  BenchmarkSpec Small = *Spec;
-  Small.NumMethods = 10;
-  Program P = ProgramGenerator(Small).generate();
-
-  SchedContext Ctx;
-  for (SchedulingPolicy Policy :
-       {SchedulingPolicy::Never, SchedulingPolicy::Always}) {
-    CompileReport OneShot = compileProgram(P, Model, Policy);
-    CompileReport Reused = compileProgram(P, Model, Policy, nullptr, Ctx);
-    EXPECT_EQ(Reused.NumBlocks, OneShot.NumBlocks);
-    EXPECT_EQ(Reused.NumScheduled, OneShot.NumScheduled);
-    EXPECT_EQ(Reused.SchedulingWork, OneShot.SchedulingWork);
-    EXPECT_DOUBLE_EQ(Reused.SimulatedTime, OneShot.SimulatedTime);
   }
 }

@@ -179,8 +179,8 @@ TEST(MachineModel, DependenceHeightsDifferAcrossTargets) {
   MachineModel G4 = MachineModel::ppc7410();
   MachineModel G5 = MachineModel::ppc970();
   for (const BasicBlock &BB : {makeIlpFloatBlock(), makeChainBlock()}) {
-    DependenceGraph D4(BB, G4);
-    DependenceGraph D5(BB, G5);
+    DependenceGraph D4 = buildDag(BB, G4);
+    DependenceGraph D5 = buildDag(BB, G5);
     bool AnyDiffer = false;
     for (int I = 0; I != static_cast<int>(BB.size()); ++I) {
       EXPECT_GE(D4.criticalPath(I), 1) << BB.getName();

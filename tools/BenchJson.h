@@ -1,14 +1,11 @@
 //===- tools/BenchJson.h - Shared BENCH_*.json writing ----------*- C++ -*-===//
 ///
 /// \file
-/// One place for every bench driver that persists a BENCH_*.json
-/// trajectory file to resolve its output path and write it safely.
-/// Before this helper, each driver opened its own ofstream against a
-/// hardcoded filename; now the path comes from a per-file --out flag
-/// (CI and local runs can redirect without editing source) and the write
-/// is flush+error-checked, the same audit PR 3 applied to sf-trace
-/// --out: a full disk or unwritable directory fails the run loudly
-/// instead of leaving a silent empty file behind.
+/// One place for every bench driver that persists a BENCH_*.json file to
+/// resolve its output path (--out, or the driver's default name) and
+/// write it safely: the write is flushed and error-checked, so a full
+/// disk or an unwritable directory fails the run loudly instead of
+/// leaving a silent empty file behind.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,13 +20,11 @@
 
 namespace schedfilter {
 
-/// Resolves where a bench driver writes its JSON: the value of
-/// --<Flag> when given, \p Default otherwise.  Drivers with one output
-/// use Flag = "out"; drivers with several use one flag per file
-/// (e.g. bench_micro_costs's --out-schedcontext / --out-filter-eval).
-inline std::string benchOutPath(const CommandLine &CL, const std::string &Flag,
+/// Resolves where a bench driver writes its JSON: the value of --out
+/// when given, \p Default otherwise.
+inline std::string benchOutPath(const CommandLine &CL,
                                 const std::string &Default) {
-  std::string Out = CL.get(Flag);
+  std::string Out = CL.get("out");
   return Out.empty() ? Default : Out;
 }
 

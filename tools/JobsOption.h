@@ -2,8 +2,8 @@
 ///
 /// \file
 /// One place for the sf-* tools and bench drivers to resolve strict
-/// decimal-integer flags -- --jobs and sf-serve's service knobs -- so
-/// the validation and the error message cannot drift between them.  The
+/// numeric flags -- --jobs, sf-serve's service knobs and --threshold --
+/// so the validation and the error message cannot drift between them.  The
 /// engine guarantees results are bit-for-bit identical at any accepted
 /// --jobs value (see harness/ParallelExperiments.h), so --jobs is purely
 /// a wall-clock knob.
@@ -37,15 +37,30 @@ inline std::optional<uint64_t> parseCountOption(const CommandLine &CL,
   bool Valid = !Value.empty();
   uint64_t V = 0;
   for (char C : Value) {
-    if (C < '0' || C > '9' || V > Max / 10) {
+    uint64_t Digit = static_cast<uint64_t>(C - '0');
+    if (C < '0' || C > '9' || V > (Max - Digit) / 10) {
       Valid = false;
       break;
     }
-    V = V * 10 + static_cast<uint64_t>(C - '0');
+    V = V * 10 + Digit;
   }
   if (!Valid || V < Min || V > Max) {
     std::cerr << "error: --" << Name << " expects an integer in [" << Min
               << ", " << Max << "] (got '" << Value << "')\n";
+    return std::nullopt;
+  }
+  return V;
+}
+
+/// Resolves --threshold, the labeling threshold: a percentage in
+/// [0, 100], \p Default when absent.  A malformed or out-of-range value
+/// prints an error and returns nullopt.
+inline std::optional<double> parseThresholdOption(const CommandLine &CL,
+                                                  double Default = 0.0) {
+  std::optional<double> V = CL.getDouble("threshold", Default);
+  if (V && !(*V >= 0.0 && *V <= 100.0)) {
+    std::cerr << "error: --threshold expects a percentage in [0, 100] "
+                 "(got '" << CL.get("threshold") << "')\n";
     return std::nullopt;
   }
   return V;

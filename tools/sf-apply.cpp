@@ -11,9 +11,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/RuleAnalysis.h"
-#include "filter/Pipeline.h"
 #include "harness/Experiments.h"
 #include "ml/Serialization.h"
+#include "runtime/MethodCompiler.h"
 #include "support/CommandLine.h"
 
 #include "ModelOption.h"

@@ -88,23 +88,6 @@ void printUsage(std::ostream &OS) {
         "       sf-serve --help | --version\n";
 }
 
-/// Resolves --threshold (a percentage in [0, 100]): the strict shared
-/// numeric parse (CommandLine::getDouble) plus the range check.  Trailing
-/// junk or out-of-range values error out, never silently fall back to the
-/// default -- identically across all five sf-* tools.
-bool parseThresholdFlag(const CommandLine &CL, double &Out) {
-  std::optional<double> V = CL.getDouble("threshold", 0.0);
-  if (!V)
-    return false;
-  if (!(*V >= 0.0 && *V <= 100.0)) {
-    std::cerr << "error: --threshold expects a percentage in [0, 100] "
-                 "(got '" << CL.get("threshold") << "')\n";
-    return false;
-  }
-  Out = *V;
-  return true;
-}
-
 std::string formatKiloUnits(uint64_t Units) {
   return formatDouble(static_cast<double>(Units) / 1e3, 1) + "k";
 }
@@ -227,17 +210,17 @@ int serve(const CommandLine &CL, const std::vector<AppSpec> &Apps,
     // the factory filter for exactly the population this service is about
     // to serve.  Reuse the synthesized programs instead of generating them
     // a second time.
-    double Threshold = 0.0;
-    if (!parseThresholdFlag(CL, Threshold))
+    std::optional<double> Threshold = parseThresholdOption(CL);
+    if (!Threshold)
       return 1;
     std::vector<BenchmarkSpec> Suite;
     Suite.reserve(Apps.size());
     for (const AppSpec &A : Apps)
       Suite.push_back(A.Spec);
     std::cerr << "training filter on " << Session << "'s own traces (t = "
-              << Threshold << "; tracing on cache miss)...\n";
+              << *Threshold << "; tracing on cache miss)...\n";
     std::vector<BenchmarkRun> Runs = Engine.generateSuiteData(Suite, Model);
-    std::vector<Dataset> Labeled = Engine.labelSuite(Runs, Threshold);
+    std::vector<Dataset> Labeled = Engine.labelSuite(Runs, *Threshold);
     Dataset Train(Session);
     for (const Dataset &D : Labeled)
       Train.append(D);
@@ -245,7 +228,7 @@ int serve(const CommandLine &CL, const std::vector<AppSpec> &Apps,
     RuleAnalysis Lint = analyzeRuleSet(Rules, &Train);
     if (!Lint.clean())
       printFindings(Lint, std::cerr);
-    Cfg.RetrainThreshold = Threshold;
+    Cfg.RetrainThreshold = *Threshold;
     Programs.reserve(Runs.size());
     for (BenchmarkRun &Run : Runs) {
       if (Cfg.Online)

@@ -165,14 +165,9 @@ int main(int argc, char **argv) {
   if (CL.positional().empty() && Mix->empty())
     return usage();
 
-  std::optional<double> Threshold = CL.getDouble("threshold", 0.0);
+  std::optional<double> Threshold = parseThresholdOption(CL);
   if (!Threshold)
     return 1;
-  if (!(*Threshold >= 0.0 && *Threshold <= 100.0)) {
-    std::cerr << "error: --threshold expects a percentage in [0, 100] "
-                 "(got '" << CL.get("threshold") << "')\n";
-    return 1;
-  }
   std::optional<MachineModel> Model = parseModelOption(CL);
   if (!Model)
     return 1;
