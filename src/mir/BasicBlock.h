@@ -25,6 +25,11 @@ public:
   explicit BasicBlock(std::string Name = "bb", uint64_t ExecCount = 1)
       : Name(std::move(Name)), ExecCount(ExecCount) {}
 
+  /// A block holding a copy of \p Insts in storage of exactly their size.
+  BasicBlock(std::string Name, uint64_t ExecCount,
+             const std::vector<Instruction> &Insts)
+      : Name(std::move(Name)), ExecCount(ExecCount), Insts(Insts) {}
+
   const std::string &getName() const { return Name; }
 
   /// Number of times profiling says this block executes; weight in SIM(P).

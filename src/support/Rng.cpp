@@ -2,6 +2,7 @@
 
 #include "support/Rng.h"
 
+#include <climits>
 #include <cmath>
 
 using namespace schedfilter;
@@ -62,8 +63,10 @@ int Rng::geometric(double P) {
   double U = uniform();
   if (U <= 0.0)
     U = 0x1.0p-53;
-  int K = static_cast<int>(std::ceil(std::log(U) / std::log1p(-P)));
-  return K < 1 ? 1 : K;
+  double K = std::ceil(std::log(U) / std::log1p(-P));
+  if (K >= static_cast<double>(INT_MAX))
+    return INT_MAX;
+  return K < 1.0 ? 1 : static_cast<int>(K);
 }
 
 double Rng::gaussian(double Mean, double Stddev) {

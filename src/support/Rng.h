@@ -77,6 +77,7 @@ public:
   /// Samples a geometrically distributed integer >= 1 with success
   /// probability \p P in (0, 1]; i.e. the number of trials up to and
   /// including the first success.  Used for block-size distributions.
+  /// Saturates at INT_MAX when P is so small the draw exceeds an int.
   int geometric(double P);
 
   /// Samples an approximately normal value via the sum of uniforms

@@ -107,6 +107,7 @@ public:
       Method Meth(Spec.Name + "::kern" + std::to_string(M));
       int NumBlocks = std::max(3, MethodRng.range(Spec.MinBlocksPerMethod,
                                                   Spec.MaxBlocksPerMethod));
+      Meth.blocks().reserve(static_cast<size_t>(NumBlocks));
 
       // Prologue: loop setup and trip-count checks, executed once per
       // call of the method.

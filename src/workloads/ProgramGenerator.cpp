@@ -18,14 +18,16 @@ constexpr Reg FirstFloatLiveIn = 32;
 constexpr Reg NumFloatLiveIns = 16;
 constexpr Reg FirstTemp = 64;
 
-/// Per-block emission state: available values per register class and a
-/// fresh-temporary counter.
+/// Per-block emission state over the generator's scratch: the emitted
+/// instructions, available values per register class, the statement-kind
+/// weights and a fresh-temporary counter.
 struct BlockBuilder {
   const BenchmarkSpec &Spec;
-  BasicBlock &BB;
   Rng &R;
-  std::vector<Reg> IntVals;
-  std::vector<Reg> FloatVals;
+  std::vector<Instruction> &Insts;
+  std::vector<Reg> &IntVals;
+  std::vector<Reg> &FloatVals;
+  std::vector<double> &Weights;
   Reg NextTemp = FirstTemp;
   /// Root value of the most recent statement; the block's conditional
   /// branch tests it, as in "compute x; if (x < y) ..." source code.  This
@@ -35,8 +37,16 @@ struct BlockBuilder {
   Reg LastFloatVal = FirstFloatLiveIn;
   bool LastWasFloat = false;
 
-  BlockBuilder(const BenchmarkSpec &Spec, BasicBlock &BB, Rng &R)
-      : Spec(Spec), BB(BB), R(R) {
+  BlockBuilder(const BenchmarkSpec &Spec, Rng &R,
+               std::vector<Instruction> &Insts, std::vector<Reg> &IntVals,
+               std::vector<Reg> &FloatVals, std::vector<double> &Weights)
+      : Spec(Spec), R(R), Insts(Insts), IntVals(IntVals),
+        FloatVals(FloatVals), Weights(Weights) {
+    Weights.assign({Spec.WIntExpr, Spec.WFloatExpr, Spec.WMemOp, Spec.WCall,
+                    Spec.WSystem});
+    Insts.clear();
+    IntVals.clear();
+    FloatVals.clear();
     for (Reg I = 0; I != NumIntLiveIns; ++I)
       IntVals.push_back(FirstIntLiveIn + I);
     for (Reg I = 0; I != NumFloatLiveIns; ++I)
@@ -64,18 +74,18 @@ struct BlockBuilder {
       uint16_t Attrs = 0;
       if (IsRef && R.chance(Spec.PeiProb)) {
         if (R.chance(0.5))
-          BB.append(Instruction(Opcode::NullCheck, {}, {Addr}));
+          Insts.push_back(Instruction(Opcode::NullCheck, {}, {Addr}));
         else
           Attrs = AttrPEI; // un-proven null check folded into the load
       }
-      BB.append(Instruction(IsRef ? Opcode::LoadRef : Opcode::LoadInt, {Dst},
-                            {Addr}, Attrs));
+      Insts.push_back(Instruction(IsRef ? Opcode::LoadRef : Opcode::LoadInt,
+                                  {Dst}, {Addr}, Attrs));
       noteInt(Dst);
       return Dst;
     }
     if (R.chance(0.25)) {
       Reg Dst = freshTemp();
-      BB.append(Instruction(Opcode::LoadConst, {Dst}, {}));
+      Insts.push_back(Instruction(Opcode::LoadConst, {Dst}, {}));
       noteInt(Dst);
       return Dst;
     }
@@ -88,7 +98,7 @@ struct BlockBuilder {
       Reg Addr = pickInt();
       Reg Dst = freshTemp();
       uint16_t Attrs = R.chance(Spec.PeiProb * 0.5) ? AttrPEI : 0;
-      BB.append(Instruction(Opcode::LoadFloat, {Dst}, {Addr}, Attrs));
+      Insts.push_back(Instruction(Opcode::LoadFloat, {Dst}, {Addr}, Attrs));
       noteFloat(Dst);
       return Dst;
     }
@@ -113,7 +123,7 @@ struct BlockBuilder {
     if (Op == Opcode::Mul && R.chance(0.12))
       Op = Opcode::Div;
     Reg Dst = freshTemp();
-    BB.append(Instruction(Op, {Dst}, {A, B}));
+    Insts.push_back(Instruction(Op, {Dst}, {A, B}));
     noteInt(Dst);
     return Dst;
   }
@@ -126,15 +136,15 @@ struct BlockBuilder {
     Reg B = emitFloatExpr(Ops - 1 - LeftOps);
     Reg Dst = freshTemp();
     if (R.chance(Spec.FloatDivProb)) {
-      BB.append(Instruction(R.chance(0.3) ? Opcode::FSqrt : Opcode::FDiv,
-                            {Dst}, {A, B}));
+      Insts.push_back(Instruction(
+          R.chance(0.3) ? Opcode::FSqrt : Opcode::FDiv, {Dst}, {A, B}));
     } else if (R.chance(0.25)) {
       Reg C = emitFloatLeaf();
-      BB.append(Instruction(Opcode::FMAdd, {Dst}, {A, B, C}));
+      Insts.push_back(Instruction(Opcode::FMAdd, {Dst}, {A, B, C}));
     } else {
       static const Opcode FOps[] = {Opcode::FAdd, Opcode::FSub, Opcode::FMul,
                                     Opcode::FMul};
-      BB.append(
+      Insts.push_back(
           Instruction(FOps[R.below(sizeof(FOps) / sizeof(FOps[0]))], {Dst},
                       {A, B}));
     }
@@ -156,8 +166,8 @@ struct BlockBuilder {
       Reg Addr = pickInt();
       bool IsRef = R.chance(0.25);
       uint16_t Attrs = R.chance(Spec.PeiProb * 0.3) ? AttrPEI : 0;
-      BB.append(Instruction(IsRef ? Opcode::StoreRef : Opcode::StoreInt, {},
-                            {V, Addr}, Attrs));
+      Insts.push_back(Instruction(IsRef ? Opcode::StoreRef : Opcode::StoreInt,
+                                  {}, {V, Addr}, Attrs));
     }
   }
 
@@ -170,7 +180,7 @@ struct BlockBuilder {
     // serializations, which is what makes these blocks schedulable.
     if (R.chance(0.28)) {
       Reg Addr = pickInt();
-      BB.append(Instruction(Opcode::StoreFloat, {}, {V, Addr}));
+      Insts.push_back(Instruction(Opcode::StoreFloat, {}, {V, Addr}));
     }
   }
 
@@ -180,17 +190,17 @@ struct BlockBuilder {
     Reg T = freshTemp();
     uint16_t Attrs = R.chance(Spec.PeiProb) ? AttrPEI : 0;
     bool IsRef = R.chance(0.5);
-    BB.append(Instruction(IsRef ? Opcode::LoadRef : Opcode::LoadInt, {T},
-                          {Addr}, Attrs));
+    Insts.push_back(Instruction(IsRef ? Opcode::LoadRef : Opcode::LoadInt,
+                                {T}, {Addr}, Attrs));
     noteInt(T);
     Reg U = T;
     if (R.chance(0.7)) {
       U = freshTemp();
-      BB.append(Instruction(Opcode::AddImm, {U}, {T}));
+      Insts.push_back(Instruction(Opcode::AddImm, {U}, {T}));
       noteInt(U);
     }
-    BB.append(Instruction(IsRef ? Opcode::StoreRef : Opcode::StoreInt, {},
-                          {U, pickInt()}));
+    Insts.push_back(Instruction(IsRef ? Opcode::StoreRef : Opcode::StoreInt,
+                                {}, {U, pickInt()}));
     LastIntVal = U;
     LastWasFloat = false;
   }
@@ -202,8 +212,8 @@ struct BlockBuilder {
       (void)emitIntExpr(R.range(0, 1));
     Reg Ret = freshTemp();
     bool Virtual = R.chance(0.5);
-    BB.append(Instruction(Virtual ? Opcode::CallVirtual : Opcode::Call, {Ret},
-                          {pickInt()}));
+    Insts.push_back(Instruction(
+        Virtual ? Opcode::CallVirtual : Opcode::Call, {Ret}, {pickInt()}));
     noteInt(Ret);
     LastIntVal = Ret;
     LastWasFloat = false;
@@ -213,19 +223,17 @@ struct BlockBuilder {
     double U = R.uniform();
     if (U < 0.4) {
       Reg Dst = freshTemp();
-      BB.append(Instruction(Opcode::SysRegRead, {Dst}, {}));
+      Insts.push_back(Instruction(Opcode::SysRegRead, {Dst}, {}));
       noteInt(Dst);
     } else if (U < 0.8) {
-      BB.append(Instruction(Opcode::SysRegWrite, {}, {pickInt()}));
+      Insts.push_back(Instruction(Opcode::SysRegWrite, {}, {pickInt()}));
     } else {
-      BB.append(Instruction(Opcode::MemBar, {}, {}));
+      Insts.push_back(Instruction(Opcode::MemBar, {}, {}));
     }
   }
 
   void emitStatement() {
-    std::vector<double> W = {Spec.WIntExpr, Spec.WFloatExpr, Spec.WMemOp,
-                             Spec.WCall, Spec.WSystem};
-    switch (R.pickWeighted(W)) {
+    switch (R.pickWeighted(Weights)) {
     case 0:
       emitIntStatement();
       break;
@@ -248,17 +256,16 @@ struct BlockBuilder {
 } // namespace
 
 BasicBlock ProgramGenerator::generateBlock(Rng &R, int NumStatements,
-                                           bool EndWithTerminator) const {
-  BasicBlock BB("bb", 1);
-  BlockBuilder Builder(Spec, BB, R);
+                                           bool EndWithTerminator) {
+  BlockBuilder Builder(Spec, R, Insts, IntVals, FloatVals, Weights);
 
   if (R.chance(Spec.YieldProb))
-    BB.append(Instruction(Opcode::YieldPoint, {}, {}));
+    Insts.push_back(Instruction(Opcode::YieldPoint, {}, {}));
 
   // Trivial blocks carry at most one leftover move before the terminator.
   if (NumStatements == 0 && R.chance(0.5)) {
     Reg Dst = Builder.freshTemp();
-    BB.append(Instruction(Opcode::Move, {Dst}, {Builder.pickInt()}));
+    Insts.push_back(Instruction(Opcode::Move, {Dst}, {Builder.pickInt()}));
     Builder.noteInt(Dst);
     Builder.LastIntVal = Dst;
   }
@@ -267,9 +274,9 @@ BasicBlock ProgramGenerator::generateBlock(Rng &R, int NumStatements,
     Builder.emitStatement();
     if (R.chance(Spec.SafepointProb)) {
       if (R.chance(0.3))
-        BB.append(Instruction(Opcode::ThreadSwitchPoint, {}, {}));
+        Insts.push_back(Instruction(Opcode::ThreadSwitchPoint, {}, {}));
       else
-        BB.append(Instruction(Opcode::GcSafepoint, {}, {}));
+        Insts.push_back(Instruction(Opcode::GcSafepoint, {}, {}));
     }
   }
 
@@ -280,22 +287,22 @@ BasicBlock ProgramGenerator::generateBlock(Rng &R, int NumStatements,
       // comparison is chained onto the computation, not freely hoistable.
       Reg Cond = Builder.freshTemp();
       if (Builder.LastWasFloat)
-        BB.append(Instruction(Opcode::FCmp, {Cond},
-                              {Builder.LastFloatVal, Builder.pickFloat()}));
+        Insts.push_back(Instruction(
+            Opcode::FCmp, {Cond}, {Builder.LastFloatVal, Builder.pickFloat()}));
       else
-        BB.append(Instruction(Opcode::Cmp, {Cond},
-                              {Builder.LastIntVal, Builder.pickInt()}));
-      BB.append(Instruction(Opcode::BrCond, {}, {Cond}));
+        Insts.push_back(Instruction(Opcode::Cmp, {Cond},
+                                    {Builder.LastIntVal, Builder.pickInt()}));
+      Insts.push_back(Instruction(Opcode::BrCond, {}, {Cond}));
     } else if (U < 0.82) {
-      BB.append(Instruction(Opcode::Br, {}, {}));
+      Insts.push_back(Instruction(Opcode::Br, {}, {}));
     } else {
-      BB.append(Instruction(Opcode::Ret, {}, {}));
+      Insts.push_back(Instruction(Opcode::Ret, {}, {}));
     }
   }
-  return BB;
+  return BasicBlock("bb", 1, Insts);
 }
 
-Program ProgramGenerator::generate() const {
+Program ProgramGenerator::generate() {
   Rng Master(Spec.Seed);
   Program P(Spec.Name);
 
@@ -304,6 +311,7 @@ Program ProgramGenerator::generate() const {
     Method Meth(Spec.Name + "::m" + std::to_string(M));
     int NumBlocks =
         MethodRng.range(Spec.MinBlocksPerMethod, Spec.MaxBlocksPerMethod);
+    Meth.blocks().reserve(static_cast<size_t>(NumBlocks));
 
     for (int B = 0; B != NumBlocks; ++B) {
       int NumStatements =

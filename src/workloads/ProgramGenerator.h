@@ -36,15 +36,23 @@ public:
 
   /// Builds the whole benchmark program.  Calling twice returns identical
   /// programs (all randomness derives from Spec.Seed).
-  Program generate() const;
+  Program generate();
 
-  /// Builds a single block with \p NumStatements statements; exposed for
-  /// tests and microbenchmarks that need size-controlled blocks.
-  BasicBlock generateBlock(Rng &R, int NumStatements,
-                           bool EndWithTerminator) const;
+  /// Builds a single block with \p NumStatements statements, its
+  /// instructions in one exact-size allocation; exposed for the families
+  /// that shape their own methods and for tests that need size-controlled
+  /// blocks.
+  BasicBlock generateBlock(Rng &R, int NumStatements, bool EndWithTerminator);
 
 private:
   const BenchmarkSpec &Spec;
+  /// Emission scratch reused across blocks, so a generator is used by one
+  /// thread at a time: the block being emitted, the values live per
+  /// register class, and the statement-kind weights.
+  std::vector<Instruction> Insts;
+  std::vector<Reg> IntVals;
+  std::vector<Reg> FloatVals;
+  std::vector<double> Weights;
 };
 
 /// Convenience: generates every program of a suite, in suite order.

@@ -55,11 +55,14 @@ BenchmarkSpec chaseSpec(const char *Name, const char *Desc, uint64_t Seed) {
 
 /// Emits one block holding a single serial pointer chain of \p ChainLen
 /// loads.  Every load uses the previous link's value as its address, so
-/// the block's critical path equals its instruction count.
-BasicBlock chaseBlock(const BenchmarkSpec &Spec, Rng &R, int ChainLen) {
-  BasicBlock BB("bb", 1);
+/// the block's critical path equals its instruction count.  The chain is
+/// built in \p Insts, scratch reused across blocks, and the block gets
+/// one exact-size copy of it.
+BasicBlock chaseBlock(const BenchmarkSpec &Spec, Rng &R, int ChainLen,
+                      std::vector<Instruction> &Insts) {
+  Insts.clear();
   if (R.chance(Spec.YieldProb))
-    BB.append(Instruction(Opcode::YieldPoint, {}, {}));
+    Insts.push_back(Instruction(Opcode::YieldPoint, {}, {}));
 
   Reg Addr = FirstIntLiveIn + static_cast<Reg>(R.below(NumIntLiveIns));
   Reg NextTemp = FirstTemp;
@@ -67,16 +70,16 @@ BasicBlock chaseBlock(const BenchmarkSpec &Spec, Rng &R, int ChainLen) {
     uint16_t Attrs = 0;
     if (R.chance(Spec.PeiProb)) {
       if (R.chance(0.5))
-        BB.append(Instruction(Opcode::NullCheck, {}, {Addr}));
+        Insts.push_back(Instruction(Opcode::NullCheck, {}, {Addr}));
       else
         Attrs = AttrPEI; // un-proven null check folded into the load
     }
     Reg Link = NextTemp++;
-    BB.append(Instruction(Opcode::LoadRef, {Link}, {Addr}, Attrs));
+    Insts.push_back(Instruction(Opcode::LoadRef, {Link}, {Addr}, Attrs));
     if (R.chance(0.35)) {
       // Field offset / bucket step: still on the chain.
       Reg Stepped = NextTemp++;
-      BB.append(Instruction(Opcode::AddImm, {Stepped}, {Link}));
+      Insts.push_back(Instruction(Opcode::AddImm, {Stepped}, {Link}));
       Addr = Stepped;
     } else {
       Addr = Link;
@@ -88,14 +91,14 @@ BasicBlock chaseBlock(const BenchmarkSpec &Spec, Rng &R, int ChainLen) {
   double U = R.uniform();
   if (U < 0.80) {
     Reg Cond = NextTemp++;
-    BB.append(Instruction(
+    Insts.push_back(Instruction(
         Opcode::Cmp, {Cond},
         {Addr, static_cast<Reg>(FirstIntLiveIn + R.below(NumIntLiveIns))}));
-    BB.append(Instruction(Opcode::BrCond, {}, {Cond}));
+    Insts.push_back(Instruction(Opcode::BrCond, {}, {Cond}));
   } else {
-    BB.append(Instruction(Opcode::Ret, {}, {}));
+    Insts.push_back(Instruction(Opcode::Ret, {}, {}));
   }
-  return BB;
+  return BasicBlock("bb", 1, Insts);
 }
 
 class PtrChaseFamily : public WorkloadFamily {
@@ -145,12 +148,14 @@ public:
   Program load(const BenchmarkSpec &Spec) const override {
     Rng Master(Spec.Seed);
     Program P(Spec.Name);
+    std::vector<Instruction> Insts;
 
     for (int M = 0; M != Spec.NumMethods; ++M) {
       Rng MethodRng = Master.split();
       Method Meth(Spec.Name + "::walk" + std::to_string(M));
       int NumBlocks = MethodRng.range(Spec.MinBlocksPerMethod,
                                       Spec.MaxBlocksPerMethod);
+      Meth.blocks().reserve(static_cast<size_t>(NumBlocks));
 
       for (int B = 0; B != NumBlocks; ++B) {
         int ChainLen =
@@ -158,7 +163,7 @@ public:
                 ? 1
                 : std::min(Spec.MaxStatements,
                            MethodRng.geometric(Spec.StatementGeoP));
-        BasicBlock BB = chaseBlock(Spec, MethodRng, ChainLen);
+        BasicBlock BB = chaseBlock(Spec, MethodRng, ChainLen, Insts);
 
         // Hotness mirrors the generator's skew, with the *long* chains
         // hottest -- the inner walk loops -- so a length-only filter

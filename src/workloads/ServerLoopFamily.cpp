@@ -114,6 +114,7 @@ public:
       Method Meth(Spec.Name + "::svc" + std::to_string(M));
       int NumBlocks = MethodRng.range(Spec.MinBlocksPerMethod,
                                       Spec.MaxBlocksPerMethod);
+      Meth.blocks().reserve(static_cast<size_t>(NumBlocks));
 
       // Block 0 is the accept/dispatch loop head: one or two statements
       // (poll the queue, test the opcode), executed once per request --

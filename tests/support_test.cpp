@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <sstream>
 
 using namespace schedfilter;
@@ -79,6 +80,20 @@ TEST(Rng, GeometricMeanRoughlyInverseP) {
   for (int I = 0; I < N; ++I)
     Sum += R.geometric(0.25);
   EXPECT_NEAR(Sum / N, 4.0, 0.2);
+}
+
+TEST(Rng, GeometricSaturatesForTinyP) {
+  // The mean is ~1e12 trials, beyond an int: the draw saturates at
+  // INT_MAX instead of overflowing the conversion (undefined behaviour
+  // that used to land on INT_MIN and then clamp to 1).
+  Rng R(7);
+  int Saturated = 0;
+  for (int I = 0; I < 100; ++I) {
+    int K = R.geometric(1e-12);
+    EXPECT_GT(K, 1);
+    Saturated += K == INT_MAX;
+  }
+  EXPECT_GE(Saturated, 95);
 }
 
 TEST(Rng, PickWeightedRespectsZeroWeight) {

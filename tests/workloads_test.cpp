@@ -5,6 +5,7 @@
 
 #include "TestHelpers.h"
 #include "features/Features.h"
+#include "io/TraceStore.h"
 #include "mir/Verifier.h"
 
 #include <gtest/gtest.h>
@@ -150,6 +151,22 @@ TEST(ProgramGenerator, GenerateBlockHonorsStatementCount) {
   EXPECT_GT(Many.size(), Zero.size());
 }
 
+TEST(ProgramGenerator, BlocksAreExactSize) {
+  // Every generated block owns exactly its instructions: no growth slack
+  // survives generation, in any family or through generateBlock.
+  for (const WorkloadFamily *F : WorkloadRegistry::instance().families())
+    for (const BenchmarkSpec &S : shrinkSuite(F->makeBenchmarkSuite(), 4))
+      generateWorkloadProgram(S).forEachBlock([&](const BasicBlock &BB) {
+        EXPECT_EQ(BB.instructions().capacity(), BB.size()) << S.Name;
+      });
+  ProgramGenerator Gen(*findBenchmarkSpec("raytrace"));
+  Rng R(5);
+  for (int N : {0, 1, 8, 40}) {
+    BasicBlock BB = Gen.generateBlock(R, N, /*EndWithTerminator=*/true);
+    EXPECT_EQ(BB.instructions().capacity(), BB.size()) << N;
+  }
+}
+
 TEST(ProgramGenerator, HazardsAppearAtExpectedRates) {
   BenchmarkSpec S = *findBenchmarkSpec("javac");
   S.NumMethods = 30;
@@ -261,6 +278,48 @@ TEST(WorkloadRegistry, FamilyLessSpecFallsBackToProgramGenerator) {
       findWorkloadFamily("ptrchase")->makeBenchmarkSuite().front();
   EXPECT_EQ(workloadGeneratorVersion(Chase),
             findWorkloadFamily("ptrchase")->version());
+}
+
+TEST(WorkloadRegistry, ProgramDigestPinned) {
+  // Bit-exact guard on program synthesis: one stock draw of every
+  // family's suite, hashed with the repository's FNV-1a.  Each method
+  // contributes its name and block count; each block its exec count and,
+  // per instruction, the opcode, category bits (intrinsic plus hazard
+  // attributes), defs and uses.  Any generator change that moves a
+  // single Rng draw or operand fails this, and must bump the family's
+  // version (and GeneratorVersion for specjvm98/fp) along with the pin.
+  std::string Bytes;
+  uint64_t Programs = 0, Blocks = 0, Insts = 0;
+  for (const WorkloadFamily *F : WorkloadRegistry::instance().families())
+    for (const BenchmarkSpec &S : F->makeBenchmarkSuite()) {
+      Program P = F->load(S);
+      ++Programs;
+      wire::putString(Bytes, P.getName());
+      for (const Method &M : P) {
+        wire::putString(Bytes, M.getName());
+        wire::putU32(Bytes, static_cast<uint32_t>(M.size()));
+        for (const BasicBlock &BB : M) {
+          wire::putU64(Bytes, BB.getExecCount());
+          wire::putU32(Bytes, static_cast<uint32_t>(BB.size()));
+          for (const Instruction &I : BB) {
+            wire::putU16(Bytes, static_cast<uint16_t>(I.getOpcode()));
+            wire::putU16(Bytes, I.categories());
+            Bytes.push_back(static_cast<char>(I.defs().size()));
+            for (Reg R : I.defs())
+              wire::putU16(Bytes, R);
+            Bytes.push_back(static_cast<char>(I.uses().size()));
+            for (Reg R : I.uses())
+              wire::putU16(Bytes, R);
+          }
+          ++Blocks;
+          Insts += BB.size();
+        }
+      }
+    }
+  EXPECT_EQ(Programs, 22u);
+  EXPECT_EQ(Blocks, 23713u);
+  EXPECT_EQ(Insts, 239228u);
+  EXPECT_EQ(wire::fnv1a(Bytes.data(), Bytes.size()), 0xa2228a65886ca709ULL);
 }
 
 TEST(GenerateSuite, OneProgramPerSpecInOrder) {
