@@ -1,6 +1,7 @@
 //===- features/Features.cpp - Table 1 block features ----------------------===//
 
 #include "features/Features.h"
+#include "support/HotAlign.h"
 
 #include <cassert>
 
@@ -56,6 +57,7 @@ const char *schedfilter::getFeatureName(unsigned F) {
   }
 }
 
+SCHEDFILTER_HOT_ALIGN
 FeatureVector schedfilter::extractFeatures(const BasicBlock &BB) {
   FeatureVector X{};
   if (BB.empty())

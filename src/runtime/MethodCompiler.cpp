@@ -3,6 +3,7 @@
 #include "runtime/MethodCompiler.h"
 
 #include "sched/SchedContext.h"
+#include "support/HotAlign.h"
 #include "support/Timer.h"
 
 #include <cassert>
@@ -12,6 +13,7 @@ using namespace schedfilter;
 MethodCompiler::MethodCompiler(const MachineModel &Model, SchedContext &Ctx)
     : Scheduler(Model), Sim(Model), Ctx(Ctx) {}
 
+SCHEDFILTER_HOT_ALIGN
 void MethodCompiler::schedulePhase(const Method &M, SchedulingPolicy Policy,
                                    ScheduleFilter *Filter,
                                    CompileReport &Report) {
@@ -51,6 +53,7 @@ void MethodCompiler::schedulePhase(const Method &M, SchedulingPolicy Policy,
   }
 }
 
+SCHEDFILTER_HOT_ALIGN
 void MethodCompiler::compileMethod(const Method &M, SchedulingPolicy Policy,
                                    ScheduleFilter *Filter,
                                    CompileReport &Report) {

@@ -255,10 +255,19 @@ MultiAppStats MultiAppService::run() {
 
   // Where each method is on its way through the tiers.  Queued methods
   // still run baseline code; only a drain moves a method to Optimizing.
+  // One extra entry, the idle method, stands for a tick an empty program
+  // owns: it charges nothing and never leaves the baseline tier.
   enum class MethodState : uint8_t { Baseline, Queued, Optimizing };
-  std::vector<double> Cost = BaselineCost;
-  std::vector<MethodState> State(NumMethods, MethodState::Baseline);
-  std::vector<uint32_t> Samples(NumMethods, 0);
+  const uint32_t IdleMethod = static_cast<uint32_t>(NumMethods);
+  struct InvocationCost {
+    double Current;  ///< the method's current-tier cost
+    double Baseline; ///< its baseline cost, throughout
+  };
+  std::vector<InvocationCost> Cost(NumMethods + 1, {0.0, 0.0});
+  for (size_t M = 0; M != NumMethods; ++M)
+    Cost[M] = {BaselineCost[M], BaselineCost[M]};
+  std::vector<MethodState> State(NumMethods + 1, MethodState::Baseline);
+  std::vector<uint32_t> Samples(NumMethods + 1, 0);
   RecompileQueue Queue(Cfg.QueueCap);
 
   // The session's entropy: stream 0 decides *which app* owns each tick;
@@ -272,6 +281,27 @@ MultiAppStats MultiAppService::run() {
   for (size_t A = 0; A != Apps.size(); ++A)
     AppStream.push_back(Interleaved ? Rng(Cfg.StreamSeed).fork(A + 1)
                                     : Interleave);
+
+  // What one chunk's ticks drew: the charge slot (the owning app, or
+  // IdleSlot for a tick an empty program owns) and the invoked method.
+  // A lone app's slots stay 0 all run.  Sized by DrawChunk, never by
+  // the epoch length.
+  const uint32_t IdleSlot = static_cast<uint32_t>(Apps.size());
+  std::vector<uint32_t> TickSlot(DrawChunk, 0);
+  std::vector<uint32_t> TickMethod(DrawChunk);
+  // The application-side folds, written back at stream end: the
+  // aggregate in locals, each app (plus the discarded idle slot) in its
+  // own entry.  Each fold adds the same costs in the same tick order as a
+  // per-tick update of St would, so the doubles carry the same bits.
+  struct AppCharge {
+    double AppTime = 0.0;
+    double BaselineAppTime = 0.0;
+    uint64_t Invocations = 0;
+    uint64_t Optimized = 0;
+  };
+  std::vector<AppCharge> Charge(Apps.size() + 1);
+  double AppTime = 0.0;
+  double BaselineAppTime = 0.0;
 
   // Drains compile on this thread through one context reused all run: a
   // drain is a few methods, less work than a fork/join over the pool.
@@ -313,9 +343,12 @@ MultiAppStats MultiAppService::run() {
   // at any job count.
   CdfTable EpochDraw = AppDraw;
   std::vector<double> DriftCum(Apps.size());
-  // Ticks until the next sample: tick T is sampled iff T % SampleEvery
-  // == 0.  Every tick counts, a degenerate app's included.
-  uint32_t SampleIn = 0;
+  // Tick T is sampled iff T % SampleEvery == 0; SampleIn counts the ticks
+  // from the current chunk's start to the next sample.  Every tick
+  // counts, an idle one included.  (SampleEvery 0 wraps to a 2^32-tick
+  // period, as a 32-bit countdown would.)
+  const uint64_t SamplePeriod = uint64_t(Cfg.SampleEvery - 1) + 1;
+  uint64_t SampleIn = 0;
 
   for (uint64_t Tick = 0; Tick < Cfg.Invocations;) {
     if (MixDrift) {
@@ -327,37 +360,62 @@ MultiAppStats MultiAppService::run() {
       assert(EpochTotal > 0.0 && "drift factors must stay positive");
       EpochDraw.rebuild(DriftCum);
     }
-    uint64_t EpochEnd = std::min(Tick + Cfg.EpochLen, Cfg.Invocations);
-    for (; Tick != EpochEnd; ++Tick) {
-      // Whose tick is it?  One uniform draw on the interleave CDF.
-      size_t A = Interleaved ? EpochDraw.index(Interleave.next53()) : 0;
-      const bool Sampled = SampleIn == 0;
-      SampleIn = Sampled ? Cfg.SampleEvery - 1 : SampleIn - 1;
-      const CdfTable &Methods = MethodDraw[A];
-      if (Methods.total() <= 0.0)
-        continue; // degenerate app (empty program); tick still elapses
+    const uint64_t EpochEnd = std::min(Tick + Cfg.EpochLen, Cfg.Invocations);
+    // The epoch's ticks, one chunk at a time.  Within an epoch no method
+    // changes tier or cost (only a drain does), so charging a tick never
+    // depends on what the sampler did to the ticks before it: each stage
+    // runs over the whole chunk, and no stream's draw order or fold
+    // order changes.
+    while (Tick != EpochEnd) {
+      const size_t Len =
+          static_cast<size_t>(std::min<uint64_t>(EpochEnd - Tick, DrawChunk));
 
-      // The invoked method: one profile-weighted CDF draw on the app's
-      // own substream.
-      size_t M = Offset[A] + Methods.index(AppStream[A].next53());
+      // Stage 1: whose tick is it?  One uniform draw on the interleave
+      // CDF per tick.
+      if (Interleaved)
+        for (size_t I = 0; I != Len; ++I)
+          TickSlot[I] =
+              static_cast<uint32_t>(EpochDraw.index(Interleave.next53()));
 
-      ServiceStats &App = St.PerApp[A];
-      ++App.Invocations;
-      St.Total.AppTime += Cost[M];
-      St.Total.BaselineAppTime += BaselineCost[M];
-      App.AppTime += Cost[M];
-      App.BaselineAppTime += BaselineCost[M];
-      ++(State[M] == MethodState::Optimizing ? App.OptimizedInvocations
-                                             : App.BaselineInvocations);
+      // Stage 2: the invoked method, one profile-weighted CDF draw on the
+      // owning app's own substream.  An empty program draws nothing; its
+      // tick elapses idle.
+      for (size_t I = 0; I != Len; ++I) {
+        const uint32_t A = TickSlot[I];
+        const CdfTable &Methods = MethodDraw[A];
+        if (Methods.total() > 0.0) {
+          TickMethod[I] = static_cast<uint32_t>(
+              Offset[A] + Methods.index(AppStream[A].next53()));
+        } else {
+          TickMethod[I] = IdleMethod;
+          TickSlot[I] = IdleSlot;
+        }
+      }
 
-      if (Sampled) {
+      // Stage 3: charge every tick in tick order, then run the sampler
+      // over the chunk's sampled ticks, also in tick order.
+      for (size_t I = 0; I != Len; ++I) {
+        const uint32_t M = TickMethod[I];
+        const InvocationCost C = Cost[M];
+        AppCharge &Ch = Charge[TickSlot[I]];
+        AppTime += C.Current;
+        BaselineAppTime += C.Baseline;
+        Ch.AppTime += C.Current;
+        Ch.BaselineAppTime += C.Baseline;
+        ++Ch.Invocations;
+        Ch.Optimized += State[M] == MethodState::Optimizing;
+      }
+      for (; SampleIn < Len; SampleIn += SamplePeriod) {
+        const uint32_t M = TickMethod[SampleIn];
+        if (M == IdleMethod)
+          continue; // a sampled idle tick inspects nothing
         ++St.Total.SampledInvocations;
-        ++Samples[M];
-        if (State[M] == MethodState::Baseline &&
-            Samples[M] >= Cfg.HotThreshold) {
+        if (++Samples[M] >= Cfg.HotThreshold &&
+            State[M] == MethodState::Baseline) {
           // Backpressure: a full queue sheds the nomination; the method
           // stays hot and is re-nominated at its next sample.
-          if (Queue.push(static_cast<uint32_t>(M))) {
+          ServiceStats &App = St.PerApp[TickSlot[SampleIn]];
+          if (Queue.push(M)) {
             State[M] = MethodState::Queued;
             ++App.Promotions;
           } else {
@@ -365,6 +423,8 @@ MultiAppStats MultiAppService::run() {
           }
         }
       }
+      SampleIn -= Len;
+      Tick += Len;
     }
 
     // Epoch boundary: the shared virtual compiler drains for all apps.
@@ -399,7 +459,7 @@ MultiAppStats MultiAppService::run() {
         MC.compileMethod(Meth, Cfg.OptimizingPolicy, nullptr, Report);
       }
       State[M] = MethodState::Optimizing;
-      Cost[M] = Report.SimulatedTime;
+      Cost[M].Current = Report.SimulatedTime;
       ServiceStats &App = St.PerApp[A];
       App.SchedulingWork += Report.SchedulingWork;
       App.FilterWork += Report.FilterWork;
@@ -427,6 +487,18 @@ MultiAppStats MultiAppService::run() {
         ++St.Total.Retrains;
     }
   }
+
+  // Write the application-side folds back; the idle slot is discarded.
+  for (size_t A = 0; A != Apps.size(); ++A) {
+    ServiceStats &App = St.PerApp[A];
+    App.Invocations = Charge[A].Invocations;
+    App.OptimizedInvocations = Charge[A].Optimized;
+    App.BaselineInvocations = Charge[A].Invocations - Charge[A].Optimized;
+    App.AppTime = Charge[A].AppTime;
+    App.BaselineAppTime = Charge[A].BaselineAppTime;
+  }
+  St.Total.AppTime = AppTime;
+  St.Total.BaselineAppTime = BaselineAppTime;
 
   St.Total.FinalFilterVersion = Cur ? Cur->Version : 0;
   for (uint64_t ServiceStats::*Field : PerAppFields)

@@ -36,6 +36,13 @@
 ///   - the bounded queue (runtime/RecompileQueue.h) is FIFO and its
 ///     backpressure rule (drop when full, re-nominate at the next hot
 ///     sample) depends only on arrival order;
+///   - dispatch is staged: each epoch is served in chunks of at most
+///     DrawChunk ticks, and each chunk first draws every tick's app, then
+///     every tick's method, then charges its ticks and runs the sampler
+///     over them in tick order.  Each stream is still drawn in tick order
+///     and every cost is still folded in tick order, and no method changes
+///     tier or cost inside an epoch (only a drain does), so the stats are
+///     bit-identical to a tick-at-a-time loop's;
 ///   - drained requests compile on the service's own thread, in drain
 ///     order, through one SchedContext reused across epochs, and each
 ///     folds into the stats as it retires.  A drain is a few methods, so a
@@ -247,6 +254,11 @@ std::optional<std::string> checkServiceStats(const MultiAppStats &St);
 /// a fresh all-baseline state and an identical stream).
 class MultiAppService {
 public:
+  /// Ticks per dispatch chunk.  run() serves each epoch in chunks of at
+  /// most this many ticks (a chunk never crosses an epoch boundary) and
+  /// sizes its per-tick scratch by it, never by the epoch length.
+  static constexpr size_t DrawChunk = 1024;
+
   /// \p Programs must be generateMixPrograms(Apps) (or bit-identical);
   /// both are borrowed for the service's lifetime.  \p Cfg.StreamSeed
   /// should come from workloadMixSeed, or from invocationStreamSeed for a

@@ -1,6 +1,7 @@
 //===- sched/DependenceGraph.cpp - Block dependence DAG --------------------===//
 
 #include "sched/DependenceGraph.h"
+#include "support/HotAlign.h"
 
 #include <algorithm>
 #include <cassert>
@@ -67,6 +68,7 @@ void DependenceGraph::addEdge(int From, int To, unsigned Latency,
   Work += 4;
 }
 
+SCHEDFILTER_HOT_ALIGN
 void DependenceGraph::build(const BasicBlock &BB, const MachineModel &Model,
                             DagBuildScratch &S) {
   size_t N = BB.size();

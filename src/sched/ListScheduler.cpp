@@ -3,6 +3,7 @@
 #include "sched/ListScheduler.h"
 
 #include "sched/SchedContext.h"
+#include "support/HotAlign.h"
 
 #include <algorithm>
 #include <cassert>
@@ -18,6 +19,7 @@ uint64_t ListScheduler::schedule(const BasicBlock &BB, SchedContext &Ctx,
          Dag.workUnits();
 }
 
+SCHEDFILTER_HOT_ALIGN
 uint64_t ListScheduler::scheduleInto(const BasicBlock &BB,
                                      const DependenceGraph &Dag,
                                      ListSchedulerScratch &S,

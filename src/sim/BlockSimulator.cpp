@@ -3,6 +3,7 @@
 #include "sim/BlockSimulator.h"
 
 #include "sched/SchedContext.h"
+#include "support/HotAlign.h"
 
 #include <algorithm>
 #include <cassert>
@@ -33,6 +34,7 @@ uint64_t BlockSimulator::simulate(const BasicBlock &BB,
   return run(BB, Order, Ctx.simScratch());
 }
 
+SCHEDFILTER_HOT_ALIGN
 uint64_t BlockSimulator::run(const BasicBlock &BB,
                              const std::vector<int> &Order,
                              SimScratch &S) const {

@@ -73,6 +73,10 @@ public:
     assert(N && "draw from an empty CdfTable");
     double U = scaled(Raw);
     uint32_t I = Guide[Raw >> Shift];
+    // Two branch-free probes settle nearly every draw; the sentinel
+    // stops them at n.  The loop finishes a long bucket.
+    I += Cum[I] <= U;
+    I += Cum[I] <= U;
     while (Cum[I] <= U)
       ++I;
     return std::min<size_t>(I, N - 1);

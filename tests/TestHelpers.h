@@ -15,6 +15,8 @@
 #include "workloads/BenchmarkSpec.h"
 
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include <unistd.h>
@@ -38,6 +40,26 @@ struct TempCacheDir {
   }
   std::string str() const { return Path.string(); }
 };
+
+/// Reads a whole file as bytes; empty on open failure.
+inline std::string slurp(const std::string &Path) {
+  std::ifstream IS(Path, std::ios::binary);
+  std::ostringstream OS;
+  OS << IS.rdbuf();
+  return OS.str();
+}
+
+/// Leaves next to \p Path what a writer killed inside
+/// wire::writeFileAtomic leaves: a temp file named as the helper names its
+/// own (<path>.tmp.<pid>.<n>), holding the first half of \p Bytes.  Its
+/// pid, 2^22, is above any pid Linux assigns, so no writer reuses the
+/// name.  Returns the leftover's path.
+inline std::string plantInterruptedWrite(const std::string &Path,
+                                         const std::string &Bytes) {
+  std::string Tmp = Path + ".tmp.4194304.0";
+  std::ofstream(Tmp, std::ios::binary) << Bytes.substr(0, Bytes.size() / 2);
+  return Tmp;
+}
 
 /// Two independent float multiply trees feeding an add and a store, in
 /// naive (depth-first) order: the canonical block that benefits from

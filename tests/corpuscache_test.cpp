@@ -303,6 +303,40 @@ TEST(CorpusCache, WarmEngineSkipsAllSuiteTracing) {
   EXPECT_EQ(A.AppRatioLS, B.AppRatioLS);
 }
 
+TEST(CorpusCache, CrashLeftoversKeepTheWarmRunHitting) {
+  // A cold run killed mid-store leaves *.tmp.<pid>.<n> files beside the
+  // entries.  They are never read as entries: every entry the run did
+  // store still hits, and a key whose only trace is a leftover misses
+  // cleanly (a cold miss, not an invalid entry).
+  TempCacheDir Dir("cc-crash");
+  MachineModel Model = MachineModel::ppc7410();
+  std::vector<BenchmarkSpec> Suite = testSuite();
+  CorpusCache ColdCache(Dir.str());
+  ExperimentEngine Cold(2);
+  Cold.setCorpusCache(&ColdCache);
+  std::vector<BenchmarkRun> ColdRuns = Cold.generateSuiteData(Suite, Model);
+  std::vector<std::filesystem::path> Entries;
+  for (const auto &E : std::filesystem::directory_iterator(Dir.Path))
+    Entries.push_back(E.path());
+  ASSERT_EQ(Entries.size(), Suite.size());
+  for (const std::filesystem::path &P : Entries)
+    plantInterruptedWrite(P.string(), slurp(P.string()));
+  CorpusKey Unstored{"db", "ppc7410", GeneratorVersion,
+                     TracePipelineVersion, 0x1234, ""};
+  plantInterruptedWrite(ColdCache.entryPath(Unstored),
+                        slurp(Entries.front().string()));
+
+  CorpusCache WarmCache(Dir.str());
+  ExperimentEngine Warm(2);
+  Warm.setCorpusCache(&WarmCache);
+  std::vector<BenchmarkRun> WarmRuns = Warm.generateSuiteData(Suite, Model);
+  EXPECT_EQ(Warm.tracedBlocks(), 0u);
+  EXPECT_EQ(WarmCache.stats().Hits, Suite.size());
+  expectRunsIdentical(ColdRuns, WarmRuns);
+  EXPECT_FALSE(WarmCache.load(Unstored).has_value());
+  EXPECT_EQ(WarmCache.stats().InvalidEntries, 0u);
+}
+
 TEST(CorpusCache, WarmLoadIdenticalAtAnyJobCount) {
   TempCacheDir Dir("cc-jobs");
   MachineModel Model = MachineModel::ppc7410();

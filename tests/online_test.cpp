@@ -66,14 +66,6 @@ ServiceStats runOnline(TaskPool &Pool, FilterRegistry *Reg = nullptr) {
   return serveOneApp(P, M, onlineConfig(), &RS, Pool, 1.0, Reg).Total;
 }
 
-/// Reads a whole file as bytes; empty on open failure.
-std::string slurp(const std::string &Path) {
-  std::ifstream IS(Path, std::ios::binary);
-  std::ostringstream OS;
-  OS << IS.rdbuf();
-  return OS.str();
-}
-
 FilterVersionMeta testMeta(uint32_t Version) {
   FilterVersionMeta Meta;
   Meta.Version = Version;
@@ -265,6 +257,30 @@ TEST(FilterRegistry, RejectsRenamedEntry) {
   ParseResult<RegistryEntry> E = Reg.load(2);
   ASSERT_FALSE(static_cast<bool>(E));
   EXPECT_NE(E.error().Message.find("version"), std::string::npos);
+}
+
+TEST(FilterRegistry, CrashLeftoversAreIgnored) {
+  // A store killed before its rename leaves only a temp file, which is
+  // not a version.  A half-written entry under a version's own name (a
+  // torn copy) is listed, but its checksum keeps load() from believing it.
+  TempCacheDir Dir("sffr-crash");
+  TempCacheDir Other("sffr-crash-src");
+  FilterRegistry Reg(Dir.str());
+  FilterRegistry Src(Other.str());
+  ASSERT_TRUE(Reg.store(testMeta(1), testRules()));
+  ASSERT_TRUE(Src.store(testMeta(2), testRules()));
+  ASSERT_TRUE(Src.store(testMeta(3), testRules()));
+  plantInterruptedWrite(Reg.entryPath(3), slurp(Src.entryPath(3)));
+  const std::string V2 = slurp(Src.entryPath(2));
+  { std::ofstream(Reg.entryPath(2), std::ios::binary)
+        << V2.substr(0, V2.size() / 2); }
+
+  EXPECT_EQ(Reg.listVersions(), (std::vector<uint32_t>{1, 2}));
+  EXPECT_TRUE(static_cast<bool>(Reg.load(1)));
+  ParseResult<RegistryEntry> Torn = Reg.load(2);
+  ASSERT_FALSE(static_cast<bool>(Torn));
+  EXPECT_NE(Torn.error().Message.find("checksum"), std::string::npos);
+  EXPECT_FALSE(static_cast<bool>(Reg.load(3)));
 }
 
 TEST(FilterRegistry, ListVersionsSortedIgnoringJunk) {

@@ -9,6 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "io/TraceStore.h"
+#include "noise/NoiseStack.h"
 #include "runtime/MultiAppService.h"
 #include "runtime/RecompileQueue.h"
 #include "target/MachineModel.h"
@@ -449,6 +451,115 @@ TEST(MultiAppService, ComparisonSharesPromotionDynamics) {
             Cmp.Always.Total.SchedulingWork);
   EXPECT_GT(Cmp.RecoupedWorkFraction, 0.0);
   EXPECT_LT(Cmp.RecoupedWorkFraction, 1.0);
+}
+
+namespace {
+
+/// FNV-1a over every deterministic field of \p St -- each integer
+/// counter and the AppTime/BaselineAppTime bits of Total and of every
+/// app, plus the aggregate's compile pins -- in one fixed order.
+uint64_t statsDigest(const MultiAppStats &St) {
+  std::string B;
+  auto Put = [&B](const ServiceStats &S) {
+    for (uint64_t V :
+         {S.Invocations, S.Epochs, S.SampledInvocations, S.Promotions,
+          S.Deferred, S.CompiledMethods, S.MethodsOptimized, S.MethodsTotal,
+          S.MaxQueueDepth, S.FinalQueueDepth, S.BaselineInvocations,
+          S.OptimizedInvocations, S.SchedulingWork, S.FilterWork,
+          S.BlocksCompiled, S.BlocksScheduled, S.FilterLS, S.FilterNS,
+          S.Retrains, S.CorpusRecords, uint64_t(S.FinalFilterVersion)})
+      wire::putU64(B, V);
+    wire::putF64(B, S.AppTime);
+    wire::putF64(B, S.BaselineAppTime);
+    wire::putF64(B, S.MeanQueueDepth);
+    for (const ServiceStats::CompilePinStat &C : S.Compiles) {
+      wire::putU64(B, C.Epoch);
+      wire::putU64(B, C.Method);
+      wire::putU64(B, C.SchedulingWork);
+    }
+  };
+  Put(St.Total);
+  for (const ServiceStats &App : St.PerApp)
+    Put(App);
+  return wire::fnv1a(B.data(), B.size());
+}
+
+} // namespace
+
+TEST(MultiAppService, StreamPinnedAcrossDrawChunks) {
+  // The dispatch loop draws and charges in chunks of DrawChunk ticks that
+  // never cross an epoch boundary.  Epoch lengths below, at and above the
+  // chunk size, a stream ending mid-epoch, an idle (empty-program) app, a
+  // lone app and a drifting mix must all replay a tick-at-a-time loop bit
+  // for bit.  Every value was taken from such a loop.
+  std::vector<AppSpec> Mix = testMix();
+  std::vector<Program> MixPrograms = generateMixPrograms(Mix);
+  std::vector<AppSpec> WithEmpty = Mix;
+  std::vector<Program> WithEmptyPrograms = MixPrograms;
+  AppSpec Empty;
+  Empty.Spec.Name = "empty";
+  Empty.Weight = 2.0;
+  WithEmpty.insert(WithEmpty.begin() + 2, Empty);
+  WithEmptyPrograms.insert(WithEmptyPrograms.begin() + 2, Program("empty"));
+  std::vector<AppSpec> Lone(1);
+  Lone[0].Spec.Name = "mpegaudio";
+  std::vector<Program> LonePrograms{testProgram()};
+  ParseResult<NoiseStack> Drift = parseNoiseStack("drift:1", 13);
+  ASSERT_TRUE(Drift.has_value());
+
+  struct Case {
+    const char *Name;
+    const std::vector<AppSpec> &Apps;
+    const std::vector<Program> &Programs;
+    uint32_t EpochLen;
+    bool Drifts;
+    double AppTime, BaselineAppTime;
+    uint64_t Digest;
+  };
+  const Case Cases[] = {
+      {"epoch-1", Mix, MixPrograms, 1, false, 0x1.36488e8a28p+37,
+       0x1.3b5e59acap+37, 0x30c3c5655bd857deULL},
+      {"epoch-1000", Mix, MixPrograms, 1000, false, 0x1.3af7708478p+37,
+       0x1.3b5e59acap+37, 0x13bbaa5bfff977caULL},
+      {"epoch-1024", Mix, MixPrograms, 1024, false, 0x1.3b29772ba8p+37,
+       0x1.3b5e59acap+37, 0xc63d14fc98e0fb41ULL},
+      {"epoch-1500", Mix, MixPrograms, 1500, false, 0x1.3b456d352p+37,
+       0x1.3b5e59acap+37, 0x7b8159e4d7bbd6ffULL},
+      {"epoch-5000", Mix, MixPrograms, 5000, false, 0x1.3b5ba963bp+37,
+       0x1.3b5e59acap+37, 0xdb32cb705a6ad76aULL},
+      {"empty-app", WithEmpty, WithEmptyPrograms, 1500, false,
+       0x1.af550a0fcp+36, 0x1.afeba613cp+36, 0xadc460b0ada6f1f4ULL},
+      {"lone-app", Lone, LonePrograms, 1500, false, 0x1.dc2df4633p+36,
+       0x1.123cbd7b78p+37, 0xb3dc99a993481bc0ULL},
+      {"drift", Mix, MixPrograms, 1500, true, 0x1.2d18bc1458p+37,
+       0x1.2d41b339a8p+37, 0x3cae4fd913036125ULL},
+  };
+
+  MachineModel M = MachineModel::ppc7410();
+  RuleSet RS = testRules();
+  TaskPool Pool(2);
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    ServiceConfig Cfg = testConfig();
+    Cfg.Invocations = 12347; // a multiple of no epoch length above
+    Cfg.SampleEvery = 3;     // nor a divisor of DrawChunk
+    Cfg.EpochLen = C.EpochLen;
+    Cfg.StreamSeed = C.Apps.size() == 1 ? invocationStreamSeed(42)
+                                        : workloadMixSeed(C.Apps);
+    MultiAppService Svc(C.Apps, C.Programs, M, Cfg, &RS, Pool);
+    if (C.Drifts)
+      Svc.setMixDrift(Drift->mixDrift());
+    MultiAppStats St = Svc.run();
+
+    ASSERT_EQ(checkServiceStats(St), std::nullopt);
+    EXPECT_GT(St.Total.CompiledMethods, 0u);
+    EXPECT_TRUE(sameBits(St.Total.AppTime, C.AppTime))
+        << std::hexfloat << St.Total.AppTime;
+    EXPECT_TRUE(sameBits(St.Total.BaselineAppTime, C.BaselineAppTime))
+        << std::hexfloat << St.Total.BaselineAppTime;
+    EXPECT_EQ(statsDigest(St), C.Digest)
+        << std::hex << "0x" << statsDigest(St);
+  }
 }
 
 TEST(SingleAppService, StreamSeedIsPartOfWorkloadIdentity) {

@@ -194,13 +194,13 @@ size_t upperBoundIndex(const std::vector<double> &Cum, double U) {
   return std::min(I, Cum.size() - 1);
 }
 
-/// Checks \p T (built over \p Cum) against upper_bound on a seeded stream
-/// -- uniform() on one copy, next53() on the other -- and on the draws
-/// nearest each bucket edge and each CDF step.
+/// Checks \p T (built over \p Cum) against upper_bound on \p NumDraws
+/// draws of a seeded stream -- uniform() on one copy, next53() on the
+/// other -- and on the draws nearest each bucket edge and each CDF step.
 void expectUpperBoundIndex(const CdfTable &T, const std::vector<double> &Cum,
-                           Rng &Draws) {
+                           Rng &Draws, int NumDraws = 4000) {
   const double Total = Cum.back();
-  for (int I = 0; I < 4000; ++I) {
+  for (int I = 0; I < NumDraws; ++I) {
     Rng Ref = Draws;
     ASSERT_EQ(T.index(Draws.next53()),
               upperBoundIndex(Cum, Ref.uniform() * Total));
@@ -299,6 +299,37 @@ TEST(CdfTable, RebuiltMidStreamAsDriftDoes) {
     EXPECT_EQ(T.size(), Cum.size());
     expectUpperBoundIndex(T, Cum, Draws);
   }
+}
+
+TEST(CdfTable, ProbesAndLoopMatchUpperBoundOverAMillionDraws) {
+  // index() settles a draw with two branch-free probes and finishes a
+  // long bucket in a loop.  Sizes on either side of each power of two
+  // change the bucket count; runs of zero weights stack duplicate steps;
+  // one dominant weight crowds every other step into the end buckets,
+  // where a draw walks many entries and the loop runs.  21 sizes x 3
+  // shapes x 16000 seeded draws, plus each table's bucket-edge draws.
+  std::vector<size_t> Sizes = {1, 2, 3};
+  for (unsigned K = 2; K <= 10; ++K) {
+    Sizes.push_back((size_t(1) << K) - 1);
+    Sizes.push_back((size_t(1) << K) + 1);
+  }
+  Rng Shape(8);
+  Rng Draws(9);
+  for (size_t N : Sizes)
+    for (int Kind = 0; Kind != 3; ++Kind) {
+      std::vector<double> W(N);
+      for (size_t I = 0; I != N; ++I) {
+        W[I] = Shape.uniform(0.01, 3.0);
+        if (Kind == 1 && (I / 8) % 2 == 1)
+          W[I] = 0.0; // alternating runs of eight zeros
+        if (Kind == 2 && I == N / 2)
+          W[I] = 1e12;
+      }
+      std::vector<double> Cum = runningSum(W);
+      SCOPED_TRACE("n = " + std::to_string(N) +
+                   ", shape = " + std::to_string(Kind));
+      expectUpperBoundIndex(CdfTable(Cum), Cum, Draws, 16000);
+    }
 }
 
 TEST(Statistics, MeanAndMedian) {

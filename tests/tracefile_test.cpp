@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <limits>
 #include <sstream>
 
@@ -346,4 +348,28 @@ TEST(TraceFile, CsvAndBinaryDecodeToIdenticalRecords) {
   ASSERT_TRUE(FromBin.has_value());
   expectRecordsEqual(*FromCsv, *FromBin);
   expectRecordsEqual(Records, *FromCsv);
+}
+
+TEST(WriteFileAtomic, InterruptedWriteNeverShadowsTheTarget) {
+  // A writer killed between its temp write and its rename leaves a
+  // *.tmp.<pid>.<n> file.  The target keeps its old bytes, the next write
+  // replaces them whole, and the leftover is neither read nor removed.
+  TempCacheDir Dir("atomic-write");
+  const std::string Path = (Dir.Path / "entry.bin").string();
+  ASSERT_TRUE(wire::writeFileAtomic(Path, "old entry"));
+  const std::string Leftover =
+      plantInterruptedWrite(Path, "an entry that was never renamed");
+  EXPECT_EQ(slurp(Path), "old entry");
+  ASSERT_TRUE(wire::writeFileAtomic(Path, "newer entry"));
+  EXPECT_EQ(slurp(Path), "newer entry");
+
+  // Only the target and the foreign leftover remain: each write's own
+  // temp file left with its rename, and a failed write (its parent is a
+  // file, not a directory) leaves none.
+  EXPECT_FALSE(wire::writeFileAtomic(Path + "/child", "unwritable"));
+  std::vector<std::string> Names;
+  for (const auto &E : std::filesystem::directory_iterator(Dir.Path))
+    Names.push_back(E.path().string());
+  std::sort(Names.begin(), Names.end());
+  EXPECT_EQ(Names, (std::vector<std::string>{Path, Leftover}));
 }
