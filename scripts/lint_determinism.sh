@@ -28,10 +28,6 @@ allow() {
   # Rng.h: names std::mt19937 in the comment explaining why the repo
   # avoids it; no engine is instantiated.
   src/support/Rng.h:*mt19937*) return 0 ;;
-  # TraceStore.cpp: wire::writeFileAtomic's StoreSerial counter only
-  # makes each temp-file name unique before the atomic rename; the name
-  # never reaches an entry's bytes or any printed result.
-  src/io/TraceStore.cpp:*atomic*) return 0 ;;
   *) return 1 ;;
   esac
 }
@@ -57,7 +53,6 @@ audit_allow() {
 }
 audit_allow src/support/Timer.h 'steady_clock'
 audit_allow src/support/Rng.h 'mt19937'
-audit_allow src/io/TraceStore.cpp 'static std::atomic'
 
 status=0
 check() {

@@ -124,6 +124,7 @@ std::vector<Dataset> labelOnTable(const std::vector<BenchmarkRun> &Suite,
   Pool.parallelFor(Suite.size(), [&](size_t B) {
     Dataset D(Suite[B].Name, Table);
     const std::vector<BlockRecord> &Records = Suite[B].Records;
+    D.reserve(Records.size());
     for (size_t R = 0; R != Records.size(); ++R)
       if (std::optional<Label> L = labelWithThreshold(Records[R], ThresholdPct))
         D.addRow(static_cast<uint32_t>(First[B] + R), *L);

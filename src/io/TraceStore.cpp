@@ -4,7 +4,6 @@
 
 #include "features/Features.h"
 
-#include <atomic>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -16,6 +15,7 @@
 #include <istream>
 #include <iterator>
 #include <ostream>
+#include <thread>
 
 #include <unistd.h>
 
@@ -154,11 +154,13 @@ bool wire::writeFileAtomic(const std::string &Path, const std::string &Bytes) {
   std::filesystem::create_directories(
       std::filesystem::path(Path).parent_path(), EC); // best effort
 
-  // Unique temp name per process and call, then an atomic rename: a
-  // concurrent reader sees the old file or the new one, never torn bytes.
-  static std::atomic<uint64_t> StoreSerial{0};
-  std::string Tmp = Path + ".tmp." + std::to_string(::getpid()) + "." +
-                    std::to_string(StoreSerial.fetch_add(1));
+  // A temp name unique to the writing process and thread, then an atomic
+  // rename: a concurrent reader sees the old file or the new one, never
+  // torn bytes.  A thread's writes are sequential and each renames its
+  // temp away before returning, so no two live writes share the name.
+  std::string Tmp =
+      Path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(std::hash<std::thread::id>()(std::this_thread::get_id()));
   {
     std::ofstream OS(Tmp, std::ios::binary | std::ios::trunc);
     if (!OS)

@@ -14,6 +14,10 @@ namespace {
 LoocvFold trainFold(const std::vector<Dataset> &PerBenchmark, size_t Held,
                     const LearnerFn &Learner) {
   Dataset Train("train-without-" + PerBenchmark[Held].getName());
+  size_t Size = 0;
+  for (const Dataset &D : PerBenchmark)
+    Size += D.size();
+  Train.reserve(Size - PerBenchmark[Held].size());
   for (size_t J = 0; J != PerBenchmark.size(); ++J)
     if (J != Held)
       Train.append(PerBenchmark[J]);

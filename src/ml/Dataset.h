@@ -108,6 +108,11 @@ public:
   }
   /// Adds row \p Row of the rank table with label \p Y.
   void addRow(uint32_t Row, Label Y);
+  /// Makes room for \p N instances and their row ids.
+  void reserve(size_t N) {
+    Instances.reserve(N);
+    RowIds.reserve(N);
+  }
   /// Appends \p Other's instances.  The result stays on a rank table when
   /// both sides sit on the same one (or this side is empty).
   void append(const Dataset &Other);

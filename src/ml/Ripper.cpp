@@ -10,15 +10,26 @@
 //    value-order sweep is a walk over ranks.  Datasets labeled from one
 //    suite share one table -- all 77 folds of sf-report's sweep -- and
 //    train() just gathers its rows and labels; a dataset without a table
-//    (CSV, add()) is ranked by the same table builder first.
+//    (CSV, add()) is ranked by the same table builder first.  One key
+//    per (feature, instance), rank << 1 | label, is its histogram slot
+//    and what conditions test; the trainer keeps no copy of the values.
 //  - Finding the best FOIL condition counts the covered instances' (P, N)
 //    into a rank-indexed histogram per feature and walks its non-empty
 //    bins in ascending order -- O(features x (covered + distinct)) per
 //    condition -- with an FP-sound upper bound (gain <= P * -BaseInfo)
 //    skipping provably-losing candidates.
+//  - A fresh rule's first search fills by subtraction: the trainer keeps
+//    a histogram of the universe the grow/prune split is drawn from (the
+//    uncovered instances, or an optimization pass's reach set), takes
+//    claimed instances out of it, and subtracts the prune split (a third)
+//    from a copy instead of counting the grow split (two thirds).
+//  - The split shuffles only as far as it settles the prune positions;
+//    the other steps draw without swapping, so the Rng stream and both
+//    sets are the full shuffle's.
 //  - The covered set is one instance list, filtered per condition.
 //  - The MDL bookkeeping is incremental: each rule's coverage bitmask is
-//    computed once and kept beside it for the rest of training
+//    an AND of its conditions' masks, each computed once per training and
+//    cached, and is kept beside the rule for the rest of training
 //    (replacement, revision, mop-up, deletion, the final coverage
 //    counts); exception counts are popcounts against per-call class
 //    masks; rule deletion bit-slices the cover count into "covered >= 1"
@@ -43,7 +54,10 @@
 #include <atomic>
 #include <cassert>
 #include <cmath>
+#include <cstring>
+#include <map>
 #include <numeric>
+#include <tuple>
 
 using namespace schedfilter;
 
@@ -85,10 +99,21 @@ double subsetDL(size_t N, size_t K) {
   return std::log2(static_cast<double>(N) + 1.0) + log2Binomial(N, K);
 }
 
-/// Deterministic Fisher-Yates shuffle.
-void shuffle(IndexList &V, Rng &R) {
-  for (size_t I = V.size(); I > 1; --I)
+/// Fisher-Yates over \p V, but swapping only while a step settles a
+/// position at or past \p Keep: those positions end up exactly as the full
+/// shuffle leaves them, and so does the set in [0, Keep).  The remaining
+/// steps consume the Rng exactly as Rng::below would (same rejection
+/// test) without the swap.
+void shuffleTail(IndexList &V, size_t Keep, Rng &R) {
+  size_t I = V.size();
+  for (; I > 1 && I > Keep; --I)
     std::swap(V[I - 1], V[R.below(static_cast<uint32_t>(I))]);
+  for (; I > 1; --I) {
+    uint32_t B = static_cast<uint32_t>(I), X;
+    do
+      X = R.next32();
+    while (X < B && X < (0u - B) % B);
+  }
 }
 
 /// One feature's best candidate from a value-order sweep; reduced across
@@ -133,16 +158,17 @@ struct Trainer {
   size_t Words;         // 64-bit words per instance bitmask
 
   // --- The immutable per-train() view, gathered from the rank table. ---
-  /// Values[F * N + i]: instance i's feature F, bit for bit.
-  std::vector<double> Values;
   /// IsPos[i]: instance i's label equals the target class.
   std::vector<uint8_t> IsPos;
-  /// Rank[F * N + i]: instance i's rank in the table's feature F.
-  std::vector<uint32_t> Rank;
+  /// Key[F * N + i]: (r << 1) | IsPos[i] for instance i's rank r in the
+  /// table's feature F -- its slot in feature F's histograms.
+  std::vector<uint32_t> Key;
   /// RankValue[F][r]: the value of rank r, bit for bit as the
   /// lowest-index training instance holding it (ranks no instance holds
   /// are never read).
   std::vector<std::vector<double>> RankValue;
+  /// Per feature: the histogram (as Hist) of every training instance.
+  std::vector<std::vector<uint32_t>> AllHist;
 
   // --- Scratch (reused across every grown rule; no steady-state
   // --- allocations). ---
@@ -151,6 +177,16 @@ struct Trainer {
   /// Per feature: (N, P) counts of the covered instances at slots
   /// (2r, 2r + 1) for rank r.  All zero between sweeps.
   std::vector<std::vector<uint32_t>> Hist;
+  /// Per feature: the histogram of the universe the next grow/prune split
+  /// is drawn from, holding UnivSize instances.
+  std::vector<std::vector<uint32_t>> Univ;
+  size_t UnivSize = 0;
+  /// The current grow/prune split.
+  IndexList GrowPos, GrowNeg, PrunePos, PruneNeg;
+  /// Each condition's coverage bitmask, keyed by (feature, direction,
+  /// threshold bits) and computed at most once per training.
+  std::map<std::tuple<unsigned, bool, uint64_t>, std::vector<uint64_t>>
+      CondMasks;
   /// Per-feature sweep results (index-owned slots for the pool).
   std::vector<FeatureBest> FeatureResults;
   /// Prune-split instances still matched by the rule prefix under
@@ -170,9 +206,9 @@ struct Trainer {
     IsPos.resize(N);
     for (size_t I = 0; I != N; ++I)
       IsPos[I] = Data[I].Y == Target;
-    Values.resize(static_cast<size_t>(NumFeatures) * N);
-    Rank.resize(static_cast<size_t>(NumFeatures) * N);
+    Key.resize(static_cast<size_t>(NumFeatures) * N);
     RankValue.resize(NumFeatures);
+    AllHist.resize(NumFeatures);
     Hist.resize(NumFeatures);
     FeatureResults.resize(NumFeatures);
     std::vector<size_t> Present(NumFeatures);
@@ -186,38 +222,35 @@ struct Trainer {
       NumConds += 2 * P;
     CondSpaceBits =
         std::log2(std::max<double>(2.0, static_cast<double>(NumConds)));
+    Univ = AllHist;
+    UnivSize = N;
   }
 
-  /// Fills feature \p F's Values, Rank and RankValue from \p Table and
-  /// returns how many of its ranks the training set holds.  A mixed rank
-  /// (-0.0 and +0.0) takes the bits of its lowest-index holder here, which
-  /// need not be the table's.
+  /// Fills feature \p F's Key, RankValue and AllHist from \p Table
+  /// and returns how many of its ranks the training set holds.  A mixed
+  /// rank (-0.0 and +0.0) takes the bits of its lowest-index holder here,
+  /// which need not be the table's.
   size_t gatherFeature(unsigned F, const RankTable &Table,
                        const uint32_t *Rows) {
     const double *TV = Table.values(F);
     const uint32_t *TR = Table.ranks(F);
-    double *V = Values.data() + static_cast<size_t>(F) * N;
-    uint32_t *RankF = Rank.data() + static_cast<size_t>(F) * N;
-    for (size_t I = 0; I != N; ++I) {
-      V[I] = TV[Rows[I]];
-      RankF[I] = TR[Rows[I]];
-    }
+    uint32_t *KeyF = Key.data() + static_cast<size_t>(F) * N;
     std::vector<double> &RV = RankValue[F];
     RV = Table.rankValues(F);
-    // Hist doubles as the "rank held" scratch; it is zero again on return.
-    std::vector<uint32_t> &H = Hist[F];
-    H.assign(2 * RV.size(), 0);
-    for (size_t I = 0; I != N; ++I)
-      H[2 * RankF[I]] = 1;
-    size_t Held = 0;
-    for (size_t R = 0; R != RV.size(); ++R) {
-      Held += H[2 * R];
-      H[2 * R] = 0;
+    std::vector<uint32_t> &All = AllHist[F];
+    All.assign(2 * RV.size(), 0);
+    Hist[F].assign(2 * RV.size(), 0);
+    for (size_t I = 0; I != N; ++I) {
+      KeyF[I] = (TR[Rows[I]] << 1) | IsPos[I];
+      ++All[KeyF[I]];
     }
+    size_t Held = 0;
+    for (size_t R = 0; R != RV.size(); ++R)
+      Held += All[2 * R] + All[2 * R + 1] != 0;
     for (uint32_t M : Table.mixedRanks(F))
       for (size_t I = 0; I != N; ++I)
-        if (RankF[I] == M) {
-          RV[M] = V[I];
+        if (KeyF[I] >> 1 == M) {
+          RV[M] = TV[Rows[I]];
           break;
         }
     return Held;
@@ -238,15 +271,27 @@ struct Trainer {
       Body(F);
   }
 
-  const double *col(unsigned F) const {
-    return Values.data() + static_cast<size_t>(F) * N;
+  const uint32_t *keys(unsigned F) const {
+    return Key.data() + static_cast<size_t>(F) * N;
   }
 
-  /// Does instance \p I satisfy \p C?  Compares the same doubles as
-  /// Condition::matches against the row-major FeatureVector.
-  bool condMatches(const Condition &C, int32_t I) const {
-    double V = col(C.Feature)[static_cast<size_t>(I)];
-    return C.IsLessEqual ? V <= C.Threshold : V >= C.Threshold;
+  /// The keys in [Lo, Hi]: the instances satisfying a condition.
+  struct KeyRange {
+    uint32_t Lo, Hi;
+    bool holds(uint32_t K) const { return K - Lo <= Hi - Lo; }
+  };
+
+  /// \p C's keys.  C's threshold is the value of a rank the training set
+  /// holds, and ranks order the values (equal values, -0.0 and +0.0
+  /// included, share one), so an instance satisfies C exactly when its
+  /// rank is on C's side of the threshold's: Condition::matches's
+  /// memberships, without the values.
+  KeyRange keyRange(const Condition &C) const {
+    const std::vector<double> &RV = RankValue[C.Feature];
+    uint32_t R = static_cast<uint32_t>(
+        std::lower_bound(RV.begin(), RV.end(), C.Threshold) - RV.begin());
+    assert(R < RV.size() && RV[R] == C.Threshold && "a rank's value");
+    return C.IsLessEqual ? KeyRange{0, 2 * R + 1} : KeyRange{2 * R, ~0u};
   }
 
   /// Theory cost of one rule (Cohen's redundancy-adjusted encoding).
@@ -255,29 +300,38 @@ struct Trainer {
     return 0.5 * (std::log2(K + 1.0) + K * CondSpaceBits);
   }
 
+  /// One bit per instance: set iff the instance satisfies \p C, from the
+  /// cache.  A miss is a branchless sequential scan of the feature's keys.
+  const std::vector<uint64_t> &condMask(const Condition &C) {
+    uint64_t Bits;
+    std::memcpy(&Bits, &C.Threshold, sizeof Bits);
+    std::vector<uint64_t> &Mask = CondMasks[{C.Feature, C.IsLessEqual, Bits}];
+    if (!Mask.empty())
+      return Mask;
+    Mask.resize(Words);
+    const uint32_t *KeyF = keys(C.Feature);
+    KeyRange KR = keyRange(C);
+    for (size_t W = 0; W != Words; ++W) {
+      size_t Base = W * 64;
+      size_t End = std::min<size_t>(64, N - Base);
+      uint64_t M = 0;
+      for (size_t B = 0; B != End; ++B)
+        M |= static_cast<uint64_t>(KR.holds(KeyF[Base + B])) << B;
+      Mask[W] = M;
+    }
+    return Mask;
+  }
+
   /// One bit per instance: set iff the instance satisfies every condition
-  /// of \p R.  Each condition is a branchless sequential scan of its
-  /// column; the memberships are exactly those of per-instance rule
-  /// evaluation.  Bits past the instance count may be set and must not be
-  /// read (the class masks are zero there).
-  std::vector<uint64_t> ruleMask(const Rule &R) const {
+  /// of \p R -- the AND of the conditions' masks.  Bits past the instance
+  /// count may be set and must not be read (the class masks are zero
+  /// there).
+  std::vector<uint64_t> ruleMask(const Rule &R) {
     std::vector<uint64_t> Mask(Words, ~0ull);
     for (const Condition &C : R.Conditions) {
-      const double *Col = col(C.Feature);
-      double T = C.Threshold;
-      for (size_t W = 0; W != Words; ++W) {
-        size_t Base = W * 64;
-        size_t End = std::min<size_t>(64, N - Base);
-        uint64_t M = 0;
-        if (C.IsLessEqual) {
-          for (size_t B = 0; B != End; ++B)
-            M |= static_cast<uint64_t>(Col[Base + B] <= T) << B;
-        } else {
-          for (size_t B = 0; B != End; ++B)
-            M |= static_cast<uint64_t>(Col[Base + B] >= T) << B;
-        }
-        Mask[W] &= M;
-      }
+      const std::vector<uint64_t> &M = condMask(C);
+      for (size_t W = 0; W != Words; ++W)
+        Mask[W] &= M[W];
     }
     return Mask;
   }
@@ -351,31 +405,51 @@ struct Trainer {
     return DL;
   }
 
-  /// Stratified grow/prune split of (Pos, Neg).
-  void splitGrowPrune(const IndexList &Pos, const IndexList &Neg, Rng &R,
-                      IndexList &GrowPos, IndexList &GrowNeg,
-                      IndexList &PrunePos, IndexList &PruneNeg) const {
-    IndexList P = Pos, N = Neg;
-    shuffle(P, R);
-    shuffle(N, R);
-    size_t PG = static_cast<size_t>(
-        std::ceil(Opts.GrowFraction * static_cast<double>(P.size())));
-    size_t NG = static_cast<size_t>(
-        std::ceil(Opts.GrowFraction * static_cast<double>(N.size())));
-    GrowPos.assign(P.begin(), P.begin() + static_cast<long>(PG));
-    PrunePos.assign(P.begin() + static_cast<long>(PG), P.end());
-    GrowNeg.assign(N.begin(), N.begin() + static_cast<long>(NG));
-    PruneNeg.assign(N.begin() + static_cast<long>(NG), N.end());
+  /// Stratified grow/prune split of (Pos, Neg): each class is
+  /// shuffled, its first ceil(GrowFraction x size) instances grow and the
+  /// rest prune.  (Pos, Neg) must be the universe.
+  void splitGrowPrune(const IndexList &Pos, const IndexList &Neg, Rng &R) {
+    assert(Pos.size() + Neg.size() == UnivSize &&
+           "the split is drawn from the universe");
+    auto Cut = [&](const IndexList &L, IndexList &Grow, IndexList &Prune) {
+      size_t G = static_cast<size_t>(
+          std::ceil(Opts.GrowFraction * static_cast<double>(L.size())));
+      Grow = L;
+      shuffleTail(Grow, G, R);
+      Prune.assign(Grow.begin() + static_cast<long>(G), Grow.end());
+      Grow.resize(G);
+    };
+    Cut(Pos, GrowPos, PrunePos);
+    Cut(Neg, GrowNeg, PruneNeg);
+  }
+
+  /// Takes the universe instances \p Word(W) selects out of it.
+  template <typename WordFn> void leaveUniverse(const WordFn &Word) {
+    std::vector<uint64_t> Leaving(Words);
+    size_t Count = 0;
+    for (size_t W = 0; W != Words; ++W) {
+      Leaving[W] = Word(W);
+      Count += static_cast<size_t>(__builtin_popcountll(Leaving[W]));
+    }
+    UnivSize -= Count;
+    forEachFeature(Count, [&](unsigned F) {
+      uint32_t *U = Univ[F].data();
+      const uint32_t *KeyF = keys(F);
+      for (size_t W = 0; W != Words; ++W)
+        for (uint64_t B = Leaving[W]; B != 0; B &= B - 1)
+          --U[KeyF[W * 64 + static_cast<size_t>(__builtin_ctzll(B))]];
+    });
   }
 
   /// Sweeps feature \p F's covered instances in ascending value order and
   /// records the best candidate threshold by FOIL information gain.  The
   /// covered (P, N) counts are gathered into the feature's rank-indexed
-  /// histogram, whose non-empty bins -- the distinct-value groups -- are
-  /// then visited in rank order.  The prefix counts (P, N with value <= v)
-  /// are exactly what the old sort-per-condition sweep counted; the gain
-  /// expression and the strict-greater tie policy are unchanged, so the
-  /// winner is too.
+  /// histogram -- from CovList, or, when \p Subtract, as the universe's
+  /// histogram minus the prune split -- and its non-empty bins (the
+  /// distinct-value groups) are then visited in rank order.  The prefix
+  /// counts (P, N with value <= v) are exactly what the old
+  /// sort-per-condition sweep counted; the gain expression and the
+  /// strict-greater tie policy are unchanged, so the winner is too.
   ///
   /// \p Hint carries the largest gain any feature's sweep has *exactly*
   /// achieved so far (monotone; updated as features finish).  Since
@@ -388,8 +462,9 @@ struct Trainer {
   /// ever changes: results are bit-identical with the hint arriving in
   /// any order, including not at all.
   void scanFeature(unsigned F, size_t P0, size_t N0, double BaseInfo,
-                   std::atomic<double> &Hint, FeatureBest &Out) {
-    const uint32_t *RankF = Rank.data() + static_cast<size_t>(F) * N;
+                   bool Subtract, std::atomic<double> &Hint,
+                   FeatureBest &Out) {
+    const uint32_t *KeyF = keys(F);
     const std::vector<double> &Values = RankValue[F];
     double BestGain = 1e-9;
     double HintGain = Hint.load(std::memory_order_relaxed);
@@ -397,8 +472,16 @@ struct Trainer {
     FeatureBest Best;
     size_t PrefP = 0, PrefN = 0;
     uint32_t *H = Hist[F].data();
-    for (int32_t I : CovList)
-      ++H[(RankF[I] << 1) | IsPos[static_cast<size_t>(I)]];
+    if (Subtract) {
+      std::copy(Univ[F].begin(), Univ[F].end(), H);
+      for (int I : PrunePos)
+        --H[KeyF[I]];
+      for (int I : PruneNeg)
+        --H[KeyF[I]];
+    } else {
+      for (int32_t I : CovList)
+        ++H[KeyF[I]];
+    }
     // Bins past the last covered rank are empty: stop once the prefix
     // holds the whole covered set.
     for (uint32_t R = 0; PrefP + PrefN != P0 + N0; ++R) {
@@ -446,10 +529,11 @@ struct Trainer {
   /// attached -- and the argmax is reduced in feature order with the
   /// serial sweep's strict-greater policy (lowest feature index wins
   /// ties).  \p KeepP / \p KeepN receive the covered positives and
-  /// negatives the winner keeps.  Returns false when no condition has
-  /// positive gain (or none excludes anything).
-  bool findBestCondition(size_t CovP, size_t CovN, Condition &Best,
-                         size_t &KeepP, size_t &KeepN) {
+  /// negatives the winner keeps.  \p Subtract says the covered set is the
+  /// whole grow split.  Returns false when no condition has positive gain
+  /// (or none excludes anything).
+  bool findBestCondition(size_t CovP, size_t CovN, bool Subtract,
+                         Condition &Best, size_t &KeepP, size_t &KeepN) {
     size_t P0 = CovP, N0 = CovN;
     if (P0 == 0)
       return false;
@@ -457,7 +541,7 @@ struct Trainer {
                                 static_cast<double>(P0 + N0));
     std::atomic<double> Hint{1e-9};
     forEachFeature(P0 + N0, [&](unsigned F) {
-      scanFeature(F, P0, N0, BaseInfo, Hint, FeatureResults[F]);
+      scanFeature(F, P0, N0, BaseInfo, Subtract, Hint, FeatureResults[F]);
     });
     double BestGain = 1e-9;
     bool Found = false;
@@ -476,25 +560,26 @@ struct Trainer {
 
   /// Restricts the covered set to instances satisfying \p C.
   void applyCondition(const Condition &C, size_t &CovP, size_t &CovN) {
-    CovP = CovN = 0;
+    const uint32_t *KeyF = keys(C.Feature);
+    KeyRange KR = keyRange(C);
+    CovP = 0;
     size_t W = 0;
     for (int32_t I : CovList) {
-      if (!condMatches(C, I))
+      uint32_t K = KeyF[I];
+      if (!KR.holds(K))
         continue;
       CovList[W++] = I;
-      if (IsPos[static_cast<size_t>(I)])
-        ++CovP;
-      else
-        ++CovN;
+      CovP += K & 1;
     }
     CovList.resize(W);
+    CovN = W - CovP;
   }
 
-  /// Grows \p R by adding best-gain conditions until no negatives remain
-  /// covered.  \p Covers is R's coverage mask when R already has
-  /// conditions (a revision); null when it has none.
-  void growRule(Rule &R, const IndexList &GrowPos, const IndexList &GrowNeg,
-                const std::vector<uint64_t> *Covers) {
+  /// Grows \p R on the grow split by adding best-gain conditions until no
+  /// negatives remain covered.  \p Covers is R's coverage mask when R
+  /// already has conditions (a revision); null when it has none, and then
+  /// the first search fills by subtraction.
+  void growRule(Rule &R, const std::vector<uint64_t> *Covers) {
     assert((Covers != nullptr) == !R.Conditions.empty() &&
            "a mask exactly for rules that already have conditions");
     // Seed the covered set with the grow instances the rule already
@@ -511,11 +596,13 @@ struct Trainer {
         CovList.push_back(I);
         ++CovN;
       }
+    bool Subtract = !Covers;
     while (CovN != 0 && R.size() < Opts.MaxConditionsPerRule) {
       Condition C;
       size_t KeepP = 0, KeepN = 0;
-      if (!findBestCondition(CovP, CovN, C, KeepP, KeepN))
+      if (!findBestCondition(CovP, CovN, Subtract, C, KeepP, KeepN))
         break;
+      Subtract = false;
       R.Conditions.push_back(C);
       applyCondition(C, CovP, CovN);
       assert(CovP == KeepP && CovN == KeepN &&
@@ -529,8 +616,7 @@ struct Trainer {
   /// incrementally -- each condition filters the surviving prune
   /// instances -- producing the exact counts of the old per-prefix
   /// recount.
-  void pruneRule(Rule &R, const IndexList &PrunePos,
-                 const IndexList &PruneNeg) {
+  void pruneRule(Rule &R) {
     if (R.Conditions.empty())
       return;
     double BestWorth = -2.0;
@@ -542,10 +628,12 @@ struct Trainer {
     for (size_t Len = 0; Len <= R.size(); ++Len) {
       if (Len > 0) {
         const Condition &C = R.Conditions[Len - 1];
+        const uint32_t *KeyF = keys(C.Feature);
+        KeyRange KR = keyRange(C);
         auto Filter = [&](std::vector<int32_t> &L) {
           size_t W = 0;
           for (int32_t I : L)
-            if (condMatches(C, I))
+            if (KR.holds(KeyF[I]))
               L[W++] = I;
           L.resize(W);
         };
@@ -566,7 +654,8 @@ struct Trainer {
   }
 
   /// IREP* main loop: returns an ordered list of rules for the target
-  /// class covering \p Pos against \p Neg, with their masks.  The MDL
+  /// class covering \p Pos against \p Neg, which must be the universe,
+  /// with their masks.  The MDL
   /// check after each accepted rule ORs the new rule's mask into the
   /// union and counts exceptions by popcount against the call's class
   /// masks -- the same memberships, so the same description lengths.
@@ -583,19 +672,18 @@ struct Trainer {
     double BestDL = DLOf([&](size_t W) { return AccumMask[W]; });
 
     while (!Pos.empty() && Out.Rules.size() < Opts.MaxRules) {
-      IndexList GP, GN, PP, PN;
-      splitGrowPrune(Pos, Neg, R, GP, GN, PP, PN);
+      splitGrowPrune(Pos, Neg, R);
 
       Rule NewRule;
       NewRule.Conclusion = Target;
-      growRule(NewRule, GP, GN, nullptr);
-      pruneRule(NewRule, PP, PN);
+      growRule(NewRule, nullptr);
+      pruneRule(NewRule);
       if (NewRule.Conditions.empty())
         break;
       std::vector<uint64_t> Mask = ruleMask(NewRule);
 
       // Reject rules that are wrong more often than right on prune data.
-      size_t P = countIn(Mask, PP), N = countIn(Mask, PN);
+      size_t P = countIn(Mask, PrunePos), N = countIn(Mask, PruneNeg);
       if (P + N > 0 && N > P)
         break;
 
@@ -611,6 +699,9 @@ struct Trainer {
         Out.Rules.pop_back();
         break;
       }
+      leaveUniverse([&](size_t W) {
+        return Mask[W] & ~AccumMask[W] & (CM.Pos[W] | CM.Neg[W]);
+      });
       orInto(AccumMask, Mask);
 
       auto RemoveCovered = [&](IndexList &L) {
@@ -630,7 +721,8 @@ struct Trainer {
 
   /// One optimization pass over \p L (replacement / revision / keep by
   /// minimum description length), followed by mop-up and rule deletion.
-  /// \p CM holds (\p AllPos, \p AllNeg) as class masks.
+  /// \p CM holds (\p AllPos, \p AllNeg), every training instance, as
+  /// class masks.
   void optimizePass(RuleList &L, const IndexList &AllPos,
                     const IndexList &AllNeg, const ClassMasks &CM, Rng &R) {
     std::vector<Rule> &Rules = L.Rules;
@@ -648,9 +740,18 @@ struct Trainer {
       Suff[K] = Suff[K + 1];
       orInto(Suff[K], Masks[K]);
     }
+    // The universe is the reach set: it loses what Prev gains.
+    Univ = AllHist;
+    UnivSize = N;
+    auto Claim = [&](const std::vector<uint64_t> &M) {
+      leaveUniverse([&](size_t W) {
+        return M[W] & ~Prev[W] & (CM.Pos[W] | CM.Neg[W]);
+      });
+      orInto(Prev, M);
+    };
     for (size_t RI = 0; RI != Rules.size(); ++RI) {
       if (RI > 0)
-        orInto(Prev, Masks[RI - 1]);
+        Claim(Masks[RI - 1]);
       // Instances that reach rule RI (not claimed by an earlier rule).
       IndexList ReachPos, ReachNeg;
       for (int I : AllPos)
@@ -662,20 +763,19 @@ struct Trainer {
       if (ReachPos.empty())
         continue;
 
-      IndexList GP, GN, PP, PN;
-      splitGrowPrune(ReachPos, ReachNeg, R, GP, GN, PP, PN);
+      splitGrowPrune(ReachPos, ReachNeg, R);
 
       // Replacement: grown from scratch.
       Rule Replacement;
       Replacement.Conclusion = Target;
-      growRule(Replacement, GP, GN, nullptr);
-      pruneRule(Replacement, PP, PN);
+      growRule(Replacement, nullptr);
+      pruneRule(Replacement);
 
       // Revision: grown from the current rule.
       Rule Revision = Rules[RI];
       Revision.NumCorrect = Revision.NumIncorrect = 0;
-      growRule(Revision, GP, GN, &Masks[RI]);
-      pruneRule(Revision, PP, PN);
+      growRule(Revision, &Masks[RI]);
+      pruneRule(Revision);
 
       // Keep whichever of {original, replacement, revision} minimizes the
       // description length of the whole rule set.  Every variant differs
@@ -708,9 +808,10 @@ struct Trainer {
       }
     }
 
-    // Mop-up: cover positives the optimized rules no longer cover.
+    // Mop-up: cover positives the optimized rules no longer cover.  The
+    // universe is now the uncovered set.
     if (!Rules.empty())
-      orInto(Prev, Masks.back());
+      Claim(Masks.back());
     IndexList UncovPos, UncovNeg;
     for (int I : AllPos)
       if (!maskBit(Prev, I))

@@ -51,7 +51,7 @@ inline std::string slurp(const std::string &Path) {
 
 /// Leaves next to \p Path what a writer killed inside
 /// wire::writeFileAtomic leaves: a temp file named as the helper names its
-/// own (<path>.tmp.<pid>.<n>), holding the first half of \p Bytes.  Its
+/// own (<path>.tmp.<pid>.<thread>), holding the first half of \p Bytes.  Its
 /// pid, 2^22, is above any pid Linux assigns, so no writer reuses the
 /// name.  Returns the leftover's path.
 inline std::string plantInterruptedWrite(const std::string &Path,

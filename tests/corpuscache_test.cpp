@@ -304,7 +304,7 @@ TEST(CorpusCache, WarmEngineSkipsAllSuiteTracing) {
 }
 
 TEST(CorpusCache, CrashLeftoversKeepTheWarmRunHitting) {
-  // A cold run killed mid-store leaves *.tmp.<pid>.<n> files beside the
+  // A cold run killed mid-store leaves *.tmp.<pid>.<thread> files beside the
   // entries.  They are never read as entries: every entry the run did
   // store still hits, and a key whose only trace is a leftover misses
   // cleanly (a cold miss, not an invalid entry).

@@ -159,6 +159,23 @@ TEST(RipperEngine, ManyRuleCorpusMatchesReferenceAtAnyJobCount) {
   }
 }
 
+TEST(RipperEngine, SubtractedFirstSearchMatchesReferenceOnThePool) {
+  // A grow split of ~4 000 instances, above ParallelMinCovered, so the
+  // pool fans out the first search of fresh rules, which fills as the
+  // universe's histogram minus the prune split.  Training this corpus
+  // replaces and revises rules in the optimization pass, mops up and
+  // deletes rules.
+  Dataset D = checkerData(6000, 2);
+  RuleSet Reference = reference::trainReference(D);
+  EXPECT_GE(Reference.size(), 15u);
+  expectIdentical(Ripper().train(D), Reference, "checker 6000, serial");
+  for (unsigned Jobs : {1u, 2u, 4u}) {
+    TaskPool Pool(Jobs);
+    expectIdentical(Ripper().train(D, Pool), Reference,
+                    "checker 6000, jobs=" + std::to_string(Jobs));
+  }
+}
+
 TEST(RipperEngine, RankTableMirrorsInstancesBitExactly) {
   Dataset D = hardData(257, 11);
   std::shared_ptr<const RankTable> T = rankInstances(D);

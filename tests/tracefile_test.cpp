@@ -352,7 +352,7 @@ TEST(TraceFile, CsvAndBinaryDecodeToIdenticalRecords) {
 
 TEST(WriteFileAtomic, InterruptedWriteNeverShadowsTheTarget) {
   // A writer killed between its temp write and its rename leaves a
-  // *.tmp.<pid>.<n> file.  The target keeps its old bytes, the next write
+  // *.tmp.<pid>.<thread> file.  The target keeps its old bytes, the next write
   // replaces them whole, and the leftover is neither read nor removed.
   TempCacheDir Dir("atomic-write");
   const std::string Path = (Dir.Path / "entry.bin").string();
