@@ -60,24 +60,28 @@ private:
 } // namespace
 
 int main(int argc, char **argv) {
-  CommandLine CL(argc, argv);
-  std::optional<EngineHandle> Handle = parseEngineOptions(CL);
+  std::optional<CommandLine> CL = parseCommandLine(
+      argc, argv, {"no-cache"},
+      {"jobs", "corpus-dir", "noise", "noise-seed", "suite"});
+  if (!CL)
+    return 1;
+  std::optional<EngineHandle> Handle = parseEngineOptions(*CL);
   if (!Handle)
     return 1;
   ExperimentEngine &Engine = **Handle;
 
   // Validate the shared --noise surface once up front; per variant the
   // spec is re-parsed so each stack owns its sources.
-  std::optional<NoiseStack> Probe = parseNoiseOption(CL);
+  std::optional<NoiseStack> Probe = parseNoiseOption(*CL);
   if (!Probe)
     return 1;
-  const std::string NoiseSpec = CL.get("noise");
+  const std::string NoiseSpec = CL->get("noise");
   const uint64_t NoiseSeed = Probe->seed();
 
   const double T = 20.0;
   // --suite picks any registered workload family (default specjvm98, the
   // paper's population); the ablation itself is family-agnostic.
-  std::string SuiteName = CL.get("suite", "specjvm98");
+  std::string SuiteName = CL->get("suite", "specjvm98");
   const WorkloadFamily *Family = findWorkloadFamily(SuiteName);
   if (!Family) {
     std::cerr << "error: unknown suite: got '" << SuiteName

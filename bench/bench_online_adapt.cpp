@@ -91,23 +91,22 @@ struct Variant {
 } // namespace
 
 int main(int argc, char **argv) {
-  CommandLine CL(argc, argv);
-  std::optional<EngineHandle> Handle = parseEngineOptions(CL);
+  std::optional<CommandLine> CL = parseCommandLine(
+      argc, argv, {"quick", "no-cache"},
+      {"jobs", "corpus-dir", "threshold", "out"});
+  if (!CL)
+    return 1;
+  std::optional<EngineHandle> Handle = parseEngineOptions(*CL);
   if (!Handle)
     return 1;
   ExperimentEngine &Engine = **Handle;
   TaskPool &Pool = Engine.pool();
-  const bool Quick = CL.has("quick");
+  const bool Quick = CL->has("quick");
 
-  std::optional<double> ThresholdFlag = CL.getDouble("threshold", 20.0);
+  std::optional<double> ThresholdFlag = parseThresholdOption(*CL, 20.0);
   if (!ThresholdFlag)
     return 1;
-  double Threshold = *ThresholdFlag;
-  if (!(Threshold >= 0.0 && Threshold <= 100.0)) {
-    std::cerr << "error: --threshold expects a percentage in [0, 100] "
-                 "(got '" << CL.get("threshold") << "')\n";
-    return 1;
-  }
+  const double Threshold = *ThresholdFlag;
 
   // The two sides of the shift.  Pre-shift traffic is pointer-chasing
   // (scheduling barely pays; a filter trained here learns to decline);
@@ -284,7 +283,7 @@ int main(int argc, char **argv) {
      << "  \"gate_passed\": "
      << ((ShiftHurts && OnlineRecovers) ? "true" : "false") << "\n}\n";
 
-  std::string OutPath = benchOutPath(CL, "BENCH_online_adapt.json");
+  std::string OutPath = benchOutPath(*CL, "BENCH_online_adapt.json");
   if (!writeBenchJson(OutPath, OS.str()))
     return 1;
   return (ShiftHurts && OnlineRecovers) ? 0 : 1;

@@ -74,25 +74,29 @@ bool monotoneMargins(const std::vector<RobustnessPoint> &Points) {
 } // namespace
 
 int main(int argc, char **argv) {
-  CommandLine CL(argc, argv);
-  std::optional<EngineHandle> Handle = parseEngineOptions(CL);
+  std::optional<CommandLine> CL = parseCommandLine(
+      argc, argv, {"quick", "no-cache"},
+      {"jobs", "corpus-dir", "noise-seed", "threshold", "suite", "out"});
+  if (!CL)
+    return 1;
+  std::optional<EngineHandle> Handle = parseEngineOptions(*CL);
   if (!Handle)
     return 1;
   ExperimentEngine &Engine = **Handle;
 
   std::optional<uint64_t> Seed =
-      parseCountOption(CL, "noise-seed", DefaultNoiseSeed, 0, UINT64_MAX);
+      parseCountOption(*CL, "noise-seed", DefaultNoiseSeed, 0, UINT64_MAX);
   if (!Seed)
     return 1;
-  std::optional<double> Threshold = parseThresholdOption(CL, 20.0);
+  std::optional<double> Threshold = parseThresholdOption(*CL, 20.0);
   if (!Threshold)
     return 1;
-  const bool Quick = CL.has("quick");
+  const bool Quick = CL->has("quick");
 
   // Which families and which rungs.  --quick keeps CI's smoke cheap: one
   // family, the ladder endpoints plus one middle rung.
   std::vector<const WorkloadFamily *> Families;
-  std::string SuiteName = CL.get("suite");
+  std::string SuiteName = CL->get("suite");
   if (!SuiteName.empty()) {
     const WorkloadFamily *F = findWorkloadFamily(SuiteName);
     if (!F) {
@@ -205,7 +209,7 @@ int main(int argc, char **argv) {
   }
 
   OS << "  \"all_monotone\": " << (AllMonotone ? "true" : "false") << "\n}\n";
-  std::string OutPath = benchOutPath(CL, "BENCH_robustness.json");
+  std::string OutPath = benchOutPath(*CL, "BENCH_robustness.json");
   if (!writeBenchJson(OutPath, OS.str()))
     return 1;
   return 0;

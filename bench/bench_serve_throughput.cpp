@@ -30,14 +30,17 @@
 using namespace schedfilter;
 
 int main(int argc, char **argv) {
-  CommandLine CL(argc, argv);
+  std::optional<CommandLine> CL = parseCommandLine(
+      argc, argv, {"no-cache"}, {"workload", "jobs", "corpus-dir"});
+  if (!CL)
+    return 1;
   // --workload swaps in any family mix's benchmarks (each still served as
   // its own single-app stream here; sf-serve --workload interleaves them).
   // Weights are accepted for flag symmetry but don't affect this sweep.
-  std::optional<WorkloadMix> Mix = parseWorkloadOption(CL);
+  std::optional<WorkloadMix> Mix = parseWorkloadOption(*CL);
   if (!Mix)
     return 1;
-  std::optional<EngineHandle> Handle = parseEngineOptions(CL);
+  std::optional<EngineHandle> Handle = parseEngineOptions(*CL);
   if (!Handle)
     return 1;
   ExperimentEngine &Engine = **Handle;

@@ -44,8 +44,11 @@ static void printSuite(ExperimentEngine &Engine, const char *Title,
 }
 
 int main(int argc, char **argv) {
-  CommandLine CL(argc, argv);
-  std::optional<EngineHandle> Handle = parseEngineOptions(CL);
+  std::optional<CommandLine> CL = parseCommandLine(
+      argc, argv, {"no-cache"}, {"jobs", "corpus-dir"});
+  if (!CL)
+    return 1;
+  std::optional<EngineHandle> Handle = parseEngineOptions(*CL);
   if (!Handle)
     return 1;
   ExperimentEngine &Engine = **Handle;

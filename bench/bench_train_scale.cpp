@@ -2,8 +2,7 @@
 //
 // Tracks the payoff of the indexed RIPPER training engine (views of a
 // suite-wide rank table, rank-histogram condition sweeps, incremental
-// mask-based MDL bookkeeping -- see ml/Ripper.cpp) the way
-// bench_micro_costs tracks the SchedContext arena: times the *reference*
+// mask-based MDL bookkeeping -- see ml/Ripper.cpp): times the *reference*
 // trainer (the original sort-per-condition implementation, kept verbatim
 // in tests/ReferenceRipper.h) against the indexed engine, serial and
 // pooled, over growing tiers of the repository's real training corpus,
@@ -62,12 +61,15 @@ double throughput(const Dataset &D, const Fn &Train, RuleSet &Out) {
 } // namespace
 
 int main(int argc, char **argv) {
-  CommandLine CL(argc, argv);
-  std::optional<EngineHandle> Handle = parseEngineOptions(CL);
+  std::optional<CommandLine> CL = parseCommandLine(
+      argc, argv, {"quick", "no-cache"}, {"jobs", "corpus-dir", "out"});
+  if (!CL)
+    return 1;
+  std::optional<EngineHandle> Handle = parseEngineOptions(*CL);
   if (!Handle)
     return 1;
   ExperimentEngine &Engine = **Handle;
-  bool Quick = CL.has("quick");
+  bool Quick = CL->has("quick");
 
   std::cerr << "labeling the SPECjvm98 suite at t = 0 (tracing on cache "
                "miss)...\n";
@@ -81,7 +83,7 @@ int main(int argc, char **argv) {
   const std::vector<int> Tiers = Quick ? std::vector<int>{1, 2}
                                        : std::vector<int>{1, 2, 4};
 
-  std::string OutPath = benchOutPath(CL, "BENCH_train_scale.json");
+  std::string OutPath = benchOutPath(*CL, "BENCH_train_scale.json");
   std::ostringstream OS;
   OS << "{\n  \"corpus\": \"specjvm98 @ t=0\",\n  \"base_instances\": "
      << Suite.size() << ",\n  \"jobs\": " << Engine.jobs()

@@ -3,6 +3,7 @@
 #include "io/CorpusCache.h"
 
 #include "io/TraceStore.h"
+#include "support/StringUtils.h"
 
 #include <cctype>
 #include <cstdlib>
@@ -24,14 +25,6 @@ std::string sanitize(const std::string &S) {
     Out.push_back(Safe ? C : '_');
   }
   return Out.empty() ? "unnamed" : Out;
-}
-
-std::string hex64(uint64_t V) {
-  static const char Digits[] = "0123456789abcdef";
-  std::string Out(16, '0');
-  for (int I = 15; I >= 0; --I, V >>= 4)
-    Out[static_cast<size_t>(I)] = Digits[V & 0xf];
-  return Out;
 }
 
 void putReport(std::string &Out, const CompileReport &R) {
@@ -66,7 +59,7 @@ std::string CorpusCache::entryPath(const CorpusKey &K) const {
   return Dir + "/" + sanitize(K.Benchmark) + "__" + sanitize(K.Model) +
          "__" + FamilySeg + "g" + std::to_string(K.GeneratorVersion) + "p" +
          std::to_string(K.PipelineVersion) + "__" +
-         hex64(K.SpecFingerprint) + ".sfcc";
+         formatHex64(K.SpecFingerprint) + ".sfcc";
 }
 
 std::optional<CachedRun>

@@ -3,6 +3,7 @@
 #include "io/TraceStore.h"
 
 #include "features/Features.h"
+#include "support/StringUtils.h"
 
 #include <cctype>
 #include <cerrno>
@@ -234,17 +235,6 @@ void splitCells(const std::string &Line, std::vector<std::string> &Cells) {
   }
 }
 
-/// Whole-cell decimal parse that must land on a finite value: "nan",
-/// "inf", "-inf" and overflow such as "1e999" all fail, so a non-finite
-/// feature never reaches the trainer's rank table.
-bool parseFiniteCell(const std::string &Cell, double &Out) {
-  if (Cell.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtod(Cell.c_str(), &End);
-  return End == Cell.c_str() + Cell.size() && std::isfinite(Out);
-}
-
 /// Strict unsigned-integer cell parse: digits only (no sign, fraction or
 /// exponent), must fit uint64_t.  Returns the reason on failure, "" on
 /// success -- the silent-truncation fix: "7154.5" and 2^64 used to be
@@ -288,10 +278,15 @@ ParseResult<std::vector<BlockRecord>> readTraceCsvBody(std::istream &IS,
                                     " cells, expected " +
                                     std::to_string(ExpectedCells)};
     BlockRecord R;
-    for (unsigned F = 0; F != NumFeatures; ++F)
-      if (!parseFiniteCell(Cells[F], R.X[F]))
+    // A non-finite feature ("nan", "1e999") must never reach the
+    // trainer's rank table.
+    for (unsigned F = 0; F != NumFeatures; ++F) {
+      std::optional<double> V = parseDecimal(Cells[F]);
+      if (!V || !std::isfinite(*V))
         return ParseError{LineNo, std::string(getFeatureName(F)) + " cell '" +
                                       Cells[F] + "' is not a finite number"};
+      R.X[F] = *V;
+    }
     const char *Cols[3] = {"costNoSched", "costSched", "execCount"};
     uint64_t *Dsts[3] = {&R.CostNoSched, &R.CostSched, &R.ExecCount};
     for (int I = 0; I != 3; ++I) {

@@ -113,7 +113,7 @@ ParseResult<std::vector<BlockRecord>>
 decodeRecords(const char *P, const char *End, uint64_t Count);
 
 /// Replaces \p Path with \p Bytes atomically: writes a temp file named
-/// from the process id and a per-process counter, then renames it over
+/// from the process id and a hash of the thread id, then renames it over
 /// \p Path, creating the directory first (best effort).  Readers see the
 /// old file or the new one, never torn bytes.  On failure the temp file
 /// is removed and false returned.

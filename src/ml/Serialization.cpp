@@ -2,9 +2,10 @@
 
 #include "ml/Serialization.h"
 
+#include "support/StringUtils.h"
+
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -83,24 +84,20 @@ std::optional<Condition> parseCondition(const std::string &Text,
     Why = "condition on '" + FeatName + "' is missing its threshold";
     return std::nullopt;
   }
-  // Strict full-token parse, mirroring CommandLine::getDouble: strtod
-  // accepts "nan", "inf"/"-inf", hex floats and partial prefixes, all of
-  // which must be rejected -- a NaN threshold creates a never-matching
-  // condition and poisons RuleSet::minMatchableBBLen.
-  bool Hex = ValText.find('x') != std::string::npos ||
-             ValText.find('X') != std::string::npos;
-  char *End = nullptr;
-  double Threshold = std::strtod(ValText.c_str(), &End);
-  if (Hex || End != ValText.c_str() + ValText.size()) {
+  // parseDecimal still reads "nan" and "inf", which must be rejected too:
+  // a NaN threshold creates a never-matching condition and poisons
+  // RuleSet::minMatchableBBLen.
+  std::optional<double> Threshold = parseDecimal(ValText);
+  if (!Threshold) {
     Why = "threshold '" + ValText + "' is not a number";
     return std::nullopt;
   }
-  if (!std::isfinite(Threshold)) {
+  if (!std::isfinite(*Threshold)) {
     Why = "threshold '" + ValText + "' is not finite (NaN and infinite "
           "thresholds create never-matching conditions)";
     return std::nullopt;
   }
-  return Condition{Feature, IsLE, Threshold};
+  return Condition{Feature, IsLE, *Threshold};
 }
 
 } // namespace

@@ -6,7 +6,6 @@
 #include "target/MachineModel.h"
 
 #include <cmath>
-#include <cstdlib>
 
 using namespace schedfilter;
 
@@ -109,17 +108,11 @@ std::string schedfilter::knownNoiseSources() {
 
 namespace {
 
-/// Strict finite decimal in [Lo, Hi], the CommandLine::getDouble
-/// contract re-stated for spec fragments.
+/// A parseDecimal value in [Lo, Hi]; the finite bounds also reject NaN
+/// and infinities.
 std::optional<double> parseParam(const std::string &V, double Lo, double Hi) {
-  if (V.empty())
-    return std::nullopt;
-  char *End = nullptr;
-  double X = std::strtod(V.c_str(), &End);
-  bool Hex = V.find('x') != std::string::npos ||
-             V.find('X') != std::string::npos;
-  if (Hex || End == V.c_str() || *End != '\0' || !std::isfinite(X) ||
-      X < Lo || X > Hi)
+  std::optional<double> X = parseDecimal(V);
+  if (!X || !(*X >= Lo && *X <= Hi))
     return std::nullopt;
   return X;
 }

@@ -107,9 +107,9 @@ private:
 ///   labelflip:P      label-flip probability, P in [0, 1]
 ///   spikes:P         cost-spike probability, P in [0, 1]
 ///   drift:A          mix-drift amplitude, A in [0, 4]
-/// Every source requires its parameter; numbers follow the strict
-/// decimal contract of CommandLine::getDouble (no hex, no NaN/inf, no
-/// trailing junk).  Sources may repeat (two jitter passes compose).  An
+/// Every source requires its parameter; numbers are parseDecimal
+/// decimals (no hex, no whitespace, no trailing junk) and must be
+/// finite.  Sources may repeat (two jitter passes compose).  An
 /// empty \p Spec is the empty stack.  Errors carry a message naming what
 /// is accepted; ParseError::Line is the 1-based comma-separated item
 /// ordinal.

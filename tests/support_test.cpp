@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <cmath>
 #include <sstream>
 
 using namespace schedfilter;
@@ -372,6 +373,36 @@ TEST(StringUtils, FormatPercent) {
   EXPECT_EQ(formatPercent(0.379, 1), "37.9%");
 }
 
+TEST(StringUtils, FormatHex64) {
+  EXPECT_EQ(formatHex64(0), "0000000000000000");
+  EXPECT_EQ(formatHex64(255), "00000000000000ff");
+  EXPECT_EQ(formatHex64(0xfedcba9876543210ull), "fedcba9876543210");
+}
+
+TEST(StringUtils, ParseDecimalSpellings) {
+  const std::pair<const char *, double> Accepted[] = {
+      {"5", 5.0},     {"-3.25", -3.25}, {"+0.5", 0.5}, {"40.", 40.0},
+      {".5", 0.5},    {"1e2", 100.0},   {"1E-3", 1e-3}, {"-0", 0.0},
+      {"00012", 12.0}};
+  for (const auto &[Text, Want] : Accepted) {
+    std::optional<double> V = parseDecimal(Text);
+    ASSERT_TRUE(V.has_value()) << Text;
+    EXPECT_EQ(*V, Want) << Text;
+  }
+  // Non-finite spellings parse; the caller rejects them.
+  EXPECT_TRUE(std::isnan(*parseDecimal("nan")));
+  EXPECT_EQ(*parseDecimal("-inf"), -HUGE_VAL);
+  EXPECT_EQ(*parseDecimal("1e999"), HUGE_VAL);
+  for (const char *Text : {"", " 5", "\t5", "5 ", "0x10", "0X10", "0x1p3",
+                           "abc", "1.5x", "1.5.2", "3,0", "e5", "+", "-",
+                           "--5", "nan(0x1)"})
+    EXPECT_FALSE(parseDecimal(Text).has_value()) << '\'' << Text << '\'';
+  // The whole view is the token, even when it is a prefix of a longer
+  // string or holds a NUL.
+  EXPECT_EQ(*parseDecimal(std::string_view("12345", 2)), 12.0);
+  EXPECT_FALSE(parseDecimal(std::string_view("1\0" "2", 3)).has_value());
+}
+
 TEST(TablePrinter, AlignsColumns) {
   TablePrinter T({"a", "long-header"});
   T.addRow({"xxxx", "1"});
@@ -412,68 +443,120 @@ TEST(Timer, AccumulatesAcrossIntervals) {
   EXPECT_EQ(T.nanoseconds(), 0);
 }
 
-TEST(CommandLine, OptionsAndPositionals) {
-  const char *Argv[] = {"prog", "trace.csv", "--threshold", "20",
-                        "--learner=tree", "more.csv", "--verbose"};
-  CommandLine CL(7, const_cast<char **>(Argv));
-  EXPECT_EQ(CL.get("threshold"), "20");
-  EXPECT_EQ(CL.get("learner"), "tree");
-  EXPECT_EQ(CL.get("verbose"), "true");
-  EXPECT_TRUE(CL.has("verbose"));
-  EXPECT_FALSE(CL.has("missing"));
-  EXPECT_EQ(CL.get("missing", "dflt"), "dflt");
-  ASSERT_EQ(CL.positional().size(), 2u);
-  EXPECT_EQ(CL.positional()[0], "trace.csv");
-  EXPECT_EQ(CL.positional()[1], "more.csv");
+namespace {
+
+/// Parses \p Args (argv without the program name) against the declared
+/// flags, returning the parse and its stderr.
+std::pair<std::optional<CommandLine>, std::string>
+parseArgs(std::vector<const char *> Args, FlagList Bools, FlagList Values) {
+  Args.insert(Args.begin(), "prog");
+  testing::internal::CaptureStderr();
+  std::optional<CommandLine> CL =
+      parseCommandLine(static_cast<int>(Args.size()),
+                       const_cast<char **>(Args.data()), Bools, Values);
+  return {std::move(CL), testing::internal::GetCapturedStderr()};
 }
 
-TEST(CommandLine, CheckKnownOptionsNamesTheFirstStranger) {
-  const char *Argv[] = {"prog", "trace.csv", "--threshold", "5",
-                        "--threshhold", "5", "--bogus"};
-  CommandLine CL(7, const_cast<char **>(Argv));
-  EXPECT_TRUE(CL.checkKnownOptions({"threshold", "threshhold", "bogus"}));
-  testing::internal::CaptureStderr();
-  EXPECT_FALSE(CL.checkKnownOptions({"threshold", "out"}));
-  EXPECT_EQ(testing::internal::GetCapturedStderr(),
-            "error: unknown option --bogus\n");
-  testing::internal::CaptureStderr();
-  EXPECT_FALSE(CL.checkKnownOptions({"threshold", "bogus"}));
-  EXPECT_EQ(testing::internal::GetCapturedStderr(),
-            "error: unknown option --threshhold\n");
+} // namespace
+
+TEST(CommandLine, OptionsAndPositionals) {
+  // A boolean never consumes the token after it: "sf-train --no-cache
+  // db.csv jess.csv" trains on both traces.
+  auto [CL, Err] = parseArgs({"--verbose", "trace.csv", "--threshold", "20",
+                              "--learner=tree", "more.csv"},
+                             {"verbose"}, {"threshold", "learner"});
+  ASSERT_TRUE(CL.has_value()) << Err;
+  EXPECT_EQ(CL->get("threshold"), "20");
+  EXPECT_EQ(CL->get("learner"), "tree");
+  EXPECT_EQ(CL->get("verbose"), "");
+  EXPECT_TRUE(CL->has("verbose"));
+  EXPECT_FALSE(CL->has("missing"));
+  EXPECT_EQ(CL->get("missing", "dflt"), "dflt");
+  ASSERT_EQ(CL->positional().size(), 2u);
+  EXPECT_EQ(CL->positional()[0], "trace.csv");
+  EXPECT_EQ(CL->positional()[1], "more.csv");
+  // A value may itself contain '=' or start with a single '-'.
+  auto [Eq, EqErr] = parseArgs({"--learner=a=b", "--threshold", "-5"}, {},
+                               {"threshold", "learner"});
+  ASSERT_TRUE(Eq.has_value()) << EqErr;
+  EXPECT_EQ(Eq->get("learner"), "a=b");
+  EXPECT_EQ(Eq->get("threshold"), "-5");
+}
+
+TEST(CommandLine, UnknownFlagNamesTheFirstStrangerInArgvOrder) {
+  // "--threshhold" sorts before "--zzz" but comes after it in argv.
+  auto [CL, Err] = parseArgs({"trace.csv", "--zzz", "--threshold", "5",
+                              "--threshhold", "5"},
+                             {}, {"threshold"});
+  EXPECT_FALSE(CL.has_value());
+  EXPECT_EQ(Err, "error: unknown option --zzz\n");
+  auto [CL2, Err2] = parseArgs({"--threshold", "5", "--threshhold=5"}, {},
+                               {"threshold"});
+  EXPECT_FALSE(CL2.has_value());
+  EXPECT_EQ(Err2, "error: unknown option --threshhold\n");
+}
+
+TEST(CommandLine, RejectsMisusedDeclaredFlags) {
+  const FlagList Bools = {"fix"};
+  const FlagList Values = {"out"};
+  const std::pair<std::vector<const char *>, const char *> Cases[] = {
+      {{"--fix=yes"}, "error: --fix takes no value (got '--fix=yes')\n"},
+      {{"--fix="}, "error: --fix takes no value (got '--fix=')\n"},
+      {{"--out"}, "error: --out expects a value\n"},
+      {{"--out="}, "error: --out expects a value\n"},
+      {{"--out", ""}, "error: --out expects a value\n"},
+      {{"--out", "--fix"}, "error: --out expects a value\n"},
+      {{"--fix", "--fix"}, "error: --fix given twice\n"},
+      {{"--out", "a", "--out=b"}, "error: --out given twice\n"},
+      {{"--", "x"}, "error: unknown option --\n"},
+  };
+  for (const auto &[Args, Want] : Cases) {
+    auto [CL, Err] = parseArgs(Args, Bools, Values);
+    EXPECT_FALSE(CL.has_value()) << Want;
+    EXPECT_EQ(Err, Want);
+  }
+  // The value flag's "--out=--fix" spelling is how a value that starts
+  // with "--" gets through.
+  auto [CL, Err] = parseArgs({"--out=--fix"}, Bools, Values);
+  ASSERT_TRUE(CL.has_value()) << Err;
+  EXPECT_EQ(CL->get("out"), "--fix");
+  EXPECT_FALSE(CL->has("fix"));
 }
 
 TEST(CommandLine, GetDouble) {
-  const char *Argv[] = {"prog", "--threshold", "12.5"};
-  CommandLine CL(3, const_cast<char **>(Argv));
-  std::optional<double> T = CL.getDouble("threshold", 0.0);
+  auto [CL, Err] = parseArgs({"--threshold", "12.5"}, {}, {"threshold"});
+  ASSERT_TRUE(CL.has_value()) << Err;
+  std::optional<double> T = CL->getDouble("threshold", 0.0);
   ASSERT_TRUE(T.has_value());
   EXPECT_DOUBLE_EQ(*T, 12.5);
-  std::optional<double> Absent = CL.getDouble("absent", 7.0);
+  std::optional<double> Absent = CL->getDouble("absent", 7.0);
   ASSERT_TRUE(Absent.has_value());
   EXPECT_DOUBLE_EQ(*Absent, 7.0);
 }
 
 TEST(CommandLine, GetDoubleAcceptsTheUsualSpellings) {
-  const char *Argv[] = {"prog", "--a=-3.25", "--b=1e2", "--c=+0.5", "--d=40."};
-  CommandLine CL(5, const_cast<char **>(Argv));
-  EXPECT_DOUBLE_EQ(*CL.getDouble("a", 0.0), -3.25);
-  EXPECT_DOUBLE_EQ(*CL.getDouble("b", 0.0), 100.0);
-  EXPECT_DOUBLE_EQ(*CL.getDouble("c", 0.0), 0.5);
-  EXPECT_DOUBLE_EQ(*CL.getDouble("d", 0.0), 40.0);
+  auto [CL, Err] = parseArgs({"--a=-3.25", "--b=1e2", "--c=+0.5", "--d=40."},
+                             {}, {"a", "b", "c", "d"});
+  ASSERT_TRUE(CL.has_value()) << Err;
+  EXPECT_DOUBLE_EQ(*CL->getDouble("a", 0.0), -3.25);
+  EXPECT_DOUBLE_EQ(*CL->getDouble("b", 0.0), 100.0);
+  EXPECT_DOUBLE_EQ(*CL->getDouble("c", 0.0), 0.5);
+  EXPECT_DOUBLE_EQ(*CL->getDouble("d", 0.0), 40.0);
 }
 
 TEST(CommandLine, GetDoubleRejectsGarbage) {
   // Each value used to strtod-parse as 0.0 (or truncate at the junk);
   // strict parsing must reject the whole token instead.
-  const char *Argv[] = {"prog",        "--a=abc",  "--b=1.5x", "--c=",
-                        "--d=nan",     "--e=inf",  "--f=1e999",
-                        "--g=12 trailing", "--h=0x10", "--i=0x1p3"};
-  CommandLine CL(10, const_cast<char **>(Argv));
-  for (const char *Name : {"a", "b", "c", "d", "e", "f", "g", "h", "i"})
-    EXPECT_FALSE(CL.getDouble(Name, 0.0).has_value()) << Name;
-  // A bare boolean flag ("--flag" with no value) parses as the string
-  // "true", which is not a number either.
-  const char *Argv2[] = {"prog", "--hot"};
-  CommandLine CL2(2, const_cast<char **>(Argv2));
-  EXPECT_FALSE(CL2.getDouble("hot", 1.0).has_value());
+  auto [CL, Err] = parseArgs({"--a=abc", "--b=1.5x", "--d=nan", "--e=inf",
+                              "--f=1e999", "--g=12 trailing", "--h=0x10",
+                              "--i=0x1p3", "--j= 5"},
+                             {}, {"a", "b", "d", "e", "f", "g", "h", "i", "j"});
+  ASSERT_TRUE(CL.has_value()) << Err;
+  for (const char *Name : {"a", "b", "d", "e", "f", "g", "h", "i", "j"}) {
+    testing::internal::CaptureStderr();
+    EXPECT_FALSE(CL->getDouble(Name, 0.0).has_value()) << Name;
+    EXPECT_EQ(testing::internal::GetCapturedStderr(),
+              std::string("error: --") + Name + ": expected a number, got '" +
+                  CL->get(Name) + "'\n");
+  }
 }

@@ -149,14 +149,15 @@ TEST(TraceFile, RejectsNonNumericCell) {
 TEST(TraceFile, RejectsNonFiniteFeatureCells) {
   // strtod accepts every one of these spellings; a NaN or infinite feature
   // would get a rank whose ">=" candidates miscount coverage, so the
-  // reader rejects the row and names its line and column.
+  // reader rejects the row and names its line and column.  Hex floats and
+  // a leading blank are outside parseDecimal's grammar.
   std::stringstream SS;
   writeTrace(sampleRecords(), SS);
   const std::string Text = SS.str();
   size_t Row2 = Text.find("\n2,"); // line 3 starts after it: bbLen 2
   ASSERT_NE(Row2, std::string::npos);
   ++Row2;
-  for (const char *Cell : {"nan", "inf", "-inf", "1e999"}) {
+  for (const char *Cell : {"nan", "inf", "-inf", "1e999", "0x1p3", " 4"}) {
     std::string Bad = Text;
     Bad.replace(Row2, 1, Cell);
     std::stringstream In(Bad);

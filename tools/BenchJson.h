@@ -24,8 +24,7 @@ namespace schedfilter {
 /// when given, \p Default otherwise.
 inline std::string benchOutPath(const CommandLine &CL,
                                 const std::string &Default) {
-  std::string Out = CL.get("out");
-  return Out.empty() ? Default : Out;
+  return CL.get("out", Default);
 }
 
 /// Writes \p Json to \p Path with an explicit flush and stream-state

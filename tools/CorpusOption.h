@@ -45,12 +45,6 @@ parseCorpusOption(const CommandLine &CL) {
   }
   if (NoCache)
     return std::unique_ptr<CorpusCache>();
-  // A bare trailing "--corpus-dir" parses as the boolean value "true";
-  // nobody keeps a corpus in ./true on purpose.
-  if (Dir == "true") {
-    std::cerr << "error: --corpus-dir expects a directory path\n";
-    return std::nullopt;
-  }
 
   bool Explicit = !Dir.empty();
   if (!Explicit) {

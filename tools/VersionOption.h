@@ -1,15 +1,15 @@
-//===- tools/VersionOption.h - Shared --version option handling -*- C++ -*-===//
+//===- tools/VersionOption.h - Shared --help/--version/--list ---*- C++ -*-===//
 ///
 /// \file
-/// One place for every sf-* tool to answer --version, so a support ticket
-/// can name the exact artifact versions in play: the two corpus-cache key
-/// versions (GeneratorVersion for program synthesis, TracePipelineVersion
-/// for everything downstream of it) and the on-disk format magics (SFTB1
-/// traces, SFCC1 corpus entries, SFFR1 filter-registry entries).  Those
-/// values fully identify
-/// whether two machines can exchange artifacts and whether a warm cache
-/// is still valid -- which is exactly what a "my trace won't load" or
-/// "my numbers differ" report needs to quote.
+/// One place for every sf-* tool to answer its informational flags.
+/// --version lets a support ticket name the exact artifact versions in
+/// play: the two corpus-cache key versions (GeneratorVersion for program
+/// synthesis, TracePipelineVersion for everything downstream of it) and
+/// the on-disk format magics (SFTB1 traces, SFCC1 corpus entries, SFFR1
+/// filter-registry entries).  Those values fully identify whether two
+/// machines can exchange artifacts and whether a warm cache is still
+/// valid -- which is exactly what a "my trace won't load" or "my numbers
+/// differ" report needs to quote.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,17 +24,29 @@
 #include "workloads/ProgramGenerator.h"
 #include "workloads/WorkloadFamily.h"
 
+#include "WorkloadOption.h"
+
 #include <iostream>
 
 namespace schedfilter {
 
-/// Prints \p Tool's version report when --version was given; the caller
-/// exits 0 on true.  Every sf-* tool handles --version before any other
-/// flag validation, so the report is reachable even with otherwise
+/// Answers the informational flags a tool declares, by priority: --help
+/// (\p PrintUsage to stdout), else --version (\p Tool's version report),
+/// else --list (every registered benchmark).  Returns true when one was
+/// given; the caller exits 0.  Every sf-* tool calls it before any other
+/// flag validation, so the answers are reachable even with otherwise
 /// missing/invalid arguments.
-inline bool handleVersionOption(const CommandLine &CL, const char *Tool) {
-  if (!CL.has("version"))
-    return false;
+inline bool handleInfoOptions(const CommandLine &CL, const char *Tool,
+                              void (*PrintUsage)(std::ostream &)) {
+  if (CL.has("help")) {
+    PrintUsage(std::cout);
+    return true;
+  }
+  if (!CL.has("version")) {
+    if (CL.has("list"))
+      printWorkloadList(std::cout);
+    return CL.has("list");
+  }
   std::cout << Tool << " (schedfilter)\n"
             << "  generator version:      " << GeneratorVersion
             << "   (workloads/ProgramGenerator.h)\n"

@@ -17,7 +17,7 @@
 #include "support/CommandLine.h"
 #include "workloads/WorkloadFamily.h"
 
-#include <cstdlib>
+#include <cmath>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -75,19 +75,13 @@ inline std::optional<WorkloadMix> parseWorkloadOption(const CommandLine &CL) {
     if (Colon != std::string::npos) {
       Name = Item.substr(0, Colon);
       std::string W = Item.substr(Colon + 1);
-      // Strict positive decimal, same contract as CommandLine::getDouble:
-      // the whole token must parse, no hex spellings, finite, > 0.
-      char *End = nullptr;
-      double V = std::strtod(W.c_str(), &End);
-      bool Hex = W.find('x') != std::string::npos ||
-                 W.find('X') != std::string::npos;
-      if (W.empty() || Hex || End == W.c_str() || *End != '\0' ||
-          !std::isfinite(V) || V <= 0.0) {
+      std::optional<double> V = parseDecimal(W);
+      if (!V || !std::isfinite(*V) || *V <= 0.0) {
         std::cerr << "error: --workload weight for '" << Name
                   << "' expects a positive number (got '" << W << "')\n";
         return std::nullopt;
       }
-      Weight = V;
+      Weight = *V;
     }
     if (!findWorkloadFamily(Name)) {
       std::cerr << "error: unknown family: got '" << Name

@@ -41,32 +41,25 @@ static int usage() {
 }
 
 int main(int argc, char **argv) {
-  CommandLine CL(argc, argv);
-  if (!CL.checkKnownOptions({"help", "version", "list", "rules", "benchmark",
-                             "model"}))
+  std::optional<CommandLine> CL = parseCommandLine(
+      argc, argv, {"help", "version", "list"},
+      {"rules", "benchmark", "model"});
+  if (!CL)
     return 1;
-  if (CL.has("help")) {
-    printUsage(std::cout);
+  if (handleInfoOptions(*CL, "sf-apply", printUsage))
     return 0;
-  }
-  if (handleVersionOption(CL, "sf-apply"))
-    return 0;
-  if (CL.has("list")) {
-    printWorkloadList(std::cout);
-    return 0;
-  }
-  std::string RulesPath = CL.get("rules");
-  std::string Name = CL.get("benchmark");
+  std::string RulesPath = CL->get("rules");
+  std::string Name = CL->get("benchmark");
   if (RulesPath.empty() || Name.empty())
     return usage();
 
   // Validate every flag before touching any file, so a mistyped knob
   // fails fast regardless of the rules file's state.
-  std::optional<BenchmarkSelection> Bench = parseBenchmarkOption(CL);
+  std::optional<BenchmarkSelection> Bench = parseBenchmarkOption(*CL);
   if (!Bench)
     return 1;
   const BenchmarkSpec *Spec = Bench->Spec;
-  std::optional<MachineModel> Model = parseModelOption(CL);
+  std::optional<MachineModel> Model = parseModelOption(*CL);
   if (!Model)
     return 1;
 

@@ -70,27 +70,20 @@ int usage() {
 } // namespace
 
 int main(int argc, char **argv) {
-  CommandLine CL(argc, argv);
-  if (!CL.checkKnownOptions({"help", "version", "list", "benchmark", "model",
-                             "threshold", "max-grid", "fix", "out", "jobs",
-                             "corpus-dir", "no-cache"}))
+  std::optional<CommandLine> CL = parseCommandLine(
+      argc, argv, {"help", "version", "list", "fix", "no-cache"},
+      {"benchmark", "model", "threshold", "max-grid", "out", "jobs",
+       "corpus-dir"});
+  if (!CL)
     return 1;
-  if (CL.has("help")) {
-    printUsage(std::cout);
+  if (handleInfoOptions(*CL, "sf-lint", printUsage))
     return 0;
-  }
-  if (handleVersionOption(CL, "sf-lint"))
-    return 0;
-  if (CL.has("list")) {
-    printWorkloadList(std::cout);
-    return 0;
-  }
 
-  if (CL.positional().size() > 1)
+  if (CL->positional().size() > 1)
     return usage();
   std::string RulesPath =
-      CL.positional().empty() ? std::string() : CL.positional()[0];
-  std::string Benchmark = CL.get("benchmark");
+      CL->positional().empty() ? std::string() : CL->positional()[0];
+  std::string Benchmark = CL->get("benchmark");
   if (RulesPath.empty() && Benchmark.empty()) {
     std::cerr << "error: give a rules file, a --benchmark to self-train on, "
                  "or both\n";
@@ -99,22 +92,22 @@ int main(int argc, char **argv) {
 
   // Validate every flag before touching any file; benchmark resolution is
   // the shared registry-backed lookup (any family's benchmark lints).
-  std::optional<BenchmarkSelection> Bench = parseBenchmarkOption(CL);
+  std::optional<BenchmarkSelection> Bench = parseBenchmarkOption(*CL);
   if (!Bench)
     return 1;
   const BenchmarkSpec *Spec = Bench->Spec;
-  std::optional<MachineModel> Model = parseModelOption(CL);
+  std::optional<MachineModel> Model = parseModelOption(*CL);
   if (!Model)
     return 1;
-  std::optional<double> Threshold = parseThresholdOption(CL);
+  std::optional<double> Threshold = parseThresholdOption(*CL);
   if (!Threshold)
     return 1;
   std::optional<uint64_t> MaxGrid =
-      parseCountOption(CL, "max-grid", 1u << 22, 1, 1u << 30);
+      parseCountOption(*CL, "max-grid", 1u << 22, 1, 1u << 30);
   if (!MaxGrid)
     return 1;
-  bool Fix = CL.has("fix");
-  std::string OutPath = CL.get("out");
+  bool Fix = CL->has("fix");
+  std::string OutPath = CL->get("out");
   if (Fix && OutPath.empty()) {
     std::cerr << "error: --fix needs --out FIXED.txt (the original file is "
                  "never rewritten in place)\n";
@@ -124,7 +117,7 @@ int main(int argc, char **argv) {
     std::cerr << "error: --out only applies with --fix\n";
     return 1;
   }
-  std::optional<EngineHandle> Handle = parseEngineOptions(CL);
+  std::optional<EngineHandle> Handle = parseEngineOptions(*CL);
   if (!Handle)
     return 1;
   ExperimentEngine &Engine = **Handle;
@@ -153,7 +146,7 @@ int main(int argc, char **argv) {
     std::cerr << "training filter on " << Benchmark << "'s own trace (t = "
               << *Threshold << ")...\n";
     Rules = ripperLearner(Engine.pool())(*Corpus);
-    Subject = Benchmark + " (self-trained, t = " + CL.get("threshold", "0") +
+    Subject = Benchmark + " (self-trained, t = " + CL->get("threshold", "0") +
               ")";
   }
 

@@ -54,17 +54,14 @@ static void printUsage(std::ostream &OS) {
 }
 
 int main(int argc, char **argv) {
-  CommandLine CL(argc, argv);
-  if (!CL.checkKnownOptions({"help", "version", "suite", "model",
-                             "fig4-holdout", "jobs", "corpus-dir", "no-cache"}))
+  std::optional<CommandLine> CL = parseCommandLine(
+      argc, argv, {"help", "version", "no-cache"},
+      {"suite", "model", "fig4-holdout", "jobs", "corpus-dir"});
+  if (!CL)
     return 1;
-  if (CL.has("help")) {
-    printUsage(std::cout);
+  if (handleInfoOptions(*CL, "sf-report", printUsage))
     return 0;
-  }
-  if (handleVersionOption(CL, "sf-report"))
-    return 0;
-  std::string SuiteName = CL.get("suite", "specjvm98");
+  std::string SuiteName = CL->get("suite", "specjvm98");
   const WorkloadFamily *Family = findWorkloadFamily(SuiteName);
   if (!Family) {
     std::cerr << "error: unknown suite: got '" << SuiteName
@@ -72,11 +69,25 @@ int main(int argc, char **argv) {
     return 1;
   }
   std::vector<BenchmarkSpec> Suite = Family->makeBenchmarkSuite();
+  // Figure 4 holds out one benchmark of the suite; any other name would
+  // hold out nothing.
+  std::string Holdout = CL->get("fig4-holdout", Suite.back().Name);
+  std::string Names;
+  bool Known = false;
+  for (const BenchmarkSpec &S : Suite) {
+    Names += (Names.empty() ? "" : ", ") + S.Name;
+    Known = Known || S.Name == Holdout;
+  }
+  if (!Known) {
+    std::cerr << "error: unknown --fig4-holdout: got '" << Holdout << "', "
+              << SuiteName << " has: " << Names << '\n';
+    return 1;
+  }
 
-  std::optional<MachineModel> Model = parseModelOption(CL);
+  std::optional<MachineModel> Model = parseModelOption(*CL);
   if (!Model)
     return 1;
-  std::optional<EngineHandle> Handle = parseEngineOptions(CL);
+  std::optional<EngineHandle> Handle = parseEngineOptions(*CL);
   if (!Handle)
     return 1;
   ExperimentEngine &Engine = **Handle;
@@ -118,7 +129,6 @@ int main(int argc, char **argv) {
   std::cerr << '\n';
 
   // Figure 4: train on all but one benchmark at t = 0.
-  std::string Holdout = CL.get("fig4-holdout", Suite.back().Name);
   std::vector<Dataset> Labeled = Engine.labelSuite(Runs, 0.0);
   Dataset Train("all-minus-" + Holdout);
   for (const Dataset &D : Labeled)

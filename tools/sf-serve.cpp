@@ -138,19 +138,7 @@ bool parseOnlineOptions(const CommandLine &CL, ServiceConfig &Cfg,
     return false;
   Cfg.RetrainEvery = *RetrainEvery;
   RegistryDir = CL.get("registry");
-  if (CL.has("registry") && RegistryDir.empty()) {
-    std::cerr << "error: --registry expects a directory\n";
-    return false;
-  }
   return true;
-}
-
-std::string formatHex64(uint64_t V) {
-  static const char Digits[] = "0123456789abcdef";
-  std::string Out(16, '0');
-  for (int I = 15; I >= 0; --I, V >>= 4)
-    Out[static_cast<size_t>(I)] = Digits[V & 0xf];
-  return Out;
 }
 
 /// The online-mode stdout tail: retrain counters and the run's full swap
@@ -336,29 +324,20 @@ int serve(const CommandLine &CL, const std::vector<AppSpec> &Apps,
 } // namespace
 
 int main(int argc, char **argv) {
-  CommandLine CL(argc, argv);
-  if (!CL.checkKnownOptions({"help", "version", "list", "benchmark", "workload",
-                             "model", "jobs", "corpus-dir", "no-cache",
-                             "invocations", "hot-threshold", "queue-cap",
-                             "sample-every", "epoch-len", "drain", "online",
-                             "retrain-every", "registry", "rules",
-                             "threshold"}))
+  std::optional<CommandLine> CL = parseCommandLine(
+      argc, argv, {"help", "version", "list", "no-cache", "online"},
+      {"benchmark", "workload", "model", "jobs", "corpus-dir", "invocations",
+       "hot-threshold", "queue-cap", "sample-every", "epoch-len", "drain",
+       "retrain-every", "registry", "rules", "threshold"});
+  if (!CL)
     return 1;
-  if (CL.has("help")) {
-    printUsage(std::cout);
+  if (handleInfoOptions(*CL, "sf-serve", printUsage))
     return 0;
-  }
-  if (handleVersionOption(CL, "sf-serve"))
-    return 0;
-  if (CL.has("list")) {
-    printWorkloadList(std::cout);
-    return 0;
-  }
 
-  std::optional<BenchmarkSelection> Bench = parseBenchmarkOption(CL);
+  std::optional<BenchmarkSelection> Bench = parseBenchmarkOption(*CL);
   if (!Bench)
     return 1;
-  std::optional<WorkloadMix> Mix = parseWorkloadOption(CL);
+  std::optional<WorkloadMix> Mix = parseWorkloadOption(*CL);
   if (!Mix)
     return 1;
   if (Bench->Present == !Mix->empty()) {
@@ -366,27 +345,27 @@ int main(int argc, char **argv) {
     printUsage(std::cerr);
     return 1;
   }
-  std::optional<MachineModel> Model = parseModelOption(CL);
+  std::optional<MachineModel> Model = parseModelOption(*CL);
   if (!Model)
     return 1;
-  std::optional<EngineHandle> Handle = parseEngineOptions(CL);
+  std::optional<EngineHandle> Handle = parseEngineOptions(*CL);
   if (!Handle)
     return 1;
   ExperimentEngine &Engine = **Handle;
 
   ServiceConfig Cfg;
   std::optional<uint64_t> Invocations =
-      parseCountOption(CL, "invocations", Cfg.Invocations, 1, 1000000000);
+      parseCountOption(*CL, "invocations", Cfg.Invocations, 1, 1000000000);
   std::optional<uint64_t> HotThreshold =
-      parseCountOption(CL, "hot-threshold", Cfg.HotThreshold, 1, 1000000);
+      parseCountOption(*CL, "hot-threshold", Cfg.HotThreshold, 1, 1000000);
   std::optional<uint64_t> QueueCap =
-      parseCountOption(CL, "queue-cap", Cfg.QueueCap, 1, 1000000);
+      parseCountOption(*CL, "queue-cap", Cfg.QueueCap, 1, 1000000);
   std::optional<uint64_t> SampleEvery =
-      parseCountOption(CL, "sample-every", Cfg.SampleEvery, 1, 1000000);
+      parseCountOption(*CL, "sample-every", Cfg.SampleEvery, 1, 1000000);
   std::optional<uint64_t> EpochLen =
-      parseCountOption(CL, "epoch-len", Cfg.EpochLen, 1, 100000000);
+      parseCountOption(*CL, "epoch-len", Cfg.EpochLen, 1, 100000000);
   std::optional<uint64_t> Drain =
-      parseCountOption(CL, "drain", Cfg.DrainPerEpoch, 1, 1000000);
+      parseCountOption(*CL, "drain", Cfg.DrainPerEpoch, 1, 1000000);
   if (!Invocations || !HotThreshold || !QueueCap || !SampleEvery ||
       !EpochLen || !Drain)
     return 1;
@@ -398,7 +377,7 @@ int main(int argc, char **argv) {
   Cfg.DrainPerEpoch = static_cast<uint32_t>(*Drain);
 
   std::string RegistryDir;
-  if (!parseOnlineOptions(CL, Cfg, RegistryDir))
+  if (!parseOnlineOptions(*CL, Cfg, RegistryDir))
     return 1;
 
   // A benchmark is the one-app case of the same engine; its stream seed
@@ -414,6 +393,6 @@ int main(int argc, char **argv) {
     Session = formatWorkloadMix(*Mix);
     Cfg.StreamSeed = workloadMixSeed(Apps);
   }
-  return serve(CL, Apps, Session, !Mix->empty(), *Model, Engine, Cfg,
+  return serve(*CL, Apps, Session, !Mix->empty(), *Model, Engine, Cfg,
                RegistryDir);
 }

@@ -56,27 +56,19 @@ static int usage() {
 }
 
 int main(int argc, char **argv) {
-  CommandLine CL(argc, argv);
-  if (!CL.checkKnownOptions({"help", "version", "list", "benchmark", "workload",
-                             "model", "out", "format", "jobs", "corpus-dir",
-                             "no-cache", "noise", "noise-seed"}))
+  std::optional<CommandLine> CL = parseCommandLine(
+      argc, argv, {"help", "version", "list", "no-cache"},
+      {"benchmark", "workload", "model", "out", "format", "jobs",
+       "corpus-dir", "noise", "noise-seed"});
+  if (!CL)
     return 1;
-  if (CL.has("help")) {
-    printUsage(std::cout);
-    return 0;
-  }
-  if (handleVersionOption(CL, "sf-trace"))
+  if (handleInfoOptions(*CL, "sf-trace", printUsage))
     return 0;
 
-  if (CL.has("list")) {
-    printWorkloadList(std::cout);
-    return 0;
-  }
-
-  std::optional<BenchmarkSelection> Bench = parseBenchmarkOption(CL);
+  std::optional<BenchmarkSelection> Bench = parseBenchmarkOption(*CL);
   if (!Bench)
     return 1;
-  std::optional<WorkloadMix> Mix = parseWorkloadOption(CL);
+  std::optional<WorkloadMix> Mix = parseWorkloadOption(*CL);
   if (!Mix)
     return 1;
   if (Bench->Present == !Mix->empty()) {
@@ -87,15 +79,15 @@ int main(int argc, char **argv) {
                                          ? std::vector<BenchmarkSpec>{*Bench->Spec}
                                          : workloadMixSuite(*Mix);
 
-  std::optional<MachineModel> Model = parseModelOption(CL);
+  std::optional<MachineModel> Model = parseModelOption(*CL);
   if (!Model)
     return 1;
-  std::optional<EngineHandle> Handle = parseEngineOptions(CL);
+  std::optional<EngineHandle> Handle = parseEngineOptions(*CL);
   if (!Handle)
     return 1;
 
-  std::string Out = CL.get("out");
-  std::string FormatName = CL.get("format");
+  std::string Out = CL->get("out");
+  std::string FormatName = CL->get("format");
   TraceFormat Format = TraceFormat::Csv;
   if (FormatName.empty()) {
     if (Out.size() >= 5 && Out.compare(Out.size() - 5, 5, ".sftb") == 0)
@@ -110,7 +102,7 @@ int main(int argc, char **argv) {
     return 1;
   }
 
-  std::optional<NoiseStack> Noise = parseNoiseOption(CL);
+  std::optional<NoiseStack> Noise = parseNoiseOption(*CL);
   if (!Noise)
     return 1;
 

@@ -140,41 +140,37 @@ static int inspectRegistry(const CommandLine &CL) {
 }
 
 int main(int argc, char **argv) {
-  CommandLine CL(argc, argv);
-  if (!CL.checkKnownOptions({"help", "version", "from-registry",
-                             "filter-version", "workload", "threshold", "out",
-                             "model", "jobs", "corpus-dir", "no-cache", "noise",
-                             "noise-seed"}))
+  std::optional<CommandLine> CL = parseCommandLine(
+      argc, argv, {"help", "version", "no-cache"},
+      {"from-registry", "filter-version", "workload", "threshold", "out",
+       "model", "jobs", "corpus-dir", "noise", "noise-seed"});
+  if (!CL)
     return 1;
-  if (CL.has("help")) {
-    printUsage(std::cout);
+  if (handleInfoOptions(*CL, "sf-train", printUsage))
     return 0;
-  }
-  if (handleVersionOption(CL, "sf-train"))
-    return 0;
-  if (CL.has("from-registry"))
-    return inspectRegistry(CL);
-  if (CL.has("filter-version")) {
+  if (CL->has("from-registry"))
+    return inspectRegistry(*CL);
+  if (CL->has("filter-version")) {
     std::cerr << "error: --filter-version only applies with "
                  "--from-registry\n";
     return 1;
   }
-  std::optional<WorkloadMix> Mix = parseWorkloadOption(CL);
+  std::optional<WorkloadMix> Mix = parseWorkloadOption(*CL);
   if (!Mix)
     return 1;
-  if (CL.positional().empty() && Mix->empty())
+  if (CL->positional().empty() && Mix->empty())
     return usage();
 
-  std::optional<double> Threshold = parseThresholdOption(CL);
+  std::optional<double> Threshold = parseThresholdOption(*CL);
   if (!Threshold)
     return 1;
-  std::optional<MachineModel> Model = parseModelOption(CL);
+  std::optional<MachineModel> Model = parseModelOption(*CL);
   if (!Model)
     return 1;
-  std::optional<EngineHandle> Handle = parseEngineOptions(CL);
+  std::optional<EngineHandle> Handle = parseEngineOptions(*CL);
   if (!Handle)
     return 1;
-  std::optional<NoiseStack> Noise = parseNoiseOption(CL);
+  std::optional<NoiseStack> Noise = parseNoiseOption(*CL);
   if (!Noise)
     return 1;
   ExperimentEngine &Engine = **Handle;
@@ -185,7 +181,7 @@ int main(int argc, char **argv) {
   // Each file is one run of the noise stack's lane space (run index =
   // command-line position; --workload runs continue the numbering), so a
   // perturbed training set replays bit-identically at any job count too.
-  const std::vector<std::string> &Paths = CL.positional();
+  const std::vector<std::string> &Paths = CL->positional();
   std::vector<Dataset> Labeled(Paths.size());
   std::vector<size_t> BlockCounts(Paths.size(), 0);
   std::vector<std::string> Errors(Paths.size());
@@ -254,7 +250,7 @@ int main(int argc, char **argv) {
   if (!Lint.clean())
     printFindings(Lint, std::cerr);
 
-  std::string Out = CL.get("out");
+  std::string Out = CL->get("out");
   if (!Out.empty()) {
     std::ofstream OS(Out, std::ios::trunc);
     if (!OS) {
