@@ -115,12 +115,12 @@ int main(int argc, char **argv) {
   const std::string PreFamily = "ptrchase";
   const std::string PostFamily = "specjvm98";
   const WorkloadFamily *Pre = findWorkloadFamily(PreFamily);
-  const WorkloadFamily *Post = findWorkloadFamily(PostFamily);
-  assert(Pre && Post && "stock families must be registered");
+  assert(Pre && findWorkloadFamily(PostFamily) &&
+         "stock families must be registered");
 
   MachineModel Model = MachineModel::ppc7410();
-  std::vector<AppSpec> Apps =
-      expandWorkloadMix({{PreFamily, 1.0}, {PostFamily, 1.0}});
+  const WorkloadMix Mix = {{PreFamily, 1.0}, {PostFamily, 1.0}};
+  std::vector<AppSpec> Apps = expandWorkloadMix(Mix);
   std::vector<Program> Programs = generateMixPrograms(Apps);
   const size_t NumPreApps = Pre->makeBenchmarkSuite().size();
 
@@ -148,25 +148,25 @@ int main(int argc, char **argv) {
   // pre-shift family; the oracle sees both.
   std::cerr << "tracing " << PreFamily << " + " << PostFamily
             << " factory corpora (cache-served when warm)...\n";
-  std::vector<BenchmarkRun> PreRuns =
-      Engine.generateSuiteData(Pre->makeBenchmarkSuite(), Model);
-  std::vector<BenchmarkRun> PostRuns =
-      Engine.generateSuiteData(Post->makeBenchmarkSuite(), Model);
+  std::vector<BenchmarkRun> Runs =
+      Engine.generateSuiteData(workloadMixSuite(Mix), Model);
 
+  // Both families labeled in one call: the pre-shift runs come first.
+  std::vector<Dataset> Labeled = Engine.labelSuite(Runs, Threshold);
   Dataset PreSet("pre");
-  for (const Dataset &D : Engine.labelSuite(PreRuns, Threshold))
-    PreSet.append(D);
+  for (size_t I = 0; I != NumPreApps; ++I)
+    PreSet.append(Labeled[I]);
   Dataset BothSet("both");
-  BothSet.append(PreSet);
-  for (const Dataset &D : Engine.labelSuite(PostRuns, Threshold))
+  for (const Dataset &D : Labeled)
     BothSet.append(D);
 
   RuleSet StaleRules = Ripper().train(PreSet, Pool);
   RuleSet OracleRules = Ripper().train(BothSet, Pool);
 
   std::vector<BlockRecord> SeedCorpus;
-  for (const BenchmarkRun &R : PreRuns)
-    SeedCorpus.insert(SeedCorpus.end(), R.Records.begin(), R.Records.end());
+  for (size_t I = 0; I != NumPreApps; ++I)
+    SeedCorpus.insert(SeedCorpus.end(), Runs[I].Records.begin(),
+                      Runs[I].Records.end());
 
   std::cout << "Online adaptation after a workload shift ("
             << PreFamily << " -> " << PostFamily << " at epoch "

@@ -6,6 +6,15 @@
 
 using namespace schedfilter;
 
+std::vector<RecordSet>
+schedfilter::recordSets(const std::vector<BenchmarkRun> &Suite) {
+  std::vector<RecordSet> Sets;
+  Sets.reserve(Suite.size());
+  for (const BenchmarkRun &Run : Suite)
+    Sets.push_back({Run.Name, &Run.Records});
+  return Sets;
+}
+
 std::vector<double> schedfilter::paperThresholds() {
   std::vector<double> T;
   for (int V = 0; V <= 50; V += 5)

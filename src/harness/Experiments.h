@@ -52,6 +52,10 @@ struct BenchmarkRun {
   BenchmarkRun() : Prog("") {}
 };
 
+/// The runs of \p Suite as labelRecordSets input (ml/Labeler.h): each
+/// run's name and records, borrowed, in suite order.
+std::vector<RecordSet> recordSets(const std::vector<BenchmarkRun> &Suite);
+
 /// Everything measured at one threshold value, per benchmark (parallel
 /// arrays in suite order) plus suite-level aggregates.
 struct ThresholdResult {
@@ -92,8 +96,8 @@ LearnerFn ripperLearner();
 /// Pooled default learner: RIPPER with its stock options, fanning the
 /// per-feature candidate scans of each train() call across \p Pool.
 /// Bit-identical to ripperLearner() at any job count, and safe to hand to
-/// the pooled leaveOneOut overload on the same pool (nested parallelFor
-/// runs inline).  \p Pool must outlive the returned functor.
+/// leaveOneOut on the same pool (nested parallelFor runs inline).
+/// \p Pool must outlive the returned functor.
 LearnerFn ripperLearner(TaskPool &Pool);
 
 } // namespace schedfilter

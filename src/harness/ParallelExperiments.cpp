@@ -93,46 +93,6 @@ PerBenchmarkEval evaluateBenchmark(const BenchmarkRun &Run,
   return Out;
 }
 
-/// Ranks every record of \p Suite once: the rows run through the suite's
-/// records in order, benchmark by benchmark.
-std::shared_ptr<const RankTable>
-rankSuite(const std::vector<BenchmarkRun> &Suite, TaskPool &Pool) {
-  size_t Rows = 0;
-  for (const BenchmarkRun &Run : Suite)
-    Rows += Run.Records.size();
-  std::vector<double> Values(static_cast<size_t>(NumFeatures) * Rows);
-  size_t Row = 0;
-  for (const BenchmarkRun &Run : Suite)
-    for (const BlockRecord &Rec : Run.Records) {
-      for (unsigned F = 0; F != NumFeatures; ++F)
-        Values[static_cast<size_t>(F) * Rows + Row] = Rec.X[F];
-      ++Row;
-    }
-  return std::make_shared<const RankTable>(Rows, std::move(Values), &Pool);
-}
-
-/// labelSuite on \p Table, a rankSuite table of \p Suite: each dataset holds
-/// exactly buildDataset's instances, as rows of the shared table.
-std::vector<Dataset> labelOnTable(const std::vector<BenchmarkRun> &Suite,
-                                  double ThresholdPct,
-                                  const std::shared_ptr<const RankTable> &Table,
-                                  TaskPool &Pool) {
-  std::vector<size_t> First(Suite.size() + 1, 0);
-  for (size_t B = 0; B != Suite.size(); ++B)
-    First[B + 1] = First[B] + Suite[B].Records.size();
-  std::vector<Dataset> Datasets(Suite.size());
-  Pool.parallelFor(Suite.size(), [&](size_t B) {
-    Dataset D(Suite[B].Name, Table);
-    const std::vector<BlockRecord> &Records = Suite[B].Records;
-    D.reserve(Records.size());
-    for (size_t R = 0; R != Records.size(); ++R)
-      if (std::optional<Label> L = labelWithThreshold(Records[R], ThresholdPct))
-        D.addRow(static_cast<uint32_t>(First[B] + R), *L);
-    Datasets[B] = std::move(D);
-  });
-  return Datasets;
-}
-
 } // namespace
 
 std::vector<BenchmarkRun>
@@ -179,7 +139,7 @@ ExperimentEngine::generateSuiteData(const std::vector<BenchmarkSpec> &Suite,
 std::vector<Dataset>
 ExperimentEngine::labelSuite(const std::vector<BenchmarkRun> &Suite,
                              double ThresholdPct) {
-  return labelOnTable(Suite, ThresholdPct, rankSuite(Suite, Pool), Pool);
+  return labelRecordSets(recordSets(Suite), ThresholdPct, Pool);
 }
 
 ThresholdResult
@@ -237,12 +197,13 @@ std::vector<ThresholdResult>
 ExperimentEngine::runThresholdSweep(const std::vector<BenchmarkRun> &Suite,
                                     const std::vector<double> &Thresholds,
                                     const LearnerFn &Learner) {
-  std::shared_ptr<const RankTable> Table = rankSuite(Suite, Pool);
+  std::vector<RecordSet> Sets = recordSets(Suite);
+  std::shared_ptr<const RankTable> Table = rankRecordSets(Sets, Pool);
   std::vector<ThresholdResult> Results(Thresholds.size());
   Pool.parallelFor(Thresholds.size(), [&](size_t I) {
-    Results[I] =
-        runThreshold(Suite, labelOnTable(Suite, Thresholds[I], Table, Pool),
-                     Thresholds[I], Learner);
+    Results[I] = runThreshold(
+        Suite, labelRecordSets(Sets, Thresholds[I], Pool, Table),
+        Thresholds[I], Learner);
   });
   return Results;
 }

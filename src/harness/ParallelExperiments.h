@@ -68,11 +68,9 @@ public:
   generateSuiteData(const std::vector<BenchmarkSpec> &Suite,
                     const MachineModel &Model);
 
-  /// Labels every benchmark's records at threshold \p ThresholdPct
-  /// (dropping the (0, t] noise band), one Dataset per benchmark, in
-  /// suite order; parallel by benchmark.  The datasets hold buildDataset's
-  /// instances as rows of one rank table over the suite's records, so
-  /// every training set pooled from them trains without re-ranking.
+  /// labelRecordSets (ml/Labeler.h) of the suite on this engine's pool:
+  /// one Dataset per benchmark, in suite order, all rows of one rank
+  /// table over the suite's records.
   std::vector<Dataset> labelSuite(const std::vector<BenchmarkRun> &Suite,
                                   double ThresholdPct);
 
@@ -85,9 +83,8 @@ public:
 
   /// runThreshold over datasets the caller already labeled (one per run,
   /// in suite order) -- e.g. through a noise stack's label hooks.
-  /// \p ThresholdPct is reported, not re-applied.  Each fold trains on
-  /// the datasets' own instances (ranked per fold unless they sit on a
-  /// shared rank table).
+  /// \p ThresholdPct is reported, not re-applied.  Each fold trains on a
+  /// view of the datasets' shared rank table.
   ThresholdResult runThreshold(const std::vector<BenchmarkRun> &Suite,
                                const std::vector<Dataset> &Labeled,
                                double ThresholdPct, const LearnerFn &Learner);

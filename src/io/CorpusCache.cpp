@@ -7,8 +7,6 @@
 
 #include <cctype>
 #include <cstdlib>
-#include <fstream>
-#include <iterator>
 
 using namespace schedfilter;
 
@@ -65,40 +63,20 @@ std::string CorpusCache::entryPath(const CorpusKey &K) const {
 std::optional<CachedRun>
 CorpusCache::load(const CorpusKey &K,
                   std::optional<uint64_t> ExpectedRecords) {
-  std::ifstream IS(entryPath(K), std::ios::binary);
-  if (!IS) {
+  // The envelope's checksum covers key, reports and records alike: a
+  // flipped bit in the report block is as fatal as one in the payload.
+  // A missing entry is a plain miss; one read but refused is invalid too.
+  wire::SealedFile File = wire::unseal(entryPath(K), CorpusEntryMagic);
+  auto Miss = [&]() -> std::optional<CachedRun> {
     std::lock_guard<std::mutex> Lock(Mutex);
     ++S.Misses;
-    return std::nullopt;
-  }
-
-  auto Invalid = [&]() -> std::optional<CachedRun> {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++S.Misses;
-    ++S.InvalidEntries;
+    S.InvalidEntries += File.Fault != wire::SealFault::Unreadable;
     return std::nullopt;
   };
-
-  std::string Bytes((std::istreambuf_iterator<char>(IS)),
-                    std::istreambuf_iterator<char>());
-  const char *P = Bytes.data();
-  const char *End = P + Bytes.size();
-
-  // Magic line.
-  const size_t MagicLen = sizeof(CorpusEntryMagic); // includes the '\n' slot
-  if (Bytes.size() < MagicLen ||
-      Bytes.compare(0, MagicLen - 1, CorpusEntryMagic) != 0 ||
-      Bytes[MagicLen - 1] != '\n')
-    return Invalid();
-  P += MagicLen;
-
-  // Whole-body checksum: everything after this field -- key, reports and
-  // records alike.  A flipped bit in the report block must be as fatal
-  // as one in the payload.
-  uint64_t Checksum;
-  if (!wire::getU64(P, End, Checksum) ||
-      wire::fnv1a(P, static_cast<size_t>(End - P)) != Checksum)
-    return Invalid();
+  if (File.Fault != wire::SealFault::None)
+    return Miss();
+  const char *P = File.body();
+  const char *End = File.end();
 
   // Header: the full key, embedded and verified -- an entry renamed onto
   // another key must not be believed.
@@ -112,31 +90,31 @@ CorpusCache::load(const CorpusKey &K,
       !wire::getU64(P, End, Fingerprint) ||
       !wire::getString(P, End, Bench) || !wire::getString(P, End, Model) ||
       !wire::getString(P, End, Family))
-    return Invalid();
+    return Miss();
   if (GenVersion != K.GeneratorVersion ||
       PipeVersion != K.PipelineVersion ||
       Fingerprint != K.SpecFingerprint || Bench != K.Benchmark ||
       Model != K.Model || Family != K.Family)
-    return Invalid();
+    return Miss();
 
   CachedRun Run;
   if (!getReport(P, End, Run.NeverReport) ||
       !getReport(P, End, Run.AlwaysReport))
-    return Invalid();
+    return Miss();
 
   uint64_t Count;
   if (!wire::getU64(P, End, Count))
-    return Invalid();
+    return Miss();
   if (ExpectedRecords && Count != *ExpectedRecords)
-    return Invalid();
+    return Miss();
   const uint64_t RecordSize = NumFeatures * 8 + 24;
   const uint64_t Avail = static_cast<uint64_t>(End - P);
   if (Count > Avail / RecordSize || Count * RecordSize != Avail)
-    return Invalid();
+    return Miss();
   ParseResult<std::vector<BlockRecord>> Records =
       wire::decodeRecords(P, End, Count);
   if (!Records)
-    return Invalid();
+    return Miss();
   Run.Records = std::move(*Records);
 
   std::lock_guard<std::mutex> Lock(Mutex);
@@ -161,12 +139,8 @@ bool CorpusCache::store(const CorpusKey &K,
   wire::putU64(Body, Records.size());
   Body += wire::encodeRecords(Records);
 
-  std::string Bytes(CorpusEntryMagic);
-  Bytes += '\n';
-  wire::putU64(Bytes, wire::fnv1a(Body.data(), Body.size()));
-  Bytes += Body;
-
-  bool Ok = wire::writeFileAtomic(entryPath(K), Bytes);
+  bool Ok =
+      wire::writeFileAtomic(entryPath(K), wire::seal(CorpusEntryMagic, Body));
   std::lock_guard<std::mutex> Lock(Mutex);
   ++(Ok ? S.Stores : S.StoreFailures);
   return Ok;

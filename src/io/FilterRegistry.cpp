@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <sstream>
 
 using namespace schedfilter;
@@ -43,12 +41,8 @@ bool FilterRegistry::store(const FilterVersionMeta &Meta,
   wire::putString(Body, Meta.Workload);
   wire::putString(Body, RulesText);
 
-  std::string Bytes(FilterRegistryMagic);
-  Bytes += '\n';
-  wire::putU64(Bytes, wire::fnv1a(Body.data(), Body.size()));
-  Bytes += Body;
-
-  bool Ok = wire::writeFileAtomic(entryPath(Meta.Version), Bytes);
+  bool Ok = wire::writeFileAtomic(entryPath(Meta.Version),
+                                  wire::seal(FilterRegistryMagic, Body));
   ++(Ok ? S.Stores : S.StoreFailures);
   return Ok;
 }
@@ -59,29 +53,22 @@ ParseResult<RegistryEntry> FilterRegistry::load(uint32_t Version) const {
     return ParseResult<RegistryEntry>(ParseError{0, Path + ": " + Why});
   };
 
-  std::ifstream IS(Path, std::ios::binary);
-  if (!IS)
+  // The envelope (magic line, whole-body checksum) before any field.
+  wire::SealedFile File = wire::unseal(Path, FilterRegistryMagic);
+  switch (File.Fault) {
+  case wire::SealFault::None:
+    break;
+  case wire::SealFault::Unreadable:
     return Fail("cannot open registry entry");
-
-  std::string Bytes((std::istreambuf_iterator<char>(IS)),
-                    std::istreambuf_iterator<char>());
-  const char *P = Bytes.data();
-  const char *End = P + Bytes.size();
-
-  // Magic line.
-  const size_t MagicLen = sizeof(FilterRegistryMagic); // includes '\n' slot
-  if (Bytes.size() < MagicLen ||
-      Bytes.compare(0, MagicLen - 1, FilterRegistryMagic) != 0 ||
-      Bytes[MagicLen - 1] != '\n')
+  case wire::SealFault::BadMagic:
     return Fail("not an SFFR1 registry entry");
-  P += MagicLen;
-
-  // Whole-body checksum before believing a single field.
-  uint64_t Checksum;
-  if (!wire::getU64(P, End, Checksum))
+  case wire::SealFault::NoChecksum:
     return Fail("truncated entry (no checksum)");
-  if (wire::fnv1a(P, static_cast<size_t>(End - P)) != Checksum)
+  case wire::SealFault::BadChecksum:
     return Fail("checksum mismatch (corrupt or truncated entry)");
+  }
+  const char *P = File.body();
+  const char *End = File.end();
 
   RegistryEntry E;
   std::string RulesText;

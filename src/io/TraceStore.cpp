@@ -5,6 +5,7 @@
 #include "features/Features.h"
 #include "support/StringUtils.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -180,6 +181,34 @@ bool wire::writeFileAtomic(const std::string &Path, const std::string &Bytes) {
     return false;
   }
   return true;
+}
+
+std::string wire::seal(const char *Magic, const std::string &Body) {
+  std::string Bytes(Magic);
+  Bytes += '\n';
+  putU64(Bytes, fnv1a(Body.data(), Body.size()));
+  Bytes += Body;
+  return Bytes;
+}
+
+wire::SealedFile wire::unseal(const std::string &Path, const char *Magic) {
+  SealedFile F;
+  std::ifstream IS(Path, std::ios::binary);
+  F.Bytes.assign(std::istreambuf_iterator<char>(IS),
+                 std::istreambuf_iterator<char>()); // empty if not open
+  const std::string Line = std::string(Magic) + '\n';
+  const char *P = F.Bytes.data() + std::min(F.Bytes.size(), Line.size());
+  uint64_t Checksum;
+  if (!IS.is_open())
+    F.Fault = SealFault::Unreadable;
+  else if (F.Bytes.compare(0, Line.size(), Line) != 0)
+    F.Fault = SealFault::BadMagic;
+  else if (!getU64(P, F.end(), Checksum))
+    F.Fault = SealFault::NoChecksum;
+  else if (fnv1a(P, static_cast<size_t>(F.end() - P)) != Checksum)
+    F.Fault = SealFault::BadChecksum;
+  F.BodyOffset = static_cast<size_t>(P - F.Bytes.data());
+  return F;
 }
 
 //===----------------------------------------------------------------------===//

@@ -119,6 +119,26 @@ decodeRecords(const char *P, const char *End, uint64_t Count);
 /// is removed and false returned.
 bool writeFileAtomic(const std::string &Path, const std::string &Bytes);
 
+/// The envelope of SFCC1 corpus entries and SFFR1 registry entries: the
+/// line "MAGIC\n", the u64 FNV-1a of the body, then the body.
+std::string seal(const char *Magic, const std::string &Body);
+
+/// Why unseal refused a file (None: it did not).
+enum class SealFault { None, Unreadable, BadMagic, NoChecksum, BadChecksum };
+
+/// A file unseal read whole; unless refused, its body is [body(), end()).
+struct SealedFile {
+  SealFault Fault = SealFault::None;
+  std::string Bytes;
+  size_t BodyOffset = 0;
+  const char *body() const { return Bytes.data() + BodyOffset; }
+  const char *end() const { return Bytes.data() + Bytes.size(); }
+};
+
+/// Reads \p Path whole and checks seal(Magic, ...)'s magic line and
+/// checksum, so no body field is believed before both hold.
+SealedFile unseal(const std::string &Path, const char *Magic);
+
 } // namespace wire
 
 } // namespace schedfilter

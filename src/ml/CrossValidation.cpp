@@ -28,16 +28,6 @@ LoocvFold trainFold(const std::vector<Dataset> &PerBenchmark, size_t Held,
 
 std::vector<LoocvFold>
 schedfilter::leaveOneOut(const std::vector<Dataset> &PerBenchmark,
-                         const LearnerFn &Learner) {
-  std::vector<LoocvFold> Folds;
-  Folds.reserve(PerBenchmark.size());
-  for (size_t Held = 0; Held != PerBenchmark.size(); ++Held)
-    Folds.push_back(trainFold(PerBenchmark, Held, Learner));
-  return Folds;
-}
-
-std::vector<LoocvFold>
-schedfilter::leaveOneOut(const std::vector<Dataset> &PerBenchmark,
                          const LearnerFn &Learner, TaskPool &Pool) {
   std::vector<LoocvFold> Folds(PerBenchmark.size());
   Pool.parallelFor(PerBenchmark.size(), [&](size_t Held) {

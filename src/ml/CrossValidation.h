@@ -35,17 +35,13 @@ struct LoocvFold {
 /// Runs leave-one-out cross-validation: for each dataset i in
 /// \p PerBenchmark, trains \p Learner on the concatenation of all others
 /// and pairs the result with dataset i's name.  Order follows the input.
-/// Serial: the determinism tests hold the pooled overload to it.
-std::vector<LoocvFold> leaveOneOut(const std::vector<Dataset> &PerBenchmark,
-                                   const LearnerFn &Learner);
-
-/// Parallel variant: trains the folds on \p Pool's workers.  Each fold is
-/// a pure function of its training set (learners seed their own Rng), so
-/// the result is bit-for-bit identical to the serial overload at any job
-/// count; fold order always follows the input.  \p Learner must be safe to
-/// invoke concurrently from multiple threads.  A learner that itself fans
-/// out on the same pool (e.g. ripperLearner(Pool)) is fine: nested
-/// parallelFor calls run inline on the worker that owns the fold.
+/// The folds train on \p Pool's workers (a one-job pool is the serial
+/// path).  Each fold is a pure function of its training set (learners
+/// seed their own Rng), so the result is bit-for-bit identical at any job
+/// count.  \p Learner must be safe to invoke concurrently from multiple
+/// threads.  A learner that itself fans out on the same pool (e.g.
+/// ripperLearner(Pool)) is fine: nested parallelFor calls run inline on
+/// the worker that owns the fold.
 std::vector<LoocvFold> leaveOneOut(const std::vector<Dataset> &PerBenchmark,
                                    const LearnerFn &Learner, TaskPool &Pool);
 

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 using namespace schedfilter;
@@ -89,14 +91,19 @@ FeatureVector RankTable::row(size_t I) const {
   return X;
 }
 
-std::shared_ptr<const RankTable>
-schedfilter::rankInstances(const Dataset &D, TaskPool *Pool) {
-  size_t N = D.size();
+Dataset Dataset::fromInstances(std::string Name,
+                               const std::vector<Instance> &Instances) {
+  size_t N = Instances.size();
   std::vector<double> Values(static_cast<size_t>(NumFeatures) * N);
   for (size_t I = 0; I != N; ++I)
     for (unsigned F = 0; F != NumFeatures; ++F)
-      Values[static_cast<size_t>(F) * N + I] = D[I].X[F];
-  return std::make_shared<const RankTable>(N, std::move(Values), Pool);
+      Values[static_cast<size_t>(F) * N + I] = Instances[I].X[F];
+  Dataset D(std::move(Name),
+            std::make_shared<const RankTable>(N, std::move(Values)));
+  D.reserve(N);
+  for (size_t I = 0; I != N; ++I)
+    D.addRow(static_cast<uint32_t>(I), Instances[I].Y);
+  return D;
 }
 
 void Dataset::addRow(uint32_t Row, Label Y) {
@@ -108,15 +115,16 @@ void Dataset::addRow(uint32_t Row, Label Y) {
 void Dataset::append(const Dataset &Other) {
   if (Other.empty())
     return;
-  if (empty()) {
+  if (!Table)
     Table = Other.Table;
-    RowIds = Other.RowIds;
-  } else if (Table && Table == Other.Table) {
-    RowIds.insert(RowIds.end(), Other.RowIds.begin(), Other.RowIds.end());
-  } else {
-    Table.reset();
-    RowIds.clear();
+  else if (Table != Other.Table) {
+    std::fprintf(stderr,
+                 "Dataset '%s': cannot append '%s', whose rows belong to "
+                 "another rank table\n",
+                 Name.c_str(), Other.Name.c_str());
+    std::abort();
   }
+  RowIds.insert(RowIds.end(), Other.RowIds.begin(), Other.RowIds.end());
   Instances.insert(Instances.end(), Other.Instances.begin(),
                    Other.Instances.end());
 }

@@ -6,8 +6,10 @@
 /// label, LS (schedule) or NS (don't schedule), per the paper's §2.2.
 /// Features are finite: datasets are labeled from traced or decoded
 /// records, and the trace readers (io/TraceStore.h) reject NaN and inf.
-/// Datasets labeled from one suite also share a rank table of the suite's
-/// records, the index the RIPPER trainer sweeps (ml/Ripper.cpp).
+/// Every non-empty dataset is a list of labeled rows of one rank table,
+/// the index the RIPPER trainer sweeps (ml/Ripper.cpp): the labeler
+/// (ml/Labeler.h) ranks the records it labels into one, and hand-built
+/// instances get their own through Dataset::fromInstances.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,8 +44,8 @@ struct Instance {
 /// each feature it holds the rows' values bit for bit, each row's dense
 /// rank among the feature's distinct values (0 = smallest; values equal
 /// under operator== share a rank), and each rank's value, with the bits
-/// of the lowest-index row holding it.  A dataset whose instances are
-/// rows of a table (see Dataset::addRow) trains on a view of it, so every
+/// of the lowest-index row holding it.  A dataset's instances are rows
+/// of a table (see Dataset::addRow) and train on a view of it, so every
 /// fold of every threshold of a sweep shares one ranking.  Read-only
 /// after construction, so any number of threads may share one.
 class RankTable {
@@ -88,7 +90,8 @@ private:
   std::array<std::vector<uint32_t>, NumFeatures> Mixed;
 };
 
-/// A named bag of instances (typically: all blocks of one benchmark).
+/// A named bag of instances (typically: all blocks of one benchmark), each
+/// a labeled row of one rank table.
 class Dataset {
 public:
   explicit Dataset(std::string Name = "") : Name(std::move(Name)) {}
@@ -97,15 +100,13 @@ public:
   Dataset(std::string Name, std::shared_ptr<const RankTable> Table)
       : Name(std::move(Name)), Table(std::move(Table)) {}
 
+  /// The dataset of hand-built \p Instances on a table of their own: row
+  /// i is Instances[i].
+  static Dataset fromInstances(std::string Name,
+                               const std::vector<Instance> &Instances);
+
   const std::string &getName() const { return Name; }
 
-  /// Adds a free-standing instance; the dataset no longer sits on a rank
-  /// table.
-  void add(Instance I) {
-    Instances.push_back(std::move(I));
-    Table.reset();
-    RowIds.clear();
-  }
   /// Adds row \p Row of the rank table with label \p Y.
   void addRow(uint32_t Row, Label Y);
   /// Makes room for \p N instances and their row ids.
@@ -113,13 +114,14 @@ public:
     Instances.reserve(N);
     RowIds.reserve(N);
   }
-  /// Appends \p Other's instances.  The result stays on a rank table when
-  /// both sides sit on the same one (or this side is empty).
+  /// Appends \p Other's instances.  Both sides must sit on one rank table
+  /// (a dataset with none yet takes Other's); appending rows of another
+  /// table aborts, in every build type.
   void append(const Dataset &Other);
 
-  /// The rank table every instance is a row of, or null.
+  /// The rank table every instance is a row of; null only while empty.
   const std::shared_ptr<const RankTable> &rankTable() const { return Table; }
-  /// Instance i is row rowIds()[i] of rankTable(); empty without a table.
+  /// Instance i is row rowIds()[i] of rankTable().
   const std::vector<uint32_t> &rowIds() const { return RowIds; }
 
   size_t size() const { return Instances.size(); }
@@ -143,10 +145,6 @@ private:
   std::shared_ptr<const RankTable> Table;
   std::vector<uint32_t> RowIds;
 };
-
-/// A rank table over \p D's instances: row i is D[i].
-std::shared_ptr<const RankTable> rankInstances(const Dataset &D,
-                                               TaskPool *Pool = nullptr);
 
 } // namespace schedfilter
 

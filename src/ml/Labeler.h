@@ -8,6 +8,10 @@
 /// produce *no instance* when the benefit lies in (0, t] — the paper's
 /// noise-filtering device.
 ///
+/// labelRecordSets is the one way from records to training sets: the
+/// harness's suites, the noise stack's label lanes, sf-train and the
+/// online trainer all label through it, onto one RankTable per call.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SCHEDFILTER_ML_LABELER_H
@@ -40,10 +44,11 @@ double schedulingBenefitPercent(const BlockRecord &R);
 std::optional<Label> labelWithThreshold(const BlockRecord &R,
                                         double ThresholdPct);
 
-/// Labels every record of \p Records at threshold \p ThresholdPct, dropping
-/// the (0, t] band, and returns the resulting dataset named \p Name.
-Dataset buildDataset(const std::vector<BlockRecord> &Records,
-                     double ThresholdPct, const std::string &Name);
+/// One run's records to label, borrowed, and the name its dataset takes.
+struct RecordSet {
+  std::string Name;
+  const std::vector<BlockRecord> *Records = nullptr;
+};
 
 /// Post-threshold transform of one record's verdict (nullopt = no
 /// training instance): label-noise sources and band-handling ablations
@@ -53,11 +58,32 @@ Dataset buildDataset(const std::vector<BlockRecord> &Records,
 using LabelTransform = std::function<std::optional<Label>(
     std::optional<Label> L, const BlockRecord &Rec, size_t RecordIndex)>;
 
-/// buildDataset with \p Transform applied to every record's threshold
-/// verdict.  A null transform is the plain overload.
+/// Makes the LabelTransform of the run at \p RunIndex (its position in
+/// the sets being labeled); a null result labels that run plainly.
+using LabelTransformFactory = std::function<LabelTransform(size_t RunIndex)>;
+
+/// A rank table over every record of \p Sets: rows run through the sets'
+/// records in order, set by set.  Features are ranked on \p Pool.
+std::shared_ptr<const RankTable>
+rankRecordSets(const std::vector<RecordSet> &Sets, TaskPool &Pool);
+
+/// Labels every record of \p Sets at threshold \p ThresholdPct, dropping
+/// the (0, t] band, into one Dataset per set, in input order; parallel by
+/// set on \p Pool with identical results at any job count.  The datasets
+/// are rows of one rank table: \p Table when given (rankRecordSets of
+/// these sets, so a sweep ranks once), else one ranked here.  With
+/// \p MakeTransform, set i's verdicts pass through MakeTransform(i).
+std::vector<Dataset>
+labelRecordSets(const std::vector<RecordSet> &Sets, double ThresholdPct,
+                TaskPool &Pool,
+                std::shared_ptr<const RankTable> Table = nullptr,
+                const LabelTransformFactory &MakeTransform = nullptr);
+
+/// labelRecordSets of the one set \p Records, named \p Name, on \p Pool
+/// (serially without one).
 Dataset buildDataset(const std::vector<BlockRecord> &Records,
                      double ThresholdPct, const std::string &Name,
-                     const LabelTransform &Transform);
+                     TaskPool *Pool = nullptr);
 
 } // namespace schedfilter
 

@@ -16,7 +16,7 @@ FilterArtifactRef OnlineTrainer::maybeRetrain(uint64_t Tick,
   // just the new tail: RIPPER is a batch learner, and the full-corpus
   // retrain keeps each version a pure function of the append sequence up
   // to its trigger -- no hidden incremental state to replay.
-  Dataset Labeled = Corpus.label(ThresholdPct, "online");
+  Dataset Labeled = Corpus.label(ThresholdPct, "online", Pool);
   RuleSet RS = Ripper().train(Labeled, Pool);
   Corpus.markTrained();
   return makeFilterArtifact(std::move(RS), CurrentVersion + 1, CurrentVersion,

@@ -54,9 +54,10 @@ public:
   size_t newSinceTrain() const { return Store.size() - TrainedMark; }
 
   /// Labels the whole corpus at \p ThresholdPct (the paper's threshold
-  /// rule, (0, t] band dropped) into a dataset named \p Name.
-  Dataset label(double ThresholdPct, const std::string &Name) const {
-    return buildDataset(Store, ThresholdPct, Name);
+  /// rule, (0, t] band dropped) into a dataset named \p Name, on \p Pool.
+  Dataset label(double ThresholdPct, const std::string &Name,
+                TaskPool &Pool) const {
+    return buildDataset(Store, ThresholdPct, Name, &Pool);
   }
 
   /// Marks the current contents as consumed by a train.
@@ -104,9 +105,6 @@ public:
   void absorb(const std::vector<BlockRecord> &Records) {
     Corpus.append(Records);
   }
-
-  const CorpusAccumulator &corpus() const { return Corpus; }
-  const RetrainPolicy &policy() const { return Policy; }
 
   /// If the policy fires at virtual tick \p Tick, trains version
   /// CurrentVersion+1 on the full corpus and returns it; otherwise null.

@@ -9,8 +9,8 @@
 //    (the Table 1 features have a few dozen to a few hundred), so a
 //    value-order sweep is a walk over ranks.  Datasets labeled from one
 //    suite share one table -- all 77 folds of sf-report's sweep -- and
-//    train() just gathers its rows and labels; a dataset without a table
-//    (CSV, add()) is ranked by the same table builder first.  One key
+//    train() just gathers its rows and labels; every dataset sits on a
+//    table (the labeler ranks what it labels, ml/Labeler.h).  One key
 //    per (feature, instance), rank << 1 | label, is its histogram slot
 //    and what conditions test; the trainer keeps no copy of the values.
 //  - Finding the best FOIL condition counts the covered instances' (P, N)
@@ -56,7 +56,6 @@
 #include <cmath>
 #include <cstring>
 #include <map>
-#include <numeric>
 #include <tuple>
 
 using namespace schedfilter;
@@ -198,10 +197,9 @@ struct Trainer {
   /// wall-clock knob only: results are identical either way.
   static constexpr size_t ParallelMinCovered = 2048;
 
-  /// Gathers \p Data's rows of \p Table (instance i is row \p Rows[i]):
-  /// O(instances x features), no sort.
-  Trainer(const Dataset &Data, const RankTable &Table, const uint32_t *Rows,
-          const RipperOptions &O, Label Tgt, TaskPool *P)
+  /// Gathers \p Data's rows of its rank table: O(instances x features),
+  /// no sort.
+  Trainer(const Dataset &Data, const RipperOptions &O, Label Tgt, TaskPool *P)
       : Opts(O), Target(Tgt), Pool(P), N(Data.size()), Words((N + 63) / 64) {
     IsPos.resize(N);
     for (size_t I = 0; I != N; ++I)
@@ -213,7 +211,7 @@ struct Trainer {
     FeatureResults.resize(NumFeatures);
     std::vector<size_t> Present(NumFeatures);
     forEachFeature(N, [&](unsigned F) {
-      Present[F] = gatherFeature(F, Table, Rows);
+      Present[F] = gatherFeature(F, *Data.rankTable(), Data.rowIds().data());
     });
     // The condition space is two operators per distinct (feature, value)
     // pair present in the training set: the ranks its instances hold.
@@ -884,18 +882,9 @@ RuleSet trainImpl(const Dataset &Data, const RipperOptions &Opts,
   Label Target = NumLS <= NumNS ? Label::LS : Label::NS;
   Label Default = Target == Label::LS ? Label::NS : Label::LS;
 
-  // Train on a view of the dataset's rank table; a dataset without one
-  // (CSV, add()) is ranked here, as the one-row-per-instance table.
-  std::shared_ptr<const RankTable> Table = Data.rankTable();
-  std::vector<uint32_t> Identity;
-  const uint32_t *Rows = Data.rowIds().data();
-  if (!Table) {
-    Table = rankInstances(Data, Pool);
-    Identity.resize(Data.size());
-    std::iota(Identity.begin(), Identity.end(), 0u);
-    Rows = Identity.data();
-  }
-  Trainer T(Data, *Table, Rows, Opts, Target, Pool);
+  // Train on a view of the dataset's rank table (a non-empty dataset
+  // always sits on one).
+  Trainer T(Data, Opts, Target, Pool);
   IndexList Pos, Neg;
   for (int I = 0, E = static_cast<int>(Data.size()); I != E; ++I)
     (T.IsPos[static_cast<size_t>(I)] ? Pos : Neg).push_back(I);

@@ -23,12 +23,12 @@
 /// is fully deterministic.
 ///
 /// The trainer is the repository's *indexed* engine (see Ripper.cpp): it
-/// trains on a view of a RankTable -- the suite-wide table a labeled
-/// suite's datasets share, or one built from the dataset itself when it
-/// has none -- and sweeps candidate conditions over rank-indexed (P, N)
-/// histograms of the covered instances, instead of re-sorting every
-/// feature column for every candidate condition.  Coverage masks ride
-/// along with the rules, so the MDL bookkeeping is popcounts.  The pooled
+/// trains on a view of the dataset's RankTable -- the table the labeler
+/// ranked the dataset's records into (ml/Labeler.h) -- and sweeps
+/// candidate conditions over rank-indexed (P, N) histograms of the
+/// covered instances, instead of re-sorting every feature column for
+/// every candidate condition.  Coverage masks ride along with the rules,
+/// so the MDL bookkeeping is popcounts.  The pooled
 /// overload fans the per-feature sweeps across a shared TaskPool; output
 /// is bit-for-bit identical to the serial overload at any job count.
 ///
@@ -68,9 +68,9 @@ public:
   /// Trains on \p Data and returns the induced filter.  The returned rule
   /// set has per-rule coverage counts annotated against \p Data (Figure 4
   /// style).  An empty or single-class dataset yields an empty rule set
-  /// whose default class is the majority (or NS when empty).  A dataset
-  /// on a rank table trains on a view of it (no ranking); any other is
-  /// ranked first.  The RuleSet is the same either way.
+  /// whose default class is the majority (or NS when empty).  Training
+  /// reads a view of the dataset's rank table and never ranks; the
+  /// RuleSet does not depend on which other rows the table holds.
   RuleSet train(const Dataset &Data) const;
 
   /// Pooled variant: fans the per-feature candidate-condition sweeps of

@@ -43,11 +43,6 @@ void NoiseStack::perturbRun(BenchmarkRun &Run, size_t RunIndex) const {
     Sources[S]->perturb(Run, laneStream(S, LanePerturb).fork(RunIndex));
 }
 
-void NoiseStack::perturbSuite(std::vector<BenchmarkRun> &Suite) const {
-  for (size_t B = 0; B != Suite.size(); ++B)
-    perturbRun(Suite[B], B);
-}
-
 void NoiseStack::perturbSuite(std::vector<BenchmarkRun> &Suite,
                               TaskPool &Pool) const {
   if (Sources.empty())
@@ -55,30 +50,28 @@ void NoiseStack::perturbSuite(std::vector<BenchmarkRun> &Suite,
   Pool.parallelFor(Suite.size(), [&](size_t B) { perturbRun(Suite[B], B); });
 }
 
-Dataset NoiseStack::labelRun(const BenchmarkRun &Run, size_t RunIndex,
-                             double ThresholdPct) const {
-  if (Sources.empty())
-    return buildDataset(Run.Records, ThresholdPct, Run.Name);
-  std::vector<Rng> Lanes;
-  Lanes.reserve(Sources.size());
-  for (size_t S = 0; S != Sources.size(); ++S)
-    Lanes.push_back(laneStream(S, LaneLabel).fork(RunIndex));
-  LabelTransform T = [&](std::optional<Label> L, const BlockRecord &Rec,
-                         size_t I) {
-    for (size_t S = 0; S != Sources.size(); ++S)
-      L = Sources[S]->perturbLabel(L, Rec, I, Lanes[S]);
-    return L;
-  };
-  return buildDataset(Run.Records, ThresholdPct, Run.Name, T);
-}
-
 std::vector<Dataset>
 NoiseStack::labelSuite(const std::vector<BenchmarkRun> &Suite,
                        double ThresholdPct, TaskPool &Pool) const {
-  std::vector<Dataset> Out(Suite.size());
-  Pool.parallelFor(Suite.size(),
-                   [&](size_t B) { Out[B] = labelRun(Suite[B], B, ThresholdPct); });
-  return Out;
+  if (Sources.empty())
+    return labelRecordSets(recordSets(Suite), ThresholdPct, Pool);
+  // Run B's transform applies every source's label hook in order, each
+  // on its own lane stream L_i(B).
+  auto MakeTransform = [this](size_t RunIndex) -> LabelTransform {
+    std::vector<Rng> Lanes;
+    Lanes.reserve(Sources.size());
+    for (size_t S = 0; S != Sources.size(); ++S)
+      Lanes.push_back(laneStream(S, LaneLabel).fork(RunIndex));
+    return [this, Lanes = std::move(Lanes)](std::optional<Label> L,
+                                            const BlockRecord &Rec,
+                                            size_t I) {
+      for (size_t S = 0; S != Sources.size(); ++S)
+        L = Sources[S]->perturbLabel(L, Rec, I, Lanes[S]);
+      return L;
+    };
+  };
+  return labelRecordSets(recordSets(Suite), ThresholdPct, Pool, nullptr,
+                         MakeTransform);
 }
 
 std::function<double(uint64_t, size_t)> NoiseStack::mixDrift() const {

@@ -20,7 +20,10 @@
 /// tests/noise_test.cpp).
 ///
 /// An empty stack is exactly the identity: perturbSuite leaves every run
-/// byte-equal and labelSuite defers to the plain Labeler.
+/// byte-equal, and labelSuite labels exactly as
+/// ExperimentEngine::labelSuite does.  A non-empty stack labels through
+/// the same labeler (ml/Labeler.h's labelRecordSets), with its label
+/// lanes as the per-run transform.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -52,7 +55,6 @@ public:
   size_t size() const { return Sources.size(); }
   bool empty() const { return Sources.empty(); }
   uint64_t seed() const { return Seed; }
-  const NoiseSource &source(size_t I) const { return *Sources[I]; }
 
   /// Comma-joined canonical spellings ("jitter:0.1,spikes:0.05"), or
   /// "none" for the empty stack -- report headers print this.
@@ -64,19 +66,17 @@ public:
   /// reproduces the serial result bit for bit.
   void perturbRun(BenchmarkRun &Run, size_t RunIndex) const;
 
-  /// perturbRun over a whole suite; with \p Pool, parallel by run with
-  /// identical results.
-  void perturbSuite(std::vector<BenchmarkRun> &Suite) const;
+  /// perturbRun over a whole suite, parallel by run on \p Pool; the
+  /// result is identical at any job count (a one-job pool is the serial
+  /// path).
   void perturbSuite(std::vector<BenchmarkRun> &Suite, TaskPool &Pool) const;
 
-  /// The Labeler boundary: labels \p Run's records at \p ThresholdPct
-  /// with every source's label hook applied in order after the threshold
-  /// rule.  The empty stack is plain buildDataset.
-  Dataset labelRun(const BenchmarkRun &Run, size_t RunIndex,
-                   double ThresholdPct) const;
-
-  /// labelRun over a whole suite, parallel by run on \p Pool; the result
-  /// is identical at any job count.
+  /// The Labeler boundary: labels every run of \p Suite at
+  /// \p ThresholdPct through labelRecordSets, with every source's label
+  /// hook applied in order after the threshold rule (run B on its lane
+  /// L_i(B)).  One dataset per run, in suite order, all rows of one rank
+  /// table over the suite's records; parallel by run on \p Pool with
+  /// identical results at any job count.
   std::vector<Dataset> labelSuite(const std::vector<BenchmarkRun> &Suite,
                                   double ThresholdPct, TaskPool &Pool) const;
 

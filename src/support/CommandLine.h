@@ -6,8 +6,9 @@
 /// flags; the parser never guesses a flag's kind from the tokens around
 /// it.  A boolean is "--flag" and never consumes a token; a value flag is
 /// "--flag value" or "--flag=value".  Every token that does not start
-/// with "--" is positional.  No subcommands, no type registry -- the
-/// tools validate their own values and print their own usage.
+/// with "--" is positional, and only a binary that declares positionals
+/// accepts one.  No subcommands, no type registry -- the tools validate
+/// their own values and print their own usage.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +30,10 @@
 namespace schedfilter {
 
 using FlagList = std::initializer_list<std::string_view>;
+
+/// Whether a binary reads positional arguments (sf-train's traces,
+/// sf-lint's rules file) or none at all.
+enum class Positionals { None, Allowed };
 
 /// Parsed command line: the declared flags given and the positional
 /// arguments.  Built only by parseCommandLine.
@@ -66,23 +71,29 @@ public:
 
 private:
   friend std::optional<CommandLine> parseCommandLine(int, char **, FlagList,
-                                                     FlagList);
+                                                     FlagList, Positionals);
   std::map<std::string, std::string> Options;
   std::vector<std::string> Positional;
 };
 
-/// Parses argv against the declared \p Bools and \p Values.  Returns
-/// nullopt after printing one diagnostic for the first offending token in
-/// argv order: an undeclared flag ("error: unknown option --NAME"), a
-/// boolean written "--bool=x", a value flag with no value, an empty value
-/// or a following "--token", or a flag given twice.
-inline std::optional<CommandLine> parseCommandLine(int Argc, char **Argv,
-                                                   FlagList Bools,
-                                                   FlagList Values) {
+/// Parses argv against the declared \p Bools, \p Values and
+/// \p Takes positionals.  Returns nullopt after printing one diagnostic
+/// for the first offending token in argv order: an undeclared flag
+/// ("error: unknown option --NAME"), a boolean written "--bool=x", a value
+/// flag with no value, an empty value or a following "--token", a flag
+/// given twice, or a positional where none is declared ("error:
+/// unexpected argument 'X'").
+inline std::optional<CommandLine>
+parseCommandLine(int Argc, char **Argv, FlagList Bools, FlagList Values,
+                 Positionals Takes = Positionals::None) {
   CommandLine CL;
   for (int I = 1; I < Argc; ++I) {
     std::string_view Arg = Argv[I];
     if (Arg.substr(0, 2) != "--") {
+      if (Takes == Positionals::None) {
+        std::cerr << "error: unexpected argument '" << Arg << "'\n";
+        return std::nullopt;
+      }
       CL.Positional.emplace_back(Arg);
       continue;
     }

@@ -343,12 +343,3 @@ Program ProgramGenerator::generate() {
   }
   return P;
 }
-
-std::vector<Program>
-schedfilter::generateSuite(const std::vector<BenchmarkSpec> &Suite) {
-  std::vector<Program> Programs;
-  Programs.reserve(Suite.size());
-  for (const BenchmarkSpec &S : Suite)
-    Programs.push_back(ProgramGenerator(S).generate());
-  return Programs;
-}

@@ -55,9 +55,6 @@ private:
   std::vector<double> Weights;
 };
 
-/// Convenience: generates every program of a suite, in suite order.
-std::vector<Program> generateSuite(const std::vector<BenchmarkSpec> &Suite);
-
 } // namespace schedfilter
 
 #endif // SCHEDFILTER_WORKLOADS_PROGRAMGENERATOR_H

@@ -309,13 +309,14 @@ TEST(Analysis, FractionAboveOneWarns) {
 }
 
 TEST(Analysis, ObservedRangeNotes) {
-  Dataset D("obs");
+  std::vector<Instance> Obs;
   for (int I = 1; I <= 10; ++I) {
     FeatureVector X{};
     X[FeatBBLen] = I;
     X[FeatLoad] = 0.1 * I;
-    D.add({X, Label::NS});
+    Obs.push_back({X, Label::NS});
   }
+  Dataset D = Dataset::fromInstances("obs", Obs);
   RuleSet RS(Label::NS);
   RS.addRule(makeRule(Label::LS, {{FeatBBLen, false, 25.0},  // outside [1,10]
                                   {FeatLoad, true, 0.5}}));  // inside [0.1,1]

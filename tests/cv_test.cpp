@@ -2,31 +2,51 @@
 
 #include "ml/CrossValidation.h"
 
+#include "ml/Labeler.h"
+#include "support/TaskPool.h"
+
 #include <gtest/gtest.h>
 
 using namespace schedfilter;
 
 namespace {
 
-FeatureVector fv(double BBLen) {
-  FeatureVector X{};
-  X[FeatBBLen] = BBLen;
-  return X;
+/// One benchmark's records: bbLen First, First+1, ..., N of them, each
+/// an NS block (scheduling gains nothing).
+std::vector<BlockRecord> records(size_t N, double First = 0.0) {
+  std::vector<BlockRecord> Records(N);
+  for (size_t I = 0; I != N; ++I)
+    Records[I].X[FeatBBLen] = First + static_cast<double>(I);
+  return Records;
 }
 
-Dataset named(const std::string &Name, size_t N) {
-  Dataset D(Name);
-  for (size_t I = 0; I != N; ++I)
-    D.add({fv(static_cast<double>(I)), Label::NS});
-  return D;
+/// Labels \p Runs together (one rank table, as every suite is labeled),
+/// one dataset per run named by its pair.
+std::vector<Dataset>
+suite(const std::vector<std::pair<std::string, std::vector<BlockRecord>>>
+          &Runs) {
+  std::vector<RecordSet> Sets;
+  for (const auto &[Name, Records] : Runs)
+    Sets.push_back({Name, &Records});
+  TaskPool Pool(1);
+  return labelRecordSets(Sets, 0.0, Pool);
+}
+
+/// leaveOneOut on a one-job pool: folds run serially, in order, so a
+/// learner may record what each fold saw.
+std::vector<LoocvFold> serialLoocv(const std::vector<Dataset> &Suite,
+                                   const LearnerFn &Learner) {
+  TaskPool Pool(1);
+  return leaveOneOut(Suite, Learner, Pool);
 }
 
 } // namespace
 
 TEST(CrossValidation, OneFoldPerBenchmark) {
-  std::vector<Dataset> Suite = {named("a", 3), named("b", 4), named("c", 5)};
+  std::vector<Dataset> Suite =
+      suite({{"a", records(3)}, {"b", records(4)}, {"c", records(5)}});
   std::vector<LoocvFold> Folds =
-      leaveOneOut(Suite, [](const Dataset &) { return RuleSet(Label::NS); });
+      serialLoocv(Suite, [](const Dataset &) { return RuleSet(Label::NS); });
   ASSERT_EQ(Folds.size(), 3u);
   EXPECT_EQ(Folds[0].HeldOut, "a");
   EXPECT_EQ(Folds[1].HeldOut, "b");
@@ -34,9 +54,10 @@ TEST(CrossValidation, OneFoldPerBenchmark) {
 }
 
 TEST(CrossValidation, TrainsOnExactlyTheOthers) {
-  std::vector<Dataset> Suite = {named("a", 3), named("b", 4), named("c", 5)};
+  std::vector<Dataset> Suite =
+      suite({{"a", records(3)}, {"b", records(4)}, {"c", records(5)}});
   std::vector<size_t> TrainSizes;
-  leaveOneOut(Suite, [&](const Dataset &Train) {
+  serialLoocv(Suite, [&](const Dataset &Train) {
     TrainSizes.push_back(Train.size());
     return RuleSet(Label::NS);
   });
@@ -47,15 +68,11 @@ TEST(CrossValidation, TrainsOnExactlyTheOthers) {
 TEST(CrossValidation, NeverTrainsOnHeldOutInstances) {
   // Give each benchmark a unique bbLen range; assert the training set
   // seen for fold i contains no value from i's range.
-  std::vector<Dataset> Suite;
-  for (int B = 0; B != 3; ++B) {
-    Dataset D("bench" + std::to_string(B));
-    for (int I = 0; I != 10; ++I)
-      D.add({fv(B * 100 + I), Label::NS});
-    Suite.push_back(std::move(D));
-  }
+  std::vector<std::pair<std::string, std::vector<BlockRecord>>> Runs;
+  for (int B = 0; B != 3; ++B)
+    Runs.emplace_back("bench" + std::to_string(B), records(10, B * 100));
   size_t Fold = 0;
-  leaveOneOut(Suite, [&](const Dataset &Train) {
+  serialLoocv(suite(Runs), [&](const Dataset &Train) {
     for (const Instance &I : Train) {
       double Lo = static_cast<double>(Fold) * 100.0;
       EXPECT_TRUE(I.X[FeatBBLen] < Lo || I.X[FeatBBLen] >= Lo + 100.0)
@@ -68,9 +85,8 @@ TEST(CrossValidation, NeverTrainsOnHeldOutInstances) {
 }
 
 TEST(CrossValidation, SingleBenchmarkTrainsOnNothing) {
-  std::vector<Dataset> Suite = {named("only", 5)};
   std::vector<LoocvFold> Folds =
-      leaveOneOut(Suite, [](const Dataset &Train) {
+      serialLoocv(suite({{"only", records(5)}}), [](const Dataset &Train) {
         EXPECT_EQ(Train.size(), 0u);
         return RuleSet(Label::NS);
       });
@@ -79,6 +95,6 @@ TEST(CrossValidation, SingleBenchmarkTrainsOnNothing) {
 
 TEST(CrossValidation, EmptySuite) {
   EXPECT_TRUE(
-      leaveOneOut({}, [](const Dataset &) { return RuleSet(Label::NS); })
+      serialLoocv({}, [](const Dataset &) { return RuleSet(Label::NS); })
           .empty());
 }

@@ -126,7 +126,8 @@ TEST(Determinism, LoocvFoldsIdenticalAcrossJobCounts) {
   std::vector<BenchmarkRun> Runs = Engine.generateSuiteData(Suite, Model);
   std::vector<Dataset> Labeled = Engine.labelSuite(Runs, 0.0);
 
-  std::vector<LoocvFold> Serial = leaveOneOut(Labeled, ripperLearner());
+  TaskPool One(1);
+  std::vector<LoocvFold> Serial = leaveOneOut(Labeled, ripperLearner(), One);
   std::vector<LoocvFold> Parallel =
       leaveOneOut(Labeled, ripperLearner(), Engine.pool());
   ASSERT_EQ(Serial.size(), Parallel.size());

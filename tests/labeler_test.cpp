@@ -3,6 +3,7 @@
 #include "ml/Labeler.h"
 
 #include "support/Rng.h"
+#include "support/TaskPool.h"
 
 #include <gtest/gtest.h>
 
@@ -143,49 +144,93 @@ TEST(Labeler, BuildDatasetAgreesWithLabelWithThresholdOnRandomRecords) {
   }
 }
 
-TEST(Labeler, NullTransformIsThePlainOverload) {
-  std::vector<BlockRecord> Records = {record(100, 70), record(100, 90),
-                                      record(100, 120)};
-  Dataset Plain = buildDataset(Records, 20.0, "x");
-  Dataset Null = buildDataset(Records, 20.0, "x", LabelTransform());
-  ASSERT_EQ(Null.size(), Plain.size());
-  for (size_t I = 0; I != Plain.size(); ++I) {
-    EXPECT_EQ(Null[I].X, Plain[I].X);
-    EXPECT_EQ(Null[I].Y, Plain[I].Y);
-  }
-}
-
 TEST(Labeler, TransformSeesVerdictRecordAndIndex) {
-  // The hook contract of the noise layer: the transform receives the
-  // threshold rule's verdict, the raw record, and the record's trace
-  // index (the key per-record noise streams fork from), and its return
-  // decides the instance.
+  // The hook contract of the noise layer: the per-run factory is asked
+  // for run i's transform, which receives the threshold rule's verdict,
+  // the raw record, and the record's index in its own run's trace (the
+  // key per-record noise streams fork from), and its return decides the
+  // instance.
+  std::vector<BlockRecord> Plain = {record(100, 70)};
   std::vector<BlockRecord> Records = {record(100, 70),   // LS
                                       record(100, 90),   // dropped at t=20
                                       record(100, 120)}; // NS
+  std::vector<size_t> Runs;
   std::vector<size_t> SeenIndices;
   std::vector<std::optional<Label>> SeenVerdicts;
-  Dataset D = buildDataset(
-      Records, 20.0, "x",
-      [&](std::optional<Label> L, const BlockRecord &Rec, size_t I) {
-        SeenIndices.push_back(I);
-        SeenVerdicts.push_back(L);
-        EXPECT_EQ(Rec.CostNoSched, 100u);
-        // Resurrect the band as LS, drop true NS: both directions of
-        // the transform exercised at once.
-        if (!L)
-          return std::optional<Label>(Label::LS);
-        if (*L == Label::NS)
-          return std::optional<Label>();
-        return L;
-      });
+  LabelTransformFactory Factory = [&](size_t Run) -> LabelTransform {
+    Runs.push_back(Run);
+    if (Run == 0)
+      return nullptr; // run 0 labels plainly
+    return [&](std::optional<Label> L, const BlockRecord &Rec, size_t I) {
+      SeenIndices.push_back(I);
+      SeenVerdicts.push_back(L);
+      EXPECT_EQ(Rec.CostNoSched, 100u);
+      // Resurrect the band as LS, drop true NS: both directions of the
+      // transform exercised at once.
+      if (!L)
+        return std::optional<Label>(Label::LS);
+      if (*L == Label::NS)
+        return std::optional<Label>();
+      return L;
+    };
+  };
+  TaskPool Pool(1);
+  std::vector<Dataset> Labeled = labelRecordSets(
+      {{"plain", &Plain}, {"x", &Records}}, 20.0, Pool, nullptr, Factory);
+  EXPECT_EQ(Runs, (std::vector<size_t>{0, 1}));
   EXPECT_EQ(SeenIndices, (std::vector<size_t>{0, 1, 2}));
   ASSERT_EQ(SeenVerdicts.size(), 3u);
   EXPECT_EQ(SeenVerdicts[0], Label::LS);
   EXPECT_EQ(SeenVerdicts[1], std::nullopt);
   EXPECT_EQ(SeenVerdicts[2], Label::NS);
+  ASSERT_EQ(Labeled.size(), 2u);
+  EXPECT_EQ(Labeled[0].size(), 1u);
+  const Dataset &D = Labeled[1];
   ASSERT_EQ(D.size(), 2u);
   EXPECT_EQ(D[0].Y, Label::LS);
   EXPECT_EQ(D[1].Y, Label::LS); // the resurrected band record
   EXPECT_EQ(D.countLabel(Label::NS), 0u);
+  // Rows index the one table over both runs' records, in input order.
+  EXPECT_EQ(D.rowIds(), (std::vector<uint32_t>{1, 2}));
+}
+
+TEST(Labeler, SetsShareOneTableInInputOrder) {
+  // Every set lands on one table over all records (the dropped band
+  // included), at any job count; a table passed in is reused, not
+  // re-ranked.
+  Rng R(7);
+  std::vector<std::vector<BlockRecord>> Traces(5);
+  for (size_t B = 0; B != Traces.size(); ++B)
+    for (size_t I = 0; I != 40 + 13 * B; ++I) {
+      BlockRecord Rec = record(1 + R.below(200), R.below(200));
+      Rec.X[FeatBBLen] = static_cast<double>(R.below(30));
+      Traces[B].push_back(Rec);
+    }
+  std::vector<RecordSet> Sets;
+  size_t Rows = 0;
+  for (size_t B = 0; B != Traces.size(); ++B) {
+    Sets.push_back({"run" + std::to_string(B), &Traces[B]});
+    Rows += Traces[B].size();
+  }
+  TaskPool One(1), Four(4);
+  std::vector<Dataset> A = labelRecordSets(Sets, 20.0, One);
+  std::vector<Dataset> B = labelRecordSets(Sets, 20.0, Four);
+  std::shared_ptr<const RankTable> Table = rankRecordSets(Sets, Four);
+  std::vector<Dataset> C = labelRecordSets(Sets, 20.0, Four, Table);
+  ASSERT_EQ(A.size(), Sets.size());
+  ASSERT_EQ(A[0].rankTable()->rows(), Rows);
+  for (size_t I = 0; I != Sets.size(); ++I) {
+    EXPECT_EQ(A[I].getName(), Sets[I].Name);
+    EXPECT_EQ(A[I].rankTable(), A[0].rankTable());
+    EXPECT_EQ(C[I].rankTable(), Table);
+    Dataset Alone = buildDataset(Traces[I], 20.0, Sets[I].Name);
+    ASSERT_EQ(A[I].size(), Alone.size());
+    EXPECT_EQ(B[I].rowIds(), A[I].rowIds());
+    EXPECT_EQ(C[I].rowIds(), A[I].rowIds());
+    for (size_t K = 0; K != Alone.size(); ++K) {
+      EXPECT_EQ(A[I][K].X, Alone[K].X);
+      EXPECT_EQ(A[I][K].Y, Alone[K].Y);
+      EXPECT_EQ(B[I][K].Y, Alone[K].Y);
+    }
+  }
 }

@@ -33,11 +33,10 @@ TEST(Metrics, EmptyDatasetZeroError) {
 }
 
 TEST(Metrics, ConfusionCellsCorrect) {
-  Dataset D("d");
-  D.add({fv(12), Label::LS}); // TP
-  D.add({fv(15), Label::NS}); // FP
-  D.add({fv(3), Label::NS});  // TN
-  D.add({fv(4), Label::LS});  // FN
+  Dataset D = Dataset::fromInstances("d", {{fv(12), Label::LS},  // TP
+                                           {fv(15), Label::NS},  // FP
+                                           {fv(3), Label::NS},   // TN
+                                           {fv(4), Label::LS}}); // FN
   ConfusionMatrix M = evaluate(thresholdFilter(), D);
   EXPECT_EQ(M.TruePos, 1u);
   EXPECT_EQ(M.FalsePos, 1u);
@@ -48,18 +47,16 @@ TEST(Metrics, ConfusionCellsCorrect) {
 }
 
 TEST(Metrics, PerfectClassifier) {
-  Dataset D("d");
-  D.add({fv(12), Label::LS});
-  D.add({fv(3), Label::NS});
+  Dataset D =
+      Dataset::fromInstances("d", {{fv(12), Label::LS}, {fv(3), Label::NS}});
   ConfusionMatrix M = evaluate(thresholdFilter(), D);
   EXPECT_DOUBLE_EQ(M.errorRate(), 0.0);
 }
 
 TEST(Metrics, ErrorRatePercentScales) {
-  Dataset D("d");
-  D.add({fv(12), Label::LS});
-  D.add({fv(11), Label::NS});
-  D.add({fv(3), Label::NS});
-  D.add({fv(2), Label::NS});
+  Dataset D = Dataset::fromInstances("d", {{fv(12), Label::LS},
+                                           {fv(11), Label::NS},
+                                           {fv(3), Label::NS},
+                                           {fv(2), Label::NS}});
   EXPECT_DOUBLE_EQ(errorRatePercent(thresholdFilter(), D), 25.0);
 }

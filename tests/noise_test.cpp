@@ -13,8 +13,11 @@
 
 #include "noise/Robustness.h"
 
+#include "RuleSetIdentity.h"
 #include "TestHelpers.h"
+#include "ml/Ripper.h"
 #include "runtime/MethodCompiler.h"
+#include "support/Statistics.h"
 
 #include <gtest/gtest.h>
 
@@ -89,6 +92,19 @@ NoiseStack parseOrDie(const std::string &Spec, uint64_t Seed) {
   return std::move(*S);
 }
 
+/// perturbSuite on a one-job pool: the serial path.
+void perturbSerially(const NoiseStack &S, std::vector<BenchmarkRun> &Suite) {
+  TaskPool Pool(1);
+  S.perturbSuite(Suite, Pool);
+}
+
+/// \p S's labeling of the lone run \p Run, as run 0.
+Dataset labelAlone(const NoiseStack &S, const BenchmarkRun &Run,
+                   double ThresholdPct) {
+  TaskPool Pool(1);
+  return std::move(S.labelSuite({Run}, ThresholdPct, Pool).front());
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -161,47 +177,109 @@ TEST(NoiseStackTest, EmptyStackIsIdentity) {
   NoiseStack S = parseOrDie("", 99);
 
   TaskPool Pool(4);
-  S.perturbSuite(Suite);
+  perturbSerially(S, Suite);
   S.perturbSuite(Suite, Pool);
   EXPECT_TRUE(sameSuiteRecords(Suite, Orig));
 
-  // labelRun defers to the plain Labeler byte for byte.
-  Dataset Noisy = S.labelRun(Suite[0], 0, 20.0);
-  Dataset Plain = buildDataset(Suite[0].Records, 20.0, Suite[0].Name);
+  // labelSuite labels exactly as the engine does, row for row.
+  std::vector<Dataset> Noisy = S.labelSuite(Suite, 20.0, Pool);
+  std::vector<Dataset> Plain = ExperimentEngine(4).labelSuite(Suite, 20.0);
   ASSERT_EQ(Noisy.size(), Plain.size());
-  for (size_t I = 0; I != Noisy.size(); ++I) {
-    EXPECT_EQ(Noisy[I].X, Plain[I].X);
-    EXPECT_EQ(Noisy[I].Y, Plain[I].Y);
+  for (size_t B = 0; B != Noisy.size(); ++B) {
+    EXPECT_EQ(Noisy[B].rowIds(), Plain[B].rowIds());
+    ASSERT_EQ(Noisy[B].size(), Plain[B].size());
+    for (size_t I = 0; I != Noisy[B].size(); ++I) {
+      EXPECT_EQ(Noisy[B][I].X, Plain[B][I].X);
+      EXPECT_EQ(Noisy[B][I].Y, Plain[B][I].Y);
+    }
   }
   EXPECT_EQ(S.mixDrift(), nullptr);
 }
 
 TEST(NoiseStackTest, PerturbationIdenticalAtAnyJobCount) {
-  // The acceptance contract, per source and composed: serial, jobs=1 and
-  // jobs=4 perturbation of the same suite agree on every record bit.
+  // The acceptance contract, per source and composed: jobs=1 and jobs=4
+  // perturbation of the same suite agree on every record bit.
   for (const char *Spec :
        {"jitter:0.3", "spikes:0.2", "labelflip:0.5",
         "jitter:0.3,spikes:0.2,labelflip:0.5"}) {
-    std::vector<BenchmarkRun> Serial = syntheticSuite(6, 120);
-    std::vector<BenchmarkRun> Jobs1 = Serial, Jobs4 = Serial;
+    std::vector<BenchmarkRun> Jobs1 = syntheticSuite(6, 120);
+    std::vector<BenchmarkRun> Jobs4 = Jobs1;
     NoiseStack S = parseOrDie(Spec, 42);
 
-    S.perturbSuite(Serial);
     TaskPool P1(1), P4(4);
     S.perturbSuite(Jobs1, P1);
     S.perturbSuite(Jobs4, P4);
-    EXPECT_TRUE(sameSuiteRecords(Serial, Jobs1)) << Spec;
-    EXPECT_TRUE(sameSuiteRecords(Serial, Jobs4)) << Spec;
+    EXPECT_TRUE(sameSuiteRecords(Jobs1, Jobs4)) << Spec;
 
-    // Label lanes too: parallel labelSuite equals per-run labelRun.
-    std::vector<Dataset> L4 = S.labelSuite(Serial, 0.0, P4);
-    for (size_t B = 0; B != Serial.size(); ++B) {
-      Dataset One = S.labelRun(Serial[B], B, 0.0);
-      ASSERT_EQ(L4[B].size(), One.size()) << Spec;
-      for (size_t I = 0; I != One.size(); ++I)
-        EXPECT_EQ(L4[B][I].Y, One[I].Y) << Spec;
+    // Label lanes too: labelSuite at jobs=4 equals jobs=1.
+    std::vector<Dataset> L1 = S.labelSuite(Jobs1, 0.0, P1);
+    std::vector<Dataset> L4 = S.labelSuite(Jobs1, 0.0, P4);
+    for (size_t B = 0; B != Jobs1.size(); ++B) {
+      EXPECT_EQ(L4[B].rowIds(), L1[B].rowIds()) << Spec;
+      ASSERT_EQ(L4[B].size(), L1[B].size()) << Spec;
+      for (size_t I = 0; I != L1[B].size(); ++I)
+        EXPECT_EQ(L4[B][I].Y, L1[B][I].Y) << Spec;
     }
   }
+}
+
+TEST(NoiseStackTest, LabelSuiteSharesOneRankTable) {
+  // A noisy suite labels through the one labeler: every run's dataset is
+  // rows of one table over the whole suite's records, so LOOCV folds
+  // pool them without re-ranking, as on a clean suite.
+  std::vector<BenchmarkRun> Suite = syntheticSuite(5, 80);
+  NoiseStack S = parseOrDie("jitter:0.2,spikes:0.1,labelflip:0.3", 8);
+  TaskPool Pool(4);
+  S.perturbSuite(Suite, Pool);
+  std::vector<Dataset> Labeled = S.labelSuite(Suite, 20.0, Pool);
+  ASSERT_EQ(Labeled.size(), Suite.size());
+  const std::shared_ptr<const RankTable> &Table = Labeled[0].rankTable();
+  ASSERT_NE(Table, nullptr);
+  EXPECT_EQ(Table->rows(), 5u * 81u);
+  Dataset Pooled("pooled");
+  for (const Dataset &D : Labeled) {
+    EXPECT_EQ(D.rankTable(), Table) << D.getName();
+    Pooled.append(D);
+  }
+  EXPECT_EQ(Pooled.rankTable(), Table);
+}
+
+TEST(NoiseStackTest, RobustnessFoldsEqualTrainingsOnTheirOwnInstances) {
+  // runRobustnessPoint's folds train on views of the noisy suite's one
+  // table; each fold's filter must equal a training of the same
+  // instances on a table of their own.
+  ExperimentEngine Engine(4);
+  std::vector<BenchmarkRun> Clean = Engine.generateSuiteData(
+      test::shrinkSuite(specjvm98Suite(), 40), MachineModel::ppc7410());
+  NoiseStack S = robustnessStack(2, GoldenSeed);
+  std::vector<BenchmarkRun> Suite = Clean;
+  S.perturbSuite(Suite, Engine.pool());
+  std::vector<Dataset> Labeled = S.labelSuite(Suite, 20.0, Engine.pool());
+  ThresholdResult R =
+      Engine.runThreshold(Suite, Labeled, 20.0, ripperLearner());
+
+  RobustnessPoint P = runRobustnessPoint(Engine, Clean, S, 20.0);
+  EXPECT_EQ(P.TrainLS, R.TrainLS);
+  EXPECT_EQ(P.TrainNS, R.TrainNS);
+  EXPECT_EQ(P.RuntimeLS, R.RuntimeLS);
+  EXPECT_EQ(P.EffortRatio, geometricMean(R.EffortRatioWork));
+  EXPECT_EQ(P.AppTimeLN, geometricMean(R.AppRatioLN));
+
+  ASSERT_EQ(R.Filters.size(), Labeled.size());
+  size_t Rules = 0;
+  for (size_t Held = 0; Held != Labeled.size(); ++Held) {
+    std::vector<Instance> Own;
+    for (size_t B = 0; B != Labeled.size(); ++B)
+      if (B != Held)
+        Own.insert(Own.end(), Labeled[B].begin(), Labeled[B].end());
+    RuleSet Alone = Ripper().train(Dataset::fromInstances("fold", Own));
+    EXPECT_TRUE(identicalRuleSets(R.Filters[Held], Alone))
+        << "without " << Labeled[Held].getName() << ":\n"
+        << R.Filters[Held].toString() << "vs\n"
+        << Alone.toString();
+    Rules += Alone.size();
+  }
+  EXPECT_GE(Rules, Labeled.size()); // the folds induce real filters
 }
 
 TEST(NoiseStackTest, PerRunStreamsIndependentOfVisitOrder) {
@@ -210,7 +288,7 @@ TEST(NoiseStackTest, PerRunStreamsIndependentOfVisitOrder) {
   std::vector<BenchmarkRun> Suite = syntheticSuite(4, 60);
   std::vector<BenchmarkRun> Whole = Suite;
   NoiseStack S = parseOrDie("jitter:0.4,spikes:0.3", 5);
-  S.perturbSuite(Whole);
+  perturbSerially(S, Whole);
   BenchmarkRun Lone = Suite[2];
   S.perturbRun(Lone, 2);
   EXPECT_TRUE(sameRecords(Lone.Records, Whole[2].Records));
@@ -223,17 +301,17 @@ TEST(NoiseStackTest, CompositionOrderIsSemantic) {
   // canonicalization cannot silently reorder stacks.
   std::vector<BenchmarkRun> AB = syntheticSuite(2, 100);
   std::vector<BenchmarkRun> BA = AB;
-  parseOrDie("jitter:0.5,spikes:0.5", 11).perturbSuite(AB);
-  parseOrDie("spikes:0.5,jitter:0.5", 11).perturbSuite(BA);
+  perturbSerially(parseOrDie("jitter:0.5,spikes:0.5", 11), AB);
+  perturbSerially(parseOrDie("spikes:0.5,jitter:0.5", 11), BA);
   EXPECT_FALSE(sameSuiteRecords(AB, BA));
 }
 
 TEST(NoiseStackTest, SeedSelectsTheExperiment) {
   std::vector<BenchmarkRun> S1 = syntheticSuite(2, 100);
   std::vector<BenchmarkRun> S2 = S1, S1Again = S1;
-  parseOrDie("jitter:0.3", 1).perturbSuite(S1);
-  parseOrDie("jitter:0.3", 2).perturbSuite(S2);
-  parseOrDie("jitter:0.3", 1).perturbSuite(S1Again);
+  perturbSerially(parseOrDie("jitter:0.3", 1), S1);
+  perturbSerially(parseOrDie("jitter:0.3", 2), S2);
+  perturbSerially(parseOrDie("jitter:0.3", 1), S1Again);
   EXPECT_FALSE(sameSuiteRecords(S1, S2));
   EXPECT_TRUE(sameSuiteRecords(S1, S1Again));
 }
@@ -319,7 +397,7 @@ TEST(NoiseStats, LabelFlipRateMatchesAndBandStaysDropped) {
     Run.Records.push_back(record(100, 50)); // 50% benefit -> LS
 
   NoiseStack S = parseOrDie("labelflip:0.3", 31);
-  Dataset D = S.labelRun(Run, 0, 0.0);
+  Dataset D = labelAlone(S, Run, 0.0);
   ASSERT_EQ(D.size(), N); // flips never change the training-set size
   double Rate = static_cast<double>(D.countLabel(Label::NS)) /
                 static_cast<double>(N);
@@ -331,7 +409,7 @@ TEST(NoiseStats, LabelFlipRateMatchesAndBandStaysDropped) {
   Band.Name = "band";
   for (size_t I = 0; I != 50; ++I)
     Band.Records.push_back(record(100, 90)); // 10% benefit: in (0, 20]
-  EXPECT_EQ(parseOrDie("labelflip:1", 31).labelRun(Band, 0, 20.0).size(), 0u);
+  EXPECT_EQ(labelAlone(parseOrDie("labelflip:1", 31), Band, 20.0).size(), 0u);
 }
 
 TEST(NoiseMisTune, SwapsModelAndRecomputesReports) {
@@ -341,7 +419,7 @@ TEST(NoiseMisTune, SwapsModelAndRecomputesReports) {
   std::vector<BenchmarkRun> Orig = Suite;
 
   NoiseStack S = parseOrDie("mistune:ppc970", 3);
-  S.perturbSuite(Suite);
+  perturbSerially(S, Suite);
   std::optional<MachineModel> Serve = MachineModel::byName("ppc970");
   ASSERT_TRUE(Serve.has_value());
   for (size_t B = 0; B != Suite.size(); ++B) {
@@ -363,7 +441,7 @@ TEST(NoiseMisTune, SwapsModelAndRecomputesReports) {
 
   // Mis-tuning to the model the suite was traced under is the identity.
   std::vector<BenchmarkRun> Same = Orig;
-  parseOrDie("mistune:ppc7410", 3).perturbSuite(Same);
+  perturbSerially(parseOrDie("mistune:ppc7410", 3), Same);
   for (size_t B = 0; B != Same.size(); ++B) {
     EXPECT_EQ(Same[B].ModelName, Orig[B].ModelName);
     EXPECT_EQ(Same[B].NeverReport.SimulatedTime,

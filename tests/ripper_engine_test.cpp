@@ -72,19 +72,20 @@ void expectIdentical(const RuleSet &A, const RuleSet &B,
 
 /// Linearly separable data: LS iff bbLen >= 8.  Minority LS.
 Dataset separableData(size_t N, uint64_t Seed) {
-  Dataset D("separable");
+  std::vector<Instance> Is;
   Rng R(Seed);
   for (size_t I = 0; I != N; ++I) {
     bool Big = R.chance(0.25);
     double BBLen = Big ? R.range(8, 30) : R.range(1, 7);
-    D.add({fv(BBLen, R.uniform(), R.uniform()), Big ? Label::LS : Label::NS});
+    Is.push_back(
+        {fv(BBLen, R.uniform(), R.uniform()), Big ? Label::LS : Label::NS});
   }
-  return D;
+  return Dataset::fromInstances("separable", Is);
 }
 
 /// Three-clause disjunction with 5% noise: a realistic hard target.
 Dataset hardData(size_t N, uint64_t Seed) {
-  Dataset D("hard");
+  std::vector<Instance> Is;
   Rng R(Seed);
   for (size_t I = 0; I != N; ++I) {
     double BBLen = R.range(1, 24);
@@ -94,9 +95,9 @@ Dataset hardData(size_t N, uint64_t Seed) {
                (Loads >= 0.85 && Calls <= 0.05);
     if (R.chance(0.05))
       Pos = !Pos;
-    D.add({fv(BBLen, Loads, Calls), Pos ? Label::LS : Label::NS});
+    Is.push_back({fv(BBLen, Loads, Calls), Pos ? Label::LS : Label::NS});
   }
-  return D;
+  return Dataset::fromInstances("hard", Is);
 }
 
 /// Every Table 1 shape in one dataset: a small-integer bbLen, k/n
@@ -105,7 +106,7 @@ Dataset hardData(size_t N, uint64_t Seed) {
 /// instance, so on a rule's small covered sets its histogram is almost
 /// all empty bins).  The label depends on several of them, with 5% noise.
 Dataset mixedShapeData(size_t N, uint64_t Seed) {
-  Dataset D("mixed");
+  std::vector<Instance> Is;
   Rng R(Seed);
   for (size_t I = 0; I != N; ++I) {
     FeatureVector X{};
@@ -119,9 +120,9 @@ Dataset mixedShapeData(size_t N, uint64_t Seed) {
                (X[FeatFloat] >= 0.5 && X[FeatStore] <= 0.1);
     if (R.chance(0.05))
       Pos = !Pos;
-    D.add({X, Pos ? Label::LS : Label::NS});
+    Is.push_back({X, Pos ? Label::LS : Label::NS});
   }
-  return D;
+  return Dataset::fromInstances("mixed", Is);
 }
 
 /// A noisy checkerboard over two small-integer columns: LS on the cells
@@ -129,7 +130,7 @@ Dataset mixedShapeData(size_t N, uint64_t Seed) {
 /// many boxes, with 3% label noise.  Large enough to induce well over a
 /// dozen rules, so mop-up and deletion both get work.
 Dataset checkerData(size_t N, uint64_t Seed) {
-  Dataset D("checker");
+  std::vector<Instance> Is;
   Rng R(Seed);
   for (size_t I = 0; I != N; ++I) {
     FeatureVector X{};
@@ -140,9 +141,9 @@ Dataset checkerData(size_t N, uint64_t Seed) {
     bool Pos = (A / 4 + B / 4) % 2 == 0;
     if (R.chance(0.03))
       Pos = !Pos;
-    D.add({X, Pos ? Label::LS : Label::NS});
+    Is.push_back({X, Pos ? Label::LS : Label::NS});
   }
-  return D;
+  return Dataset::fromInstances("checker", Is);
 }
 
 } // namespace
@@ -178,7 +179,7 @@ TEST(RipperEngine, SubtractedFirstSearchMatchesReferenceOnThePool) {
 
 TEST(RipperEngine, RankTableMirrorsInstancesBitExactly) {
   Dataset D = hardData(257, 11);
-  std::shared_ptr<const RankTable> T = rankInstances(D);
+  const std::shared_ptr<const RankTable> &T = D.rankTable();
   ASSERT_EQ(T->rows(), D.size());
   for (unsigned F = 0; F != NumFeatures; ++F) {
     const std::vector<double> &RV = T->rankValues(F);
@@ -204,7 +205,7 @@ TEST(RipperEngine, RankTableMirrorsInstancesBitExactly) {
 
 TEST(RipperEngine, DatasetsKeepTheirRankTableOnlyWhileRowsMatch) {
   Dataset Base = hardData(50, 3);
-  std::shared_ptr<const RankTable> T = rankInstances(Base);
+  std::shared_ptr<const RankTable> T = Base.rankTable();
   Dataset A("a", T), B("b", T);
   for (uint32_t R = 0; R != 50; ++R)
     (R % 2 ? A : B).addRow(R, Base[R].Y);
@@ -218,15 +219,25 @@ TEST(RipperEngine, DatasetsKeepTheirRankTableOnlyWhileRowsMatch) {
   EXPECT_EQ(Pooled.rankTable(), T);
   ASSERT_EQ(Pooled.rowIds().size(), Pooled.size());
   EXPECT_EQ(Pooled.rowIds()[A.size()], B.rowIds()[0]);
+  // Rows of the same table append in any grouping, Base's own included.
+  Dataset Again = Pooled;
+  Again.append(Base);
+  EXPECT_EQ(Again.rankTable(), T);
+  EXPECT_EQ(Again.rowIds().size(), 100u);
+}
 
-  Dataset Other = Pooled;
-  Other.append(Base); // Base has no table: the rows no longer match one.
-  EXPECT_EQ(Other.rankTable(), nullptr);
-  EXPECT_TRUE(Other.rowIds().empty());
-  Dataset Added = Pooled;
-  Added.add(Base[0]);
-  EXPECT_EQ(Added.rankTable(), nullptr);
-  EXPECT_TRUE(Added.rowIds().empty());
+TEST(RipperEngineDeathTest, AppendAcrossRankTablesAborts) {
+  // Rows of two tables cannot share one view: pooling them is a bug in
+  // the caller (label the sets together instead), and it dies in every
+  // build type rather than train on a silently re-ranked set.
+  Dataset A = hardData(20, 3);
+  Dataset B = hardData(20, 4);
+  EXPECT_DEATH(A.append(B), "cannot append 'hard', whose rows belong to "
+                            "another rank table");
+  Dataset Empty("empty");
+  Empty.append(A); // an empty side takes the other's table
+  EXPECT_EQ(Empty.rankTable(), A.rankTable());
+  EXPECT_DEATH(Empty.append(B), "another rank table");
 }
 
 TEST(RipperEngine, MatchesReferenceOnStockDatasets) {
@@ -318,7 +329,7 @@ TEST(RipperEngine, MatchesReferenceOnRealLoocvFolds) {
 TEST(RipperEngine, SweepFiltersMatchPerFoldTraining) {
   // runThresholdSweep ranks the suite once and trains all 77 folds on
   // views of that table; each filter must equal a training of the same
-  // fold assembled without a table (through add()), which ranks itself.
+  // fold's instances on a table of their own (Dataset::fromInstances).
   ExperimentEngine Engine(4);
   std::vector<BenchmarkRun> Runs =
       Engine.generateSuiteData(specjvm98Suite(), MachineModel::ppc7410());
@@ -330,13 +341,13 @@ TEST(RipperEngine, SweepFiltersMatchPerFoldTraining) {
   for (size_t T = 0; T != Thresholds.size(); ++T) {
     ASSERT_EQ(Sweep[T].Filters.size(), Runs.size());
     for (size_t Held = 0; Held != Runs.size(); ++Held) {
-      Dataset Fold("fold");
+      std::vector<Instance> Own;
       for (size_t B = 0; B != Runs.size(); ++B)
         if (B != Held)
           for (const Instance &I :
                buildDataset(Runs[B].Records, Thresholds[T], Runs[B].Name))
-            Fold.add(I);
-      ASSERT_EQ(Fold.rankTable(), nullptr);
+            Own.push_back(I);
+      Dataset Fold = Dataset::fromInstances("fold", Own);
       expectIdentical(Sweep[T].Filters[Held], Ripper().train(Fold),
                       "t=" + std::to_string(Thresholds[T]) + " without " +
                           Runs[Held].Name);
@@ -351,14 +362,15 @@ TEST(RipperEngine, FoldOnASharedTableTakesItsOwnSignedZeroBits) {
   // elsewhere.  A fold that drops that row holds only +0.0, so its
   // threshold must be +0.0 -- not the table's -0.0 -- exactly as a
   // training that ranks the fold itself (and the reference) gives.
-  Dataset Suite("suite");
+  std::vector<Instance> Is;
   for (int I = 0; I != 300; ++I) {
     FeatureVector X{};
     bool Pos = I % 3 == 0;
     X[FeatLoad] = Pos ? (I == 0 ? -0.0 : 0.0) : 1.0;
-    Suite.add({X, Pos ? Label::LS : Label::NS});
+    Is.push_back({X, Pos ? Label::LS : Label::NS});
   }
-  std::shared_ptr<const RankTable> T = rankInstances(Suite);
+  Dataset Suite = Dataset::fromInstances("suite", Is);
+  std::shared_ptr<const RankTable> T = Suite.rankTable();
   ASSERT_EQ(T->mixedRanks(FeatLoad).size(), 1u);
   EXPECT_TRUE(std::signbit(T->rankValues(FeatLoad)[0]));
   for (uint32_t FirstRow : {0u, 1u}) {
@@ -371,9 +383,8 @@ TEST(RipperEngine, FoldOnASharedTableTakesItsOwnSignedZeroBits) {
     EXPECT_EQ(std::signbit(RS.rules()[0].Conditions[0].Threshold),
               FirstRow == 0)
         << "first row " << FirstRow;
-    Dataset Own("own");
-    for (const Instance &I : Fold)
-      Own.add(I);
+    Dataset Own = Dataset::fromInstances(
+        "own", std::vector<Instance>(Fold.begin(), Fold.end()));
     expectIdentical(RS, Ripper().train(Own),
                     "first row " + std::to_string(FirstRow));
     if (FirstRow == 1)
@@ -403,11 +414,13 @@ TEST(RipperEngine, EmptyAndSingleClassMatchReference) {
   expectIdentical(Ripper().train(Empty), reference::trainReference(Empty),
                   "empty");
 
-  Dataset AllNS("allns"), AllLS("allls");
+  std::vector<Instance> NS, LS;
   for (int I = 0; I != 40; ++I) {
-    AllNS.add({fv(I % 10 + 1), Label::NS});
-    AllLS.add({fv(I % 10 + 1), Label::LS});
+    NS.push_back({fv(I % 10 + 1), Label::NS});
+    LS.push_back({fv(I % 10 + 1), Label::LS});
   }
+  Dataset AllNS = Dataset::fromInstances("allns", NS);
+  Dataset AllLS = Dataset::fromInstances("allls", LS);
   expectIdentical(Ripper().train(AllNS), reference::trainReference(AllNS),
                   "all NS");
   expectIdentical(Ripper().train(AllLS), reference::trainReference(AllLS),
@@ -423,11 +436,12 @@ TEST(RipperEngine, TinyDatasetsWithEmptyPruneSplit) {
   // identically in both engines, at every size from 1 up.
   for (size_t Positives : {1u, 2u}) {
     for (size_t Negatives : {0u, 1u, 2u, 5u}) {
-      Dataset D("tiny");
+      std::vector<Instance> Is;
       for (size_t I = 0; I != Positives; ++I)
-        D.add({fv(10 + static_cast<double>(I), 0.9), Label::LS});
+        Is.push_back({fv(10 + static_cast<double>(I), 0.9), Label::LS});
       for (size_t I = 0; I != Negatives; ++I)
-        D.add({fv(2 + static_cast<double>(I), 0.1), Label::NS});
+        Is.push_back({fv(2 + static_cast<double>(I), 0.1), Label::NS});
+      Dataset D = Dataset::fromInstances("tiny", Is);
       RuleSet RS = Ripper().train(D);
       expectIdentical(RS, reference::trainReference(D),
                       "tiny " + std::to_string(Positives) + "p" +
@@ -452,10 +466,11 @@ TEST(RipperEngine, AllIdenticalFeatureVectors) {
   // sorted columns collapse to a single tie group; both engines must
   // agree.
   for (double LSShare : {0.2, 0.5, 0.8}) {
-    Dataset D("const");
+    std::vector<Instance> Is;
     for (int I = 0; I != 60; ++I)
-      D.add({fv(7, 0.5, 0.25),
-             I < 60 * LSShare ? Label::LS : Label::NS});
+      Is.push_back(
+          {fv(7, 0.5, 0.25), I < 60 * LSShare ? Label::LS : Label::NS});
+    Dataset D = Dataset::fromInstances("const", Is);
     RuleSet RS = Ripper().train(D);
     expectIdentical(RS, reference::trainReference(D),
                     "const features, LS share " + std::to_string(LSShare));
@@ -478,13 +493,14 @@ TEST(RipperEngine, SignedZeroThresholdTakesLowestIndexBits) {
   // -0.0 and +0.0 share a rank; its threshold keeps the bits of the
   // lowest-index instance holding it, whichever order the sort left.
   for (double First : {-0.0, 0.0}) {
-    Dataset D("zeros");
+    std::vector<Instance> Is;
     for (int I = 0; I != 300; ++I) {
       FeatureVector X{};
       bool Pos = I % 3 == 0;
       X[FeatLoad] = Pos ? (I == 0 ? First : -First) : 1.0;
-      D.add({X, Pos ? Label::LS : Label::NS});
+      Is.push_back({X, Pos ? Label::LS : Label::NS});
     }
+    Dataset D = Dataset::fromInstances("zeros", Is);
     RuleSet RS = Ripper().train(D);
     ASSERT_EQ(RS.size(), 1u);
     ASSERT_EQ(RS.rules()[0].Conditions.size(), 1u);
@@ -496,9 +512,10 @@ TEST(RipperEngine, SignedZeroThresholdTakesLowestIndexBits) {
 }
 
 TEST(RipperEngine, ContradictoryDuplicatesMatchReference) {
-  Dataset D("contra");
+  std::vector<Instance> Is;
   for (int I = 0; I != 300; ++I)
-    D.add({fv(10, 0.5), I % 5 == 0 ? Label::LS : Label::NS});
+    Is.push_back({fv(10, 0.5), I % 5 == 0 ? Label::LS : Label::NS});
+  Dataset D = Dataset::fromInstances("contra", Is);
   expectIdentical(Ripper().train(D), reference::trainReference(D), "contra");
 }
 

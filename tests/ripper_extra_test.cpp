@@ -27,7 +27,7 @@ FeatureVector fv(double BBLen, double Loads = 0.0, double Calls = 0.0) {
 
 /// Three-clause disjunction with 5% noise: a realistic hard target.
 Dataset hardData(size_t N, uint64_t Seed) {
-  Dataset D("hard");
+  std::vector<Instance> Is;
   Rng R(Seed);
   for (size_t I = 0; I != N; ++I) {
     double BBLen = R.range(1, 24);
@@ -37,19 +37,20 @@ Dataset hardData(size_t N, uint64_t Seed) {
                (Loads >= 0.85 && Calls <= 0.05);
     if (R.chance(0.05))
       Pos = !Pos;
-    D.add({fv(BBLen, Loads, Calls), Pos ? Label::LS : Label::NS});
+    Is.push_back({fv(BBLen, Loads, Calls), Pos ? Label::LS : Label::NS});
   }
-  return D;
+  return Dataset::fromInstances("hard", Is);
 }
 
 } // namespace
 
 TEST(RipperExtra, MdlKeepsModelsSmallOnPureNoise) {
-  Dataset D("purenoise");
+  std::vector<Instance> Is;
   Rng R(1);
   for (int I = 0; I != 2000; ++I)
-    D.add({fv(R.range(1, 20), R.uniform(), R.uniform()),
-           R.chance(0.35) ? Label::LS : Label::NS});
+    Is.push_back({fv(R.range(1, 20), R.uniform(), R.uniform()),
+                  R.chance(0.35) ? Label::LS : Label::NS});
+  Dataset D = Dataset::fromInstances("purenoise", Is);
   RuleSet RS = Ripper().train(D);
   // With no learnable signal, the description-length criterion should
   // keep the rule list very small (ideally empty).
@@ -81,12 +82,13 @@ TEST(RipperExtra, OptimizationTendsToSimplify) {
 
 TEST(RipperExtra, HandlesMajorityPositiveData) {
   // When LS is the majority, RIPPER must flip: rules for NS, default LS.
-  Dataset D("majpos");
+  std::vector<Instance> Is;
   Rng R(4);
   for (int I = 0; I != 600; ++I) {
     double BBLen = R.range(1, 20);
-    D.add({fv(BBLen), BBLen >= 5 ? Label::LS : Label::NS}); // ~80% LS
+    Is.push_back({fv(BBLen), BBLen >= 5 ? Label::LS : Label::NS}); // ~80% LS
   }
+  Dataset D = Dataset::fromInstances("majpos", Is);
   RuleSet RS = Ripper().train(D);
   EXPECT_EQ(RS.getDefaultClass(), Label::LS);
   for (const Rule &Rl : RS.rules())
@@ -95,30 +97,31 @@ TEST(RipperExtra, HandlesMajorityPositiveData) {
 }
 
 TEST(RipperExtra, DuplicatedInstancesDoNotBreakTraining) {
-  Dataset D("dups");
+  std::vector<Instance> Is;
   for (int I = 0; I != 200; ++I) {
-    D.add({fv(12, 0.5), Label::LS});
-    D.add({fv(3, 0.1), Label::NS});
-    D.add({fv(3, 0.1), Label::NS});
+    Is.push_back({fv(12, 0.5), Label::LS});
+    Is.push_back({fv(3, 0.1), Label::NS});
+    Is.push_back({fv(3, 0.1), Label::NS});
   }
+  Dataset D = Dataset::fromInstances("dups", Is);
   RuleSet RS = Ripper().train(D);
   EXPECT_EQ(evaluate(RS, D).errors(), 0u);
 }
 
 TEST(RipperExtra, ContradictoryDuplicatesHitNoiseFloor) {
   // The same point labeled both ways 20/80: Bayes error is 20%.
-  Dataset D("contra");
+  std::vector<Instance> Is;
   for (int I = 0; I != 500; ++I)
-    D.add({fv(10, 0.5), I % 5 == 0 ? Label::LS : Label::NS});
+    Is.push_back({fv(10, 0.5), I % 5 == 0 ? Label::LS : Label::NS});
+  Dataset D = Dataset::fromInstances("contra", Is);
   RuleSet RS = Ripper().train(D);
   double Err = errorRatePercent(RS, D);
   EXPECT_NEAR(Err, 20.0, 0.5); // cannot beat Bayes; must not overfit
 }
 
 TEST(RipperExtra, SingleInstancePerClass) {
-  Dataset D("tiny");
-  D.add({fv(12, 0.9), Label::LS});
-  D.add({fv(2, 0.1), Label::NS});
+  Dataset D = Dataset::fromInstances(
+      "tiny", {{fv(12, 0.9), Label::LS}, {fv(2, 0.1), Label::NS}});
   RuleSet RS = Ripper().train(D);
   // Must not crash; prediction quality on 2 points is unconstrained, but
   // the default class must be valid.

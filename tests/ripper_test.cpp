@@ -21,42 +21,42 @@ FeatureVector fv(double BBLen, double Loads = 0.0, double Floats = 0.0) {
 
 /// Linearly separable data: LS iff bbLen >= 8.  Minority LS.
 Dataset separableData(size_t N, uint64_t Seed) {
-  Dataset D("separable");
+  std::vector<Instance> Is;
   Rng R(Seed);
   for (size_t I = 0; I != N; ++I) {
     bool Big = R.chance(0.25);
     double BBLen = Big ? R.range(8, 30) : R.range(1, 7);
-    D.add({fv(BBLen, R.uniform(), R.uniform()),
-           Big ? Label::LS : Label::NS});
+    Is.push_back({fv(BBLen, R.uniform(), R.uniform()),
+                  Big ? Label::LS : Label::NS});
   }
-  return D;
+  return Dataset::fromInstances("separable", Is);
 }
 
 /// Conjunctive concept: LS iff bbLen >= 8 AND loads >= 0.3.
 Dataset conjunctiveData(size_t N, uint64_t Seed) {
-  Dataset D("conj");
+  std::vector<Instance> Is;
   Rng R(Seed);
   for (size_t I = 0; I != N; ++I) {
     double BBLen = R.range(1, 20);
     double Loads = R.uniform();
     bool Pos = BBLen >= 8.0 && Loads >= 0.3;
-    D.add({fv(BBLen, Loads), Pos ? Label::LS : Label::NS});
+    Is.push_back({fv(BBLen, Loads), Pos ? Label::LS : Label::NS});
   }
-  return D;
+  return Dataset::fromInstances("conj", Is);
 }
 
 /// Disjunctive concept (needs at least two rules): LS iff bbLen >= 15 OR
 /// floats >= 0.7.
 Dataset disjunctiveData(size_t N, uint64_t Seed) {
-  Dataset D("disj");
+  std::vector<Instance> Is;
   Rng R(Seed);
   for (size_t I = 0; I != N; ++I) {
     double BBLen = R.range(1, 20);
     double Floats = R.uniform();
     bool Pos = BBLen >= 15.0 || Floats >= 0.7;
-    D.add({fv(BBLen, 0.0, Floats), Pos ? Label::LS : Label::NS});
+    Is.push_back({fv(BBLen, 0.0, Floats), Pos ? Label::LS : Label::NS});
   }
-  return D;
+  return Dataset::fromInstances("disj", Is);
 }
 
 } // namespace
@@ -68,9 +68,10 @@ TEST(Ripper, EmptyDataGivesEmptyNSRuleSet) {
 }
 
 TEST(Ripper, SingleClassAllNS) {
-  Dataset D("allns");
+  std::vector<Instance> Is;
   for (int I = 0; I != 50; ++I)
-    D.add({fv(I % 10 + 1), Label::NS});
+    Is.push_back({fv(I % 10 + 1), Label::NS});
+  Dataset D = Dataset::fromInstances("allns", Is);
   RuleSet RS = Ripper().train(D);
   EXPECT_EQ(RS.size(), 0u);
   EXPECT_EQ(RS.getDefaultClass(), Label::NS);
@@ -78,9 +79,10 @@ TEST(Ripper, SingleClassAllNS) {
 }
 
 TEST(Ripper, SingleClassAllLS) {
-  Dataset D("allls");
+  std::vector<Instance> Is;
   for (int I = 0; I != 50; ++I)
-    D.add({fv(I % 10 + 1), Label::LS});
+    Is.push_back({fv(I % 10 + 1), Label::LS});
+  Dataset D = Dataset::fromInstances("allls", Is);
   RuleSet RS = Ripper().train(D);
   EXPECT_EQ(RS.getDefaultClass(), Label::LS);
   EXPECT_EQ(evaluate(RS, D).errors(), 0u);
@@ -155,15 +157,16 @@ TEST(Ripper, SeedChangesSplitsButNotQuality) {
 TEST(Ripper, RobustToLabelNoise) {
   // 8% label noise: training error should stay near the noise floor, not
   // collapse to memorization (MDL pruning at work).
-  Dataset D("noisy");
+  std::vector<Instance> Is;
   Rng R(21);
   for (int I = 0; I != 1500; ++I) {
     double BBLen = R.range(1, 20);
     bool Pos = BBLen >= 10.0;
     if (R.chance(0.08))
       Pos = !Pos;
-    D.add({fv(BBLen, R.uniform()), Pos ? Label::LS : Label::NS});
+    Is.push_back({fv(BBLen, R.uniform()), Pos ? Label::LS : Label::NS});
   }
+  Dataset D = Dataset::fromInstances("noisy", Is);
   RuleSet RS = Ripper().train(D);
   double Err = errorRatePercent(RS, D);
   EXPECT_LE(Err, 12.0);

@@ -105,12 +105,12 @@ TEST(RuleSet, AnnotateCoverageFirstClaim) {
   RS.addRule(lsRule({{FeatBBLen, false, 10.0}}));
   RS.addRule(lsRule({{FeatBBLen, false, 5.0}}));
 
-  Dataset D("d");
-  D.add({fv(12), Label::LS}); // claimed by rule 0, correct
-  D.add({fv(11), Label::NS}); // claimed by rule 0, incorrect
-  D.add({fv(7), Label::LS});  // claimed by rule 1, correct
-  D.add({fv(3), Label::NS});  // default, correct
-  D.add({fv(2), Label::LS});  // default, incorrect
+  Dataset D = Dataset::fromInstances(
+      "d", {{fv(12), Label::LS},  // claimed by rule 0, correct
+            {fv(11), Label::NS},  // claimed by rule 0, incorrect
+            {fv(7), Label::LS},   // claimed by rule 1, correct
+            {fv(3), Label::NS},   // default, correct
+            {fv(2), Label::LS}}); // default, incorrect
 
   size_t DC = 0, DI = 0;
   RS.annotateCoverage(D, DC, DI);
@@ -155,10 +155,12 @@ TEST(RuleSet, ToStringListsRulesAndDefault) {
 }
 
 TEST(Dataset, AppendAndCounts) {
-  Dataset A("a"), B("b");
-  A.add({fv(1), Label::LS});
-  B.add({fv(2), Label::NS});
-  B.add({fv(3), Label::NS});
+  Dataset All = Dataset::fromInstances(
+      "all", {{fv(1), Label::LS}, {fv(2), Label::NS}, {fv(3), Label::NS}});
+  Dataset A("a", All.rankTable()), B("b", All.rankTable());
+  A.addRow(0, Label::LS);
+  B.addRow(1, Label::NS);
+  B.addRow(2, Label::NS);
   A.append(B);
   EXPECT_EQ(A.size(), 3u);
   EXPECT_EQ(A.countLabel(Label::LS), 1u);

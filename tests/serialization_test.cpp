@@ -258,7 +258,7 @@ TEST(Serialization, FeatureNameLookup) {
 TEST(Serialization, TrainedFilterSurvivesRoundTrip) {
   // End-to-end: a real RIPPER filter serialized and reloaded must make
   // identical predictions.
-  Dataset D("rt");
+  std::vector<Instance> Is;
   Rng R(12);
   for (int I = 0; I != 600; ++I) {
     FeatureVector X{};
@@ -266,8 +266,9 @@ TEST(Serialization, TrainedFilterSurvivesRoundTrip) {
     X[FeatLoad] = R.uniform();
     X[FeatFloat] = R.uniform();
     bool Pos = X[FeatBBLen] >= 8 && X[FeatLoad] >= 0.3;
-    D.add({X, Pos ? Label::LS : Label::NS});
+    Is.push_back({X, Pos ? Label::LS : Label::NS});
   }
+  Dataset D = Dataset::fromInstances("rt", Is);
   RuleSet RS = Ripper().train(D);
   std::stringstream SS;
   writeRuleSet(RS, SS);

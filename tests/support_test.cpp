@@ -446,14 +446,15 @@ TEST(Timer, AccumulatesAcrossIntervals) {
 namespace {
 
 /// Parses \p Args (argv without the program name) against the declared
-/// flags, returning the parse and its stderr.
+/// flags and positionals, returning the parse and its stderr.
 std::pair<std::optional<CommandLine>, std::string>
-parseArgs(std::vector<const char *> Args, FlagList Bools, FlagList Values) {
+parseArgs(std::vector<const char *> Args, FlagList Bools, FlagList Values,
+          Positionals Takes = Positionals::Allowed) {
   Args.insert(Args.begin(), "prog");
   testing::internal::CaptureStderr();
   std::optional<CommandLine> CL =
       parseCommandLine(static_cast<int>(Args.size()),
-                       const_cast<char **>(Args.data()), Bools, Values);
+                       const_cast<char **>(Args.data()), Bools, Values, Takes);
   return {std::move(CL), testing::internal::GetCapturedStderr()};
 }
 
@@ -494,6 +495,24 @@ TEST(CommandLine, UnknownFlagNamesTheFirstStrangerInArgvOrder) {
                                {"threshold"});
   EXPECT_FALSE(CL2.has_value());
   EXPECT_EQ(Err2, "error: unknown option --threshhold\n");
+}
+
+TEST(CommandLine, StrayPositionalIsAnErrorUnlessDeclared) {
+  // "sf-apply --rules r.txt --benchmark db ppc970" (the --model name left
+  // out) must not run on the default model.
+  auto [CL, Err] = parseArgs({"--benchmark", "db", "ppc970", "--fix"},
+                             {"fix"}, {"benchmark"}, Positionals::None);
+  EXPECT_FALSE(CL.has_value());
+  EXPECT_EQ(Err, "error: unexpected argument 'ppc970'\n");
+  // The first offender in argv order wins, flag or positional.
+  auto [CL2, Err2] = parseArgs({"stray", "--zzz"}, {}, {}, Positionals::None);
+  EXPECT_FALSE(CL2.has_value());
+  EXPECT_EQ(Err2, "error: unexpected argument 'stray'\n");
+  // A value flag's value is not a positional, and "-5" is a value.
+  auto [CL3, Err3] = parseArgs({"--benchmark", "db", "--t", "-5"}, {},
+                               {"benchmark", "t"}, Positionals::None);
+  ASSERT_TRUE(CL3.has_value()) << Err3;
+  EXPECT_TRUE(CL3->positional().empty());
 }
 
 TEST(CommandLine, RejectsMisusedDeclaredFlags) {

@@ -321,11 +321,3 @@ TEST(WorkloadRegistry, ProgramDigestPinned) {
   EXPECT_EQ(Insts, 239228u);
   EXPECT_EQ(wire::fnv1a(Bytes.data(), Bytes.size()), 0xa2228a65886ca709ULL);
 }
-
-TEST(GenerateSuite, OneProgramPerSpecInOrder) {
-  std::vector<BenchmarkSpec> Suite = shrinkSuite(specjvm98Suite(), 3);
-  std::vector<Program> Programs = generateSuite(Suite);
-  ASSERT_EQ(Programs.size(), Suite.size());
-  for (size_t I = 0; I != Suite.size(); ++I)
-    EXPECT_EQ(Programs[I].getName(), Suite[I].Name);
-}

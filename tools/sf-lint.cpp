@@ -73,7 +73,8 @@ int main(int argc, char **argv) {
   std::optional<CommandLine> CL = parseCommandLine(
       argc, argv, {"help", "version", "list", "fix", "no-cache"},
       {"benchmark", "model", "threshold", "max-grid", "out", "jobs",
-       "corpus-dir"});
+       "corpus-dir"},
+      Positionals::Allowed);
   if (!CL)
     return 1;
   if (handleInfoOptions(*CL, "sf-lint", printUsage))

@@ -17,10 +17,13 @@
 // "sf-train --workload specjvm98,serverloop" is the factory procedure
 // for a mixed deployment with no intermediate trace files.
 //
+// Every source is one run: the files in command-line order, then the
+// --workload benchmarks.  The runs are perturbed (--noise) and labeled
+// together, onto one rank table, exactly as sf-report labels a suite.
 // --jobs N reads and labels the traces on N workers and fans the RIPPER
-// grow phase's per-feature candidate scans across the same pool; traces
-// are merged in command-line order and the learner reduces its argmax in
-// feature order, so the induced filter is byte-identical at any N.
+// grow phase's per-feature candidate scans across the same pool; runs
+// are merged in order and the learner reduces its argmax in feature
+// order, so the induced filter is byte-identical at any N.
 //
 // --from-registry DIR inspects a filter lineage persisted by
 // `sf-serve --online --registry DIR` instead of training: it lists every
@@ -66,6 +69,21 @@ static void printUsage(std::ostream &OS) {
 static int usage() {
   printUsage(std::cerr);
   return 1;
+}
+
+/// Writes \p Rules to \p Out; on failure prints why and returns false.
+static bool writeRulesFile(const std::string &Out, const RuleSet &Rules) {
+  std::ofstream OS(Out, std::ios::trunc);
+  if (!OS) {
+    std::cerr << "error: cannot open '" << Out << "' for writing\n";
+    return false;
+  }
+  writeRuleSet(Rules, OS);
+  OS.flush();
+  if (!OS)
+    std::cerr << "error: failed writing filter to '" << Out
+              << "' (disk full or device error)\n";
+  return static_cast<bool>(OS);
 }
 
 /// The --from-registry mode: list a persisted lineage's provenance
@@ -122,18 +140,8 @@ static int inspectRegistry(const CommandLine &CL) {
 
   std::string Out = CL.get("out");
   if (!Out.empty()) {
-    std::ofstream OS(Out, std::ios::trunc);
-    if (!OS) {
-      std::cerr << "error: cannot open '" << Out << "' for writing\n";
+    if (!writeRulesFile(Out, Chosen->Rules))
       return 1;
-    }
-    writeRuleSet(Chosen->Rules, OS);
-    OS.flush();
-    if (!OS) {
-      std::cerr << "error: failed writing filter to '" << Out
-                << "' (disk full or device error)\n";
-      return 1;
-    }
     std::cerr << "\nwrote v" << Chosen->Meta.Version << " to " << Out << '\n';
   }
   return 0;
@@ -143,7 +151,8 @@ int main(int argc, char **argv) {
   std::optional<CommandLine> CL = parseCommandLine(
       argc, argv, {"help", "version", "no-cache"},
       {"from-registry", "filter-version", "workload", "threshold", "out",
-       "model", "jobs", "corpus-dir", "noise", "noise-seed"});
+       "model", "jobs", "corpus-dir", "noise", "noise-seed"},
+      Positionals::Allowed);
   if (!CL)
     return 1;
   if (handleInfoOptions(*CL, "sf-train", printUsage))
@@ -176,14 +185,10 @@ int main(int argc, char **argv) {
   ExperimentEngine &Engine = **Handle;
   TaskPool &Pool = Engine.pool();
 
-  // Read and label each trace on the pool; merge in command-line order so
-  // the training set (and thus the filter) is identical at any job count.
-  // Each file is one run of the noise stack's lane space (run index =
-  // command-line position; --workload runs continue the numbering), so a
-  // perturbed training set replays bit-identically at any job count too.
+  // One run per source, numbered by position: the files, then the
+  // --workload benchmarks.  The position is the run's noise lane index.
   const std::vector<std::string> &Paths = CL->positional();
-  std::vector<Dataset> Labeled(Paths.size());
-  std::vector<size_t> BlockCounts(Paths.size(), 0);
+  std::vector<BenchmarkRun> Runs(Paths.size());
   std::vector<std::string> Errors(Paths.size());
   Pool.parallelFor(Paths.size(), [&](size_t I) {
     ParseResult<std::vector<BlockRecord>> Records = readTraceFile(Paths[I]);
@@ -194,43 +199,32 @@ int main(int argc, char **argv) {
                   E.Message;
       return;
     }
-    BlockCounts[I] = Records->size();
-    BenchmarkRun Run;
-    Run.Name = Paths[I];
-    Run.Records = std::move(*Records);
-    Noise->perturbRun(Run, I);
-    Labeled[I] = Noise->labelRun(Run, I, *Threshold);
+    Runs[I].Name = Paths[I];
+    Runs[I].Records = std::move(*Records);
   });
-
-  Dataset Train("train");
-  size_t TotalBlocks = 0;
-  for (size_t I = 0; I != Paths.size(); ++I) {
-    if (!Errors[I].empty()) {
-      std::cerr << Errors[I] << '\n';
+  for (const std::string &E : Errors)
+    if (!E.empty()) {
+      std::cerr << E << '\n';
       return 1;
     }
-    TotalBlocks += BlockCounts[I];
-    Train.append(Labeled[I]);
-  }
 
-  // --workload sources: trace (or cache-load) every benchmark of each
-  // named family and append in suite order, after the file traces.
+  // --workload: trace (or cache-load) each named family, in suite order.
   if (!Mix->empty()) {
     std::vector<BenchmarkSpec> Suite = workloadMixSuite(*Mix);
     std::cerr << "tracing " << Suite.size() << " benchmarks from --workload "
               << formatWorkloadMix(*Mix)
               << " (cache-served when warm)...\n";
-    std::vector<BenchmarkRun> Runs = Engine.generateSuiteData(Suite, *Model);
-    std::vector<Dataset> FromMix(Runs.size());
-    Pool.parallelFor(Runs.size(), [&](size_t I) {
-      Noise->perturbRun(Runs[I], Paths.size() + I);
-      FromMix[I] = Noise->labelRun(Runs[I], Paths.size() + I, *Threshold);
-    });
-    for (size_t I = 0; I != Runs.size(); ++I) {
-      TotalBlocks += Runs[I].Records.size();
-      Train.append(FromMix[I]);
-    }
+    for (BenchmarkRun &Run : Engine.generateSuiteData(Suite, *Model))
+      Runs.push_back(std::move(Run));
   }
+
+  Noise->perturbSuite(Runs, Pool);
+  Dataset Train("train");
+  size_t TotalBlocks = 0;
+  for (const BenchmarkRun &Run : Runs)
+    TotalBlocks += Run.Records.size();
+  for (const Dataset &D : Noise->labelSuite(Runs, *Threshold, Pool))
+    Train.append(D);
 
   std::cerr << "labeled " << Train.size() << " of " << TotalBlocks
             << " blocks at t = " << *Threshold << " ("
@@ -252,18 +246,8 @@ int main(int argc, char **argv) {
 
   std::string Out = CL->get("out");
   if (!Out.empty()) {
-    std::ofstream OS(Out, std::ios::trunc);
-    if (!OS) {
-      std::cerr << "error: cannot open '" << Out << "' for writing\n";
+    if (!writeRulesFile(Out, Filter))
       return 1;
-    }
-    writeRuleSet(Filter, OS);
-    OS.flush();
-    if (!OS) {
-      std::cerr << "error: failed writing filter to '" << Out
-                << "' (disk full or device error)\n";
-      return 1;
-    }
     std::cerr << "\nwrote filter to " << Out << '\n';
   }
   return 0;
