@@ -81,13 +81,9 @@ int main(int argc, char **argv) {
   const double T = 20.0;
   // --suite picks any registered workload family (default specjvm98, the
   // paper's population); the ablation itself is family-agnostic.
-  std::string SuiteName = CL->get("suite", "specjvm98");
-  const WorkloadFamily *Family = findWorkloadFamily(SuiteName);
-  if (!Family) {
-    std::cerr << "error: unknown suite: got '" << SuiteName
-              << "', known: " << knownFamilyNames() << '\n';
+  const WorkloadFamily *Family = parseSuiteOption(*CL, "specjvm98");
+  if (!Family)
     return 1;
-  }
   std::vector<BenchmarkRun> Suite = Engine.generateSuiteData(
       Family->makeBenchmarkSuite(), MachineModel::ppc7410());
 

@@ -50,7 +50,6 @@
 #include "EngineOption.h"
 #include "WorkloadOption.h"
 
-#include <cassert>
 #include <iostream>
 #include <sstream>
 
@@ -114,15 +113,13 @@ int main(int argc, char **argv) {
   // pays; declining forfeits the benefit).
   const std::string PreFamily = "ptrchase";
   const std::string PostFamily = "specjvm98";
-  const WorkloadFamily *Pre = findWorkloadFamily(PreFamily);
-  assert(Pre && findWorkloadFamily(PostFamily) &&
-         "stock families must be registered");
 
   MachineModel Model = MachineModel::ppc7410();
   const WorkloadMix Mix = {{PreFamily, 1.0}, {PostFamily, 1.0}};
   std::vector<AppSpec> Apps = expandWorkloadMix(Mix);
   std::vector<Program> Programs = generateMixPrograms(Apps);
-  const size_t NumPreApps = Pre->makeBenchmarkSuite().size();
+  const size_t NumPreApps =
+      findWorkloadFamily(PreFamily)->makeBenchmarkSuite().size();
 
   ServiceConfig Cfg;
   Cfg.StreamSeed = workloadMixSeed(Apps);
@@ -149,7 +146,7 @@ int main(int argc, char **argv) {
   std::cerr << "tracing " << PreFamily << " + " << PostFamily
             << " factory corpora (cache-served when warm)...\n";
   std::vector<BenchmarkRun> Runs =
-      Engine.generateSuiteData(workloadMixSuite(Mix), Model);
+      Engine.generateSuiteData(appSuite(Apps), Model);
 
   // Both families labeled in one call: the pre-shift runs come first.
   std::vector<Dataset> Labeled = Engine.labelSuite(Runs, Threshold);

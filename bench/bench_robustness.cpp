@@ -95,20 +95,13 @@ int main(int argc, char **argv) {
 
   // Which families and which rungs.  --quick keeps CI's smoke cheap: one
   // family, the ladder endpoints plus one middle rung.
-  std::vector<const WorkloadFamily *> Families;
-  std::string SuiteName = CL->get("suite");
-  if (!SuiteName.empty()) {
-    const WorkloadFamily *F = findWorkloadFamily(SuiteName);
-    if (!F) {
-      std::cerr << "error: unknown suite: got '" << SuiteName
-                << "', known: " << knownFamilyNames() << '\n';
+  std::vector<const WorkloadFamily *> Families =
+      WorkloadRegistry::instance().families();
+  if (CL->has("suite") || Quick) {
+    const WorkloadFamily *F = parseSuiteOption(*CL, "specjvm98");
+    if (!F)
       return 1;
-    }
-    Families.push_back(F);
-  } else if (Quick) {
-    Families.push_back(findWorkloadFamily("specjvm98"));
-  } else {
-    Families = WorkloadRegistry::instance().families();
+    Families = {F};
   }
   std::vector<unsigned> Levels;
   if (Quick) {
@@ -173,8 +166,8 @@ int main(int argc, char **argv) {
     const WorkloadFamily &F = *Families.front();
     std::vector<AppSpec> Apps = expandWorkloadMix({{F.name(), 1.0}});
     std::vector<Program> Programs = generateMixPrograms(Apps);
-    std::vector<BenchmarkRun> Suite = Engine.generateSuiteData(
-        F.makeBenchmarkSuite(), MachineModel::ppc7410());
+    std::vector<BenchmarkRun> Suite =
+        Engine.generateSuiteData(appSuite(Apps), MachineModel::ppc7410());
     Dataset Pooled("pooled");
     for (const Dataset &D : Engine.labelSuite(Suite, *Threshold))
       Pooled.append(D);

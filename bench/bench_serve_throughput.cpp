@@ -47,7 +47,7 @@ int main(int argc, char **argv) {
 
   MachineModel Model = MachineModel::ppc7410();
   std::vector<BenchmarkSpec> Specs =
-      Mix->empty() ? specjvm98Suite() : workloadMixSuite(*Mix);
+      Mix->empty() ? specjvm98Suite() : appSuite(expandWorkloadMix(*Mix));
   std::vector<BenchmarkRun> Suite = Engine.generateSuiteData(Specs, Model);
   std::vector<Dataset> Labeled = Engine.labelSuite(Suite, 0.0);
   std::vector<LoocvFold> Folds =
@@ -70,7 +70,7 @@ int main(int argc, char **argv) {
 
   std::cout << "Single-app serving regime: invocation streams served under "
                "LS vs L/N optimizing tiers\n("
-            << (Mix->empty() ? familyDisplayName("specjvm98")
+            << (Mix->empty() ? findWorkloadFamily("specjvm98")->displayName()
                              : formatWorkloadMix(*Mix))
             << "; t = 0 LOOCV filters; default service config)\n\n";
   TablePrinter T({"Benchmark", "Promoted", "Deferred", "Max queue",

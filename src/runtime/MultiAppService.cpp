@@ -119,49 +119,6 @@ schedfilter::checkServiceStats(const MultiAppStats &St) {
   return std::nullopt;
 }
 
-std::vector<AppSpec> schedfilter::expandWorkloadMix(
-    const std::vector<std::pair<std::string, double>> &Mix) {
-  std::vector<AppSpec> Apps;
-  for (const auto &[FamilyName, Weight] : Mix) {
-    const WorkloadFamily *F = findWorkloadFamily(FamilyName);
-    assert(F && "unvalidated family name (tools check before expanding)");
-    if (!F)
-      continue;
-    std::vector<BenchmarkSpec> Suite = F->makeBenchmarkSuite();
-    assert(!Suite.empty() && "family with an empty suite");
-    double Per = Weight / static_cast<double>(Suite.size());
-    for (BenchmarkSpec &S : Suite)
-      Apps.push_back({std::move(S), Per});
-  }
-  return Apps;
-}
-
-uint64_t schedfilter::workloadMixSeed(const std::vector<AppSpec> &Apps) {
-  // Canonical serialization of every app's identity, hashed with the one
-  // FNV-1a implementation -- the same stability contract as
-  // specFingerprint.  The seed, not the mix string, is what every layer
-  // forks from, so "specjvm98:1" and "specjvm98:1.0" are the same
-  // session.
-  std::string B;
-  wire::putU64(B, Apps.size());
-  for (const AppSpec &A : Apps) {
-    wire::putString(B, A.Spec.Family);
-    wire::putString(B, A.Spec.Name);
-    wire::putU64(B, A.Spec.Seed);
-    wire::putF64(B, A.Weight);
-  }
-  return wire::fnv1a(B.data(), B.size());
-}
-
-std::vector<Program>
-schedfilter::generateMixPrograms(const std::vector<AppSpec> &Apps) {
-  std::vector<Program> Programs;
-  Programs.reserve(Apps.size());
-  for (const AppSpec &A : Apps)
-    Programs.push_back(generateWorkloadProgram(A.Spec));
-  return Programs;
-}
-
 MultiAppService::MultiAppService(const std::vector<AppSpec> &Apps,
                                  const std::vector<Program> &Programs,
                                  const MachineModel &Model,

@@ -61,7 +61,7 @@
 #include "support/CdfTable.h"
 #include "support/TaskPool.h"
 #include "target/MachineModel.h"
-#include "workloads/WorkloadFamily.h"
+#include "workloads/WorkloadMix.h"
 
 #include <cstdint>
 #include <functional>
@@ -195,33 +195,6 @@ bool operator==(const ServiceStats &A, const ServiceStats &B);
 /// the same benchmark sees the same stream -- the stream identifies the
 /// workload, not the tool.  Mixes use workloadMixSeed instead.
 uint64_t invocationStreamSeed(uint64_t WorkloadSeed);
-
-/// One tenant of the stream: a family benchmark plus its share of the
-/// interleave (relative; normalized by the service, and irrelevant for a
-/// lone app, which owns every tick).
-struct AppSpec {
-  BenchmarkSpec Spec;
-  double Weight = 1.0;
-};
-
-/// Expands a validated --workload mix (family name, family weight) into
-/// one AppSpec per benchmark of each family, in registry/suite order.  A
-/// family's weight is split evenly across its benchmarks, so
-/// "specjvm98:3,serverloop:1" gives the seven SPECjvm98 apps 3/7 each
-/// and the three serverloop apps 1/3 each.  Unknown family names are a
-/// caller bug (tools validate first) and assert.
-std::vector<AppSpec>
-expandWorkloadMix(const std::vector<std::pair<std::string, double>> &Mix);
-
-/// The session seed of a mix: a stable hash over every app's identity
-/// (family, benchmark name, spec seed, weight).  The interleave and the
-/// per-app substreams all derive from it, so the mix *is* the stream --
-/// same mix, same traffic, in any tool at any parallelism.
-uint64_t workloadMixSeed(const std::vector<AppSpec> &Apps);
-
-/// Generates every app's program through its registered family, in app
-/// order (apps are independent; order is presentation only).
-std::vector<Program> generateMixPrograms(const std::vector<AppSpec> &Apps);
 
 /// What one service run measures: the aggregate ServiceStats plus one
 /// per-app breakdown.  Aggregate integer fields equal the sum of the

@@ -132,11 +132,3 @@ void TaskPool::parallelFor(size_t TaskCount,
   if (Error)
     std::rethrow_exception(Error);
 }
-
-void TaskPool::parallelFor(size_t TaskCount, const Rng &Base,
-                           const std::function<void(size_t, Rng &)> &TaskBody) {
-  parallelFor(TaskCount, [&](size_t I) {
-    Rng Stream = Base.fork(I);
-    TaskBody(I, Stream);
-  });
-}

@@ -19,8 +19,6 @@
 #ifndef SCHEDFILTER_SUPPORT_TASKPOOL_H
 #define SCHEDFILTER_SUPPORT_TASKPOOL_H
 
-#include "support/Rng.h"
-
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -51,12 +49,6 @@ public:
   /// never depends on the job count.  Bodies must only write to disjoint,
   /// index-owned state.
   void parallelFor(size_t Count, const std::function<void(size_t)> &Body);
-
-  /// Like parallelFor, but additionally hands task i the forked stream
-  /// Base.fork(i) -- reproducible and order-independent, so stochastic
-  /// tasks stay deterministic at any job count.
-  void parallelFor(size_t Count, const Rng &Base,
-                   const std::function<void(size_t, Rng &)> &Body);
 
   /// True while the calling thread is executing a pool task (used to run
   /// nested parallelFor calls inline).

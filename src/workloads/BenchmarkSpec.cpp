@@ -313,6 +313,3 @@ std::vector<BenchmarkSpec> schedfilter::fpSuite() {
     S.Family = "fp";
   return Suite;
 }
-
-// findBenchmarkSpec lives in WorkloadFamily.cpp: it indexes every
-// registered family's suite, not just the two defined here.

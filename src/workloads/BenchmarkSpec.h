@@ -32,10 +32,9 @@ namespace schedfilter {
 struct BenchmarkSpec {
   std::string Name;
   std::string Description;
-  /// Name of the WorkloadFamily (workloads/WorkloadFamily.h) that expands
-  /// this spec into a Program.  Empty on hand-built specs, which expand
-  /// through the ProgramGenerator directly (generateWorkloadProgram's
-  /// fallback).  Part of the spec fingerprint and the corpus-cache key.
+  /// Name of the registered WorkloadFamily (workloads/WorkloadFamily.h)
+  /// that expands this spec into a Program; a spec without one cannot be
+  /// generated.  Part of the spec fingerprint and the corpus-cache key.
   std::string Family;
   uint64_t Seed = 1;
 
@@ -99,8 +98,8 @@ std::vector<BenchmarkSpec> specjvm98Suite();
 /// scimark.
 std::vector<BenchmarkSpec> fpSuite();
 
-/// Looks up a spec by name across every registered workload family's
-/// suite (defined in WorkloadFamily.cpp); returns nullptr if absent.
+/// Looks up a spec by name in the workload catalog (every registered
+/// family's suite; defined in WorkloadFamily.cpp); nullptr if absent.
 const BenchmarkSpec *findBenchmarkSpec(const std::string &Name);
 
 } // namespace schedfilter

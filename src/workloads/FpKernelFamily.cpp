@@ -152,6 +152,7 @@ public:
 
 } // namespace
 
-std::unique_ptr<WorkloadFamily> schedfilter::makeFpKernelFamily() {
-  return std::make_unique<FpKernelFamily>();
+const WorkloadFamily &schedfilter::fpKernelFamily() {
+  static const FpKernelFamily F;
+  return F;
 }

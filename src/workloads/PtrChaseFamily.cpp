@@ -187,6 +187,7 @@ public:
 
 } // namespace
 
-std::unique_ptr<WorkloadFamily> schedfilter::makePtrChaseFamily() {
-  return std::make_unique<PtrChaseFamily>();
+const WorkloadFamily &schedfilter::ptrChaseFamily() {
+  static const PtrChaseFamily F;
+  return F;
 }

@@ -159,6 +159,7 @@ public:
 
 } // namespace
 
-std::unique_ptr<WorkloadFamily> schedfilter::makeServerLoopFamily() {
-  return std::make_unique<ServerLoopFamily>();
+const WorkloadFamily &schedfilter::serverLoopFamily() {
+  static const ServerLoopFamily F;
+  return F;
 }

@@ -1,10 +1,11 @@
-//===- workloads/WorkloadFamily.cpp - Family registry + builtins ------------===//
+//===- workloads/WorkloadFamily.cpp - The workload catalog ------------------===//
 
 #include "workloads/WorkloadFamily.h"
 
 #include "workloads/ProgramGenerator.h"
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 using namespace schedfilter;
 
@@ -39,85 +40,75 @@ private:
   std::vector<BenchmarkSpec> (*Suite)();
 };
 
-void registerBuiltinFamilies(WorkloadRegistry &R) {
-  // Registration order is the presentation order of --list and every
-  // "known: ..." diagnostic; the two paper suites stay first.
-  R.registerFamily(std::make_unique<GeneratorFamily>(
-      "specjvm98", "SPECjvm98",
-      "synthetic SPECjvm98 stand-ins (paper Tables 1-7)", specjvm98Suite));
-  R.registerFamily(std::make_unique<GeneratorFamily>(
-      "fp", "FP suite",
-      "floating-point-heavy companions (paper SPECjvm98 FP mix)", fpSuite));
-  R.registerFamily(makeServerLoopFamily());
-  R.registerFamily(makeFpKernelFamily());
-  R.registerFamily(makePtrChaseFamily());
+const WorkloadFamily &familyOf(const BenchmarkSpec &Spec) {
+  return WorkloadRegistry::instance().require(Spec.Family, "BenchmarkSpec",
+                                              Spec.Name);
 }
 
 } // namespace
 
-WorkloadRegistry &WorkloadRegistry::instance() {
-  // Function-local static: built-ins are registered exactly once, on
-  // first access, before any parallel phase can look families up.
-  static WorkloadRegistry *R = [] {
-    auto *Reg = new WorkloadRegistry();
-    registerBuiltinFamilies(*Reg);
-    return Reg;
-  }();
-  return *R;
+const WorkloadRegistry &WorkloadRegistry::instance() {
+  static const WorkloadRegistry R;
+  return R;
 }
 
-void WorkloadRegistry::registerFamily(std::unique_ptr<WorkloadFamily> F) {
-  assert(F && "null family");
-  assert(!find(F->name()) && "duplicate family name");
-  Views.push_back(F.get());
-  Owned.push_back(std::move(F));
+WorkloadRegistry::WorkloadRegistry() {
+  // Registration order is the presentation order of --list and every
+  // "known: ..." diagnostic; the two paper suites stay first.
+  static const GeneratorFamily SpecJvm98(
+      "specjvm98", "SPECjvm98",
+      "synthetic SPECjvm98 stand-ins (paper Tables 1-7)", specjvm98Suite);
+  static const GeneratorFamily Fp(
+      "fp", "FP suite",
+      "floating-point-heavy companions (paper SPECjvm98 FP mix)", fpSuite);
+  Families = {&SpecJvm98, &Fp, &serverLoopFamily(), &fpKernelFamily(),
+              &ptrChaseFamily()};
+  for (const WorkloadFamily *F : Families)
+    for (BenchmarkSpec &S : F->makeBenchmarkSuite())
+      Benchmarks.push_back(std::move(S));
 }
 
 const WorkloadFamily *WorkloadRegistry::find(const std::string &Name) const {
-  for (const WorkloadFamily *F : Views)
+  for (const WorkloadFamily *F : Families)
     if (Name == F->name())
       return F;
   return nullptr;
+}
+
+const WorkloadFamily &
+WorkloadRegistry::require(const std::string &Name, const char *Kind,
+                          const std::string &Owner) const {
+  if (const WorkloadFamily *F = find(Name))
+    return *F;
+  std::fprintf(stderr, "%s '%s': family '%s' is not registered (known: %s)\n",
+               Kind, Owner.c_str(), Name.c_str(), knownFamilyNames().c_str());
+  std::abort();
 }
 
 const WorkloadFamily *schedfilter::findWorkloadFamily(const std::string &Name) {
   return WorkloadRegistry::instance().find(Name);
 }
 
-std::string schedfilter::familyDisplayName(const std::string &Name) {
-  if (const WorkloadFamily *F = findWorkloadFamily(Name))
-    return F->displayName();
-  return Name;
+std::string schedfilter::knownFamilyNames() {
+  std::string Out;
+  for (const WorkloadFamily *F : WorkloadRegistry::instance().families()) {
+    if (!Out.empty())
+      Out += ", ";
+    Out += F->name();
+  }
+  return Out;
 }
 
 Program schedfilter::generateWorkloadProgram(const BenchmarkSpec &Spec) {
-  if (const WorkloadFamily *F = findWorkloadFamily(Spec.Family))
-    return F->load(Spec);
-  // Family-less specs (hand-built in tests, or predating the registry)
-  // expand through the ProgramGenerator -- the same synthesis the
-  // specjvm98/fp families run, so this branch can never diverge from a
-  // registered path.
-  return ProgramGenerator(Spec).generate();
+  return familyOf(Spec).load(Spec);
 }
 
 uint32_t schedfilter::workloadGeneratorVersion(const BenchmarkSpec &Spec) {
-  if (const WorkloadFamily *F = findWorkloadFamily(Spec.Family))
-    return F->version();
-  return GeneratorVersion;
+  return familyOf(Spec).version();
 }
 
 const BenchmarkSpec *schedfilter::findBenchmarkSpec(const std::string &Name) {
-  // One flat index over every registered family's suite, built on first
-  // use.  Registration order makes the index deterministic; names are
-  // globally unique across families (workloads_test pins this).
-  static const std::vector<BenchmarkSpec> *All = [] {
-    auto *V = new std::vector<BenchmarkSpec>();
-    for (const WorkloadFamily *F : WorkloadRegistry::instance().families())
-      for (BenchmarkSpec &S : F->makeBenchmarkSuite())
-        V->push_back(std::move(S));
-    return V;
-  }();
-  for (const BenchmarkSpec &S : *All)
+  for (const BenchmarkSpec &S : WorkloadRegistry::instance().benchmarks())
     if (S.Name == Name)
       return &S;
   return nullptr;

@@ -8,15 +8,15 @@
 /// benchmark suite (parameter profiles), its program synthesis (load), a
 /// per-family generator version (its half of the corpus-cache key).
 ///
-/// Registration is one file per family plus one line in
-/// registerBuiltinFamilies(); everything downstream -- corpus-cache keys,
-/// suite tracing, LOOCV folds, the interleaved multi-app serve streams,
-/// the tools' --workload flags -- discovers families through the
+/// A family is one file plus one entry in the WorkloadRegistry's
+/// constructor; everything downstream -- corpus-cache keys, suite
+/// tracing, LOOCV folds, the interleaved multi-app serve streams, the
+/// tools' --workload and --suite flags -- discovers families through the
 /// registry and never names a generator directly.
 ///
 /// Determinism: load() must be a pure function of the spec (all
-/// randomness from Spec.Seed) -- the registry adds no state of its own,
-/// so any family mix stays bit-identical at any --jobs and any cache
+/// randomness from Spec.Seed) and the registry is const once built, so
+/// any family mix stays bit-identical at any --jobs and any cache
 /// temperature.
 ///
 //===----------------------------------------------------------------------===//
@@ -28,7 +28,7 @@
 #include "support/Rng.h"
 #include "workloads/BenchmarkSpec.h"
 
-#include <memory>
+#include <string>
 #include <vector>
 
 namespace schedfilter {
@@ -50,8 +50,7 @@ public:
   /// Short human-readable suite title for report headers, e.g.
   /// "SPECjvm98".  Defaults to name(); families whose registry key is
   /// not the publishable spelling override it.  Benches print suites
-  /// through this accessor (via familyDisplayName) instead of
-  /// hand-mapping registry keys.
+  /// through this accessor instead of hand-mapping registry keys.
   virtual const char *displayName() const { return name(); }
 
   /// Version of this family's program synthesis, the generator half of
@@ -71,55 +70,62 @@ public:
   virtual Program load(const BenchmarkSpec &Params) const = 0;
 };
 
-/// The process-wide family registry, in registration order.  Built-in
-/// families register lazily on first access, so lookups never race
-/// static initialization; registration is not thread-safe and happens
-/// before any parallel phase.
+/// The workload catalog: the built-in families, in presentation order,
+/// and every benchmark of their suites.  It is built once, on first
+/// access (a function-local static, so concurrent first accesses are
+/// safe), and is const from then on.
 class WorkloadRegistry {
 public:
-  /// The singleton, with the built-in families already registered.
-  static WorkloadRegistry &instance();
-
-  /// Registers \p F; its name must not collide with a registered family.
-  void registerFamily(std::unique_ptr<WorkloadFamily> F);
+  /// The catalog.
+  static const WorkloadRegistry &instance();
 
   /// Looks a family up by name; nullptr when absent.
   const WorkloadFamily *find(const std::string &Name) const;
 
-  /// Every registered family, in registration order (deterministic:
-  /// --list output and "known: ..." diagnostics iterate this).
+  /// The family named \p Name, which the \p Kind named \p Owner (a spec
+  /// or a mix) requires.  An unregistered name is a caller bug -- the
+  /// tools validate user input first -- so it aborts in every build
+  /// type, naming the owner.
+  const WorkloadFamily &require(const std::string &Name, const char *Kind,
+                                const std::string &Owner) const;
+
+  /// Every family, in registration order (deterministic: --list output
+  /// and "known: ..." diagnostics iterate this).
   const std::vector<const WorkloadFamily *> &families() const {
-    return Views;
+    return Families;
   }
 
+  /// Every family's suite, concatenated in family order.  Benchmark
+  /// names are unique across families (workloads_test pins this).
+  const std::vector<BenchmarkSpec> &benchmarks() const { return Benchmarks; }
+
 private:
-  WorkloadRegistry() = default;
-  std::vector<std::unique_ptr<WorkloadFamily>> Owned;
-  std::vector<const WorkloadFamily *> Views;
+  WorkloadRegistry();
+  std::vector<const WorkloadFamily *> Families;
+  std::vector<BenchmarkSpec> Benchmarks;
 };
 
 /// Convenience: WorkloadRegistry::instance().find(Name).
 const WorkloadFamily *findWorkloadFamily(const std::string &Name);
 
-/// displayName() of the registered family \p Name, or \p Name itself
-/// when unregistered.
-std::string familyDisplayName(const std::string &Name);
+/// Every registered family name, comma-joined in registry order -- the
+/// "known: ..." tail of the selection diagnostics.
+std::string knownFamilyNames();
 
-/// Expands \p Spec through its family's load().  Specs without a Family
-/// (hand-built test specs, pre-registry callers) fall back to the
-/// ProgramGenerator, which is also what the specjvm98/fp families run --
-/// so the fallback can never diverge from a registered path.
+/// Expands \p Spec through its family's load().  A spec whose Family is
+/// empty or unregistered aborts, naming the spec.
 Program generateWorkloadProgram(const BenchmarkSpec &Spec);
 
 /// The generator version the corpus-cache key carries for \p Spec: its
-/// family's version(), or the ProgramGenerator's for family-less specs.
+/// family's version().  Aborts like generateWorkloadProgram.
 uint32_t workloadGeneratorVersion(const BenchmarkSpec &Spec);
 
-/// Factories of the built-in non-JVM families, each defined in its own
-/// translation unit (one file per family; one registry line below).
-std::unique_ptr<WorkloadFamily> makeServerLoopFamily();
-std::unique_ptr<WorkloadFamily> makeFpKernelFamily();
-std::unique_ptr<WorkloadFamily> makePtrChaseFamily();
+/// The built-in non-JVM families, each defined in its own translation
+/// unit (one file per family; one registry entry).  Families are
+/// stateless, so each is one immutable object.
+const WorkloadFamily &serverLoopFamily();
+const WorkloadFamily &fpKernelFamily();
+const WorkloadFamily &ptrChaseFamily();
 
 } // namespace schedfilter
 

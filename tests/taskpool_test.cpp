@@ -2,8 +2,7 @@
 //
 // The pool's contract: every index runs exactly once, results assembled
 // by index are identical at any job count, nested parallelFor is safe
-// (runs inline), exceptions propagate, and the Rng overload hands task i
-// the stream Base.fork(i) regardless of execution order.
+// (runs inline), and exceptions propagate.
 //
 //===----------------------------------------------------------------------===//
 
@@ -114,22 +113,4 @@ TEST(TaskPool, AllTasksRunDespiteThrowAtAnyJobCount) {
     EXPECT_EQ(std::accumulate(Ran.begin(), Ran.end(), 0), 16)
         << "jobs=" << Jobs;
   }
-}
-
-TEST(TaskPool, ForkedStreamsMatchSerialAtAnyJobCount) {
-  Rng Base(0xABCDEF);
-  auto Run = [&](unsigned Jobs) {
-    TaskPool Pool(Jobs);
-    std::vector<uint64_t> Draws(64, 0);
-    Pool.parallelFor(Draws.size(), Base,
-                     [&](size_t I, Rng &Stream) { Draws[I] = Stream.next64(); });
-    return Draws;
-  };
-  std::vector<uint64_t> Serial = Run(1);
-  // Each slot is exactly Base.fork(i)'s first draw...
-  for (size_t I = 0; I != Serial.size(); ++I)
-    EXPECT_EQ(Serial[I], Base.fork(I).next64());
-  // ...at any parallelism.
-  EXPECT_EQ(Run(4), Serial);
-  EXPECT_EQ(Run(7), Serial);
 }

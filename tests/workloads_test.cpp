@@ -2,15 +2,22 @@
 
 #include "workloads/ProgramGenerator.h"
 #include "workloads/WorkloadFamily.h"
+#include "workloads/WorkloadMix.h"
 
 #include "TestHelpers.h"
 #include "features/Features.h"
 #include "io/TraceStore.h"
 #include "mir/Verifier.h"
+#include "support/TaskPool.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
+#include <cstdlib>
+#include <iterator>
 #include <set>
+#include <thread>
 
 using namespace schedfilter;
 using namespace schedfilter::test;
@@ -259,25 +266,22 @@ TEST(WorkloadRegistry, ProgramsVerifyForEveryFamily) {
     }
 }
 
-TEST(WorkloadRegistry, FamilyLessSpecFallsBackToProgramGenerator) {
-  // A hand-built spec with no Family must expand exactly as the
-  // pre-registry ProgramGenerator path did -- and specjvm98's registered
-  // load() is that same path, so the two can never diverge.
-  BenchmarkSpec S = *findBenchmarkSpec("jess");
-  S.NumMethods = 6;
-  BenchmarkSpec Bare = S;
+TEST(WorkloadRegistryDeathTest, UnregisteredFamilyAbortsNamingTheSpec) {
+  // Every spec names a registered family: an empty or unknown one is a
+  // caller bug, and every entry point aborts naming it, in every build
+  // type -- never a guessed generator, never a silently dropped app.
+  BenchmarkSpec Bare = *findBenchmarkSpec("jess");
   Bare.Family.clear();
-  expectProgramsIdentical(generateWorkloadProgram(Bare),
-                          ProgramGenerator(Bare).generate());
-  expectProgramsIdentical(generateWorkloadProgram(S),
-                          findWorkloadFamily("specjvm98")->load(S));
-  EXPECT_EQ(workloadGeneratorVersion(Bare), GeneratorVersion);
-  EXPECT_EQ(workloadGeneratorVersion(S),
-            findWorkloadFamily("specjvm98")->version());
-  BenchmarkSpec Chase =
-      findWorkloadFamily("ptrchase")->makeBenchmarkSuite().front();
-  EXPECT_EQ(workloadGeneratorVersion(Chase),
-            findWorkloadFamily("ptrchase")->version());
+  EXPECT_DEATH(generateWorkloadProgram(Bare),
+               "BenchmarkSpec 'jess': family '' is not registered "
+               "\\(known: specjvm98, fp, serverloop, fpkernel, ptrchase\\)");
+  BenchmarkSpec Stray = *findBenchmarkSpec("jess");
+  Stray.Family = "nosuch";
+  EXPECT_DEATH(workloadGeneratorVersion(Stray),
+               "BenchmarkSpec 'jess': family 'nosuch' is not registered");
+  EXPECT_DEATH(expandWorkloadMix({{"specjvm98", 1.0}, {"nosuch", 2.0}}),
+               "workload mix 'specjvm98,nosuch:2': family 'nosuch' is not "
+               "registered");
 }
 
 TEST(WorkloadRegistry, ProgramDigestPinned) {
@@ -320,4 +324,178 @@ TEST(WorkloadRegistry, ProgramDigestPinned) {
   EXPECT_EQ(Blocks, 23713u);
   EXPECT_EQ(Insts, 239228u);
   EXPECT_EQ(wire::fnv1a(Bytes.data(), Bytes.size()), 0xa2228a65886ca709ULL);
+}
+
+TEST(WorkloadRegistryDeathTest, FirstAccessFromFourWorkersAtOnce) {
+  // The catalog is built on first access.  The re-executed death-test
+  // child runs only this test, so there four pool workers reach the
+  // catalog for the first time at the same moment; all must see one
+  // complete catalog (the TSan job runs this binary).
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        std::atomic<unsigned> Arrived{0};
+        std::vector<const WorkloadRegistry *> Seen(4);
+        std::vector<const BenchmarkSpec *> Found(4);
+        TaskPool(4).parallelFor(4, [&](size_t I) {
+          Arrived.fetch_add(1);
+          while (Arrived.load() != 4)
+            std::this_thread::yield();
+          Found[I] = findBenchmarkSpec("db");
+          Seen[I] = &WorkloadRegistry::instance();
+        });
+        bool Ok = Seen[0]->families().size() == 5 &&
+                  Seen[0]->benchmarks().size() == 22 && Found[0] &&
+                  Found[0]->Family == "specjvm98";
+        for (size_t I = 1; I != 4; ++I)
+          Ok = Ok && Seen[I] == Seen[0] && Found[I] == Found[0];
+        std::exit(Ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+}
+
+//===----------------------------------------------------------------------===//
+// Workload mixes: the --workload grammar, its spelling, its one expansion
+//===----------------------------------------------------------------------===//
+
+TEST(WorkloadMix, ParsesWeightsInCommandLineOrder) {
+  ParseResult<WorkloadMix> M =
+      parseWorkloadMix("specjvm98:3,serverloop:1,fp:0.25");
+  ASSERT_TRUE(M.has_value());
+  EXPECT_EQ(*M, (WorkloadMix{
+                    {"specjvm98", 3.0}, {"serverloop", 1.0}, {"fp", 0.25}}));
+  EXPECT_EQ(formatWorkloadMix(*M), "specjvm98:3,serverloop,fp:0.25");
+  // Fixed notation, never rounded: six decimals would print 0.
+  EXPECT_EQ(formatWorkloadMix({{"fp", 1e-7}, {"ptrchase", 1e20}}),
+            "fp:0.0000001,ptrchase:100000000000000000000");
+}
+
+TEST(WorkloadMix, EachDiagnosticNamesItsItem) {
+  struct Case {
+    const char *Spec;
+    size_t Item;
+    std::string Message;
+  };
+  const Case Cases[] = {
+      {"specjvm98,,fp", 2,
+       "--workload has an empty item (got 'specjvm98,,fp')"},
+      {"fp,specjvm98:-1", 2,
+       "--workload weight for 'specjvm98' expects a positive number (got "
+       "'-1')"},
+      {"nosuch", 1,
+       "unknown family: got 'nosuch', known: specjvm98, fp, serverloop, "
+       "fpkernel, ptrchase"},
+      {"fp,serverloop,fp:2", 3,
+       "--workload names family 'fp' twice (got 'fp,serverloop,fp:2')"},
+  };
+  for (const Case &C : Cases) {
+    ParseResult<WorkloadMix> M = parseWorkloadMix(C.Spec);
+    ASSERT_FALSE(M.has_value()) << C.Spec;
+    EXPECT_EQ(M.error().Line, C.Item) << C.Spec;
+    EXPECT_EQ(M.error().Message, C.Message);
+  }
+  for (const char *W : {"", "0", "-0", "nan", "inf", "1e999", "0x1", " 1",
+                        "1 ", "1:2"})
+    EXPECT_FALSE(parseWorkloadMix(std::string("fp:") + W).has_value()) << W;
+}
+
+TEST(WorkloadMix, MutatedSpecsDiagnoseOrRoundTrip) {
+  // A fixed budget of seeded mutations of CI's two mixes (and one with
+  // fractional weights): bit flips, truncations, splices, duplicated
+  // items, NUL/CR bytes and non-finite or extreme weights.  Every input
+  // either fails with a diagnostic that locates one of its items, or
+  // parses to a mix that formatWorkloadMix spells back to an equal mix.
+  const std::vector<std::string> Seeds = {
+      "specjvm98:3,serverloop:1", "specjvm98,serverloop,fp,fpkernel,ptrchase",
+      "fp:0.1,ptrchase:2.5,fpkernel:0.30000000000000004"};
+  const char *Weights[] = {"nan", "inf",    "-inf",     "NaN",  "1e999",
+                           "1e-999", "4.9e-324", "1e300", "1e-7", "7"};
+  Rng R(0x5EED);
+  auto Pick = [&](size_t N) {
+    return static_cast<size_t>(R.below(static_cast<uint32_t>(N)));
+  };
+  auto Items = [](const std::string &S) {
+    std::vector<std::string> Out(1);
+    for (char C : S) {
+      if (C == ',')
+        Out.emplace_back();
+      else
+        Out.back().push_back(C);
+    }
+    return Out;
+  };
+  auto Join = [](const std::vector<std::string> &V) {
+    std::string Out = V.front();
+    for (size_t I = 1; I != V.size(); ++I)
+      Out += "," + V[I];
+    return Out;
+  };
+  size_t Parsed = 0, Rejected = 0;
+  for (int Iter = 0; Iter != 10000; ++Iter) {
+    std::string S = Seeds[Pick(Seeds.size())];
+    for (size_t Edits = 1 + Pick(3); Edits; --Edits) {
+      std::vector<std::string> V = Items(S);
+      switch (Pick(6)) {
+      case 0: // bit flip
+        if (!S.empty())
+          S[Pick(S.size())] ^= static_cast<char>(1u << Pick(8));
+        break;
+      case 1: // truncation
+        S.resize(Pick(S.size() + 1));
+        break;
+      case 2: { // splice: a prefix of this input, a suffix of a seed
+        const std::string &T = Seeds[Pick(Seeds.size())];
+        S = S.substr(0, Pick(S.size() + 1)) + T.substr(Pick(T.size() + 1));
+        break;
+      }
+      case 3: // duplicated item
+        V.insert(V.begin() + Pick(V.size() + 1), V[Pick(V.size())]);
+        S = Join(V);
+        break;
+      case 4: // NUL or CR byte
+        S.insert(Pick(S.size() + 1), 1, Pick(2) ? '\0' : '\r');
+        break;
+      case 5: { // non-finite or extreme weight
+        std::string &I = V[Pick(V.size())];
+        I = I.substr(0, I.find(':')) + ":" + Weights[Pick(std::size(Weights))];
+        S = Join(V);
+        break;
+      }
+      }
+    }
+    ParseResult<WorkloadMix> M = parseWorkloadMix(S);
+    if (!M) {
+      ++Rejected;
+      EXPECT_GE(M.error().Line, 1u) << S;
+      EXPECT_LE(M.error().Line, Items(S).size()) << S;
+      EXPECT_FALSE(M.error().Message.empty()) << S;
+      continue;
+    }
+    ++Parsed;
+    for (const auto &[Name, Weight] : *M) {
+      EXPECT_NE(findWorkloadFamily(Name), nullptr) << S;
+      EXPECT_TRUE(std::isfinite(Weight) && Weight > 0.0) << S;
+    }
+    std::string Canonical = formatWorkloadMix(*M);
+    ParseResult<WorkloadMix> Back = parseWorkloadMix(Canonical);
+    ASSERT_TRUE(Back.has_value()) << S << " -> " << Canonical;
+    EXPECT_EQ(*Back, *M) << S << " -> " << Canonical;
+  }
+  // The budget reaches both outcomes.
+  EXPECT_GT(Parsed, 500u);
+  EXPECT_GT(Rejected, 500u);
+}
+
+TEST(WorkloadMix, AppSuiteIsMixThenSuiteOrder) {
+  // A mix's suite -- what sf-trace and sf-train trace -- is the specs of
+  // its one expansion: each family's stock suite, in mix order.
+  std::vector<BenchmarkSpec> Suite =
+      appSuite(expandWorkloadMix(*parseWorkloadMix("serverloop:3,specjvm98")));
+  std::vector<BenchmarkSpec> Want =
+      findWorkloadFamily("serverloop")->makeBenchmarkSuite();
+  for (const BenchmarkSpec &S : specjvm98Suite())
+    Want.push_back(S);
+  ASSERT_EQ(Suite.size(), Want.size());
+  for (size_t I = 0; I != Want.size(); ++I)
+    EXPECT_EQ(specFingerprint(Suite[I]), specFingerprint(Want[I])) << I;
 }

@@ -2,7 +2,8 @@
 //
 // The one implementation of "open a rules file, parse it strictly, and
 // report failures in the io/ file:line discipline" that sf-apply,
-// sf-serve, and sf-lint all share.  Two entry points:
+// sf-serve, and sf-lint all share, and of writing one (sf-train --out,
+// sf-lint --fix --out).  Two reading entry points:
 //
 //   readRulesFileChecked  -- open + parse; diagnostics to stderr as
 //                            "error: PATH[:LINE]: message".  For tools
@@ -63,6 +64,23 @@ loadRulesFileWithLint(const std::string &Path) {
       printFindings(Lint, std::cerr, Path, &File->RuleLines);
   }
   return File;
+}
+
+/// Writes \p Rules to \p Path, flushed and checked: a rules file cut
+/// short by a full disk must fail the tool, never install.  On failure
+/// prints why and returns false.
+inline bool writeRulesFile(const std::string &Path, const RuleSet &Rules) {
+  std::ofstream OS(Path, std::ios::trunc);
+  if (!OS) {
+    std::cerr << "error: cannot open '" << Path << "' for writing\n";
+    return false;
+  }
+  writeRuleSet(Rules, OS);
+  OS.flush();
+  if (!OS)
+    std::cerr << "error: failed writing filter to '" << Path
+              << "' (disk full or device error)\n";
+  return static_cast<bool>(OS);
 }
 
 } // namespace schedfilter

@@ -1,13 +1,13 @@
 //===- tools/WorkloadOption.h - Shared workload selection -------*- C++ -*-===//
 ///
 /// \file
-/// One place for the sf-* tools and bench drivers to resolve the workload
-/// surface: --workload family[:weight],... mixes, --benchmark lookups,
-/// and the --list body -- all answered from the WorkloadRegistry, so a
-/// newly registered family shows up in every tool without touching any
-/// of them.  Validation is strict in the JobsOption style: a mistyped
-/// family or weight prints a diagnostic naming what is accepted and
-/// returns nullopt; nothing ever silently falls back.
+/// The flag glue between the sf-* tools and bench drivers and the
+/// workload catalog (workloads/WorkloadMix.h): --workload mixes,
+/// --benchmark lookups, --suite families, and the --list body.  Every
+/// name is resolved by the catalog, so a newly registered family shows up
+/// in every tool without touching any of them.  A mistyped name or weight
+/// prints a diagnostic naming what is accepted and returns nullopt (or
+/// null); nothing ever silently falls back.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,161 +15,96 @@
 #define SCHEDFILTER_TOOLS_WORKLOADOPTION_H
 
 #include "support/CommandLine.h"
-#include "workloads/WorkloadFamily.h"
+#include "workloads/WorkloadMix.h"
 
-#include <cmath>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace schedfilter {
 
-/// A validated --workload mix: (family name, relative weight) in
-/// command-line order.  Empty = the flag was absent.
-using WorkloadMix = std::vector<std::pair<std::string, double>>;
-
-/// Every registered family name, comma-joined in registry order -- the
-/// "known: ..." tail of the selection diagnostics.
-inline std::string knownFamilyNames() {
-  std::string Out;
-  for (const WorkloadFamily *F : WorkloadRegistry::instance().families()) {
-    if (!Out.empty())
-      Out += ", ";
-    Out += F->name();
-  }
-  return Out;
-}
-
-/// Parses --workload family[:weight],... (e.g. "specjvm98:3,serverloop:1").
-/// Weights are optional (default 1) and must be positive finite decimals;
-/// family names must be registered and appear at most once.  Returns the
-/// empty mix when the flag is absent, nullopt after a printed diagnostic
-/// for any invalid spelling.
+/// Resolves --workload family[:weight],... through parseWorkloadMix.
+/// Returns the empty mix when the flag is absent, nullopt after a printed
+/// diagnostic for any invalid spelling.
 inline std::optional<WorkloadMix> parseWorkloadOption(const CommandLine &CL) {
-  WorkloadMix Mix;
   if (!CL.has("workload"))
-    return Mix;
-  const std::string Value = CL.get("workload");
-
-  std::vector<std::string> Items;
-  size_t Start = 0;
-  while (true) {
-    size_t Comma = Value.find(',', Start);
-    Items.push_back(Value.substr(Start, Comma - Start));
-    if (Comma == std::string::npos)
-      break;
-    Start = Comma + 1;
+    return WorkloadMix();
+  ParseResult<WorkloadMix> Mix = parseWorkloadMix(CL.get("workload"));
+  if (!Mix) {
+    std::cerr << "error: " << Mix.error().Message << '\n';
+    return std::nullopt;
   }
-
-  for (const std::string &Item : Items) {
-    if (Item.empty()) {
-      std::cerr << "error: --workload has an empty item (got '" << Value
-                << "')\n";
-      return std::nullopt;
-    }
-    std::string Name = Item;
-    double Weight = 1.0;
-    size_t Colon = Item.find(':');
-    if (Colon != std::string::npos) {
-      Name = Item.substr(0, Colon);
-      std::string W = Item.substr(Colon + 1);
-      std::optional<double> V = parseDecimal(W);
-      if (!V || !std::isfinite(*V) || *V <= 0.0) {
-        std::cerr << "error: --workload weight for '" << Name
-                  << "' expects a positive number (got '" << W << "')\n";
-        return std::nullopt;
-      }
-      Weight = *V;
-    }
-    if (!findWorkloadFamily(Name)) {
-      std::cerr << "error: unknown family: got '" << Name
-                << "', known: " << knownFamilyNames() << '\n';
-      return std::nullopt;
-    }
-    for (const auto &Seen : Mix)
-      if (Seen.first == Name) {
-        std::cerr << "error: --workload names family '" << Name
-                  << "' twice (got '" << Value << "')\n";
-        return std::nullopt;
-      }
-    Mix.emplace_back(Name, Weight);
-  }
-  return Mix;
+  return std::move(*Mix);
 }
 
-/// Every benchmark of every family in \p Mix, concatenated in mix order
-/// then suite order -- the deterministic expansion the suite-level tools
-/// (trace, train) iterate.
-inline std::vector<BenchmarkSpec> workloadMixSuite(const WorkloadMix &Mix) {
-  std::vector<BenchmarkSpec> Suite;
-  for (const auto &Item : Mix) {
-    const WorkloadFamily *F = findWorkloadFamily(Item.first);
-    for (BenchmarkSpec &S : F->makeBenchmarkSuite())
-      Suite.push_back(std::move(S));
-  }
-  return Suite;
-}
-
-/// The resolved --benchmark flag: Present says whether it was given at
-/// all; Spec is non-null exactly when it named a registered benchmark.
-struct BenchmarkSelection {
-  bool Present = false;
-  const BenchmarkSpec *Spec = nullptr;
-};
-
-/// Resolves --benchmark NAME against every registered family's suite.
-/// Absent flag -> {Present = false}; unknown name -> nullopt after the
-/// shared "unknown benchmark '...' (try --list)" diagnostic.
-inline std::optional<BenchmarkSelection>
+/// Resolves --benchmark NAME against the catalog.  Absent flag ->
+/// nullptr; unknown name -> nullopt after the shared "unknown benchmark
+/// '...' (try --list)" diagnostic.
+inline std::optional<const BenchmarkSpec *>
 parseBenchmarkOption(const CommandLine &CL) {
-  BenchmarkSelection Sel;
   if (!CL.has("benchmark"))
-    return Sel;
-  Sel.Present = true;
+    return nullptr;
   std::string Name = CL.get("benchmark");
-  Sel.Spec = findBenchmarkSpec(Name);
-  if (!Sel.Spec) {
+  const BenchmarkSpec *Spec = findBenchmarkSpec(Name);
+  if (!Spec) {
     std::cerr << "error: unknown benchmark '" << Name << "' (try --list)\n";
     return std::nullopt;
   }
-  return Sel;
+  return Spec;
+}
+
+/// What a tool that takes exactly one of --benchmark NAME or --workload
+/// MIX serves or traces: the apps (one for a benchmark; the mix's
+/// expansion otherwise) and the session name (the benchmark name, or the
+/// mix's canonical spelling).
+struct WorkloadSelection {
+  std::vector<AppSpec> Apps;
+  std::string Session;
+  bool IsMix = false;
+};
+
+/// Resolves --benchmark / --workload, exactly one of which must be given.
+/// nullopt after a printed diagnostic; giving both or neither also prints
+/// \p PrintUsage to stderr.
+inline std::optional<WorkloadSelection>
+parseWorkloadSelection(const CommandLine &CL,
+                       void (*PrintUsage)(std::ostream &)) {
+  std::optional<const BenchmarkSpec *> Bench = parseBenchmarkOption(CL);
+  if (!Bench)
+    return std::nullopt;
+  std::optional<WorkloadMix> Mix = parseWorkloadOption(CL);
+  if (!Mix)
+    return std::nullopt;
+  const BenchmarkSpec *Spec = *Bench;
+  if ((Spec == nullptr) == Mix->empty()) {
+    std::cerr << "error: give exactly one of --benchmark or --workload\n";
+    PrintUsage(std::cerr);
+    return std::nullopt;
+  }
+  if (Spec)
+    return WorkloadSelection{{{*Spec}}, Spec->Name, false};
+  return WorkloadSelection{expandWorkloadMix(*Mix), formatWorkloadMix(*Mix),
+                           true};
+}
+
+/// Resolves --suite FAMILY, \p Default when absent.  Returns null after
+/// the shared "unknown suite: got '...', known: ..." diagnostic.
+inline const WorkloadFamily *parseSuiteOption(const CommandLine &CL,
+                                              const std::string &Default) {
+  std::string Name = CL.get("suite", Default);
+  const WorkloadFamily *F = findWorkloadFamily(Name);
+  if (!F)
+    std::cerr << "error: unknown suite: got '" << Name
+              << "', known: " << knownFamilyNames() << '\n';
+  return F;
 }
 
 /// The shared --list body: one line per registered benchmark
 /// (name, family, description), in registry then suite order.
 inline void printWorkloadList(std::ostream &OS) {
-  for (const WorkloadFamily *F : WorkloadRegistry::instance().families())
-    for (const BenchmarkSpec &S : F->makeBenchmarkSuite())
-      OS << S.Name << "\t" << F->name() << "\t" << S.Description << '\n';
-}
-
-/// Renders a mix back to its canonical flag spelling
-/// ("specjvm98:3,serverloop:1") for report headers.  Integral weights
-/// print without a decimal point.
-inline std::string formatWorkloadMix(const WorkloadMix &Mix) {
-  std::string Out;
-  for (const auto &Item : Mix) {
-    if (!Out.empty())
-      Out += ",";
-    Out += Item.first;
-    if (Item.second != 1.0) {
-      Out += ":";
-      double W = Item.second;
-      if (W == static_cast<double>(static_cast<uint64_t>(W))) {
-        Out += std::to_string(static_cast<uint64_t>(W));
-      } else {
-        std::string S = std::to_string(W); // fixed six decimals
-        while (!S.empty() && S.back() == '0')
-          S.pop_back();
-        if (!S.empty() && S.back() == '.')
-          S.pop_back();
-        Out += S;
-      }
-    }
-  }
-  return Out;
+  for (const BenchmarkSpec &S : WorkloadRegistry::instance().benchmarks())
+    OS << S.Name << "\t" << S.Family << "\t" << S.Description << '\n';
 }
 
 } // namespace schedfilter

@@ -55,10 +55,10 @@ int main(int argc, char **argv) {
 
   // Validate every flag before touching any file, so a mistyped knob
   // fails fast regardless of the rules file's state.
-  std::optional<BenchmarkSelection> Bench = parseBenchmarkOption(*CL);
+  std::optional<const BenchmarkSpec *> Bench = parseBenchmarkOption(*CL);
   if (!Bench)
     return 1;
-  const BenchmarkSpec *Spec = Bench->Spec;
+  const BenchmarkSpec *Spec = *Bench;
   std::optional<MachineModel> Model = parseModelOption(*CL);
   if (!Model)
     return 1;

@@ -44,7 +44,6 @@
 #include "VersionOption.h"
 #include "WorkloadOption.h"
 
-#include <fstream>
 #include <iostream>
 
 using namespace schedfilter;
@@ -93,10 +92,10 @@ int main(int argc, char **argv) {
 
   // Validate every flag before touching any file; benchmark resolution is
   // the shared registry-backed lookup (any family's benchmark lints).
-  std::optional<BenchmarkSelection> Bench = parseBenchmarkOption(*CL);
+  std::optional<const BenchmarkSpec *> Bench = parseBenchmarkOption(*CL);
   if (!Bench)
     return 1;
-  const BenchmarkSpec *Spec = Bench->Spec;
+  const BenchmarkSpec *Spec = *Bench;
   std::optional<MachineModel> Model = parseModelOption(*CL);
   if (!Model)
     return 1;
@@ -175,18 +174,8 @@ int main(int argc, char **argv) {
               << "'\n";
     return 1;
   }
-  std::ofstream OS(OutPath, std::ios::trunc);
-  if (!OS) {
-    std::cerr << "error: cannot open '" << OutPath << "' for writing\n";
+  if (!writeRulesFile(OutPath, Fixed))
     return 1;
-  }
-  writeRuleSet(Fixed, OS);
-  OS.flush();
-  if (!OS) {
-    std::cerr << "error: failed writing '" << OutPath
-              << "' (disk full or device error)\n";
-    return 1;
-  }
 
   std::cout << "wrote " << OutPath << ": removed " << Analysis.removedRules()
             << " rules and " << Analysis.removedConditions()

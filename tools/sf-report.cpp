@@ -61,13 +61,9 @@ int main(int argc, char **argv) {
     return 1;
   if (handleInfoOptions(*CL, "sf-report", printUsage))
     return 0;
-  std::string SuiteName = CL->get("suite", "specjvm98");
-  const WorkloadFamily *Family = findWorkloadFamily(SuiteName);
-  if (!Family) {
-    std::cerr << "error: unknown suite: got '" << SuiteName
-              << "', known: " << knownFamilyNames() << '\n';
+  const WorkloadFamily *Family = parseSuiteOption(*CL, "specjvm98");
+  if (!Family)
     return 1;
-  }
   std::vector<BenchmarkSpec> Suite = Family->makeBenchmarkSuite();
   // Figure 4 holds out one benchmark of the suite; any other name would
   // hold out nothing.
@@ -80,7 +76,7 @@ int main(int argc, char **argv) {
   }
   if (!Known) {
     std::cerr << "error: unknown --fig4-holdout: got '" << Holdout << "', "
-              << SuiteName << " has: " << Names << '\n';
+              << Family->name() << " has: " << Names << '\n';
     return 1;
   }
 

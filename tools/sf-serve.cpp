@@ -176,14 +176,15 @@ bool checkRegistryHealth(const FilterRegistry *Reg) {
 
 /// Resolves the filter (--rules, or self-trained on the apps' own
 /// traces), replays the stream under both optimizing-tier policies, and
-/// reports.  \p Session names the workload -- the benchmark, or the mix
-/// spelling -- in the diagnostics, the registry metadata and the report;
-/// \p IsMix selects the per-app report shape.  Everything on stdout is a
-/// pure function of (apps, model, config).
-int serve(const CommandLine &CL, const std::vector<AppSpec> &Apps,
-          const std::string &Session, bool IsMix, const MachineModel &Model,
-          ExperimentEngine &Engine, ServiceConfig Cfg,
-          const std::string &RegistryDir) {
+/// reports.  The selection's session names the workload -- the
+/// benchmark, or the mix spelling -- in the diagnostics, the registry
+/// metadata and the report; a mix gets the per-app report shape.
+/// Everything on stdout is a pure function of (apps, model, config).
+int serve(const CommandLine &CL, const WorkloadSelection &Sel,
+          const MachineModel &Model, ExperimentEngine &Engine,
+          ServiceConfig Cfg, const std::string &RegistryDir) {
+  const std::vector<AppSpec> &Apps = Sel.Apps;
+  const std::string &Session = Sel.Session;
   RuleSet Rules(Label::NS);
   bool RulesFromFile = false;
   if (!loadRulesOption(CL, Rules, RulesFromFile))
@@ -201,13 +202,10 @@ int serve(const CommandLine &CL, const std::vector<AppSpec> &Apps,
     std::optional<double> Threshold = parseThresholdOption(CL);
     if (!Threshold)
       return 1;
-    std::vector<BenchmarkSpec> Suite;
-    Suite.reserve(Apps.size());
-    for (const AppSpec &A : Apps)
-      Suite.push_back(A.Spec);
     std::cerr << "training filter on " << Session << "'s own traces (t = "
               << *Threshold << "; tracing on cache miss)...\n";
-    std::vector<BenchmarkRun> Runs = Engine.generateSuiteData(Suite, Model);
+    std::vector<BenchmarkRun> Runs =
+        Engine.generateSuiteData(appSuite(Apps), Model);
     std::vector<Dataset> Labeled = Engine.labelSuite(Runs, *Threshold);
     Dataset Train(Session);
     for (const Dataset &D : Labeled)
@@ -247,7 +245,7 @@ int serve(const CommandLine &CL, const std::vector<AppSpec> &Apps,
   // --- Deterministic report (stdout). ---
   const ServiceStats &LS = Cmp.Always.Total;
   const ServiceStats &LN = Cmp.Filtered.Total;
-  if (IsMix) {
+  if (Sel.IsMix) {
     std::cout << "workload mix " << Session << " on " << Model.getName()
               << ": " << Apps.size() << " apps, " << LS.Invocations
               << " invocations interleaved,\nsample every "
@@ -334,17 +332,10 @@ int main(int argc, char **argv) {
   if (handleInfoOptions(*CL, "sf-serve", printUsage))
     return 0;
 
-  std::optional<BenchmarkSelection> Bench = parseBenchmarkOption(*CL);
-  if (!Bench)
+  std::optional<WorkloadSelection> Sel =
+      parseWorkloadSelection(*CL, printUsage);
+  if (!Sel)
     return 1;
-  std::optional<WorkloadMix> Mix = parseWorkloadOption(*CL);
-  if (!Mix)
-    return 1;
-  if (Bench->Present == !Mix->empty()) {
-    std::cerr << "error: give exactly one of --benchmark or --workload\n";
-    printUsage(std::cerr);
-    return 1;
-  }
   std::optional<MachineModel> Model = parseModelOption(*CL);
   if (!Model)
     return 1;
@@ -382,17 +373,7 @@ int main(int argc, char **argv) {
 
   // A benchmark is the one-app case of the same engine; its stream seed
   // is the benchmark's own, a mix's is the hash of every app's identity.
-  std::vector<AppSpec> Apps;
-  std::string Session;
-  if (Mix->empty()) {
-    Apps = {{*Bench->Spec}};
-    Session = Bench->Spec->Name;
-    Cfg.StreamSeed = invocationStreamSeed(Bench->Spec->Seed);
-  } else {
-    Apps = expandWorkloadMix(*Mix);
-    Session = formatWorkloadMix(*Mix);
-    Cfg.StreamSeed = workloadMixSeed(Apps);
-  }
-  return serve(*CL, Apps, Session, !Mix->empty(), *Model, Engine, Cfg,
-               RegistryDir);
+  Cfg.StreamSeed = Sel->IsMix ? workloadMixSeed(Sel->Apps)
+                              : invocationStreamSeed(Sel->Apps[0].Spec.Seed);
+  return serve(*CL, *Sel, *Model, Engine, Cfg, RegistryDir);
 }

@@ -50,11 +50,6 @@ static void printUsage(std::ostream &OS) {
         "       sf-trace --help | --version\n";
 }
 
-static int usage() {
-  printUsage(std::cerr);
-  return 1;
-}
-
 int main(int argc, char **argv) {
   std::optional<CommandLine> CL = parseCommandLine(
       argc, argv, {"help", "version", "list", "no-cache"},
@@ -65,19 +60,10 @@ int main(int argc, char **argv) {
   if (handleInfoOptions(*CL, "sf-trace", printUsage))
     return 0;
 
-  std::optional<BenchmarkSelection> Bench = parseBenchmarkOption(*CL);
-  if (!Bench)
+  std::optional<WorkloadSelection> Sel =
+      parseWorkloadSelection(*CL, printUsage);
+  if (!Sel)
     return 1;
-  std::optional<WorkloadMix> Mix = parseWorkloadOption(*CL);
-  if (!Mix)
-    return 1;
-  if (Bench->Present == !Mix->empty()) {
-    std::cerr << "error: give exactly one of --benchmark or --workload\n";
-    return usage();
-  }
-  std::vector<BenchmarkSpec> Suite = Bench->Present
-                                         ? std::vector<BenchmarkSpec>{*Bench->Spec}
-                                         : workloadMixSuite(*Mix);
 
   std::optional<MachineModel> Model = parseModelOption(*CL);
   if (!Model)
@@ -107,7 +93,8 @@ int main(int argc, char **argv) {
     return 1;
 
   ExperimentEngine &Engine = **Handle;
-  std::vector<BenchmarkRun> Runs = Engine.generateSuiteData(Suite, *Model);
+  std::vector<BenchmarkRun> Runs =
+      Engine.generateSuiteData(appSuite(Sel->Apps), *Model);
   // Perturbation applies downstream of the corpus cache, so noisy runs
   // never pollute cached corpora and warm/cold traces stay identical.
   Noise->perturbSuite(Runs, Engine.pool());

@@ -47,10 +47,10 @@
 #include "EngineOption.h"
 #include "ModelOption.h"
 #include "NoiseOption.h"
+#include "RulesOption.h"
 #include "VersionOption.h"
 #include "WorkloadOption.h"
 
-#include <fstream>
 #include <iostream>
 
 using namespace schedfilter;
@@ -69,21 +69,6 @@ static void printUsage(std::ostream &OS) {
 static int usage() {
   printUsage(std::cerr);
   return 1;
-}
-
-/// Writes \p Rules to \p Out; on failure prints why and returns false.
-static bool writeRulesFile(const std::string &Out, const RuleSet &Rules) {
-  std::ofstream OS(Out, std::ios::trunc);
-  if (!OS) {
-    std::cerr << "error: cannot open '" << Out << "' for writing\n";
-    return false;
-  }
-  writeRuleSet(Rules, OS);
-  OS.flush();
-  if (!OS)
-    std::cerr << "error: failed writing filter to '" << Out
-              << "' (disk full or device error)\n";
-  return static_cast<bool>(OS);
 }
 
 /// The --from-registry mode: list a persisted lineage's provenance
@@ -210,7 +195,7 @@ int main(int argc, char **argv) {
 
   // --workload: trace (or cache-load) each named family, in suite order.
   if (!Mix->empty()) {
-    std::vector<BenchmarkSpec> Suite = workloadMixSuite(*Mix);
+    std::vector<BenchmarkSpec> Suite = appSuite(expandWorkloadMix(*Mix));
     std::cerr << "tracing " << Suite.size() << " benchmarks from --workload "
               << formatWorkloadMix(*Mix)
               << " (cache-served when warm)...\n";
