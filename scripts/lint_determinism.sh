@@ -98,7 +98,7 @@ check 'static std::atomic' \
 # not even include the (globally allowlisted) stderr timer or any time
 # header -- a wall-clock read here would desynchronize the swap sequence
 # across job counts.
-for f in src/ml/OnlineTrainer.h src/ml/OnlineTrainer.cpp \
+for f in src/runtime/MultiAppService.h src/runtime/MultiAppService.cpp \
   src/io/FilterRegistry.h src/io/FilterRegistry.cpp; do
   if [ ! -f "$f" ]; then
     echo "determinism lint: expected online-path file '$f' missing" >&2

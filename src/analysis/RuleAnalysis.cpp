@@ -166,14 +166,14 @@ struct ObservedRange {
       return;
     Valid = true;
     for (unsigned F = 0; F != NumFeatures; ++F) {
+      const double *Col = Data->rankTable()->values(F);
       Min[F] = Inf;
       Max[F] = -Inf;
-    }
-    for (const Instance &I : *Data)
-      for (unsigned F = 0; F != NumFeatures; ++F) {
-        Min[F] = std::min(Min[F], I.X[F]);
-        Max[F] = std::max(Max[F], I.X[F]);
+      for (uint32_t Row : Data->rowIds()) {
+        Min[F] = std::min(Min[F], Col[Row]);
+        Max[F] = std::max(Max[F], Col[Row]);
       }
+    }
   }
 };
 

@@ -53,9 +53,9 @@ bool getReport(const char *&P, const char *End, CompileReport &R) {
 CorpusCache::CorpusCache(std::string Directory) : Dir(std::move(Directory)) {}
 
 std::string CorpusCache::entryPath(const CorpusKey &K) const {
-  std::string FamilySeg = K.Family.empty() ? "" : sanitize(K.Family) + "__";
   return Dir + "/" + sanitize(K.Benchmark) + "__" + sanitize(K.Model) +
-         "__" + FamilySeg + "g" + std::to_string(K.GeneratorVersion) + "p" +
+         "__" + sanitize(K.Family) + "__g" +
+         std::to_string(K.GeneratorVersion) + "p" +
          std::to_string(K.PipelineVersion) + "__" +
          formatHex64(K.SpecFingerprint) + ".sfcc";
 }

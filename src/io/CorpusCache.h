@@ -62,7 +62,7 @@ struct CorpusKey {
   uint32_t GeneratorVersion = 0; ///< the family's version()
   uint32_t PipelineVersion = 0;  ///< harness/Experiments.h
   uint64_t SpecFingerprint = 0;  ///< specFingerprint(Spec)
-  std::string Family;            ///< BenchmarkSpec::Family ("" pre-registry)
+  std::string Family;            ///< BenchmarkSpec::Family
 };
 
 /// What generateSuiteData produces per benchmark, minus the Program

@@ -108,8 +108,8 @@ Dataset Dataset::fromInstances(std::string Name,
 
 void Dataset::addRow(uint32_t Row, Label Y) {
   assert(Table && Row < Table->rows() && "a row of the dataset's table");
-  Instances.push_back({Table->row(Row), Y});
   RowIds.push_back(Row);
+  Labels.push_back(Y);
 }
 
 void Dataset::append(const Dataset &Other) {
@@ -125,14 +125,9 @@ void Dataset::append(const Dataset &Other) {
     std::abort();
   }
   RowIds.insert(RowIds.end(), Other.RowIds.begin(), Other.RowIds.end());
-  Instances.insert(Instances.end(), Other.Instances.begin(),
-                   Other.Instances.end());
+  Labels.insert(Labels.end(), Other.Labels.begin(), Other.Labels.end());
 }
 
 size_t Dataset::countLabel(Label L) const {
-  size_t N = 0;
-  for (const Instance &I : Instances)
-    if (I.Y == L)
-      ++N;
-  return N;
+  return static_cast<size_t>(std::count(Labels.begin(), Labels.end(), L));
 }

@@ -6,10 +6,13 @@
 /// label, LS (schedule) or NS (don't schedule), per the paper's §2.2.
 /// Features are finite: datasets are labeled from traced or decoded
 /// records, and the trace readers (io/TraceStore.h) reject NaN and inf.
-/// Every non-empty dataset is a list of labeled rows of one rank table,
-/// the index the RIPPER trainer sweeps (ml/Ripper.cpp): the labeler
-/// (ml/Labeler.h) ranks the records it labels into one, and hand-built
-/// instances get their own through Dataset::fromInstances.
+/// A dataset stores no features of its own: it is a list of row ids of
+/// one rank table and a label per row.  The table is the index the
+/// RIPPER trainer sweeps (ml/Ripper.cpp), which reads only ids and
+/// labels; evaluation builds an instance's feature vector from its row
+/// on demand.  The labeler (ml/Labeler.h) ranks the records it labels
+/// into one table, and hand-built instances get their own through
+/// Dataset::fromInstances.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,10 +112,10 @@ public:
 
   /// Adds row \p Row of the rank table with label \p Y.
   void addRow(uint32_t Row, Label Y);
-  /// Makes room for \p N instances and their row ids.
+  /// Makes room for \p N instances.
   void reserve(size_t N) {
-    Instances.reserve(N);
     RowIds.reserve(N);
+    Labels.reserve(N);
   }
   /// Appends \p Other's instances.  Both sides must sit on one rank table
   /// (a dataset with none yet takes Other's); appending rows of another
@@ -124,16 +127,16 @@ public:
   /// Instance i is row rowIds()[i] of rankTable().
   const std::vector<uint32_t> &rowIds() const { return RowIds; }
 
-  size_t size() const { return Instances.size(); }
-  bool empty() const { return Instances.empty(); }
+  size_t size() const { return RowIds.size(); }
+  bool empty() const { return RowIds.empty(); }
 
-  const Instance &operator[](size_t I) const { return Instances[I]; }
-
-  std::vector<Instance>::const_iterator begin() const {
-    return Instances.begin();
-  }
-  std::vector<Instance>::const_iterator end() const {
-    return Instances.end();
+  /// Instance \p I's label.
+  Label label(size_t I) const { return Labels[I]; }
+  /// Instance \p I, its features built from its row's own bits -- not
+  /// from rankValues(), whose value for a rank holding both -0.0 and +0.0
+  /// carries one sign for every holder.
+  Instance operator[](size_t I) const {
+    return {Table->row(RowIds[I]), Labels[I]};
   }
 
   /// Number of instances with label \p L.
@@ -141,9 +144,9 @@ public:
 
 private:
   std::string Name;
-  std::vector<Instance> Instances;
   std::shared_ptr<const RankTable> Table;
   std::vector<uint32_t> RowIds;
+  std::vector<Label> Labels;
 };
 
 } // namespace schedfilter

@@ -10,7 +10,8 @@
 ///
 /// labelRecordSets is the one way from records to training sets: the
 /// harness's suites, the noise stack's label lanes, sf-train and the
-/// online trainer all label through it, onto one RankTable per call.
+/// online serve loop's retrains all label through it, onto one RankTable
+/// per call.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -13,7 +13,8 @@ double ConfusionMatrix::errorRate() const {
 
 ConfusionMatrix schedfilter::evaluate(const RuleSet &RS, const Dataset &Data) {
   ConfusionMatrix M;
-  for (const Instance &I : Data) {
+  for (size_t K = 0; K != Data.size(); ++K) {
+    const Instance I = Data[K];
     Label Pred = RS.predict(I.X);
     if (I.Y == Label::LS) {
       if (Pred == Label::LS)

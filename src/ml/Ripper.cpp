@@ -203,7 +203,7 @@ struct Trainer {
       : Opts(O), Target(Tgt), Pool(P), N(Data.size()), Words((N + 63) / 64) {
     IsPos.resize(N);
     for (size_t I = 0; I != N; ++I)
-      IsPos[I] = Data[I].Y == Target;
+      IsPos[I] = Data.label(I) == Target;
     Key.resize(static_cast<size_t>(NumFeatures) * N);
     RankValue.resize(NumFeatures);
     AllHist.resize(NumFeatures);

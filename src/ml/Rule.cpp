@@ -77,7 +77,8 @@ void RuleSet::annotateCoverage(const Dataset &Data, size_t &DefaultCorrect,
   }
   DefaultCorrect = 0;
   DefaultIncorrect = 0;
-  for (const Instance &I : Data) {
+  for (size_t K = 0; K != Data.size(); ++K) {
+    const Instance I = Data[K];
     bool Claimed = false;
     for (Rule &R : Rules) {
       if (!R.matches(I.X))

@@ -4,6 +4,7 @@
 
 #include "io/FilterRegistry.h"
 #include "io/TraceStore.h"
+#include "ml/Ripper.h"
 #include "runtime/MethodCompiler.h"
 #include "runtime/RecompileQueue.h"
 #include "sched/SchedContext.h"
@@ -264,20 +265,23 @@ MultiAppStats MultiAppService::run() {
   // drain is a few methods, less work than a fork/join over the pool.
   SchedContext Ctx;
   MethodCompiler MC(Model, Ctx);
-  std::vector<BlockRecord> Records; ///< serve trace (online mode only)
   double QueueDepthSum = 0.0;
 
   // Online self-training state.  Cur is the filter version the *next*
   // drain compiles with; a retrain triggered at boundary E becomes
   // PendingArt and installs at boundary E+1 -- the virtual clock's model
-  // of background training latency, mirroring compile latency.  All
-  // trainer calls happen on this serial path, so the swap sequence is a
-  // pure function of (seed, config) at any job count.  Swaps and compile
-  // pins fold into St.Total only: the filter lineage is a property of the
-  // shared service, not of any single tenant.
+  // of background training latency, mirroring compile latency.  The
+  // corpus is the seed corpus followed by every optimizing-tier compile's
+  // trace in drain order, and every retrain happens on this serial path,
+  // so the swap sequence is a pure function of (seed, config) at any job
+  // count.  Swaps and compile pins fold into St.Total only: the filter
+  // lineage is a property of the shared service, not of any single
+  // tenant.
   FilterArtifactRef Cur = BaseArt;
   FilterArtifactRef PendingArt;
-  OnlineTrainer Trainer(Pool, Cfg.RetrainThreshold, {Cfg.RetrainEvery});
+  std::vector<BlockRecord> Corpus;
+  size_t TrainedRecords = 0; ///< corpus size at the last train
+  uint64_t LastTrigger = 0;  ///< tick of the last retrain trigger
   auto InstallSwap = [&](const FilterArtifactRef &Art, uint64_t Epoch,
                          uint64_t Tick) {
     St.Total.Swaps.push_back({Epoch, Tick, Art->Version, Art->ParentVersion,
@@ -290,7 +294,8 @@ MultiAppStats MultiAppService::run() {
                       Art->Rules);
   };
   if (Cfg.Online) {
-    Trainer.seedCorpus(SeedCorpus);
+    Corpus = SeedCorpus;
+    TrainedRecords = Corpus.size();
     InstallSwap(Cur, 0, 0);
   }
 
@@ -430,18 +435,27 @@ MultiAppStats MultiAppService::run() {
                                    Cur ? Cur->Version : 0,
                                    Report.SchedulingWork});
       if (Cfg.Online) {
-        Records.clear();
         CompileReport TracedLS; // the trace's LS report; serving uses Report
-        MC.traceMethod(Meth, Records, TracedLS);
-        St.Total.CorpusRecords += Records.size();
-        Trainer.absorb(Records);
+        MC.traceMethod(Meth, Corpus, TracedLS);
+        St.Total.CorpusRecords += TracedLS.NumBlocks; // a record per block
       }
     }
 
-    if (Cfg.Online) {
-      PendingArt = Trainer.maybeRetrain(Tick, Cur->Version);
-      if (PendingArt)
-        ++St.Total.Retrains;
+    // Retrain once RetrainEvery ticks have passed since the last trigger
+    // (or tick 0) and the corpus has grown since the last train: an idle
+    // interval with nothing new to learn from retrains nothing.  RIPPER
+    // is a batch learner, so each retrain labels and learns the whole
+    // corpus, and each version is a pure function of the records up to
+    // its trigger.
+    if (Cfg.Online && Tick - LastTrigger >= Cfg.RetrainEvery &&
+        Corpus.size() != TrainedRecords) {
+      LastTrigger = Tick;
+      TrainedRecords = Corpus.size();
+      RuleSet RS = Ripper().train(
+          buildDataset(Corpus, Cfg.RetrainThreshold, "online", &Pool), Pool);
+      PendingArt = makeFilterArtifact(std::move(RS), Cur->Version + 1,
+                                      Cur->Version, Tick, Corpus.size());
+      ++St.Total.Retrains;
     }
   }
 

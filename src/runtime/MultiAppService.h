@@ -56,8 +56,11 @@
 #ifndef SCHEDFILTER_RUNTIME_MULTIAPPSERVICE_H
 #define SCHEDFILTER_RUNTIME_MULTIAPPSERVICE_H
 
+#include "filter/FilterVersion.h"
 #include "filter/Pipeline.h"
-#include "ml/OnlineTrainer.h"
+#include "ml/Labeler.h"
+// perfbench/Workloads.cpp reaches Ripper through this header.
+#include "ml/Ripper.h"
 #include "support/CdfTable.h"
 #include "support/TaskPool.h"
 #include "target/MachineModel.h"
@@ -99,13 +102,16 @@ struct ServiceConfig {
   uint64_t StreamSeed = 0;
 
   /// Online self-training (requires the Filtered policy): the optimizing
-  /// tier traces every method it compiles, records accumulate in an
-  /// OnlineTrainer, and when the RetrainPolicy fires (virtual clock only)
-  /// a new filter version trains on the shared pool and installs at the
-  /// *next* epoch boundary -- methods compiled in between keep the old
-  /// version (ServiceStats pins which version compiled each method).
+  /// tier traces every method it compiles into run()'s corpus (the seed
+  /// corpus, then the serve traces), and when a retrain fires (virtual
+  /// clock only) a new filter version trains on the whole corpus on the
+  /// shared pool and installs at the *next* epoch boundary -- methods
+  /// compiled in between keep the old version (ServiceStats pins which
+  /// version compiled each method).
   bool Online = false;
-  /// RetrainPolicy::RetrainEvery, in virtual ticks (--retrain-every).
+  /// A retrain fires at an epoch boundary once this many virtual ticks
+  /// have passed since the last trigger (or tick 0) and the corpus holds
+  /// at least one record the last train did not see (--retrain-every).
   uint64_t RetrainEvery = 8192;
   /// Labeling threshold (percent) every online retrain uses.
   double RetrainThreshold = 0.0;

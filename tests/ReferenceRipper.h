@@ -48,7 +48,17 @@ inline void shuffle(IndexList &V, Rng &R) {
     std::swap(V[I - 1], V[R.below(static_cast<uint32_t>(I))]);
 }
 
-inline void countCoverage(const Dataset &D, const Rule &R,
+/// \p D's instances, built once: the trainer below reads features in its
+/// innermost loops.
+inline std::vector<Instance> instancesOf(const Dataset &D) {
+  std::vector<Instance> Is;
+  Is.reserve(D.size());
+  for (size_t I = 0; I != D.size(); ++I)
+    Is.push_back(D[I]);
+  return Is;
+}
+
+inline void countCoverage(const std::vector<Instance> &D, const Rule &R,
                           const IndexList &Pos, const IndexList &Neg,
                           size_t &P, size_t &N) {
   P = N = 0;
@@ -62,13 +72,13 @@ inline void countCoverage(const Dataset &D, const Rule &R,
 
 /// The whole learning state threaded through the helper routines.
 struct Trainer {
-  const Dataset &D;
+  const std::vector<Instance> D;
   const RipperOptions &Opts;
   Label Target;
   double CondSpaceBits;
 
   Trainer(const Dataset &Data, const RipperOptions &O, Label Tgt)
-      : D(Data), Opts(O), Target(Tgt) {
+      : D(instancesOf(Data)), Opts(O), Target(Tgt) {
     size_t NumConds = 0;
     for (unsigned F = 0; F != NumFeatures; ++F) {
       std::set<double> Distinct;

@@ -173,12 +173,9 @@ TEST(CorpusCache, FamilyVersionBumpInvalidatesOnlyThatFamily) {
   Refiled.Family = "fpkernel";
   EXPECT_FALSE(Cache.load(Refiled).has_value());
 
-  // The family is visible in the entry path (family-less keys keep the
-  // pre-registry layout; both pins live in io/CorpusCache).
+  // The family is visible in the entry path.
   EXPECT_NE(Cache.entryPath(Server).find("__serverloop__"),
             std::string::npos);
-  CorpusKey Bare{"db", "ppc7410", 1, TracePipelineVersion, 0x3333, ""};
-  EXPECT_EQ(Cache.entryPath(Bare).find("____"), std::string::npos);
 }
 
 TEST(CorpusCache, RenamedEntryIsNotBelieved) {

@@ -73,9 +73,10 @@ TEST(CrossValidation, NeverTrainsOnHeldOutInstances) {
     Runs.emplace_back("bench" + std::to_string(B), records(10, B * 100));
   size_t Fold = 0;
   serialLoocv(suite(Runs), [&](const Dataset &Train) {
-    for (const Instance &I : Train) {
+    for (size_t I = 0; I != Train.size(); ++I) {
       double Lo = static_cast<double>(Fold) * 100.0;
-      EXPECT_TRUE(I.X[FeatBBLen] < Lo || I.X[FeatBBLen] >= Lo + 100.0)
+      double V = Train[I].X[FeatBBLen];
+      EXPECT_TRUE(V < Lo || V >= Lo + 100.0)
           << "fold " << Fold << " trained on its own benchmark";
     }
     ++Fold;

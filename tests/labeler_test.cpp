@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 using namespace schedfilter;
 
 namespace {
@@ -87,6 +89,19 @@ TEST(Labeler, FeaturesCarriedThrough) {
   ASSERT_EQ(D.size(), 1u);
   EXPECT_EQ(D[0].X[FeatBBLen], 42.0);
   EXPECT_EQ(D[0].Y, Label::LS);
+
+  // An instance carries its record's own bits, not its rank's value: a
+  // -0.0 after a +0.0 shares their rank, whose value is the +0.0 of the
+  // lower row.
+  BlockRecord Pos = record(100, 50), Neg = record(100, 50);
+  Pos.X[FeatLoad] = 0.0;
+  Neg.X[FeatLoad] = -0.0;
+  Dataset Z = buildDataset({Pos, Neg}, 0.0, "z");
+  ASSERT_EQ(Z.size(), 2u);
+  ASSERT_EQ(Z.rankTable()->rankValues(FeatLoad).size(), 1u);
+  EXPECT_FALSE(std::signbit(Z.rankTable()->rankValues(FeatLoad)[0]));
+  EXPECT_FALSE(std::signbit(Z[0].X[FeatLoad]));
+  EXPECT_TRUE(std::signbit(Z[1].X[FeatLoad]));
 }
 
 TEST(Labeler, ZeroCostBlocksAreAlwaysNs) {

@@ -271,7 +271,8 @@ TEST(NoiseStackTest, RobustnessFoldsEqualTrainingsOnTheirOwnInstances) {
     std::vector<Instance> Own;
     for (size_t B = 0; B != Labeled.size(); ++B)
       if (B != Held)
-        Own.insert(Own.end(), Labeled[B].begin(), Labeled[B].end());
+        for (size_t I = 0; I != Labeled[B].size(); ++I)
+          Own.push_back(Labeled[B][I]);
     RuleSet Alone = Ripper().train(Dataset::fromInstances("fold", Own));
     EXPECT_TRUE(identicalRuleSets(R.Filters[Held], Alone))
         << "without " << Labeled[Held].getName() << ":\n"

@@ -158,6 +158,40 @@ TEST(OnlineService, MidEpochPinningInvariant) {
   }
 }
 
+TEST(OnlineService, RetrainNeedsNewRecords) {
+  // A stream long enough that every hot method reaches the optimizing
+  // tier early: once compiles stop the corpus stops growing, and no
+  // retrain may fire however many RetrainEvery intervals pass.  The
+  // drain at boundary E runs at tick E * EpochLen, before that boundary's
+  // retrain check, so each version after v1 must follow a compile pinned
+  // in (previous trigger, its own trigger].
+  TaskPool Pool(2);
+  Program P = testProgram();
+  MachineModel M = MachineModel::ppc7410();
+  RuleSet RS = testRules();
+  ServiceConfig Cfg = onlineConfig();
+  Cfg.Invocations = 64 * 1024;
+  ServiceStats St = serveOneApp(P, M, Cfg, &RS, Pool).Total;
+
+  ASSERT_FALSE(St.Compiles.empty());
+  const uint64_t LastCompileTick = St.Compiles.back().Epoch * Cfg.EpochLen;
+  ASSERT_LT(LastCompileTick + 4 * Cfg.RetrainEvery, Cfg.Invocations)
+      << "compiles must stop early for the idle tail to test anything";
+  ASSERT_GE(St.Swaps.size(), 2u);
+  for (size_t I = 1; I < St.Swaps.size(); ++I) {
+    const uint64_t Prev = St.Swaps[I - 1].TriggerTick;
+    const uint64_t Trigger = St.Swaps[I].TriggerTick;
+    bool Grew = false;
+    for (const ServiceStats::CompilePinStat &C : St.Compiles)
+      Grew |= C.Epoch * Cfg.EpochLen > Prev &&
+              C.Epoch * Cfg.EpochLen <= Trigger;
+    EXPECT_TRUE(Grew) << "v" << St.Swaps[I].Version << " triggered at "
+                      << Trigger << " with no compile since " << Prev;
+    EXPECT_LE(Trigger, LastCompileTick)
+        << "v" << St.Swaps[I].Version << " swapped in after compiles stopped";
+  }
+}
+
 TEST(OnlineService, StaticRunHasNoLineage) {
   TaskPool Pool(2);
   Program P = testProgram();

@@ -84,7 +84,7 @@ Dataset separableData(size_t N, uint64_t Seed) {
 }
 
 /// Three-clause disjunction with 5% noise: a realistic hard target.
-Dataset hardData(size_t N, uint64_t Seed) {
+std::vector<Instance> hardInstances(size_t N, uint64_t Seed) {
   std::vector<Instance> Is;
   Rng R(Seed);
   for (size_t I = 0; I != N; ++I) {
@@ -97,7 +97,11 @@ Dataset hardData(size_t N, uint64_t Seed) {
       Pos = !Pos;
     Is.push_back({fv(BBLen, Loads, Calls), Pos ? Label::LS : Label::NS});
   }
-  return Dataset::fromInstances("hard", Is);
+  return Is;
+}
+
+Dataset hardData(size_t N, uint64_t Seed) {
+  return Dataset::fromInstances("hard", hardInstances(N, Seed));
 }
 
 /// Every Table 1 shape in one dataset: a small-integer bbLen, k/n
@@ -178,7 +182,8 @@ TEST(RipperEngine, SubtractedFirstSearchMatchesReferenceOnThePool) {
 }
 
 TEST(RipperEngine, RankTableMirrorsInstancesBitExactly) {
-  Dataset D = hardData(257, 11);
+  std::vector<Instance> Is = hardInstances(257, 11);
+  Dataset D = Dataset::fromInstances("hard", Is);
   const std::shared_ptr<const RankTable> &T = D.rankTable();
   ASSERT_EQ(T->rows(), D.size());
   for (unsigned F = 0; F != NumFeatures; ++F) {
@@ -186,16 +191,16 @@ TEST(RipperEngine, RankTableMirrorsInstancesBitExactly) {
     for (size_t R = 1; R < RV.size(); ++R)
       EXPECT_LT(RV[R - 1], RV[R]) << "rank values ascend strictly, F=" << F;
     for (size_t I = 0; I != D.size(); ++I) {
-      EXPECT_TRUE(sameBits(T->values(F)[I], D[I].X[F])) << I << "/" << F;
+      EXPECT_TRUE(sameBits(T->values(F)[I], Is[I].X[F])) << I << "/" << F;
       ASSERT_LT(T->ranks(F)[I], RV.size()) << I << "/" << F;
-      EXPECT_EQ(RV[T->ranks(F)[I]], D[I].X[F]) << I << "/" << F;
-      EXPECT_TRUE(sameBits(T->row(I)[F], D[I].X[F])) << I << "/" << F;
+      EXPECT_EQ(RV[T->ranks(F)[I]], Is[I].X[F]) << I << "/" << F;
+      EXPECT_TRUE(sameBits(D[I].X[F], Is[I].X[F])) << I << "/" << F;
     }
     // Ranks are monotone in the values: a smaller value never outranks a
     // larger one.
     for (size_t I = 0; I != D.size(); ++I)
       for (size_t J = 0; J != D.size(); ++J) {
-        if (D[I].X[F] < D[J].X[F]) {
+        if (Is[I].X[F] < Is[J].X[F]) {
           ASSERT_LT(T->ranks(F)[I], T->ranks(F)[J]) << I << "/" << J;
         }
       }
@@ -204,14 +209,17 @@ TEST(RipperEngine, RankTableMirrorsInstancesBitExactly) {
 }
 
 TEST(RipperEngine, DatasetsKeepTheirRankTableOnlyWhileRowsMatch) {
-  Dataset Base = hardData(50, 3);
+  std::vector<Instance> Is = hardInstances(50, 3);
+  Dataset Base = Dataset::fromInstances("hard", Is);
   std::shared_ptr<const RankTable> T = Base.rankTable();
   Dataset A("a", T), B("b", T);
   for (uint32_t R = 0; R != 50; ++R)
-    (R % 2 ? A : B).addRow(R, Base[R].Y);
-  for (size_t I = 0; I != A.size(); ++I)
+    (R % 2 ? A : B).addRow(R, Is[R].Y);
+  for (size_t I = 0; I != A.size(); ++I) {
+    EXPECT_EQ(A.label(I), Is[A.rowIds()[I]].Y);
     for (unsigned F = 0; F != NumFeatures; ++F)
-      EXPECT_TRUE(sameBits(A[I].X[F], Base[A.rowIds()[I]].X[F]));
+      EXPECT_TRUE(sameBits(A[I].X[F], Is[A.rowIds()[I]].X[F]));
+  }
 
   Dataset Pooled("pooled");
   Pooled.append(A);
@@ -344,8 +352,8 @@ TEST(RipperEngine, SweepFiltersMatchPerFoldTraining) {
       std::vector<Instance> Own;
       for (size_t B = 0; B != Runs.size(); ++B)
         if (B != Held)
-          for (const Instance &I :
-               buildDataset(Runs[B].Records, Thresholds[T], Runs[B].Name))
+          for (const Instance &I : reference::instancesOf(buildDataset(
+                   Runs[B].Records, Thresholds[T], Runs[B].Name)))
             Own.push_back(I);
       Dataset Fold = Dataset::fromInstances("fold", Own);
       expectIdentical(Sweep[T].Filters[Held], Ripper().train(Fold),
@@ -383,8 +391,7 @@ TEST(RipperEngine, FoldOnASharedTableTakesItsOwnSignedZeroBits) {
     EXPECT_EQ(std::signbit(RS.rules()[0].Conditions[0].Threshold),
               FirstRow == 0)
         << "first row " << FirstRow;
-    Dataset Own = Dataset::fromInstances(
-        "own", std::vector<Instance>(Fold.begin(), Fold.end()));
+    Dataset Own = Dataset::fromInstances("own", reference::instancesOf(Fold));
     expectIdentical(RS, Ripper().train(Own),
                     "first row " + std::to_string(FirstRow));
     if (FirstRow == 1)

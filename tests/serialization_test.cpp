@@ -274,6 +274,6 @@ TEST(Serialization, TrainedFilterSurvivesRoundTrip) {
   writeRuleSet(RS, SS);
   ParseResult<RuleSet> Back = readRuleSet(SS);
   ASSERT_TRUE(Back.has_value());
-  for (const Instance &I : D)
+  for (const Instance &I : Is)
     EXPECT_EQ(RS.predict(I.X), Back->predict(I.X));
 }

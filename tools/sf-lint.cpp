@@ -185,9 +185,10 @@ int main(int argc, char **argv) {
             << " corner-grid points\n";
   if (Corpus) {
     uint64_t Before = 0, After = 0;
-    for (const Instance &I : *Corpus) {
-      Before += Rules.predictionWork(I.X);
-      After += Fixed.predictionWork(I.X);
+    for (size_t I = 0; I != Corpus->size(); ++I) {
+      const FeatureVector X = (*Corpus)[I].X;
+      Before += Rules.predictionWork(X);
+      After += Fixed.predictionWork(X);
     }
     std::cout << "predictionWork over " << Corpus->size() << " " << Benchmark
               << " blocks: " << Before << " -> " << After << " units\n";
