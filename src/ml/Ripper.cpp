@@ -41,8 +41,8 @@
 // argmax is reduced in feature order with the exact strict-greater tie
 // policy of the serial sweep, so the induced RuleSet is bit-for-bit
 // identical at any job count and to the pre-index implementation
-// (tests/ripper_engine_test.cpp pins both; bench_train_scale tracks the
-// speedup in BENCH_train_scale.json).
+// (tests/ripper_engine_test.cpp pins both; perfbench's report_sweep
+// tracks training cost as ml.train_s).
 //
 //===----------------------------------------------------------------------===//
 

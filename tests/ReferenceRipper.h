@@ -5,8 +5,7 @@
 // kept as the reference the indexed engine is pinned against.
 // tests/ripper_engine_test.cpp asserts Ripper::train produces bit-for-bit
 // this trainer's RuleSet on every dataset/seed/options combination it
-// throws at both, and bench/bench_train_scale.cpp uses it as the
-// throughput baseline.
+// throws at both.
 //
 // Do not "improve" this file: its value is being exactly the old
 // algorithm, FP expression for FP expression.

@@ -1,11 +1,10 @@
 //===- tests/RuleSetIdentity.h - Bit-exact rule-set comparison ---*- C++ -*-===//
 //
 // The one definition of "these two RuleSets are byte-identical", shared
-// by the engine-equivalence pin (tests/ripper_engine_test.cpp) and the
-// training-scale bench's in-run identity gate (bench_train_scale.cpp) so
-// the two checks cannot drift apart.  Thresholds are compared by bit
-// pattern -- RuleSet::toString()'s rounded rendering could mask low-order
-// FP divergence.
+// by the engine-equivalence pin (tests/ripper_engine_test.cpp) and every
+// other test that compares trained filters, so the checks cannot drift
+// apart.  Thresholds are compared by bit pattern -- RuleSet::toString()'s
+// rounded rendering could mask low-order FP divergence.
 //
 //===----------------------------------------------------------------------===//
 

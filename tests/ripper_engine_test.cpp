@@ -41,9 +41,8 @@ FeatureVector fv(double BBLen, double Loads = 0.0, double Calls = 0.0) {
 }
 
 /// Asserts two rule sets are byte-identical.  The verdict is the shared
-/// identicalRuleSets (the same checker bench_train_scale gates on); the
-/// per-field EXPECTs below it exist to name the first diverging field
-/// when something breaks.
+/// identicalRuleSets; the per-field EXPECTs below it exist to name the
+/// first diverging field when something breaks.
 void expectIdentical(const RuleSet &A, const RuleSet &B,
                      const std::string &What) {
   EXPECT_TRUE(identicalRuleSets(A, B)) << What;
@@ -332,6 +331,28 @@ TEST(RipperEngine, MatchesReferenceOnRealLoocvFolds) {
                           Labeled[Held].getName());
     }
   }
+  // The whole suite at t = 0, no benchmark held out.
+  std::vector<Dataset> Labeled = Engine.labelSuite(Runs, 0.0);
+  Dataset Whole("suite");
+  for (const Dataset &D : Labeled)
+    Whole.append(D);
+  expectIdentical(Ripper().train(Whole), reference::trainReference(Whole),
+                  "t=0, whole suite");
+}
+
+TEST(RipperEngine, RepeatedRowsMatchReferenceAtAnyJobCount) {
+  // A view may list a row of its table more than once (a dataset
+  // appended to itself); every copy counts as its own instance.  The
+  // grow split (~2 700) is large enough for the pool to fan out.
+  Dataset Once = hardData(2000, 23);
+  Dataset Twice("twice");
+  Twice.append(Once);
+  Twice.append(Once);
+  ASSERT_EQ(Twice.size(), 4000u);
+  RuleSet Reference = reference::trainReference(Twice);
+  expectIdentical(Ripper().train(Twice), Reference, "twice, serial");
+  TaskPool Pool(4);
+  expectIdentical(Ripper().train(Twice, Pool), Reference, "twice, jobs=4");
 }
 
 TEST(RipperEngine, SweepFiltersMatchPerFoldTraining) {
