@@ -2,6 +2,8 @@
 
 #include "filter/Pipeline.h"
 
+#include "ml/Labeler.h"
+
 using namespace schedfilter;
 
 const char *schedfilter::getPolicyName(SchedulingPolicy P) {
@@ -14,4 +16,21 @@ const char *schedfilter::getPolicyName(SchedulingPolicy P) {
     return "L/N";
   }
   return "?";
+}
+
+FixedPolicyReports
+schedfilter::fixedPolicyReports(const std::vector<BlockRecord> &Records,
+                                uint64_t AlwaysSchedulingWork) {
+  FixedPolicyReports R;
+  R.Never.Policy = SchedulingPolicy::Never;
+  R.Always.Policy = SchedulingPolicy::Always;
+  R.Always.SchedulingWork = AlwaysSchedulingWork;
+  for (const BlockRecord &Rec : Records) {
+    double W = static_cast<double>(Rec.ExecCount);
+    R.Never.SimulatedTime += W * static_cast<double>(Rec.CostNoSched);
+    R.Always.SimulatedTime += W * static_cast<double>(Rec.CostSched);
+  }
+  R.Never.NumBlocks = R.Always.NumBlocks = R.Always.NumScheduled =
+      Records.size();
+  return R;
 }

@@ -19,8 +19,11 @@
 #define SCHEDFILTER_FILTER_PIPELINE_H
 
 #include <cstdint>
+#include <vector>
 
 namespace schedfilter {
+
+struct BlockRecord;
 
 /// Which blocks get scheduled.
 enum class SchedulingPolicy {
@@ -50,6 +53,21 @@ struct CompileReport {
   /// under the final (possibly rescheduled) order.
   double SimulatedTime = 0.0;
 };
+
+/// The NS and LS compile reports of one traced program.
+struct FixedPolicyReports {
+  CompileReport Never;
+  CompileReport Always;
+};
+
+/// Both fixed-policy reports of the program whose trace is \p Records,
+/// given the LS compile's SchedulingWork: NS folds ExecCount x
+/// CostNoSched and LS folds ExecCount x CostSched, each in record order --
+/// the folds compileProgram runs under the Never and Always policies, so
+/// both reports equal compileProgram's bit for bit (wall time aside,
+/// which they leave at 0).
+FixedPolicyReports fixedPolicyReports(const std::vector<BlockRecord> &Records,
+                                      uint64_t AlwaysSchedulingWork);
 
 } // namespace schedfilter
 

@@ -75,9 +75,9 @@ struct ThresholdResult {
   size_t RuntimeLS = 0;
   size_t RuntimeNS = 0;
 
-  /// Figures (a): scheduling effort of L/N relative to LS, per benchmark.
-  std::vector<double> EffortRatioWork; ///< deterministic work units
-  std::vector<double> EffortRatioWall; ///< measured wall time
+  /// Figures (a): scheduling effort of L/N relative to LS, per benchmark,
+  /// in deterministic work units.
+  std::vector<double> EffortRatioWork;
   /// Figures (b): application (simulated) running time relative to NS.
   std::vector<double> AppRatioLN; ///< L/N filter
   std::vector<double> AppRatioLS; ///< always-schedule, threshold-invariant

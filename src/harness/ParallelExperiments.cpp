@@ -15,27 +15,18 @@ using namespace schedfilter;
 namespace {
 
 /// The §2.2 instrumented-scheduler pass for one benchmark: fills
-/// \p Run.Records and both fixed-policy reports from the
-/// already-generated Run.Prog.  Each block is scheduled once and
-/// simulated twice: the LS report accumulates during the trace, and the
-/// NS report is the records' unscheduled costs folded in record order --
-/// the fold compileProgram runs under the Never policy, so both reports
-/// equal compileProgram's bit for bit (wall time aside).  All per-block
-/// work reuses \p Ctx; a pure function of (Run.Prog, Model) -- safe at
-/// any parallelism.
-void traceBenchmark(BenchmarkRun &Run, const MachineModel &Model,
-                    SchedContext &Ctx) {
+/// \p Run.Records from the already-generated Run.Prog, scheduling each
+/// block once and simulating it twice, and returns the LS compile's
+/// SchedulingWork -- with the records, all fixedPolicyReports needs.  All
+/// per-block work reuses \p Ctx; a pure function of (Run.Prog, Model) --
+/// safe at any parallelism.
+uint64_t traceBenchmark(BenchmarkRun &Run, const MachineModel &Model,
+                        SchedContext &Ctx) {
   MethodCompiler MC(Model, Ctx);
-  Run.AlwaysReport.Policy = SchedulingPolicy::Always;
+  CompileReport LS;
   for (const Method &M : Run.Prog)
-    MC.traceMethod(M, Run.Records, Run.AlwaysReport);
-
-  Run.NeverReport.Policy = SchedulingPolicy::Never;
-  for (const BlockRecord &Rec : Run.Records) {
-    Run.NeverReport.SimulatedTime += static_cast<double>(Rec.ExecCount) *
-                                     static_cast<double>(Rec.CostNoSched);
-    ++Run.NeverReport.NumBlocks;
-  }
+    MC.traceMethod(M, Run.Records, LS);
+  return LS.SchedulingWork;
 }
 
 /// Everything runThreshold measures for one held-out benchmark.
@@ -45,7 +36,6 @@ struct PerBenchmarkEval {
   size_t RuntimeLS = 0;
   size_t RuntimeNS = 0;
   double EffortRatioWork = 0.0;
-  double EffortRatioWall = 0.0;
   double AppRatioLN = 0.0;
   double AppRatioLS = 0.0;
 };
@@ -84,8 +74,6 @@ PerBenchmarkEval evaluateBenchmark(const BenchmarkRun &Run,
   Out.EffortRatioWork =
       safeRatio(static_cast<double>(LN.SchedulingWork),
                 static_cast<double>(Run.AlwaysReport.SchedulingWork));
-  Out.EffortRatioWall =
-      safeRatio(LN.SchedulingSeconds, Run.AlwaysReport.SchedulingSeconds);
   Out.AppRatioLN =
       safeRatio(LN.SimulatedTime, Run.NeverReport.SimulatedTime, 1.0);
   Out.AppRatioLS = safeRatio(Run.AlwaysReport.SimulatedTime,
@@ -115,21 +103,25 @@ ExperimentEngine::generateSuiteData(const std::vector<BenchmarkSpec> &Suite,
     CorpusKey Key{Spec.Name,           Model.getName(),
                   workloadGeneratorVersion(Spec), TracePipelineVersion,
                   specFingerprint(Spec), Spec.Family};
-    if (Cache) {
-      if (std::optional<CachedRun> Hit =
-              Cache->load(Key, Run.Prog.totalBlocks())) {
-        Run.Records = std::move(Hit->Records);
-        Run.NeverReport = Hit->NeverReport;
-        Run.AlwaysReport = Hit->AlwaysReport;
-        Runs[I] = std::move(Run);
-        return;
-      }
-    }
-
-    SchedContext Ctx;
-    traceBenchmark(Run, Model, Ctx);
-    TracedBlocks.fetch_add(Run.Records.size());
+    // Both paths price the fixed-policy reports from the records alone,
+    // so no report depends on which process traced them.
+    std::optional<CachedRun> Hit;
     if (Cache)
+      Hit = Cache->load(Key, Run.Prog.totalBlocks());
+    uint64_t SchedulingWork;
+    if (Hit) {
+      Run.Records = std::move(Hit->Records);
+      SchedulingWork = Hit->SchedulingWork;
+    } else {
+      SchedContext Ctx;
+      SchedulingWork = traceBenchmark(Run, Model, Ctx);
+      TracedBlocks.fetch_add(Run.Records.size());
+    }
+    FixedPolicyReports Reports =
+        fixedPolicyReports(Run.Records, SchedulingWork);
+    Run.NeverReport = Reports.Never;
+    Run.AlwaysReport = Reports.Always;
+    if (Cache && !Hit)
       Cache->store(Key, Run.Records, Run.NeverReport, Run.AlwaysReport);
     Runs[I] = std::move(Run);
   });
@@ -186,7 +178,6 @@ ExperimentEngine::runThreshold(const std::vector<BenchmarkRun> &Suite,
     Result.RuntimeLS += Evals[B].RuntimeLS;
     Result.RuntimeNS += Evals[B].RuntimeNS;
     Result.EffortRatioWork.push_back(Evals[B].EffortRatioWork);
-    Result.EffortRatioWall.push_back(Evals[B].EffortRatioWall);
     Result.AppRatioLN.push_back(Evals[B].AppRatioLN);
     Result.AppRatioLS.push_back(Evals[B].AppRatioLS);
   }

@@ -15,9 +15,11 @@
 ///      and any task-level randomness comes from Rng::fork(taskIndex);
 ///   2. results are written into index-owned slots, so assembly order is
 ///      the input order, not completion order;
-///   3. the only non-deterministic outputs anywhere are measured
-///      wall-clock fields (CompileReport::SchedulingSeconds), which vary
-///      run to run even serially and back no pinned number.
+///   3. no result reads a clock: effort is counted in deterministic work
+///      units, and the fixed-policy reports of generateSuiteData carry no
+///      wall time (CompileReport::SchedulingSeconds stays 0 there).
+///      Wall-clock effort is measured from outside, by perfbench's
+///      report_sweep (its ls_s and ln_s).
 /// tests/determinism_test.cpp locks the contract in; EXPERIMENTS.md
 /// documents it for the --jobs flag.
 ///
@@ -45,7 +47,7 @@ public:
 
   /// Attaches an on-disk corpus cache (not owned; may be null to detach).
   /// With a cache attached, generateSuiteData loads each benchmark's
-  /// records and fixed-policy reports from disk when a valid entry exists
+  /// records and LS scheduling work from disk when a valid entry exists
   /// -- bit-identical to retracing, including at any job count -- and
   /// populates the cache when one does not.  Tracing is a pure function
   /// of the cache key (benchmark, model, family, the family's generator
@@ -63,7 +65,8 @@ public:
   /// Traces every benchmark of \p Suite on \p Model, parallel by
   /// benchmark: generates its program and runs the §2.2
   /// instrumented-scheduler pass, which schedules each block once and
-  /// yields the records plus the NS and LS fixed-policy reports.
+  /// yields the records; the NS and LS fixed-policy reports are
+  /// fixedPolicyReports (filter/Pipeline.h) of those records.
   std::vector<BenchmarkRun>
   generateSuiteData(const std::vector<BenchmarkSpec> &Suite,
                     const MachineModel &Model);

@@ -107,18 +107,15 @@ void schedfilter::renderTable6(const std::vector<ThresholdResult> &Sweep,
 }
 
 void schedfilter::renderEffortFigure(const std::vector<ThresholdResult> &Sweep,
-                                     bool UseWallTime, std::ostream &OS) {
+                                     std::ostream &OS) {
   OS << "Figure (a): scheduling effort of L/N relative to LS "
-     << (UseWallTime ? "(measured wall time)" : "(deterministic work units)")
-     << "; NS is 0 by definition\n\n";
-  printBoth(
-      makePerBenchmarkTable(
-          Sweep, 3,
-          [UseWallTime](const ThresholdResult &R)
-              -> const std::vector<double> & {
-            return UseWallTime ? R.EffortRatioWall : R.EffortRatioWork;
-          }),
-      OS);
+        "(deterministic work units); NS is 0 by definition\n\n";
+  printBoth(makePerBenchmarkTable(
+                Sweep, 3,
+                [](const ThresholdResult &R) -> const std::vector<double> & {
+                  return R.EffortRatioWork;
+                }),
+            OS);
 }
 
 void schedfilter::renderAppTimeFigure(
@@ -157,17 +154,7 @@ void schedfilter::renderInducedFilter(const RuleSet &Filter,
 }
 
 void schedfilter::renderHeadline(const std::vector<ThresholdResult> &Sweep,
-                                 bool UseWallTime, std::ostream &OS) {
-  if (UseWallTime) {
-    OS << "Headline (wall): effort vs LS in measured wall time (suite "
-          "geometric means)\n\n";
-    TablePrinter T({"Threshold", "Effort vs LS (wall)"});
-    for (const ThresholdResult &R : Sweep)
-      T.addRow({formatDouble(R.ThresholdPct, 0) + "%",
-                formatPercent(geometricMean(R.EffortRatioWall), 1)});
-    T.print(OS);
-    return;
-  }
+                                 std::ostream &OS) {
   OS << "Headline: benefit retained vs effort spent (suite geometric "
         "means)\n\n";
   TablePrinter T({"Threshold", "LS benefit retained", "Effort vs LS (work)"});

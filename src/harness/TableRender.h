@@ -33,11 +33,11 @@ void renderTable5(const std::vector<ThresholdResult> &Sweep,
 void renderTable6(const std::vector<ThresholdResult> &Sweep,
                   std::ostream &OS);
 
-/// Figure 1(a)/2(a)/3(a): scheduling effort of L/N relative to LS.
-/// Prints one row per threshold with per-benchmark columns and the
-/// geometric mean, for the chosen effort metric.
+/// Figure 1(a)/2(a)/3(a): scheduling effort of L/N relative to LS, in
+/// deterministic work units.  Prints one row per threshold with
+/// per-benchmark columns and the geometric mean.
 void renderEffortFigure(const std::vector<ThresholdResult> &Sweep,
-                        bool UseWallTime, std::ostream &OS);
+                        std::ostream &OS);
 
 /// Figure 1(b)/2(b)/3(b): application (simulated) running time relative
 /// to NS, for L/N at each threshold; also prints the LS reference row.
@@ -49,10 +49,9 @@ void renderInducedFilter(const RuleSet &Filter, std::ostream &OS);
 
 /// Headline summary (the abstract's claim): percent of LS benefit
 /// retained and fraction of LS effort spent (deterministic work units),
-/// at each threshold.  With \p UseWallTime, prints instead the fraction
-/// of LS's measured wall time, which varies run to run.
+/// at each threshold.
 void renderHeadline(const std::vector<ThresholdResult> &Sweep,
-                    bool UseWallTime, std::ostream &OS);
+                    std::ostream &OS);
 
 } // namespace schedfilter
 

@@ -25,29 +25,6 @@ std::string sanitize(const std::string &S) {
   return Out.empty() ? "unnamed" : Out;
 }
 
-void putReport(std::string &Out, const CompileReport &R) {
-  wire::putU32(Out, static_cast<uint32_t>(R.Policy));
-  wire::putU64(Out, R.NumBlocks);
-  wire::putU64(Out, R.NumScheduled);
-  wire::putF64(Out, R.SchedulingSeconds);
-  wire::putU64(Out, R.SchedulingWork);
-  wire::putU64(Out, R.FilterWork);
-  wire::putF64(Out, R.SimulatedTime);
-}
-
-bool getReport(const char *&P, const char *End, CompileReport &R) {
-  uint32_t Policy;
-  if (!wire::getU32(P, End, Policy) || Policy > 2)
-    return false;
-  R.Policy = static_cast<SchedulingPolicy>(Policy);
-  return wire::getU64(P, End, R.NumBlocks) &&
-         wire::getU64(P, End, R.NumScheduled) &&
-         wire::getF64(P, End, R.SchedulingSeconds) &&
-         wire::getU64(P, End, R.SchedulingWork) &&
-         wire::getU64(P, End, R.FilterWork) &&
-         wire::getF64(P, End, R.SimulatedTime);
-}
-
 } // namespace
 
 CorpusCache::CorpusCache(std::string Directory) : Dir(std::move(Directory)) {}
@@ -63,8 +40,8 @@ std::string CorpusCache::entryPath(const CorpusKey &K) const {
 std::optional<CachedRun>
 CorpusCache::load(const CorpusKey &K,
                   std::optional<uint64_t> ExpectedRecords) {
-  // The envelope's checksum covers key, reports and records alike: a
-  // flipped bit in the report block is as fatal as one in the payload.
+  // The envelope's checksum covers key, scheduling work and records
+  // alike: a flipped bit in the header is as fatal as one in the payload.
   // A missing entry is a plain miss; one read but refused is invalid too.
   wire::SealedFile File = wire::unseal(entryPath(K), CorpusEntryMagic);
   auto Miss = [&]() -> std::optional<CachedRun> {
@@ -98,12 +75,9 @@ CorpusCache::load(const CorpusKey &K,
     return Miss();
 
   CachedRun Run;
-  if (!getReport(P, End, Run.NeverReport) ||
-      !getReport(P, End, Run.AlwaysReport))
-    return Miss();
-
   uint64_t Count;
-  if (!wire::getU64(P, End, Count))
+  if (!wire::getU64(P, End, Run.SchedulingWork) ||
+      !wire::getU64(P, End, Count))
     return Miss();
   if (ExpectedRecords && Count != *ExpectedRecords)
     return Miss();
@@ -124,7 +98,7 @@ CorpusCache::load(const CorpusKey &K,
 
 bool CorpusCache::store(const CorpusKey &K,
                         const std::vector<BlockRecord> &Records,
-                        const CompileReport &NeverReport,
+                        const CompileReport & /*NeverReport*/,
                         const CompileReport &AlwaysReport) {
   std::string Body;
   wire::putU16(Body, NumFeatures);
@@ -134,8 +108,7 @@ bool CorpusCache::store(const CorpusKey &K,
   wire::putString(Body, K.Benchmark);
   wire::putString(Body, K.Model);
   wire::putString(Body, K.Family);
-  putReport(Body, NeverReport);
-  putReport(Body, AlwaysReport);
+  wire::putU64(Body, AlwaysReport.SchedulingWork);
   wire::putU64(Body, Records.size());
   Body += wire::encodeRecords(Records);
 

@@ -2,8 +2,8 @@
 ///
 /// \file
 /// The per-machine corpus cache: every suite-level driver traces each
-/// benchmark once, then loads bit-identical records (and the two
-/// fixed-policy compile reports) from disk thereafter.  Tracing dominates
+/// benchmark once, then loads bit-identical records (and the LS compile's
+/// scheduling work) from disk thereafter.  Tracing dominates
 /// the wall time of every bench driver -- the full SPECjvm98 stand-in is
 /// 8,827 blocks, each scheduled and simulated twice -- and its output is a
 /// pure function of the cache key, so a warm run skips the whole phase.
@@ -23,15 +23,18 @@
 ///     modified spec (a shrunken test suite, an ablation variant) can
 ///     never collide with the stock benchmark of the same name.
 ///
-/// Entries are single files in the SFCC1 format: after the magic line,
+/// Entries are single files in the SFCC2 format: after the magic line,
 /// an FNV-1a checksum covering the whole remaining body -- the embedded
 /// key (verified on load: a renamed file cannot lie about its contents),
-/// the NS/LS compile reports, and the SFTB1-encoded record payload
-/// (io/TraceStore.h).  Loads never trust a file: any mismatch -- magic,
-/// checksum, key, feature count, size -- counts as a miss and the
-/// benchmark is retraced and the entry rewritten.  Stores write to a
-/// temporary file and rename, so concurrent drivers only ever observe
-/// complete entries.
+/// the LS compile's SchedulingWork (u64), and the SFTB1-encoded record
+/// payload (io/TraceStore.h).  An entry holds only what tracing alone
+/// determines -- no wall time, no report derivable from the records
+/// (fixedPolicyReports, filter/Pipeline.h, prices both) -- so every entry
+/// file is a pure function of its key.  Loads never trust a file: any
+/// mismatch -- magic (an SFCC1 entry included), checksum, key, feature
+/// count, size -- counts as a miss and the benchmark is retraced and the
+/// entry rewritten.  Stores write to a temporary file and rename, so
+/// concurrent drivers only ever observe complete entries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,11 +52,11 @@
 
 namespace schedfilter {
 
-/// Magic of the corpus-entry format, the first line of every SFCC1 entry
+/// Magic of the corpus-entry format, the first line of every SFCC2 entry
 /// file.  Version bumps change this string (a new magic, never a silent
 /// format change); the sf-* tools report it under --version so a support
 /// ticket can name the exact artifact format in play.
-inline constexpr char CorpusEntryMagic[] = "SFCC1";
+inline constexpr char CorpusEntryMagic[] = "SFCC2";
 
 /// Identity of one traced benchmark corpus.
 struct CorpusKey {
@@ -65,12 +68,12 @@ struct CorpusKey {
   std::string Family;            ///< BenchmarkSpec::Family
 };
 
-/// What generateSuiteData produces per benchmark, minus the Program
-/// (regenerated deterministically from the spec at load time).
+/// What tracing one benchmark yields beyond its Program (regenerated
+/// deterministically from the spec at load time): the records and the LS
+/// compile's SchedulingWork.
 struct CachedRun {
   std::vector<BlockRecord> Records;
-  CompileReport NeverReport;
-  CompileReport AlwaysReport;
+  uint64_t SchedulingWork = 0;
 };
 
 /// Thread-safe on-disk cache of CachedRun entries.  Per-key file I/O is
@@ -83,8 +86,8 @@ public:
 
   /// The entry file for \p K:
   /// <dir>/<bench>__<model>__<family>__g<gen>p<pipe>__<hash>.sfcc
-  /// (the family segment is omitted for family-less keys, which keep
-  /// their historical paths).
+  /// (each name segment sanitized; an empty family is written as
+  /// "unnamed", like any empty segment).
   std::string entryPath(const CorpusKey &K) const;
 
   /// Loads the entry for \p K.  nullopt on a cold miss or on any
@@ -97,17 +100,13 @@ public:
   load(const CorpusKey &K,
        std::optional<uint64_t> ExpectedRecords = std::nullopt);
 
-  /// Writes the entry for \p K (temp file + rename).  Returns false --
-  /// and leaves no partial entry behind -- when the directory or file is
-  /// unwritable.  The reference overload serializes straight from the
-  /// caller's storage (the cold path holds multi-megabyte record
-  /// vectors; no copy into a CachedRun needed).
+  /// Writes the entry for \p K (temp file + rename): \p Records and
+  /// AlwaysReport.SchedulingWork.  NeverReport is not stored (the records
+  /// price it).  Returns false -- and leaves no partial entry behind --
+  /// when the directory or file is unwritable.
   bool store(const CorpusKey &K, const std::vector<BlockRecord> &Records,
              const CompileReport &NeverReport,
              const CompileReport &AlwaysReport);
-  bool store(const CorpusKey &K, const CachedRun &Run) {
-    return store(K, Run.Records, Run.NeverReport, Run.AlwaysReport);
-  }
 
   /// Hit/miss accounting, for tests and for --verbose style reporting.
   struct Stats {

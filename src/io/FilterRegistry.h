@@ -7,7 +7,7 @@
 /// across runs -- the registry directory is part of the deterministic
 /// contract (identical bytes at any --jobs and cache temperature).
 ///
-/// Format (SFFR1), following the SFCC1 never-trust-a-file discipline:
+/// Format (SFFR1), following the SFCC2 never-trust-a-file discipline:
 ///
 ///   SFFR1\n
 ///   u64  FNV-1a checksum of everything after this field

@@ -83,7 +83,7 @@ ParseResult<std::vector<BlockRecord>> readTraceFile(const std::string &Path);
 std::string formatDoubleShortest(double V);
 
 /// Low-level little-endian wire helpers shared by the SFTB1 trace format,
-/// the corpus cache's SFCC1 entries and the filter registry's SFFR1
+/// the corpus cache's SFCC2 entries and the filter registry's SFFR1
 /// entries.
 namespace wire {
 
@@ -103,7 +103,7 @@ bool getString(const char *&P, const char *End, std::string &S);
 /// FNV-1a 64-bit over \p Size bytes.
 uint64_t fnv1a(const char *Data, size_t Size);
 
-/// Encodes \p Records as the SFTB1/SFCC1 record payload (no header).
+/// Encodes \p Records as the SFTB1/SFCC2 record payload (no header).
 std::string encodeRecords(const std::vector<BlockRecord> &Records);
 
 /// Decodes \p Count records from a payload previously produced by
@@ -119,7 +119,7 @@ decodeRecords(const char *P, const char *End, uint64_t Count);
 /// is removed and false returned.
 bool writeFileAtomic(const std::string &Path, const std::string &Bytes);
 
-/// The envelope of SFCC1 corpus entries and SFFR1 registry entries: the
+/// The envelope of SFCC2 corpus entries and SFFR1 registry entries: the
 /// line "MAGIC\n", the u64 FNV-1a of the body, then the body.
 std::string seal(const char *Magic, const std::string &Body);
 

@@ -2,9 +2,10 @@
 //
 // The corpus-cache contract: a warm cache serves bit-identical records
 // and reports while skipping all suite tracing (pinned via the engine's
-// traced-block work counter); every key ingredient -- generator version,
-// spec fingerprint, model -- isolates entries; and no corrupt or
-// mismatched entry is ever believed.
+// traced-block work counter); every entry file is a pure function of its
+// key; every key ingredient -- generator version, spec fingerprint,
+// model -- isolates entries; and no corrupt or mismatched entry is ever
+// believed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,12 +32,17 @@ std::vector<BenchmarkSpec> testSuite() {
                      5);
 }
 
-/// \p CompareWallTime: true when B's reports were loaded from a cache
-/// seeded by A (stored wall times reproduce exactly); false when both
-/// sides measured their own wall clock.
+/// Stores \p Records under \p K with the fixed-policy reports the engine
+/// would store beside them.
+bool storeRecords(CorpusCache &Cache, const CorpusKey &K,
+                  const std::vector<BlockRecord> &Records,
+                  uint64_t SchedulingWork = 0) {
+  FixedPolicyReports R = fixedPolicyReports(Records, SchedulingWork);
+  return Cache.store(K, Records, R.Never, R.Always);
+}
+
 void expectRunsIdentical(const std::vector<BenchmarkRun> &A,
-                         const std::vector<BenchmarkRun> &B,
-                         bool CompareWallTime = true) {
+                         const std::vector<BenchmarkRun> &B) {
   ASSERT_EQ(A.size(), B.size());
   for (size_t R = 0; R != A.size(); ++R) {
     EXPECT_EQ(A[R].Name, B[R].Name);
@@ -50,8 +56,7 @@ void expectRunsIdentical(const std::vector<BenchmarkRun> &A,
       EXPECT_EQ(X.CostSched, Y.CostSched);
       EXPECT_EQ(X.ExecCount, Y.ExecCount);
     }
-    // Cached reports reproduce every field, the measured wall time
-    // included (it is stored, not re-measured).
+    // Reports priced from cached records reproduce every field.
     for (auto Pick : {&BenchmarkRun::NeverReport, &BenchmarkRun::AlwaysReport}) {
       const CompileReport &X = A[R].*Pick;
       const CompileReport &Y = B[R].*Pick;
@@ -61,9 +66,6 @@ void expectRunsIdentical(const std::vector<BenchmarkRun> &A,
       EXPECT_EQ(X.SchedulingWork, Y.SchedulingWork);
       EXPECT_EQ(X.FilterWork, Y.FilterWork);
       EXPECT_EQ(X.SimulatedTime, Y.SimulatedTime);
-      if (CompareWallTime) {
-        EXPECT_EQ(X.SchedulingSeconds, Y.SchedulingSeconds);
-      }
     }
   }
 }
@@ -76,35 +78,28 @@ TEST(CorpusCache, StoreLoadRoundTrip) {
   CorpusKey Key{"db", "ppc7410", GeneratorVersion,
                 TracePipelineVersion, 0x1234, ""};
 
-  CachedRun Run;
   BlockRecord R{};
   R.X[FeatBBLen] = 7;
   R.X[FeatLoad] = 1.0 / 3.0;
   R.CostNoSched = 42;
   R.CostSched = 30;
   R.ExecCount = 99;
-  Run.Records.push_back(R);
-  Run.NeverReport.Policy = SchedulingPolicy::Never;
-  Run.NeverReport.NumBlocks = 1;
-  Run.NeverReport.SimulatedTime = 4200.0;
-  Run.AlwaysReport.Policy = SchedulingPolicy::Always;
-  Run.AlwaysReport.NumBlocks = 1;
-  Run.AlwaysReport.NumScheduled = 1;
-  Run.AlwaysReport.SchedulingWork = 17;
-  Run.AlwaysReport.SchedulingSeconds = 0.00125;
-  Run.AlwaysReport.SimulatedTime = 3000.0;
+  std::vector<BlockRecord> Records = {R};
+  FixedPolicyReports Reports = fixedPolicyReports(Records, 17);
+  EXPECT_EQ(Reports.Never.SimulatedTime, 99.0 * 42);
+  EXPECT_EQ(Reports.Always.SimulatedTime, 99.0 * 30);
+  EXPECT_EQ(Reports.Always.NumScheduled, 1u);
+  EXPECT_EQ(Reports.Never.NumScheduled, 0u);
 
-  EXPECT_TRUE(Cache.store(Key, Run));
+  EXPECT_TRUE(Cache.store(Key, Records, Reports.Never, Reports.Always));
   std::optional<CachedRun> Back = Cache.load(Key);
   ASSERT_TRUE(Back.has_value());
   ASSERT_EQ(Back->Records.size(), 1u);
-  EXPECT_EQ(Back->Records[0].X, Run.Records[0].X);
+  EXPECT_EQ(Back->Records[0].X, R.X);
   EXPECT_EQ(Back->Records[0].CostNoSched, 42u);
+  EXPECT_EQ(Back->Records[0].CostSched, 30u);
   EXPECT_EQ(Back->Records[0].ExecCount, 99u);
-  EXPECT_EQ(Back->NeverReport.SimulatedTime, 4200.0);
-  EXPECT_EQ(Back->AlwaysReport.SchedulingWork, 17u);
-  EXPECT_EQ(Back->AlwaysReport.SchedulingSeconds, 0.00125);
-  EXPECT_EQ(Back->AlwaysReport.NumScheduled, 1u);
+  EXPECT_EQ(Back->SchedulingWork, 17u);
 
   CorpusCache::Stats St = Cache.stats();
   EXPECT_EQ(St.Stores, 1u);
@@ -112,14 +107,38 @@ TEST(CorpusCache, StoreLoadRoundTrip) {
   EXPECT_EQ(St.Misses, 0u);
 }
 
+TEST(CorpusCache, ColdStoresAreByteIdentical) {
+  // An entry holds only what tracing determines, so two engines tracing
+  // one suite into two cold caches -- at different job counts -- write
+  // the same files byte for byte.
+  TempCacheDir DirA("cc-pure-a"), DirB("cc-pure-b");
+  MachineModel Model = MachineModel::ppc7410();
+  std::vector<BenchmarkSpec> Suite = testSuite();
+  for (auto [Dir, Jobs] : {std::pair{&DirA, 1u}, std::pair{&DirB, 4u}}) {
+    CorpusCache Cache(Dir->str());
+    ExperimentEngine Engine(Jobs);
+    Engine.setCorpusCache(&Cache);
+    Engine.generateSuiteData(Suite, Model);
+    EXPECT_EQ(Cache.stats().Stores, Suite.size());
+  }
+  size_t Entries = 0;
+  for (const auto &E : std::filesystem::directory_iterator(DirA.Path)) {
+    std::filesystem::path Twin = DirB.Path / E.path().filename();
+    ASSERT_TRUE(std::filesystem::exists(Twin)) << Twin;
+    EXPECT_TRUE(slurp(E.path().string()) == slurp(Twin.string()))
+        << E.path().filename() << " differs between the two cold caches";
+    ++Entries;
+  }
+  EXPECT_EQ(Entries, Suite.size());
+}
+
 TEST(CorpusCache, EveryKeyIngredientIsolatesEntries) {
   TempCacheDir Dir("cc-keys");
   CorpusCache Cache(Dir.str());
   CorpusKey Key{"db", "ppc7410", GeneratorVersion,
                 TracePipelineVersion, 0x1234, ""};
-  CachedRun Run;
-  Run.Records.emplace_back();
-  ASSERT_TRUE(Cache.store(Key, Run));
+  std::vector<BlockRecord> Records(1);
+  ASSERT_TRUE(storeRecords(Cache, Key, Records));
 
   CorpusKey OtherBench = Key;
   OtherBench.Benchmark = "jess";
@@ -157,10 +176,9 @@ TEST(CorpusCache, FamilyVersionBumpInvalidatesOnlyThatFamily) {
                    "serverloop"};
   CorpusKey Chase{"listwalk", "ppc7410", 1, TracePipelineVersion, 0x2222,
                   "ptrchase"};
-  CachedRun Run;
-  Run.Records.emplace_back();
-  ASSERT_TRUE(Cache.store(Server, Run));
-  ASSERT_TRUE(Cache.store(Chase, Run));
+  std::vector<BlockRecord> Records(1);
+  ASSERT_TRUE(storeRecords(Cache, Server, Records));
+  ASSERT_TRUE(storeRecords(Cache, Chase, Records));
 
   CorpusKey ServerV2 = Server;
   ServerV2.GeneratorVersion = 2;
@@ -188,9 +206,8 @@ TEST(CorpusCache, RenamedEntryIsNotBelieved) {
                 TracePipelineVersion, 0x1234, ""};
   CorpusKey Victim{"jess", "ppc7410", GeneratorVersion,
                    TracePipelineVersion, 0x9999, ""};
-  CachedRun Run;
-  Run.Records.emplace_back();
-  ASSERT_TRUE(Cache.store(Key, Run));
+  std::vector<BlockRecord> Records(1);
+  ASSERT_TRUE(storeRecords(Cache, Key, Records));
   std::filesystem::rename(Cache.entryPath(Key), Cache.entryPath(Victim));
   EXPECT_FALSE(Cache.load(Victim).has_value());
   EXPECT_EQ(Cache.stats().InvalidEntries, 1u);
@@ -201,10 +218,8 @@ TEST(CorpusCache, CorruptEntriesAreInvalidNotFatal) {
   CorpusCache Cache(Dir.str());
   CorpusKey Key{"db", "ppc7410", GeneratorVersion,
                 TracePipelineVersion, 0x1234, ""};
-  CachedRun Run;
-  Run.Records.emplace_back();
-  Run.Records.emplace_back();
-  ASSERT_TRUE(Cache.store(Key, Run));
+  std::vector<BlockRecord> Records(2);
+  ASSERT_TRUE(storeRecords(Cache, Key, Records, 17));
 
   // Flip a payload byte in place.
   std::string Path = Cache.entryPath(Key);
@@ -233,25 +248,25 @@ TEST(CorpusCache, CorruptEntriesAreInvalidNotFatal) {
   EXPECT_FALSE(Cache.load(Key).has_value());
   EXPECT_EQ(Cache.stats().InvalidEntries, 2u);
 
-  // So is a flipped bit in the compile-report block (byte 50 sits inside
-  // NeverReport for this key): the checksum covers the whole body, not
-  // just the record payload.
-  std::string ReportFlip = Bytes;
-  ReportFlip[50] =
-      static_cast<char>(static_cast<unsigned char>(ReportFlip[50]) ^ 0x01);
+  // So is a flipped bit in the header's SchedulingWork (the u64 before
+  // the record count and the two records): the checksum covers the whole
+  // body, not just the record payload.
+  std::string WorkFlip = Bytes;
+  size_t WorkByte = Bytes.size() - 2 * (NumFeatures * 8 + 24) - 16;
+  WorkFlip[WorkByte] =
+      static_cast<char>(static_cast<unsigned char>(WorkFlip[WorkByte]) ^ 0x01);
   {
     std::ofstream OS(Path, std::ios::binary | std::ios::trunc);
-    OS.write(ReportFlip.data(),
-             static_cast<std::streamsize>(ReportFlip.size()));
+    OS.write(WorkFlip.data(), static_cast<std::streamsize>(WorkFlip.size()));
   }
   EXPECT_FALSE(Cache.load(Key).has_value());
   EXPECT_EQ(Cache.stats().InvalidEntries, 3u);
 
   // A well-formed, correctly checksummed entry holding a NaN feature is
   // invalid too: the record decoder refuses non-finite features.
-  CachedRun NaNRun = Run;
-  NaNRun.Records[1].X[FeatBBLen] = std::numeric_limits<double>::quiet_NaN();
-  ASSERT_TRUE(Cache.store(Key, NaNRun));
+  std::vector<BlockRecord> NaNRecords = Records;
+  NaNRecords[1].X[FeatBBLen] = std::numeric_limits<double>::quiet_NaN();
+  ASSERT_TRUE(storeRecords(Cache, Key, NaNRecords));
   EXPECT_FALSE(Cache.load(Key).has_value());
   EXPECT_EQ(Cache.stats().InvalidEntries, 4u);
 }
@@ -276,7 +291,7 @@ TEST(CorpusCache, WarmEngineSkipsAllSuiteTracing) {
   EXPECT_EQ(ColdStats.Hits, 0u);
 
   // Warm: zero blocks traced -- the acceptance work-counter assertion --
-  // and the output is field-identical, wall-clock included.
+  // and the output is field-identical.
   CorpusCache WarmCache(Dir.str());
   ExperimentEngine Warm(2);
   Warm.setCorpusCache(&WarmCache);
@@ -392,5 +407,5 @@ TEST(CorpusCache, UnwritableDirectoryDegradesToTracing) {
   // Uncached reference must agree on every deterministic field.
   std::vector<BenchmarkRun> Ref =
       ExperimentEngine().generateSuiteData(Suite, Model);
-  expectRunsIdentical(Ref, Runs, /*CompareWallTime=*/false);
+  expectRunsIdentical(Ref, Runs);
 }

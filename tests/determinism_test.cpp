@@ -5,9 +5,9 @@
 // induced rule sets and Table-5-style aggregates -- bit for bit.  Uses a
 // shrunken FP suite so the test stays fast while still covering every
 // layer (generation, labeling, LOOCV training, evaluation,
-// recompilation).  Wall-clock fields (SchedulingSeconds) are the one
-// deliberate exception: they are measurements, not results, and are
-// excluded here just as they are from the golden tests.
+// recompilation).  No result compared here reads a clock: effort is in
+// work units, and generateSuiteData's fixed-policy reports carry no wall
+// time.
 //
 //===----------------------------------------------------------------------===//
 

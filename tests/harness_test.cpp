@@ -265,22 +265,17 @@ TEST(TableRender, FiguresAndHeadline) {
   std::vector<ThresholdResult> Sweep =
       Serial.runThresholdSweep(tinySuite(), {0.0}, ripperLearner());
   std::ostringstream OS;
-  renderEffortFigure(Sweep, false, OS);
-  renderEffortFigure(Sweep, true, OS);
+  renderEffortFigure(Sweep, OS);
   renderAppTimeFigure(Sweep, OS);
-  renderHeadline(Sweep, false, OS);
+  renderHeadline(Sweep, OS);
   std::string Out = OS.str();
   EXPECT_NE(Out.find("relative to LS"), std::string::npos);
   EXPECT_NE(Out.find("relative to NS"), std::string::npos);
   EXPECT_NE(Out.find("LS (always)"), std::string::npos);
   EXPECT_NE(Out.find("benefit retained"), std::string::npos);
-  // The deterministic headline carries no wall-clock column; the wall
-  // variant carries only that one.
+  // Effort is in work units only; no wall-clock column.
+  EXPECT_NE(Out.find("deterministic work units"), std::string::npos);
   EXPECT_EQ(Out.find("(wall)"), std::string::npos);
-  std::ostringstream Wall;
-  renderHeadline(Sweep, true, Wall);
-  EXPECT_NE(Wall.str().find("Effort vs LS (wall)"), std::string::npos);
-  EXPECT_EQ(Wall.str().find("benefit retained"), std::string::npos);
 }
 
 TEST(TableRender, InducedFilterPrintout) {

@@ -282,7 +282,7 @@ TEST(FilterRegistry, RejectsCorruptEntry) {
 
 TEST(FilterRegistry, RejectsRenamedEntry) {
   // An entry copied onto another version's filename carries its embedded
-  // version and must not be believed -- same discipline as SFCC1.
+  // version and must not be believed -- same discipline as SFCC2.
   TempCacheDir Dir("sffr-renamed");
   FilterRegistry Reg(Dir.str());
   ASSERT_TRUE(Reg.store(testMeta(1), testRules()));

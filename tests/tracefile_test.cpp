@@ -1,7 +1,8 @@
 //===- tests/tracefile_test.cpp - io/TraceStore unit tests --------------------===//
 //
 // CSV and SFTB1 binary trace round-trips, the CRLF and silent-truncation
-// regression fixtures, and the line-numbered diagnostics contract.
+// regression fixtures, the line-numbered diagnostics contract, and one
+// pinned layout per on-disk magic (SFTB1, SFCC2, SFFR1).
 //
 //===----------------------------------------------------------------------===//
 
@@ -9,12 +10,15 @@
 
 #include "TestHelpers.h"
 #include "harness/ParallelExperiments.h"
+#include "io/FilterRegistry.h"
+#include "support/StringUtils.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <sstream>
 
 using namespace schedfilter;
@@ -373,4 +377,60 @@ TEST(WriteFileAtomic, InterruptedWriteNeverShadowsTheTarget) {
     Names.push_back(E.path().string());
   std::sort(Names.begin(), Names.end());
   EXPECT_EQ(Names, (std::vector<std::string>{Path, Leftover}));
+}
+
+TEST(FileFormats, LayoutPinnedPerMagic) {
+  // One fixed artifact per on-disk magic, hashed whole.  A format is
+  // never changed silently (a new layout is a new magic), so a mismatch
+  // here means: bump the magic, then pin the new layout under it.  The
+  // key's versions are literals, so a version bump moves no pin.
+  static const std::map<std::string, uint64_t> Pinned = {
+      {"SFTB1", 0x918b6845c33fd9f3},
+      {"SFCC2", 0x5f0146cfc4807613},
+      {"SFFR1", 0xf1d640474aeb1cfa},
+  };
+  TempCacheDir Dir("format-pins");
+  std::vector<BlockRecord> Records = sampleRecords();
+  std::map<std::string, std::string> Files;
+
+  std::ostringstream Trace;
+  writeTrace(Records, Trace, TraceFormat::Binary);
+  Files[TraceBinaryMagic] = Trace.str();
+
+  CorpusCache Cache(Dir.str() + "/corpus");
+  CorpusKey Key{"db", "ppc7410", 1, 1, 0x1234, "specjvm98"};
+  FixedPolicyReports Reports = fixedPolicyReports(Records, 17);
+  ASSERT_TRUE(Cache.store(Key, Records, Reports.Never, Reports.Always));
+  Files[CorpusEntryMagic] = slurp(Cache.entryPath(Key));
+
+  FilterRegistry Registry(Dir.str() + "/registry");
+  FilterVersionMeta Meta;
+  Meta.Version = 2;
+  Meta.ParentVersion = 1;
+  Meta.TriggerTick = 4096;
+  Meta.SessionSeed = 99;
+  Meta.CorpusRecords = Records.size();
+  Meta.ThresholdPct = 12.5;
+  Meta.Model = "ppc7410";
+  Meta.Workload = "db";
+  RuleSet Rules(Label::NS);
+  Rule R;
+  R.Conclusion = Label::LS;
+  R.Conditions.push_back({FeatBBLen, false, 7.0});
+  R.Conditions.push_back({FeatLoad, true, 1.0 / 3.0});
+  Rules.addRule(std::move(R));
+  ASSERT_TRUE(Registry.store(Meta, Rules));
+  Files[FilterRegistryMagic] = slurp(Registry.entryPath(Meta.Version));
+
+  ASSERT_EQ(Files.size(), Pinned.size());
+  for (const auto &[Magic, Bytes] : Files) {
+    EXPECT_EQ(Bytes.compare(0, Magic.size() + 1, Magic + "\n"), 0) << Magic;
+    auto It = Pinned.find(Magic);
+    ASSERT_NE(It, Pinned.end())
+        << "no layout pinned for " << Magic << ": bump the magic";
+    uint64_t Got = wire::fnv1a(Bytes.data(), Bytes.size());
+    EXPECT_EQ(Got, It->second)
+        << Magic << "'s layout changed (FNV-1a 0x" << formatHex64(Got)
+        << "): bump the magic and pin the new layout under it";
+  }
 }

@@ -5,7 +5,7 @@
 /// --version lets a support ticket name the exact artifact versions in
 /// play: the two corpus-cache key versions (GeneratorVersion for program
 /// synthesis, TracePipelineVersion for everything downstream of it) and
-/// the on-disk format magics (SFTB1 traces, SFCC1 corpus entries, SFFR1
+/// the on-disk format magics (SFTB1 traces, SFCC2 corpus entries, SFFR1
 /// filter-registry entries).  Those values fully identify whether two
 /// machines can exchange artifacts and whether a warm cache is still
 /// valid -- which is exactly what a "my trace won't load" or "my numbers

@@ -26,9 +26,8 @@
 // --jobs N fans the tracing, the threshold sweep and the Figure 4
 // training out over N workers.  Stdout is bit-for-bit identical at any N
 // -- and whether the suite was traced fresh or loaded from a warm corpus
-// cache.  The measured wall-time effort (its Figure (a) and the
-// headline's wall column) varies run to run, so it goes to stderr with
-// the progress lines.
+// cache.  Effort is counted in deterministic work units; for wall-clock
+// scheduling effort see perfbench's report_sweep (ls_s, ln_s).
 //
 //===----------------------------------------------------------------------===//
 
@@ -112,17 +111,12 @@ int main(int argc, char **argv) {
   std::cout << '\n';
   renderTable6(Sweep, std::cout);
   std::cout << '\n';
-  renderEffortFigure(Sweep, /*UseWallTime=*/false, std::cout);
+  renderEffortFigure(Sweep, std::cout);
   std::cout << '\n';
   renderAppTimeFigure(Sweep, std::cout);
   std::cout << '\n';
-  renderHeadline(Sweep, /*UseWallTime=*/false, std::cout);
+  renderHeadline(Sweep, std::cout);
   std::cout << '\n';
-  std::cerr << '\n';
-  renderEffortFigure(Sweep, /*UseWallTime=*/true, std::cerr);
-  std::cerr << '\n';
-  renderHeadline(Sweep, /*UseWallTime=*/true, std::cerr);
-  std::cerr << '\n';
 
   // Figure 4: train on all but one benchmark at t = 0.
   std::vector<Dataset> Labeled = Engine.labelSuite(Runs, 0.0);
