@@ -23,10 +23,10 @@ namespace {
 uint64_t traceBenchmark(BenchmarkRun &Run, const MachineModel &Model,
                         SchedContext &Ctx) {
   MethodCompiler MC(Model, Ctx);
-  CompileReport LS;
+  uint64_t SchedulingWork = 0;
   for (const Method &M : Run.Prog)
-    MC.traceMethod(M, Run.Records, LS);
-  return LS.SchedulingWork;
+    SchedulingWork += MC.traceMethod(M, Run.Records);
+  return SchedulingWork;
 }
 
 /// Everything runThreshold measures for one held-out benchmark.

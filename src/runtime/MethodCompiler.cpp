@@ -73,14 +73,13 @@ void MethodCompiler::compileMethod(const Method &M, SchedulingPolicy Policy,
   }
 }
 
-void MethodCompiler::traceMethod(const Method &M,
-                                 std::vector<BlockRecord> &Records,
-                                 CompileReport &LSReport) {
+uint64_t MethodCompiler::traceMethod(const Method &M,
+                                     std::vector<BlockRecord> &Records) {
   // The one trace recipe: the LS compile's timed phase, then per block
   // its features and its cost unscheduled and under the LS order.  The
-  // scheduled cost folds into LSReport exactly as compileMethod folds it
-  // under the Always policy.
-  schedulePhase(M, SchedulingPolicy::Always, nullptr, LSReport);
+  // costs are priced into reports only by fixedPolicyReports.
+  CompileReport LS;
+  schedulePhase(M, SchedulingPolicy::Always, nullptr, LS);
   size_t B = 0;
   for (const BasicBlock &BB : M) {
     BlockRecord Rec;
@@ -88,11 +87,9 @@ void MethodCompiler::traceMethod(const Method &M,
     Rec.ExecCount = BB.getExecCount();
     Rec.CostNoSched = Sim.simulate(BB, Ctx);
     Rec.CostSched = Sim.simulate(BB, Orders[B++], Ctx);
-    LSReport.SimulatedTime += static_cast<double>(Rec.ExecCount) *
-                              static_cast<double>(Rec.CostSched);
-    ++LSReport.NumBlocks;
     Records.push_back(Rec);
   }
+  return LS.SchedulingWork;
 }
 
 CompileReport schedfilter::compileProgram(const Program &P,

@@ -49,18 +49,17 @@ public:
 
   /// The §2.2 instrumented-scheduler pass over one method: appends one
   /// BlockRecord per block (features, simulated cost unscheduled and
-  /// list-scheduled, profile weight) to \p Records, in block order.  The
-  /// pass is compileMethod under the Always policy plus one unscheduled
-  /// simulation per block: it accumulates into \p LSReport exactly what
-  /// compileMethod(M, Always, nullptr, LSReport) would (bit-for-bit
-  /// SimulatedTime included), so one trace yields both the records and
-  /// the LS fixed-policy report.  The experiment engine traces whole
-  /// benchmarks with it, and the online serving loop traces exactly the
-  /// methods its optimizing tier compiles.  A pure function of (method,
-  /// model) -- safe at any parallelism when each worker appends into its
-  /// own index-owned vector.
-  void traceMethod(const Method &M, std::vector<BlockRecord> &Records,
-                   CompileReport &LSReport);
+  /// list-scheduled, profile weight) to \p Records, in block order, and
+  /// returns the SchedulingWork of compileMethod(M, Always, ...).  The
+  /// pass is the LS compile's scheduling phase plus two simulations per
+  /// block; fixedPolicyReports (filter/Pipeline.h) prices both
+  /// fixed-policy reports from the records and that work.  The
+  /// experiment engine traces whole benchmarks with it, and the online
+  /// serving loop traces exactly the methods its optimizing tier
+  /// compiles.  A pure function of (method, model) -- safe at any
+  /// parallelism when each worker appends into its own index-owned
+  /// vector.
+  uint64_t traceMethod(const Method &M, std::vector<BlockRecord> &Records);
 
 private:
   ListScheduler Scheduler;

@@ -435,9 +435,9 @@ MultiAppStats MultiAppService::run() {
                                    Cur ? Cur->Version : 0,
                                    Report.SchedulingWork});
       if (Cfg.Online) {
-        CompileReport TracedLS; // the trace's LS report; serving uses Report
-        MC.traceMethod(Meth, Corpus, TracedLS);
-        St.Total.CorpusRecords += TracedLS.NumBlocks; // a record per block
+        size_t Before = Corpus.size();
+        MC.traceMethod(Meth, Corpus);
+        St.Total.CorpusRecords += Corpus.size() - Before;
       }
     }
 
