@@ -2,7 +2,6 @@
 
 #include "mir/Opcode.h"
 
-#include <cassert>
 #include <cstddef>
 
 using namespace schedfilter;
@@ -13,9 +12,11 @@ constexpr uint16_t IntCat = CatIntegerFU;
 constexpr uint16_t FltCat = CatFloatFU;
 constexpr uint16_t SysCat = CatSystemFU;
 
+} // namespace
+
 /// Indexed by Opcode.  Keep in sync with the enum; the order is asserted in
 /// tests.
-const OpcodeInfo Infos[] = {
+const OpcodeInfo schedfilter::OpcodeInfos[] = {
     // Name, Categories, Unit, ReadsMem, WritesMem, NumDefs, IsTerminator
     {"add", IntCat, FuClass::IntSimple, false, false, 1, false},
     {"sub", IntCat, FuClass::IntSimple, false, false, 1, false},
@@ -63,16 +64,9 @@ const OpcodeInfo Infos[] = {
     {"tswitch", CatThreadSwitch, FuClass::System, false, false, 0, false},
 };
 
-static_assert(sizeof(Infos) / sizeof(Infos[0]) ==
+static_assert(sizeof(OpcodeInfos) / sizeof(OpcodeInfos[0]) ==
                   static_cast<size_t>(Opcode::NumOpcodes),
               "OpcodeInfo table out of sync with the Opcode enum");
-
-} // namespace
-
-const OpcodeInfo &schedfilter::getOpcodeInfo(Opcode Op) {
-  assert(Op < Opcode::NumOpcodes && "invalid opcode");
-  return Infos[static_cast<size_t>(Op)];
-}
 
 const char *schedfilter::getOpcodeName(Opcode Op) {
   return getOpcodeInfo(Op).Name;

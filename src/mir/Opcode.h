@@ -20,6 +20,8 @@
 #ifndef SCHEDFILTER_MIR_OPCODE_H
 #define SCHEDFILTER_MIR_OPCODE_H
 
+#include <cassert>
+#include <cstddef>
 #include <cstdint>
 
 namespace schedfilter {
@@ -136,8 +138,15 @@ struct OpcodeInfo {
   bool IsTerminator;
 };
 
-/// Returns the metadata record for \p Op.
-const OpcodeInfo &getOpcodeInfo(Opcode Op);
+/// The metadata table, indexed by Opcode (defined in Opcode.cpp).
+extern const OpcodeInfo OpcodeInfos[];
+
+/// Returns the metadata record for \p Op.  Inline: the DAG builder, the
+/// simulator and the feature pass query it per instruction.
+inline const OpcodeInfo &getOpcodeInfo(Opcode Op) {
+  assert(Op < Opcode::NumOpcodes && "invalid opcode");
+  return OpcodeInfos[static_cast<size_t>(Op)];
+}
 
 /// Returns the mnemonic for \p Op, e.g. "fadd".
 const char *getOpcodeName(Opcode Op);

@@ -3,6 +3,7 @@
 #include "runtime/MethodCompiler.h"
 
 #include "sched/SchedContext.h"
+#include "sched/ScheduleVerifier.h"
 #include "support/HotAlign.h"
 #include "support/Timer.h"
 
@@ -40,6 +41,8 @@ void MethodCompiler::schedulePhase(const Method &M, SchedulingPolicy Policy,
                        Filter->shouldSchedule(BB));
     if (DoSchedule) {
       Report.SchedulingWork += Scheduler.schedule(BB, Ctx, Order);
+      assert(verifySchedule(Ctx.dag(), Order).Ok &&
+             "list scheduler emitted an illegal order");
       ++Report.NumScheduled;
     }
   }

@@ -5,11 +5,70 @@
 #include "sched/SchedContext.h"
 #include "support/HotAlign.h"
 
-#include <algorithm>
 #include <cassert>
-#include <functional>
+#include <cstdio>
+#include <cstdlib>
 
 using namespace schedfilter;
+
+namespace {
+
+using Scratch = ListSchedulerScratch;
+
+/// Prints the block's size and critical path against the key's bounds to
+/// stderr and aborts.
+[[noreturn]] void keyOverflow(size_t N, uint64_t MaxCp) {
+  std::fprintf(stderr,
+               "ListScheduler: block of %zu instructions with critical path "
+               "%llu does not fit the packed key (at most %llu instructions "
+               "and a critical path of %llu)\n",
+               N, static_cast<unsigned long long>(MaxCp),
+               static_cast<unsigned long long>(Scratch::MaxInstructions),
+               static_cast<unsigned long long>(Scratch::MaxCriticalPath));
+  std::abort();
+}
+
+/// Binary-heap push and pop over H[0, Size): Before(A, B) means A sits
+/// nearer the root.  Hole-based sifts: one store per level.
+template <typename BeforeFn>
+inline void heapPush(std::vector<uint64_t> &H, size_t &Size, uint64_t K,
+                     BeforeFn Before) {
+  size_t Hole = Size++;
+  while (Hole != 0) {
+    size_t Parent = (Hole - 1) / 2;
+    if (!Before(K, H[Parent]))
+      break;
+    H[Hole] = H[Parent];
+    Hole = Parent;
+  }
+  H[Hole] = K;
+}
+
+template <typename BeforeFn>
+inline uint64_t heapPop(std::vector<uint64_t> &H, size_t &Size,
+                        BeforeFn Before) {
+  uint64_t Top = H[0];
+  uint64_t Last = H[--Size];
+  size_t Hole = 0;
+  for (;;) {
+    size_t Child = 2 * Hole + 1;
+    if (Child >= Size)
+      break;
+    if (Child + 1 < Size && Before(H[Child + 1], H[Child]))
+      ++Child;
+    if (!Before(H[Child], Last))
+      break;
+    H[Hole] = H[Child];
+    Hole = Child;
+  }
+  H[Hole] = Last;
+  return Top;
+}
+
+inline bool nowBefore(uint64_t A, uint64_t B) { return A > B; }
+inline bool futureBefore(uint64_t A, uint64_t B) { return A < B; }
+
+} // namespace
 
 uint64_t ListScheduler::schedule(const BasicBlock &BB, SchedContext &Ctx,
                                  std::vector<int> &OrderOut) const {
@@ -24,71 +83,83 @@ uint64_t ListScheduler::scheduleInto(const BasicBlock &BB,
                                      const DependenceGraph &Dag,
                                      ListSchedulerScratch &S,
                                      std::vector<int> &OrderOut) const {
-  int N = static_cast<int>(BB.size());
-  uint64_t WorkUnits = 0;
-  OrderOut.clear();
-  OrderOut.reserve(static_cast<size_t>(N));
+  const size_t N = BB.size();
+  OrderOut.resize(N);
+  if (N == 0)
+    return 0;
+  if (S.Node.size() < N) {
+    S.Node.resize(N);
+    S.Now.resize(N);
+    S.Future.resize(N);
+  }
 
-  // Cycle-driven CPS: among instructions that can start at the current
-  // clock, pick the one with the longest weighted critical path; when none
-  // can, advance the clock to the next earliest start time.  This realizes
-  // the paper's "can start soonest, ties by critical path" rule with
-  // O(log n) per decision.
-  S.EarliestStart.assign(static_cast<size_t>(N), 0);
+  // One pass packs every key, tracks the largest critical path for the
+  // bounds check, resets the scoreboard and seeds ready-now with the
+  // roots (all start at clock 0).
   const std::vector<int> &InDeg = Dag.inDegrees();
-  S.Pending.assign(InDeg.begin(), InDeg.end());
-  std::vector<ReadyNowEntry> &Now = S.Now;
-  std::vector<ReadyFutureEntry> &Future = S.Future;
-  Now.clear();
-  Future.clear();
-  const std::greater<ReadyFutureEntry> FutureLess; // min-heap comparator
+  size_t NowSize = 0, FutureSize = 0;
+  uint64_t MaxCp = 0;
+  for (size_t I = 0; I != N; ++I) {
+    int Node = static_cast<int>(I);
+    uint64_t Cp = static_cast<uint64_t>(Dag.criticalPath(Node));
+    MaxCp = Cp > MaxCp ? Cp : MaxCp;
+    uint64_t Key = Cp << (2 * Scratch::IndexBits) |
+                   static_cast<uint64_t>(Dag.succs(Node).size())
+                       << Scratch::IndexBits |
+                   (Scratch::IndexMask - I);
+    S.Node[I] = {Key, 0, InDeg[I]};
+    if (InDeg[I] == 0)
+      heapPush(S.Now, NowSize, Key, nowBefore);
+  }
+  if (N > Scratch::MaxInstructions || MaxCp > Scratch::MaxCriticalPath)
+    keyOverflow(N, MaxCp);
 
-  for (int I = 0; I != N; ++I)
-    if (S.Pending[static_cast<size_t>(I)] == 0) {
-      Future.push_back({0, I});
-      std::push_heap(Future.begin(), Future.end(), FutureLess);
-    }
-
+  // Heap traffic is 3 units per instruction and edge release 1 per edge
+  // (see the file comment); the loop adds the clock checks.
+  uint64_t WorkUnits = 3 * N + Dag.numEdges();
   long Clock = 0;
-  while (!Now.empty() || !Future.empty()) {
-    if (Now.empty()) {
-      Clock = std::max(Clock, Future.front().EarliestStart);
+  size_t Waiting = 0; // ready-now entries left over from earlier picks
+  size_t Pos = 0;
+  while (NowSize != 0 || FutureSize != 0) {
+    if (Waiting == 0)
       ++WorkUnits;
+    if (NowSize == 0) {
+      // Nothing can start at the clock: jump to the soonest start and
+      // promote every instruction that can start then.
+      Clock = static_cast<long>(S.Future[0] >> Scratch::IndexBits);
+      do {
+        size_t Idx = heapPop(S.Future, FutureSize, futureBefore) &
+                     Scratch::IndexMask;
+        heapPush(S.Now, NowSize, S.Node[Idx].Key, nowBefore);
+      } while (FutureSize != 0 &&
+               static_cast<long>(S.Future[0] >> Scratch::IndexBits) <= Clock);
     }
-    // Promote everything that can start at (or before) the clock.
-    while (!Future.empty() && Future.front().EarliestStart <= Clock) {
-      int Idx = Future.front().Index;
-      std::pop_heap(Future.begin(), Future.end(), FutureLess);
-      Future.pop_back();
-      long Cp = Dag.criticalPath(Idx);
-      long Fanout = static_cast<long>(Dag.succs(Idx).size());
-      Now.push_back({Cp, Fanout, Idx});
-      std::push_heap(Now.begin(), Now.end());
-      WorkUnits += 2; // one pop + one push
-    }
-    if (Now.empty())
-      continue; // clock advanced; promote again
 
-    int Picked = Now.front().Index;
-    std::pop_heap(Now.begin(), Now.end());
-    Now.pop_back();
-    ++WorkUnits;
-    OrderOut.push_back(Picked);
+    int Picked = static_cast<int>(
+        Scratch::IndexMask -
+        (heapPop(S.Now, NowSize, nowBefore) & Scratch::IndexMask));
+    OrderOut[Pos++] = Picked;
+    Waiting = NowSize;
 
     for (const DepEdge &E : Dag.succs(Picked)) {
-      long Avail = Clock + static_cast<long>(E.Latency);
       size_t To = static_cast<size_t>(E.To);
-      if (Avail > S.EarliestStart[To])
-        S.EarliestStart[To] = Avail;
-      ++WorkUnits;
-      if (--S.Pending[To] == 0) {
-        Future.push_back({S.EarliestStart[To], E.To});
-        std::push_heap(Future.begin(), Future.end(), FutureLess);
+      long Avail = Clock + static_cast<long>(E.Latency);
+      Scratch::NodeState &T = S.Node[To];
+      if (Avail > T.EarliestStart)
+        T.EarliestStart = Avail;
+      if (--T.Pending == 0) {
+        long Start = T.EarliestStart;
+        if (Start <= Clock)
+          heapPush(S.Now, NowSize, T.Key, nowBefore);
+        else
+          heapPush(S.Future, FutureSize,
+                   static_cast<uint64_t>(Start) << Scratch::IndexBits | To,
+                   futureBefore);
       }
     }
   }
 
-  assert(OrderOut.size() == static_cast<size_t>(N) &&
+  assert(Pos == N &&
          "cycle in dependence graph: not all instructions were scheduled");
   return WorkUnits;
 }

@@ -9,9 +9,24 @@
 /// dependence successors, then to original program order, so the result
 /// is deterministic.
 ///
+/// The loop is cycle-driven: instructions whose operands are available
+/// at the current clock wait in a ready-now heap ordered by that CPS key,
+/// the rest in a future heap ordered by earliest start; when ready-now
+/// runs dry the clock jumps to the soonest future start.  Each block packs
+/// its keys into one uint64_t per instruction (ListSchedulerScratch), so a
+/// heap step is an integer compare.  The packing bounds the block to 2^20
+/// instructions and its critical path to 2^24 - 1 cycles; a block beyond
+/// either aborts with both figures rather than being misordered.
+///
 /// The scheduler reports abstract work units (DAG build + priority-queue
 /// traffic) so that "scheduling effort" can be measured both as wall time
-/// and as a deterministic count.
+/// and as a deterministic count.  The scheduling share is 3 per
+/// instruction (a future-heap pop, a ready-now push and the ready-now pop
+/// that picks it: the heap traffic of the classic two-queue formulation,
+/// counted even when an instruction released at the current clock skips
+/// the future heap), 1 per dependence edge released, and 1 per pick at
+/// which no instruction was already waiting in ready-now -- the clock
+/// check of that formulation, taken at the first pick too.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,44 +42,39 @@ namespace schedfilter {
 
 class SchedContext;
 
-/// Ready instruction that can start at the current clock; ordered by the
-/// CPS key -- longest weighted critical path first -- then by most
-/// dependence successors, then original program order.  The key is a
-/// total order (indices are unique), so the pick sequence is fully
-/// determined.
-struct ReadyNowEntry {
-  long Cp;
-  long Fanout;
-  int Index;
-  bool operator<(const ReadyNowEntry &O) const {
-    if (Cp != O.Cp)
-      return Cp < O.Cp; // max-heap on the critical path
-    if (Fanout != O.Fanout)
-      return Fanout < O.Fanout;
-    return Index > O.Index; // then min index
-  }
-};
-
-/// Ready instruction whose operands are not available yet; ordered by
-/// earliest start time ("the instruction that can start soonest").
-struct ReadyFutureEntry {
-  long EarliestStart;
-  int Index;
-  bool operator>(const ReadyFutureEntry &O) const {
-    if (EarliestStart != O.EarliestStart)
-      return EarliestStart > O.EarliestStart;
-    return Index > O.Index;
-  }
-};
-
-/// Per-block scheduling scratch: ready queues, the in-degree scoreboard
-/// and the earliest-start table.  Owned by a SchedContext (capacities
-/// persist across blocks).
+/// Per-block scheduling scratch.  Owned by a SchedContext: capacities
+/// persist across blocks, and every array only grows (its size is at
+/// least the largest block seen; only the block's prefix is live).
+///
+/// Node[i] holds instruction i's packed CPS key, its earliest start and
+/// its count of unscheduled predecessors.  Both ready queues are binary
+/// heaps of uint64_t keys, sifted in place with an explicit size:
+///   - Now, a max-heap of Key = Cp << 2*IndexBits | Fanout << IndexBits
+///     | (IndexMask - i): the CPS order -- longest weighted critical path,
+///     then most dependence successors, then first in program order -- as
+///     one integer compare.  Indices are unique, so the order is total.
+///   - Future, a min-heap of EarliestStart << IndexBits | i: the
+///     instruction that can start soonest, then program order.
+/// The key is total only if the block has at most 2^IndexBits
+/// instructions (fanout is below that too) and its critical path fits in
+/// the 64 - 2*IndexBits bits above them; scheduleInto checks both once per
+/// block and aborts otherwise.  EarliestStart never exceeds the largest
+/// critical path, so the one check covers the Future keys as well.
 struct ListSchedulerScratch {
-  std::vector<long> EarliestStart;
-  std::vector<int> Pending;
-  std::vector<ReadyNowEntry> Now;       ///< max-heap via std::push_heap
-  std::vector<ReadyFutureEntry> Future; ///< min-heap via std::greater
+  static constexpr unsigned IndexBits = 20;
+  static constexpr uint64_t IndexMask = (uint64_t(1) << IndexBits) - 1;
+  static constexpr uint64_t MaxInstructions = IndexMask + 1;
+  static constexpr uint64_t MaxCriticalPath =
+      (uint64_t(1) << (64 - 2 * IndexBits)) - 1;
+
+  struct NodeState {
+    uint64_t Key;
+    long EarliestStart;
+    int Pending;
+  };
+  std::vector<NodeState> Node;
+  std::vector<uint64_t> Now;
+  std::vector<uint64_t> Future;
 };
 
 /// Critical-path list scheduler over basic blocks.
@@ -74,7 +84,7 @@ public:
 
   /// Schedules \p BB: builds its DAG into \p Ctx (left in Ctx.dag() for
   /// callers that verify or inspect it) and writes the chosen order into
-  /// \p OrderOut (cleared first; its capacity is reused).  OrderOut[i] is
+  /// \p OrderOut (resized to the block; its capacity is reused).  OrderOut[i] is
   /// the original index of the i-th instruction in the new schedule.
   /// Always legal: every dependence-graph edge is respected.  Returns the
   /// total work units, DAG build plus scheduling.

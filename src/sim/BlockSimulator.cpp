@@ -39,8 +39,6 @@ uint64_t BlockSimulator::run(const BasicBlock &BB,
                              const std::vector<int> &Order,
                              SimScratch &S) const {
   assert(Order.size() == BB.size() && "order must cover the block");
-  if (BB.empty())
-    return 0;
 
   // Scoreboard state.  One epoch per block invalidates every register's
   // ready cycle in O(1); the per-unit table is tiny and cleared directly.

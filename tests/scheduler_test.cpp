@@ -2,14 +2,17 @@
 
 #include "sched/ListScheduler.h"
 
+#include "ReferenceListScheduler.h"
 #include "TestHelpers.h"
 #include "sched/SchedContext.h"
 #include "sched/ScheduleVerifier.h"
 #include "workloads/ProgramGenerator.h"
+#include "workloads/WorkloadFamily.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 using namespace schedfilter;
 using namespace schedfilter::test;
@@ -26,6 +29,43 @@ bool isPermutation(const std::vector<int> &Order, size_t N) {
       return false;
   return true;
 }
+
+/// Schedules each block with ListScheduler::scheduleInto and with the
+/// reference scheduler over the same DAG, and compares the two orders and
+/// work units.
+class ReferenceOracle {
+public:
+  explicit ReferenceOracle(const MachineModel &M) : Model(M), Scheduler(M) {}
+
+  ::testing::AssertionResult check(const BasicBlock &BB) {
+    Ctx.dag().build(BB, Model, Ctx.dagScratch());
+    uint64_t Work = Scheduler.scheduleInto(BB, Ctx.dag(),
+                                           Ctx.schedulerScratch(), Order);
+    uint64_t RefWork =
+        reference::scheduleInto(BB, Ctx.dag(), RefScratch, RefOrder);
+    ++Blocks;
+    if (Order != RefOrder)
+      return ::testing::AssertionFailure()
+             << "block " << BB.getName() << " (" << BB.size()
+             << " instructions): order differs from the reference";
+    if (Work != RefWork)
+      return ::testing::AssertionFailure()
+             << "block " << BB.getName() << ": " << Work
+             << " work units, the reference counts " << RefWork;
+    return ::testing::AssertionSuccess();
+  }
+
+  const std::vector<int> &order() const { return Order; }
+  uint64_t blocks() const { return Blocks; }
+
+private:
+  MachineModel Model;
+  ListScheduler Scheduler;
+  SchedContext Ctx;
+  reference::ListSchedulerScratch RefScratch;
+  std::vector<int> Order, RefOrder;
+  uint64_t Blocks = 0;
+};
 
 } // namespace
 
@@ -161,3 +201,115 @@ INSTANTIATE_TEST_SUITE_P(
                                          "mpegaudio", "raytrace", "jack",
                                          "linpack", "aes", "voronoi"),
                        ::testing::Values(7u, 77u)));
+
+TEST(ListScheduler, MatchesReferenceOnEveryFamilyAndModel) {
+  // Every block of the five stock family suites, under every model: the
+  // packed-key scheduler must pick exactly the reference's order and
+  // count exactly its work units.  DependenceGraph.SuiteDigestPinned
+  // pins SPECjvm98 on ppc7410 only.
+  std::vector<Program> Programs;
+  for (const BenchmarkSpec &Spec : WorkloadRegistry::instance().benchmarks())
+    Programs.push_back(generateWorkloadProgram(Spec));
+  ASSERT_EQ(WorkloadRegistry::instance().families().size(), 5u);
+  for (const char *Name : {"ppc7410", "ppc970", "simple-scalar"}) {
+    std::optional<MachineModel> M = MachineModel::byName(Name);
+    ASSERT_TRUE(M.has_value()) << Name;
+    ReferenceOracle Oracle(*M);
+    uint64_t Mismatches = 0;
+    for (const Program &P : Programs)
+      P.forEachBlock([&](const BasicBlock &BB) {
+        ::testing::AssertionResult R = Oracle.check(BB);
+        if (!R && Mismatches++ == 0)
+          ADD_FAILURE() << Name << ", " << P.getName() << ": "
+                        << R.message();
+      });
+    EXPECT_EQ(Mismatches, 0u) << Name;
+    EXPECT_GT(Oracle.blocks(), 8827u) << Name; // more than SPECjvm98 alone
+  }
+}
+
+TEST(ListScheduler, MatchesReferenceOnHandBuiltBlocks) {
+  MachineModel M = MachineModel::ppc7410();
+  ReferenceOracle Oracle(M);
+
+  EXPECT_TRUE(Oracle.check(BasicBlock("empty")));
+  EXPECT_TRUE(Oracle.order().empty());
+
+  BasicBlock One("one");
+  One.append(Instruction(Opcode::FDiv, {100}, {1, 2}));
+  EXPECT_TRUE(Oracle.check(One));
+  EXPECT_EQ(Oracle.order(), std::vector<int>{0});
+
+  // Equal critical paths and no fanout: program order decides.
+  BasicBlock Loads("independent-loads");
+  for (int I = 0; I != 300; ++I)
+    Loads.append(Instruction(Opcode::LoadInt, {static_cast<Reg>(1000 + I)}, {1}));
+  EXPECT_TRUE(Oracle.check(Loads));
+  for (int I = 0; I != 300; ++I)
+    ASSERT_EQ(Oracle.order()[static_cast<size_t>(I)], I);
+
+  // One legal order, each pick after a clock jump.
+  BasicBlock Chain("chain");
+  for (int I = 0; I != 300; ++I)
+    Chain.append(Instruction(Opcode::Add, {static_cast<Reg>(I + 1)},
+                             {static_cast<Reg>(I), 1000}));
+  EXPECT_TRUE(Oracle.check(Chain));
+  for (int I = 0; I != 300; ++I)
+    ASSERT_EQ(Oracle.order()[static_cast<size_t>(I)], I);
+
+  // Three adds with equal critical paths: the one with two consumers
+  // (index 1) goes first on fanout, then 0 before 2 on program order.
+  BasicBlock Ties("ties");
+  Ties.append(Instruction(Opcode::Add, {100}, {1, 2}));
+  Ties.append(Instruction(Opcode::Add, {101}, {1, 2}));
+  Ties.append(Instruction(Opcode::Add, {102}, {1, 2}));
+  Ties.append(Instruction(Opcode::Add, {103}, {100, 3}));
+  Ties.append(Instruction(Opcode::Add, {104}, {101, 3}));
+  Ties.append(Instruction(Opcode::Add, {105}, {101, 4}));
+  Ties.append(Instruction(Opcode::Add, {106}, {102, 3}));
+  EXPECT_TRUE(Oracle.check(Ties));
+  EXPECT_EQ(std::vector<int>(Oracle.order().begin(),
+                             Oracle.order().begin() + 3),
+            (std::vector<int>{1, 0, 2}));
+
+  // Zero-latency edges release an instruction at the clock of its last
+  // predecessor's pick: anti (2 after 0, 5 after 1), PEI hazard (4 after
+  // 3) and control (6 after everything), mixed with a load's latency
+  // that forces clock jumps.
+  BasicBlock ZeroLat("zero-latency");
+  ZeroLat.append(Instruction(Opcode::LoadInt, {20}, {1}));
+  ZeroLat.append(Instruction(Opcode::Add, {21}, {20, 2}));
+  ZeroLat.append(Instruction(Opcode::Add, {1}, {3, 4}));
+  ZeroLat.append(Instruction(Opcode::NullCheck, {}, {21}));
+  ZeroLat.append(Instruction(Opcode::NullCheck, {}, {5}));
+  ZeroLat.append(Instruction(Opcode::Add, {20}, {6, 7}));
+  ZeroLat.append(Instruction(Opcode::BrCond, {}, {21}));
+  DependenceGraph G = buildDag(ZeroLat, M);
+  for (DepKind Kind : {DepKind::Anti, DepKind::Hazard, DepKind::Control}) {
+    bool Found = false;
+    for (int I = 0; I != static_cast<int>(G.numNodes()); ++I)
+      for (const DepEdge &E : G.succs(I))
+        Found |= E.Kind == Kind && E.Latency == 0;
+    EXPECT_TRUE(Found) << "no zero-latency edge of kind "
+                       << static_cast<int>(Kind);
+  }
+  EXPECT_TRUE(Oracle.check(ZeroLat));
+}
+
+TEST(ListSchedulerDeathTest, AbortsWhenCriticalPathOverflowsTheKey) {
+  // One fdiv of 2^24 cycles feeding an fadd: the block's critical path
+  // no longer fits the key's 24-bit field, and the scheduler must say so
+  // rather than misorder.
+  MachineModel M = MachineModel::ppc7410();
+  M.setLatency(Opcode::FDiv, 1u << 24);
+  BasicBlock BB("too-long");
+  BB.append(Instruction(Opcode::FDiv, {101}, {32, 33}));
+  BB.append(Instruction(Opcode::FAdd, {102}, {101, 34}));
+  long Cp = buildDag(BB, M).criticalPath(0);
+  ASSERT_GT(static_cast<uint64_t>(Cp), ListSchedulerScratch::MaxCriticalPath);
+  SchedContext Ctx;
+  std::vector<int> Order;
+  EXPECT_DEATH(ListScheduler(M).schedule(BB, Ctx, Order),
+               "block of 2 instructions with critical path " +
+                   std::to_string(Cp) + " does not fit the packed key");
+}
