@@ -30,8 +30,8 @@
 ///     evaluate(X).Work        == RS.predictionWork(X)
 ///     for every FeatureVector X, NaN coordinates included -- the
 ///     compiled form is bit-exactly prediction- AND work-equivalent, so
-///     ScheduleFilter's decision counters and every golden pin are
-///     byte-identical whichever evaluator runs;
+///     the CompileReport's decision counts and filter work and every
+///     golden pin are byte-identical whichever evaluator runs;
 ///   * evaluateBatch over a FeatureMatrix returns, row for row, exactly
 ///     what evaluate returns on that row.
 ///

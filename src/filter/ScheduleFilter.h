@@ -18,13 +18,17 @@
 /// epoch boundaries -- in-flight borrowers keep the version they
 /// captured, which is what makes the hot-swap safe.  The compiled
 /// evaluator is bit-exactly equivalent to the RuleSet::predict /
-/// predictionWork interpreter in predictions AND work units; the
-/// interpreter survives only as that oracle in
-/// tests/compiled_filter_test.cpp.
+/// predictionWork interpreter in predictions AND work units
+/// (tests/compiled_filter_test.cpp).  The interpreter stays the
+/// offline evaluator: it computes Table 3 (errorRatePercent) and the
+/// run-time classification behind Tables 4 and 6 (evaluateBenchmark), it
+/// is sf-lint --fix's equivalence proof and prices sf-lint's
+/// predictionWork line, and it is the compiled form's test oracle.
 ///
-/// MethodCompiler calls shouldSchedule once per block inside its timed
-/// scheduling phase: one decision path, whose cost is charged to
-/// scheduling like the paper's (§3.1).
+/// A ScheduleFilter only decides: it keeps no statistics.  MethodCompiler
+/// calls decide() once per block inside its timed scheduling phase and
+/// charges the decision and its work to the CompileReport, which is
+/// where the filter's cost meets scheduling like the paper's (§3.1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,40 +55,13 @@ public:
   explicit ScheduleFilter(FilterArtifactRef Artifact)
       : Art(std::move(Artifact)) {}
 
-  /// True if the filter predicts the block benefits from scheduling.
-  /// Accumulates decision counters and deterministic work units.
+  /// The one evaluation path: gate, extract, evaluate.  Work includes the
+  /// feature pass (or the single gate comparison) and is comparable with
+  /// scheduler work units.
   ///
   /// Fast path: blocks shorter than the rule set's minimum matchable
   /// length resolve to the default class with a single comparison and no
   /// feature extraction (see RuleSet::minMatchableBBLen).
-  bool shouldSchedule(const BasicBlock &BB) {
-    CompiledFilter::Decision D = decide(BB);
-    record(D);
-    return D.ScheduleLS;
-  }
-
-  /// Const query without statistics (for tests).  Same decide() path as
-  /// the stat-accumulating overloads -- the variants cannot diverge.
-  bool shouldSchedule(const BasicBlock &BB) const {
-    return decide(BB).ScheduleLS;
-  }
-
-  const RuleSet &ruleSet() const { return Art->Rules; }
-
-  /// Decision counters (since construction or resetStats()).
-  uint64_t numScheduleDecisions() const { return NumLS; }
-  uint64_t numSkipDecisions() const { return NumNS; }
-
-  /// Deterministic cost of all decisions so far: feature-pass units plus
-  /// rule conditions evaluated; comparable with scheduler work units.
-  uint64_t workUnits() const { return Work; }
-
-  void resetStats() { NumLS = NumNS = Work = 0; }
-
-private:
-  /// The one evaluation path every overload shares: gate, extract,
-  /// evaluate.  Work includes the feature pass (or the single gate
-  /// comparison), matching the historical accounting bit for bit.
   CompiledFilter::Decision decide(const BasicBlock &BB) const {
     if (static_cast<double>(BB.size()) < Art->BBLenGate)
       return {Art->DefaultIsLS, 1};
@@ -93,18 +70,13 @@ private:
     return D;
   }
 
-  void record(const CompiledFilter::Decision &D) {
-    Work += D.Work;
-    if (D.ScheduleLS)
-      ++NumLS;
-    else
-      ++NumNS;
+  /// True if the filter predicts the block benefits from scheduling.
+  bool shouldSchedule(const BasicBlock &BB) const {
+    return decide(BB).ScheduleLS;
   }
 
+private:
   FilterArtifactRef Art; ///< never null; shared and immutable
-  uint64_t NumLS = 0;
-  uint64_t NumNS = 0;
-  uint64_t Work = 0;
 };
 
 } // namespace schedfilter

@@ -4,33 +4,14 @@
 
 using namespace schedfilter;
 
-double ConfusionMatrix::errorRate() const {
-  size_t N = total();
+double schedfilter::errorRatePercent(const RuleSet &RS, const Dataset &Data) {
+  size_t N = Data.size();
   if (N == 0)
     return 0.0;
-  return static_cast<double>(errors()) / static_cast<double>(N);
-}
-
-ConfusionMatrix schedfilter::evaluate(const RuleSet &RS, const Dataset &Data) {
-  ConfusionMatrix M;
-  for (size_t K = 0; K != Data.size(); ++K) {
+  size_t Errors = 0;
+  for (size_t K = 0; K != N; ++K) {
     const Instance I = Data[K];
-    Label Pred = RS.predict(I.X);
-    if (I.Y == Label::LS) {
-      if (Pred == Label::LS)
-        ++M.TruePos;
-      else
-        ++M.FalseNeg;
-    } else {
-      if (Pred == Label::LS)
-        ++M.FalsePos;
-      else
-        ++M.TrueNeg;
-    }
+    Errors += RS.predict(I.X) != I.Y;
   }
-  return M;
-}
-
-double schedfilter::errorRatePercent(const RuleSet &RS, const Dataset &Data) {
-  return 100.0 * evaluate(RS, Data).errorRate();
+  return 100.0 * (static_cast<double>(Errors) / static_cast<double>(N));
 }

@@ -1,9 +1,8 @@
 //===- ml/Metrics.h - Classifier evaluation ----------------------*- C++ -*-===//
 ///
 /// \file
-/// Evaluation metrics for induced filters: the classification error rates
-/// of the paper's Table 3 plus the supporting confusion-matrix counts used
-/// by Table 6 and the tests.
+/// Evaluation metric for induced filters: the classification error rate
+/// of the paper's Table 3 (and sf-train's training error).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,24 +13,8 @@
 
 namespace schedfilter {
 
-/// 2x2 confusion counts for the LS/NS problem ("positive" = LS).
-struct ConfusionMatrix {
-  size_t TruePos = 0;  ///< actual LS, predicted LS
-  size_t FalsePos = 0; ///< actual NS, predicted LS
-  size_t TrueNeg = 0;  ///< actual NS, predicted NS
-  size_t FalseNeg = 0; ///< actual LS, predicted NS
-
-  size_t total() const { return TruePos + FalsePos + TrueNeg + FalseNeg; }
-  size_t errors() const { return FalsePos + FalseNeg; }
-
-  /// Fraction misclassified in [0, 1]; 0 for an empty matrix.
-  double errorRate() const;
-};
-
-/// Evaluates \p RS on every instance of \p Data.
-ConfusionMatrix evaluate(const RuleSet &RS, const Dataset &Data);
-
-/// Convenience: percent misclassified (Table 3's unit).
+/// Percent of \p Data's instances that \p RS misclassifies (Table 3's
+/// unit); 0 for an empty dataset.
 double errorRatePercent(const RuleSet &RS, const Dataset &Data);
 
 } // namespace schedfilter

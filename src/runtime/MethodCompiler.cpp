@@ -16,13 +16,12 @@ MethodCompiler::MethodCompiler(const MachineModel &Model, SchedContext &Ctx)
 
 SCHEDFILTER_HOT_ALIGN
 void MethodCompiler::schedulePhase(const Method &M, SchedulingPolicy Policy,
-                                   ScheduleFilter *Filter,
+                                   const ScheduleFilter *Filter,
                                    CompileReport &Report) {
   assert((Policy == SchedulingPolicy::Filtered) == (Filter != nullptr) &&
          "filter must be supplied exactly for the Filtered policy");
 
   Report.Policy = Policy;
-  uint64_t FilterWorkBefore = Filter ? Filter->workUnits() : 0;
   if (Orders.size() < M.size())
     Orders.resize(M.size());
 
@@ -32,13 +31,17 @@ void MethodCompiler::schedulePhase(const Method &M, SchedulingPolicy Policy,
   // is thereby charged to scheduling (§3.1).
   AccumulatingTimer SchedTimer;
   SchedTimer.start();
+  uint64_t FilterWork = 0;
   size_t B = 0;
   for (const BasicBlock &BB : M) {
     std::vector<int> &Order = Orders[B++];
     Order.clear();
-    bool DoSchedule = Policy == SchedulingPolicy::Always ||
-                      (Policy == SchedulingPolicy::Filtered &&
-                       Filter->shouldSchedule(BB));
+    bool DoSchedule = Policy == SchedulingPolicy::Always;
+    if (Policy == SchedulingPolicy::Filtered) {
+      CompiledFilter::Decision D = Filter->decide(BB);
+      FilterWork += D.Work;
+      DoSchedule = D.ScheduleLS;
+    }
     if (DoSchedule) {
       Report.SchedulingWork += Scheduler.schedule(BB, Ctx, Order);
       assert(verifySchedule(Ctx.dag(), Order).Ok &&
@@ -49,16 +52,13 @@ void MethodCompiler::schedulePhase(const Method &M, SchedulingPolicy Policy,
   SchedTimer.stop();
   Report.SchedulingSeconds += SchedTimer.seconds();
 
-  if (Filter) {
-    uint64_t Delta = Filter->workUnits() - FilterWorkBefore;
-    Report.FilterWork += Delta;
-    Report.SchedulingWork += Delta;
-  }
+  Report.FilterWork += FilterWork;
+  Report.SchedulingWork += FilterWork;
 }
 
 SCHEDFILTER_HOT_ALIGN
 void MethodCompiler::compileMethod(const Method &M, SchedulingPolicy Policy,
-                                   ScheduleFilter *Filter,
+                                   const ScheduleFilter *Filter,
                                    CompileReport &Report) {
   schedulePhase(M, Policy, Filter, Report);
 
@@ -98,7 +98,7 @@ uint64_t MethodCompiler::traceMethod(const Method &M,
 CompileReport schedfilter::compileProgram(const Program &P,
                                           const MachineModel &Model,
                                           SchedulingPolicy Policy,
-                                          ScheduleFilter *Filter) {
+                                          const ScheduleFilter *Filter) {
   CompileReport Report;
   Report.Policy = Policy;
   SchedContext Ctx;

@@ -37,15 +37,16 @@ public:
 
   /// Compiles \p M under \p Policy, accumulating counts, work units, wall
   /// time and simulated application time into \p Report.  \p Filter must
-  /// be non-null iff Policy == Filtered; its work-unit delta is charged to
-  /// Report.FilterWork and Report.SchedulingWork, as the pipeline does.
+  /// be non-null iff Policy == Filtered; the work units of its decisions
+  /// are charged to Report.FilterWork and Report.SchedulingWork, as the
+  /// pipeline does, and the blocks it chose count in Report.NumScheduled.
   ///
   /// Accumulation is a flat per-block fold in block order: calling this
   /// for a sequence of methods yields the exact CompileReport (bit-for-bit
   /// SimulatedTime included) of compileProgram over a program holding the
   /// same methods in the same order.
   void compileMethod(const Method &M, SchedulingPolicy Policy,
-                     ScheduleFilter *Filter, CompileReport &Report);
+                     const ScheduleFilter *Filter, CompileReport &Report);
 
   /// The §2.2 instrumented-scheduler pass over one method: appends one
   /// BlockRecord per block (features, simulated cost unscheduled and
@@ -73,9 +74,10 @@ private:
   /// The timed scheduling phase shared by compileMethod and traceMethod:
   /// asks the filter about each block of \p M in order, fills one order
   /// slot per block (empty for a block left unscheduled), and charges
-  /// counts, work units and wall time to \p Report.
+  /// counts, work units and wall time to \p Report -- the one tally of
+  /// the filter's decisions and their cost.
   void schedulePhase(const Method &M, SchedulingPolicy Policy,
-                     ScheduleFilter *Filter, CompileReport &Report);
+                     const ScheduleFilter *Filter, CompileReport &Report);
 };
 
 /// Compiles \p P under \p Policy on \p Model: MethodCompiler::compileMethod
@@ -83,7 +85,7 @@ private:
 /// \p Filter must be non-null iff Policy == Filtered.
 CompileReport compileProgram(const Program &P, const MachineModel &Model,
                              SchedulingPolicy Policy,
-                             ScheduleFilter *Filter = nullptr);
+                             const ScheduleFilter *Filter = nullptr);
 
 } // namespace schedfilter
 

@@ -100,6 +100,13 @@ schedfilter::checkServiceStats(const MultiAppStats &St) {
     return "Promotions == CompiledMethods + FinalQueueDepth";
   if (Tot.Compiles.size() != Tot.CompiledMethods)
     return "Compiles.size() == CompiledMethods";
+  // The filter decides every block the optimizing tier compiles, or (the
+  // LS tier) none.
+  if (Tot.FilterLS + Tot.FilterNS != 0 &&
+      (Tot.FilterLS != Tot.BlocksScheduled ||
+       Tot.FilterLS + Tot.FilterNS != Tot.BlocksCompiled))
+    return "FilterLS == BlocksScheduled and FilterLS + FilterNS == "
+           "BlocksCompiled";
 
   // Per-app Invocations need no check of their own: the per-app identity
   // and the tier-residency sums imply they add up to the executed ones.
@@ -290,7 +297,7 @@ MultiAppStats MultiAppService::run() {
     if (Registry)
       Registry->store({Art->Version, Art->ParentVersion, Art->TriggerTick,
                        Cfg.StreamSeed, Art->CorpusRecords,
-                       Cfg.RetrainThreshold, RegistryModel, RegistryWorkload},
+                       Cfg.RetrainThreshold, Model.getName(), RegistryWorkload},
                       Art->Rules);
   };
   if (Cfg.Online) {
@@ -410,16 +417,11 @@ MultiAppStats MultiAppService::run() {
     for (uint32_t I = 0; I != Cfg.DrainPerEpoch && Queue.pop(M); ++I) {
       size_t A = appOf(M);
       const Method &Meth = Programs[A][M - Offset[A]];
+      std::optional<ScheduleFilter> F;
+      if (Cur && Cfg.OptimizingPolicy == SchedulingPolicy::Filtered)
+        F.emplace(Cur);
       CompileReport Report;
-      uint64_t FilterLS = 0, FilterNS = 0;
-      if (Cur && Cfg.OptimizingPolicy == SchedulingPolicy::Filtered) {
-        ScheduleFilter F(Cur);
-        MC.compileMethod(Meth, Cfg.OptimizingPolicy, &F, Report);
-        FilterLS = F.numScheduleDecisions();
-        FilterNS = F.numSkipDecisions();
-      } else {
-        MC.compileMethod(Meth, Cfg.OptimizingPolicy, nullptr, Report);
-      }
+      MC.compileMethod(Meth, Cfg.OptimizingPolicy, F ? &*F : nullptr, Report);
       State[M] = MethodState::Optimizing;
       Cost[M].Current = Report.SimulatedTime;
       ServiceStats &App = St.PerApp[A];
@@ -427,8 +429,10 @@ MultiAppStats MultiAppService::run() {
       App.FilterWork += Report.FilterWork;
       App.BlocksCompiled += Report.NumBlocks;
       App.BlocksScheduled += Report.NumScheduled;
-      App.FilterLS += FilterLS;
-      App.FilterNS += FilterNS;
+      if (F) {
+        App.FilterLS += Report.NumScheduled;
+        App.FilterNS += Report.NumBlocks - Report.NumScheduled;
+      }
       ++App.CompiledMethods;
       ++App.MethodsOptimized; // a method is only ever compiled once
       St.Total.Compiles.push_back({St.Total.Epochs, M,
@@ -489,7 +493,7 @@ MultiAppComparison schedfilter::runMultiAppComparison(
     const MachineModel &Model, ServiceConfig Cfg, const RuleSet &Rules,
     TaskPool &Pool, const std::function<double(uint64_t, size_t)> &MixDrift,
     std::vector<BlockRecord> SeedCorpus, FilterRegistry *Registry,
-    const std::string &Workload, const std::string &ModelName) {
+    const std::string &Workload) {
   MultiAppComparison Cmp;
   bool Online = Cfg.Online;
 
@@ -507,7 +511,7 @@ MultiAppComparison schedfilter::runMultiAppComparison(
   if (Online) {
     Filtered.setSeedCorpus(std::move(SeedCorpus));
     if (Registry)
-      Filtered.setFilterRegistry(Registry, Workload, ModelName);
+      Filtered.setFilterRegistry(Registry, Workload);
   }
   Cmp.Filtered = Filtered.run();
 

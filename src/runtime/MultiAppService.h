@@ -145,7 +145,9 @@ struct ServiceStats {
   uint64_t FilterWork = 0;     ///< portion spent on features + rules
   uint64_t BlocksCompiled = 0; ///< blocks passed through the opt tier
   uint64_t BlocksScheduled = 0;
-  uint64_t FilterLS = 0; ///< online filter decisions, optimizing tier
+  /// Online filter decisions in the optimizing tier, tallied from each
+  /// compile's report: zero under the LS tier.
+  uint64_t FilterLS = 0;
   uint64_t FilterNS = 0;
 
   /// Application side, in SIM units (exec-weight x simulated cycles):
@@ -224,8 +226,10 @@ bool operator==(const MultiAppStats &A, const MultiAppStats &B);
 /// first one violated, or none: Baseline + Optimized == Invocations (per
 /// app, and in the aggregate unless an idle app -- an empty program --
 /// owned ticks that invoked nothing); Promotions == CompiledMethods +
-/// FinalQueueDepth; one compile pin per compiled method; per-app integer
-/// fields sum to Total; compile-pin versions never decrease.
+/// FinalQueueDepth; one compile pin per compiled method; the filter
+/// decided no block (the LS tier) or every compiled block, LS exactly for
+/// the scheduled ones; per-app integer fields sum to Total; compile-pin
+/// versions never decrease.
 std::optional<std::string> checkServiceStats(const MultiAppStats &St);
 
 /// The adaptive-JIT engine.  Construct per (apps, programs, model,
@@ -277,13 +281,11 @@ public:
   }
 
   /// Persists every installed filter version (including v1) into \p Reg
-  /// during run().  \p Workload and \p ModelName are stamped into each
-  /// entry's metadata; \p Reg is borrowed and must outlive run().
-  void setFilterRegistry(FilterRegistry *Reg, std::string Workload,
-                         std::string ModelName) {
+  /// during run().  \p Workload and the model's name are stamped into
+  /// each entry's metadata; \p Reg is borrowed and must outlive run().
+  void setFilterRegistry(FilterRegistry *Reg, std::string Workload) {
     Registry = Reg;
     RegistryWorkload = std::move(Workload);
-    RegistryModel = std::move(ModelName);
   }
 
   /// Per-invocation baseline cost per global method id (app-major);
@@ -314,7 +316,6 @@ private:
   std::vector<BlockRecord> SeedCorpus;
   FilterRegistry *Registry = nullptr;
   std::string RegistryWorkload;
-  std::string RegistryModel;
 
   size_t appOf(size_t GlobalMethod) const;
 };
@@ -339,7 +340,7 @@ struct MultiAppComparison {
 /// drifting traffic.  In online mode (Cfg.Online) the Filtered side
 /// self-trains: it is seeded with \p SeedCorpus, retrains per Cfg's
 /// policy, and -- when \p Registry is non-null -- persists its filter
-/// lineage stamped with \p Workload and \p ModelName.  The Always side
+/// lineage stamped with \p Workload and \p Model's name.  The Always side
 /// never trains (its policy ignores the filter), so Cfg.Online is forced
 /// off for it.
 MultiAppComparison runMultiAppComparison(
@@ -348,8 +349,7 @@ MultiAppComparison runMultiAppComparison(
     TaskPool &Pool,
     const std::function<double(uint64_t, size_t)> &MixDrift = nullptr,
     std::vector<BlockRecord> SeedCorpus = {},
-    FilterRegistry *Registry = nullptr, const std::string &Workload = "",
-    const std::string &ModelName = "");
+    FilterRegistry *Registry = nullptr, const std::string &Workload = "");
 
 } // namespace schedfilter
 

@@ -1,8 +1,8 @@
 //===- tests/TestHelpers.h - Shared fixtures for the test suite -*- C++ -*-===//
 ///
 /// \file
-/// Block builders, shrunken benchmark suites and one-app serving shared
-/// across test files.
+/// Block builders, shrunken benchmark suites, one-app serving and a
+/// misclassification count shared across test files.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -10,6 +10,7 @@
 #define SCHEDFILTER_TESTS_TESTHELPERS_H
 
 #include "mir/BasicBlock.h"
+#include "ml/Rule.h"
 #include "runtime/MultiAppService.h"
 #include "sched/SchedContext.h"
 #include "workloads/BenchmarkSpec.h"
@@ -135,7 +136,7 @@ inline MultiAppStats serveOneApp(const Program &P, const MachineModel &M,
   std::vector<Program> Programs{P};
   MultiAppService Svc(Apps, Programs, M, Cfg, Rules, Pool);
   if (Reg)
-    Svc.setFilterRegistry(Reg, "test", M.getName());
+    Svc.setFilterRegistry(Reg, "test");
   return Svc.run();
 }
 
@@ -149,6 +150,16 @@ inline MultiAppComparison compareOneApp(const Program &P,
   Apps[0].Spec.Name = P.getName();
   std::vector<Program> Programs{P};
   return runMultiAppComparison(Apps, Programs, M, Cfg, Rules, Pool);
+}
+
+/// How many of \p D's instances \p RS misclassifies.
+inline size_t countErrors(const RuleSet &RS, const Dataset &D) {
+  size_t Errors = 0;
+  for (size_t K = 0; K != D.size(); ++K) {
+    const Instance I = D[K];
+    Errors += RS.predict(I.X) != I.Y;
+  }
+  return Errors;
 }
 
 } // namespace test

@@ -33,42 +33,27 @@ TEST(ScheduleFilter, DecisionMatchesRuleSet) {
   EXPECT_FALSE(F.shouldSchedule(makeTrivialBlock()));
 }
 
-TEST(ScheduleFilter, CountsDecisions) {
-  ScheduleFilter F(basicFilter());
-  F.shouldSchedule(makeIlpFloatBlock());
-  F.shouldSchedule(makeTrivialBlock());
-  F.shouldSchedule(makeChainBlock());
-  EXPECT_EQ(F.numScheduleDecisions() + F.numSkipDecisions(), 3u);
-  EXPECT_EQ(F.numScheduleDecisions(), 1u);
-  EXPECT_GT(F.workUnits(), 0u);
-  F.resetStats();
-  EXPECT_EQ(F.workUnits(), 0u);
-  EXPECT_EQ(F.numScheduleDecisions(), 0u);
-}
-
 TEST(ScheduleFilter, GatedFastPathIsCheaper) {
   ScheduleFilter F(basicFilter());
-  F.shouldSchedule(makeTrivialBlock()); // gated: 1 work unit
-  uint64_t Gated = F.workUnits();
-  EXPECT_EQ(Gated, 1u);
-  F.shouldSchedule(makeIlpFloatBlock()); // full evaluation
-  EXPECT_GT(F.workUnits() - Gated, 1u);
+  // Gated: one comparison, one work unit.
+  EXPECT_EQ(F.decide(makeTrivialBlock()).Work, 1u);
+  // Full evaluation: the feature pass plus the rule conditions.
+  EXPECT_GT(F.decide(makeIlpFloatBlock()).Work, 1u);
 }
 
 TEST(ScheduleFilter, ConstOverloadAgrees) {
-  ScheduleFilter F(basicFilter());
-  const ScheduleFilter &CF = F;
+  RuleSet RS = basicFilter();
+  const ScheduleFilter F(RS);
   for (const BasicBlock &BB :
        {makeIlpFloatBlock(), makeTrivialBlock(), makeChainBlock()})
-    EXPECT_EQ(CF.shouldSchedule(BB), F.ruleSet().predict(extractFeatures(
-                                         BB)) == Label::LS);
+    EXPECT_EQ(F.shouldSchedule(BB),
+              RS.predict(extractFeatures(BB)) == Label::LS);
 }
 
 TEST(ScheduleFilter, NeverFilterSchedulesNothing) {
   ScheduleFilter F(RuleSet(Label::NS));
   EXPECT_FALSE(F.shouldSchedule(makeIlpFloatBlock()));
   EXPECT_FALSE(F.shouldSchedule(makeTrivialBlock()));
-  EXPECT_EQ(F.numScheduleDecisions(), 0u);
 }
 
 // The gate-soundness property: the fast path must never change a

@@ -27,30 +27,29 @@ RuleSet thresholdFilter() {
 } // namespace
 
 TEST(Metrics, EmptyDatasetZeroError) {
-  ConfusionMatrix M = evaluate(thresholdFilter(), Dataset("e"));
-  EXPECT_EQ(M.total(), 0u);
-  EXPECT_DOUBLE_EQ(M.errorRate(), 0.0);
+  EXPECT_DOUBLE_EQ(errorRatePercent(thresholdFilter(), Dataset("e")), 0.0);
 }
 
 TEST(Metrics, ConfusionCellsCorrect) {
-  Dataset D = Dataset::fromInstances("d", {{fv(12), Label::LS},  // TP
-                                           {fv(15), Label::NS},  // FP
-                                           {fv(3), Label::NS},   // TN
-                                           {fv(4), Label::LS}}); // FN
-  ConfusionMatrix M = evaluate(thresholdFilter(), D);
-  EXPECT_EQ(M.TruePos, 1u);
-  EXPECT_EQ(M.FalsePos, 1u);
-  EXPECT_EQ(M.TrueNeg, 1u);
-  EXPECT_EQ(M.FalseNeg, 1u);
-  EXPECT_DOUBLE_EQ(M.errorRate(), 0.5);
-  EXPECT_EQ(M.errors(), 2u);
+  // One instance per confusion cell: the FP and FN cells are the errors.
+  Instance TP{fv(12), Label::LS}, FP{fv(15), Label::NS}, TN{fv(3), Label::NS},
+      FN{fv(4), Label::LS};
+  Dataset D = Dataset::fromInstances("d", {TP, FP, TN, FN});
+  EXPECT_DOUBLE_EQ(errorRatePercent(thresholdFilter(), D), 50.0);
+  for (const Instance &I : {TP, TN})
+    EXPECT_DOUBLE_EQ(
+        errorRatePercent(thresholdFilter(), Dataset::fromInstances("c", {I})),
+        0.0);
+  for (const Instance &I : {FP, FN})
+    EXPECT_DOUBLE_EQ(
+        errorRatePercent(thresholdFilter(), Dataset::fromInstances("c", {I})),
+        100.0);
 }
 
 TEST(Metrics, PerfectClassifier) {
   Dataset D =
       Dataset::fromInstances("d", {{fv(12), Label::LS}, {fv(3), Label::NS}});
-  ConfusionMatrix M = evaluate(thresholdFilter(), D);
-  EXPECT_DOUBLE_EQ(M.errorRate(), 0.0);
+  EXPECT_DOUBLE_EQ(errorRatePercent(thresholdFilter(), D), 0.0);
 }
 
 TEST(Metrics, ErrorRatePercentScales) {

@@ -65,13 +65,19 @@ TEST(Pipeline, FilteredCountsMatchFilterDecisions) {
   R.Conditions.push_back({FeatBBLen, false, 7.0});
   RS.addRule(std::move(R));
 
-  ScheduleFilter F(RS);
+  const ScheduleFilter F(RS);
   CompileReport Rep =
       compileProgram(P, M, SchedulingPolicy::Filtered, &F);
-  EXPECT_EQ(Rep.NumScheduled, F.numScheduleDecisions());
-  EXPECT_EQ(Rep.NumBlocks,
-            F.numScheduleDecisions() + F.numSkipDecisions());
-  EXPECT_EQ(Rep.FilterWork, F.workUnits());
+  uint64_t Blocks = 0, LS = 0, Work = 0;
+  P.forEachBlock([&](const BasicBlock &BB) {
+    CompiledFilter::Decision D = F.decide(BB);
+    ++Blocks;
+    LS += D.ScheduleLS;
+    Work += D.Work;
+  });
+  EXPECT_EQ(Rep.NumBlocks, Blocks);
+  EXPECT_EQ(Rep.NumScheduled, LS);
+  EXPECT_EQ(Rep.FilterWork, Work);
   EXPECT_GE(Rep.SchedulingWork, Rep.FilterWork);
 }
 

@@ -8,6 +8,7 @@
 
 #include "ml/Ripper.h"
 
+#include "TestHelpers.h"
 #include "ml/Metrics.h"
 #include "support/Rng.h"
 
@@ -56,7 +57,7 @@ TEST(RipperExtra, MdlKeepsModelsSmallOnPureNoise) {
   // keep the rule list very small (ideally empty).
   EXPECT_LE(RS.totalConditions(), 20u);
   // And never do worse than majority.
-  EXPECT_LE(evaluate(RS, D).errors(),
+  EXPECT_LE(test::countErrors(RS, D),
             std::min(D.countLabel(Label::LS), D.countLabel(Label::NS)));
 }
 
@@ -105,7 +106,7 @@ TEST(RipperExtra, DuplicatedInstancesDoNotBreakTraining) {
   }
   Dataset D = Dataset::fromInstances("dups", Is);
   RuleSet RS = Ripper().train(D);
-  EXPECT_EQ(evaluate(RS, D).errors(), 0u);
+  EXPECT_EQ(test::countErrors(RS, D), 0u);
 }
 
 TEST(RipperExtra, ContradictoryDuplicatesHitNoiseFloor) {
@@ -144,7 +145,7 @@ TEST(RipperExtra, MdlSlackZeroStillProducesAFilter) {
   O.MdlSlackBits = 0.0; // most aggressive stopping
   Dataset D = hardData(800, 6);
   RuleSet RS = Ripper(O).train(D);
-  EXPECT_LE(evaluate(RS, D).errors(),
+  EXPECT_LE(test::countErrors(RS, D),
             std::min(D.countLabel(Label::LS), D.countLabel(Label::NS)));
 }
 

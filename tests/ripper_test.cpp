@@ -2,6 +2,7 @@
 
 #include "ml/Ripper.h"
 
+#include "TestHelpers.h"
 #include "ml/Metrics.h"
 #include "support/Rng.h"
 
@@ -75,7 +76,7 @@ TEST(Ripper, SingleClassAllNS) {
   RuleSet RS = Ripper().train(D);
   EXPECT_EQ(RS.size(), 0u);
   EXPECT_EQ(RS.getDefaultClass(), Label::NS);
-  EXPECT_EQ(evaluate(RS, D).errors(), 0u);
+  EXPECT_EQ(test::countErrors(RS, D), 0u);
 }
 
 TEST(Ripper, SingleClassAllLS) {
@@ -85,7 +86,7 @@ TEST(Ripper, SingleClassAllLS) {
   Dataset D = Dataset::fromInstances("allls", Is);
   RuleSet RS = Ripper().train(D);
   EXPECT_EQ(RS.getDefaultClass(), Label::LS);
-  EXPECT_EQ(evaluate(RS, D).errors(), 0u);
+  EXPECT_EQ(test::countErrors(RS, D), 0u);
 }
 
 TEST(Ripper, LearnsSeparableConceptExactly) {
@@ -236,7 +237,7 @@ TEST_P(RipperProperty, NeverWorseThanMajority) {
   RuleSet RS = Ripper().train(D);
   size_t Minority = std::min(D.countLabel(Label::LS),
                              D.countLabel(Label::NS));
-  EXPECT_LE(evaluate(RS, D).errors(), Minority);
+  EXPECT_LE(test::countErrors(RS, D), Minority);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RipperProperty,

@@ -384,6 +384,9 @@ TEST(MultiAppService, AccountingCheckNamesTheBrokenIdentity) {
             "Promotions == CompiledMethods + FinalQueueDepth");
   EXPECT_EQ(Broken([](MultiAppStats &St) { St.Total.Compiles.pop_back(); }),
             "Compiles.size() == CompiledMethods");
+  EXPECT_EQ(Broken([](MultiAppStats &St) { ++St.Total.FilterLS; }),
+            "FilterLS == BlocksScheduled and FilterLS + FilterNS == "
+            "BlocksCompiled");
   EXPECT_EQ(Broken([](MultiAppStats &St) { ++St.PerApp[0].FilterWork; }),
             "per-app integer fields sum to Total");
   EXPECT_EQ(Broken([](MultiAppStats &St) {

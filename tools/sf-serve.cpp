@@ -232,8 +232,7 @@ int serve(const CommandLine &CL, const WorkloadSelection &Sel,
   Wall.start();
   MultiAppComparison Cmp = runMultiAppComparison(
       Apps, Programs, Model, Cfg, Rules, Engine.pool(), nullptr,
-      std::move(SeedRecords), Registry ? &*Registry : nullptr, Session,
-      Model.getName());
+      std::move(SeedRecords), Registry ? &*Registry : nullptr, Session);
   Wall.stop();
   for (const MultiAppStats *Run : {&Cmp.Always, &Cmp.Filtered})
     if (std::optional<std::string> Broken = checkServiceStats(*Run)) {
